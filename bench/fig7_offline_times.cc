@@ -64,7 +64,9 @@ void BM_LinearScan(benchmark::State& state) {
   }
   for (auto _ : state) {
     size_t touched = 0;
-    for (const Row& row : (*table)->rows()) {
+    Row row;
+    for (size_t i = 0; i < (*table)->num_rows(); ++i) {
+      (*table)->GetRowInto(i, &row);
       touched += row.size();
       benchmark::DoNotOptimize(row.data());
     }

@@ -81,6 +81,14 @@ class FlatHashMap {
 
   /// Find with a caller-computed *raw* hash (the map applies its own mixer).
   V* FindHashed(uint64_t raw_hash, const K& key) {
+    return FindHashedAs(raw_hash, key, eq_);
+  }
+
+  /// FindHashed for a probe held in another form than K (say, a key laid
+  /// out in a caller's flat buffer): `eq(stored_key, probe)` decides
+  /// equality, and `raw_hash` must be the hash the probe's K form has.
+  template <typename Probe, typename ProbeEq>
+  V* FindHashedAs(uint64_t raw_hash, const Probe& probe, const ProbeEq& eq) {
     if (size_ == 0) return nullptr;
     const uint64_t h = HashMix(raw_hash);
     const size_t mask = slots_.size() - 1;
@@ -88,7 +96,7 @@ class FlatHashMap {
       uint32_t s = slots_[i];
       if (s == kEmptySlot) return nullptr;
       Entry& e = entries_[s];
-      if (e.hash == h && eq_(e.key, key)) return &e.value;
+      if (e.hash == h && eq(e.key, probe)) return &e.value;
     }
   }
   const V* FindHashed(uint64_t raw_hash, const K& key) const {

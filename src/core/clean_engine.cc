@@ -42,14 +42,24 @@ Result<RewritabilityCheck> CleanAnswerEngine::Check(
 Result<std::unique_ptr<Database>>
 OfflineCleaningBaseline::BuildCleanedDatabase() const {
   auto cleaned = std::make_unique<Database>();
+  Row row;
   for (const std::string& name : db_->catalog().TableNames()) {
     CONQUER_ASSIGN_OR_RETURN(Table * src, db_->GetTable(name));
     CONQUER_RETURN_NOT_OK(cleaned->CreateTable(src->schema()));
     CONQUER_ASSIGN_OR_RETURN(Table * dst, cleaned->GetTable(name));
+    // Clean the committed state only: rows a write deleted or superseded
+    // are not part of it.
+    const std::vector<size_t> visible =
+        src->VisibleRowPositions(src->committed_version());
+    RowCursor cursor(src);
 
     const DirtyTableInfo* info = dirty_->Find(name);
     if (info == nullptr || info->prob_column.empty()) {
-      for (const Row& row : src->rows()) dst->InsertUnchecked(row);
+      for (size_t r : visible) {
+        cursor.Touch(r);
+        src->GetRowInto(r, &row);
+        dst->InsertUnchecked(row);
+      }
       continue;
     }
     CONQUER_ASSIGN_OR_RETURN(size_t id_col,
@@ -57,21 +67,29 @@ OfflineCleaningBaseline::BuildCleanedDatabase() const {
     CONQUER_ASSIGN_OR_RETURN(size_t prob_col,
                              src->schema().GetColumnIndex(info->prob_column));
     // Best row per cluster, first wins on ties.
-    std::unordered_map<Value, size_t, ValueHash> best;  // id -> row position
+    struct Best {
+      size_t pos;
+      double prob;
+    };
+    std::unordered_map<Value, Best, ValueHash> best;
     std::vector<Value> order;
-    for (size_t r = 0; r < src->num_rows(); ++r) {
+    for (size_t r : visible) {
+      cursor.Touch(r);
       Value id = src->ValueAt(r, id_col);
+      const double prob = src->ValueAt(r, prob_col).AsDouble();
       auto it = best.find(id);
       if (it == best.end()) {
-        best.emplace(id, r);
+        best.emplace(id, Best{r, prob});
         order.push_back(std::move(id));
-      } else if (src->ValueAt(r, prob_col).AsDouble() >
-                 src->ValueAt(it->second, prob_col).AsDouble()) {
-        it->second = r;
+      } else if (prob > it->second.prob) {
+        it->second = {r, prob};
       }
     }
     for (const Value& id : order) {
-      dst->InsertUnchecked(src->row(best.at(id)));
+      const size_t r = best.at(id).pos;
+      cursor.Touch(r);
+      src->GetRowInto(r, &row);
+      dst->InsertUnchecked(row);
     }
   }
   return cleaned;

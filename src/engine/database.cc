@@ -139,7 +139,7 @@ Result<ResultSet> Database::Query(std::string_view sql,
                                binder.Bind(std::move(parsed.select)));
       ActiveQueryGuard guard(this);
       CONQUER_ASSIGN_OR_RETURN(OperatorPtr plan,
-                               Planner::Plan(bound, planner_options_, &exec_ctx_));
+                               Planner::Plan(bound, planner_options_, exec_ctx_));
       return TextResultSet("QUERY PLAN", ExplainPlan(*plan));
     }
     case ExplainMode::kAnalyze: {
@@ -172,7 +172,7 @@ Result<ResultSet> Database::ExecuteBound(BoundQuery bound,
   }
   ActiveQueryGuard guard(this);
   Timer timer;
-  CONQUER_ASSIGN_OR_RETURN(OperatorPtr plan, Planner::Plan(bound, planner_options_, &exec_ctx_));
+  CONQUER_ASSIGN_OR_RETURN(OperatorPtr plan, Planner::Plan(bound, planner_options_, exec_ctx_));
   if (stats != nullptr) stats->plan_seconds = timer.ElapsedSeconds();
 
   ResultSet rs;
@@ -205,7 +205,7 @@ Result<std::string> Database::Explain(std::string_view sql) const {
   Binder binder(&catalog_);
   CONQUER_ASSIGN_OR_RETURN(BoundQuery bound, binder.Bind(std::move(stmt)));
   ActiveQueryGuard guard(this);
-  CONQUER_ASSIGN_OR_RETURN(OperatorPtr plan, Planner::Plan(bound, planner_options_, &exec_ctx_));
+  CONQUER_ASSIGN_OR_RETURN(OperatorPtr plan, Planner::Plan(bound, planner_options_, exec_ctx_));
   return ExplainPlan(*plan);
 }
 

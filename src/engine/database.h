@@ -178,7 +178,7 @@ class Database {
     return pool_ != nullptr ? pool_->num_threads() : 1;
   }
 
-  /// Execution tuning (morsel size, hash-partition fanout). The pool
+  /// Execution tuning (morsel and batch sizes, A/B switches). The pool
   /// pointer inside is managed by SetThreads; tests lower morsel_size to
   /// exercise the parallel paths on small tables.
   ExecContext* mutable_exec_context() { return &exec_ctx_; }

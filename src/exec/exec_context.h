@@ -7,30 +7,24 @@
 
 namespace conquer {
 
-/// \brief Per-database execution settings shared by all parallel-capable
-/// operators (morsel-driven scan, partitioned hash build, partitioned
-/// aggregation).
+/// \brief Per-database execution settings shared by every operator of a
+/// plan.
 ///
-/// A null `pool` (the default, and what Database::SetThreads(1) restores)
-/// means strictly sequential execution — operators take their original
-/// single-threaded code paths and produce output bit-identical to the
-/// pre-parallel engine. With a pool, operators split their input into
-/// `morsel_size`-row morsels claimed dynamically by `pool->num_threads()`
-/// worker tasks, and hash state is split into `num_partitions` partitions
-/// by key hash. `num_partitions` is deliberately independent of the thread
-/// count: each group/bucket lives in exactly one partition and every
-/// partition accumulates its rows in global input order, which keeps
-/// floating-point sums (the clean-answer SUM(prob) path) bit-identical for
-/// every thread count, including 1.
+/// The morsel-driven operators (scan filter, hash-join build, hash
+/// aggregation) have one code path whose degree is `parallelism()`: the pool
+/// size, or 1 with a null `pool` (the default, and what
+/// Database::SetThreads(1) restores). Each works through bounded windows of
+/// input — `parallelism()` chunks for a scan, about `parallelism() *
+/// morsel_size` rows for a build or an aggregate — split into morsels
+/// claimed by worker tasks; a window too small to split runs inline. Hash
+/// state is split into partitions by key hash (one table at degree 1, 32
+/// above), each filled in global input order, so floating-point sums (the
+/// clean-answer SUM(prob) path) are bit-identical for every degree.
 struct ExecContext {
   TaskPool* pool = nullptr;
 
-  /// Rows per morsel; also the granularity below which operators do not
-  /// bother going parallel (inputs under 2 morsels run sequentially).
+  /// Rows per morsel of a hash-join build or aggregation window.
   size_t morsel_size = 1024;
-
-  /// Hash-partition fanout for parallel join builds and aggregations.
-  size_t num_partitions = 32;
 
   /// Rows per RowBatch in the batch-at-a-time executor path. The root
   /// consumer seeds its batch with this capacity and operators propagate it
@@ -65,15 +59,9 @@ struct ExecContext {
   /// flight (writes run behind the exclusive admission ticket).
   uint64_t snapshot_override = kSnapshotLatest;
 
-  /// Worker tasks a parallel phase schedules (the pool size, or 1).
+  /// Worker tasks a morsel-driven phase schedules (the pool size, or 1).
   size_t parallelism() const {
     return pool != nullptr ? pool->num_threads() : 1;
-  }
-
-  /// True when an operator with `rows` input rows should parallelize.
-  bool ShouldParallelize(size_t rows) const {
-    return pool != nullptr && pool->num_threads() > 1 &&
-           rows >= morsel_size * 2;
   }
 };
 

@@ -17,12 +17,11 @@ namespace conquer {
 ///
 /// Times are wall-clock and *cumulative*: an operator's seconds include time
 /// spent inside its children, because children are pulled from within the
-/// parent's Next()/Open(). Self time is derived at reporting time by
+/// parent's NextBatch()/Open(). Self time is derived at reporting time by
 /// subtracting the children's totals (see PlanNodeStats::self_seconds).
 struct OperatorMetrics {
-  uint64_t next_calls = 0;     ///< Next() invocations (including the EOS one)
   uint64_t batches = 0;        ///< NextBatch() invocations (incl. the EOS one)
-  uint64_t rows_produced = 0;  ///< rows returned from Next()/NextBatch()
+  uint64_t rows_produced = 0;  ///< rows returned from NextBatch()
   /// Rows decided by an interned-pointer compare against a
   /// dictionary-resolved string constant (vectorized filter fast path).
   uint64_t dict_hits = 0;
@@ -52,7 +51,8 @@ struct OperatorMetrics {
   double est_rows = -1.0;
   double open_seconds = 0.0;   ///< time inside Open(); the build phase for
                                ///< blocking operators (hash build, sort)
-  double next_seconds = 0.0;   ///< cumulative time across all Next() calls
+  double next_seconds = 0.0;   ///< cumulative time across all NextBatch()
+                               ///< calls
 
   // Hash-based operators (HashJoinOp / HashAggregateOp / DistinctOp).
   uint64_t hash_entries = 0;        ///< entries resident in the hash table
@@ -62,9 +62,9 @@ struct OperatorMetrics {
   uint64_t build_rows = 0;  ///< rows drained from the build input
   uint64_t probe_rows = 0;  ///< rows drained from the probe input
 
-  // Morsel-driven parallel phases (scan filter, join build, aggregation).
-  // Zero parallel_degree means the operator ran its sequential path.
-  uint32_t parallel_degree = 0;     ///< worker tasks used by the last Open()
+  // Morsel-driven phases (scan filter, join build, aggregation). Zero for
+  // operators without one; 1 when the phase ran inline.
+  uint32_t parallel_degree = 0;     ///< most worker tasks one window used
   std::vector<uint64_t> worker_rows;  ///< input rows processed per worker
 
   /// Total time attributed to this operator (including children).
@@ -74,7 +74,7 @@ struct OperatorMetrics {
 /// Rough heap footprint of one materialized row (vector + string payloads).
 uint64_t EstimateRowBytes(const Row& row);
 
-/// \brief Volcano-style pull operator.
+/// \brief Batch-at-a-time pull operator.
 ///
 /// Operators below the projection produce *wide rows*: a row of
 /// `total_slots` values covering every column of every FROM table, where
@@ -83,9 +83,9 @@ uint64_t EstimateRowBytes(const Row& row);
 /// slot, regardless of join order. Projection/aggregation switch to narrow
 /// output rows indexed by select-item position.
 ///
-/// The public Open()/Next()/Close() entry points are non-virtual: they
+/// The public Open()/NextBatch()/Close() entry points are non-virtual: they
 /// collect OperatorMetrics (row counts, wall time) around the virtual
-/// OpenImpl()/NextImpl()/CloseImpl() that subclasses implement.
+/// OpenImpl()/NextBatchImpl()/CloseImpl() that subclasses implement.
 class Operator {
  public:
   virtual ~Operator() = default;
@@ -101,20 +101,8 @@ class Operator {
     return s;
   }
 
-  /// Produces the next row into *out. Returns false at end of stream.
-  Result<bool> Next(Row* out) {
-    Timer t;
-    Result<bool> r = NextImpl(out);
-    metrics_.next_seconds += t.ElapsedSeconds();
-    ++metrics_.next_calls;
-    if (r.ok() && *r) ++metrics_.rows_produced;
-    return r;
-  }
-
   /// Produces up to out->capacity rows into out->rows. Returns false at end
   /// of stream (with out empty); a true return carries at least one row.
-  /// A single execution must drive an operator through either Next() or
-  /// NextBatch(), not both — the two cursors share state.
   Result<bool> NextBatch(RowBatch* out) {
     Timer t;
     Result<bool> r = NextBatchImpl(out);
@@ -144,22 +132,7 @@ class Operator {
 
  protected:
   virtual Status OpenImpl() = 0;
-  virtual Result<bool> NextImpl(Row* out) = 0;
-
-  /// Batch production. The default shim loops NextImpl so every operator is
-  /// batch-drivable; operators on the hot path override it with genuinely
-  /// vectorized implementations.
-  virtual Result<bool> NextBatchImpl(RowBatch* out) {
-    out->rows.clear();
-    Row row;
-    while (out->rows.size() < out->capacity) {
-      CONQUER_ASSIGN_OR_RETURN(bool more, NextImpl(&row));
-      if (!more) break;
-      out->rows.push_back(std::move(row));
-    }
-    return !out->rows.empty();
-  }
-
+  virtual Result<bool> NextBatchImpl(RowBatch* out) = 0;
   virtual void CloseImpl() {}
 
   /// Subclass access for operator-specific counters (hash sizes, build/probe

@@ -1,8 +1,10 @@
 #include "exec/operators.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cassert>
+#include <functional>
 #include <numeric>
 
 #include "common/str_util.h"
@@ -12,19 +14,39 @@
 namespace conquer {
 
 namespace {
-size_t HashValues(const std::vector<Value>& vals) {
+size_t HashValues(const Value* vals, size_t n) {
   size_t h = 0x811c9dc5u;
-  for (const Value& v : vals) {
-    h ^= v.Hash();
+  for (size_t i = 0; i < n; ++i) {
+    h ^= vals[i].Hash();
     h *= 0x01000193u;
   }
   return h;
+}
+
+size_t HashValues(const std::vector<Value>& vals) {
+  return HashValues(vals.data(), vals.size());
 }
 
 bool ValuesEqual(const std::vector<Value>& a, const std::vector<Value>& b) {
   if (a.size() != b.size()) return false;
   for (size_t i = 0; i < a.size(); ++i) {
     if (a[i].TotalCompare(b[i]) != 0) return false;
+  }
+  return true;
+}
+
+/// A key stored in an InputWindow's flat buffer: probes the hash tables
+/// without being copied into a vector first.
+struct KeySpan {
+  const Value* data;
+  size_t size;
+
+  std::vector<Value> ToVector() const { return {data, data + size}; }
+};
+
+bool KeyMatches(const std::vector<Value>& stored, const KeySpan& probe) {
+  for (size_t i = 0; i < probe.size; ++i) {
+    if (stored[i].TotalCompare(probe.data[i]) != 0) return false;
   }
   return true;
 }
@@ -53,6 +75,159 @@ uint64_t ValueHeapBytes(const Value& v) {
   }
   return 0;
 }
+
+/// The MVCC snapshot a scan of `table` reads: the test override when set,
+/// else the table's latest committed version.
+uint64_t ScanSnapshot(const ExecContext& exec, const Table& table) {
+  return exec.snapshot_override != ExecContext::kSnapshotLatest
+             ? exec.snapshot_override
+             : table.committed_version();
+}
+
+/// Keeps only the positions of `sel` visible at `snapshot`. Version stamps
+/// are resident metadata, so this never faults the chunk payload.
+void KeepVisible(const Chunk& ch, uint64_t snapshot, SelVector* sel) {
+  if (!ch.has_versions()) return;
+  size_t out = 0;
+  for (uint32_t i : *sel) {
+    if (ch.RowVisible(i, snapshot)) (*sel)[out++] = i;
+  }
+  sel->resize(out);
+}
+
+/// Folds faulting I/O counters into an operator's metrics.
+void AddPinStats(const PinStats& ps, OperatorMetrics* m) {
+  m->chunks_loaded += ps.chunks_loaded;
+  m->chunks_evicted += ps.chunks_evicted;
+  m->io_read_seconds += ps.io_read_seconds;
+}
+
+/// Records that a morsel-driven phase ran `workers` tasks.
+void NoteWorkers(size_t workers, OperatorMetrics* m) {
+  m->parallel_degree =
+      std::max(m->parallel_degree, static_cast<uint32_t>(workers));
+  if (m->worker_rows.size() < workers) m->worker_rows.resize(workers, 0);
+}
+
+/// Runs `task(w)` for every worker w in [0, workers): on the pool when
+/// there is more than one, inline on the caller (TaskGroup(nullptr))
+/// otherwise. Returns the first error.
+Status RunWorkers(const ExecContext& exec, size_t workers,
+                  const std::function<Status(size_t)>& task) {
+  TaskGroup group(workers > 1 ? exec.pool : nullptr);
+  for (size_t w = 0; w < workers; ++w) {
+    group.Submit([&task, w] { return task(w); });
+  }
+  return group.Wait();
+}
+
+/// Hash partitions of a join build or an aggregation at `degree` workers.
+/// Partitions only split the work: every bucket or group lives in one
+/// partition and is filled in global input order, so the count never
+/// changes results. One worker fills one table; more share 32.
+constexpr size_t kMaxPartitions = 32;
+size_t NumPartitions(size_t degree) {
+  return degree > 1 ? kMaxPartitions : 1;
+}
+
+/// \brief One bounded window of an operator's input, read in place from the
+/// child's own batches, plus the scratch of the morsel-then-partition pass
+/// over it (HashJoinOp's build, HashAggregateOp's accumulate). Reused
+/// across windows, so steady-state passes allocate nothing here.
+struct InputWindow {
+  static constexpr uint8_t kDropped = 0xff;
+  static_assert(kMaxPartitions < kDropped, "partition ids fit in a byte");
+
+  InputWindow(size_t key_width, size_t num_partitions)
+      : width(key_width), partitions(num_partitions) {}
+
+  const size_t width;       ///< values per key
+  const size_t partitions;  ///< hash partitions rows are routed to
+  std::vector<RowBatch> batches;
+  std::vector<Row*> rows;        ///< window rows in input order
+  std::vector<Value> keys;       ///< row r's key: [r * width, (r+1) * width)
+  std::vector<uint64_t> hashes;  ///< raw key hash per window row
+  std::vector<uint8_t> parts;    ///< partition per window row, or kDropped
+  bool drained = false;          ///< the child reported end of stream
+
+  /// Refills the window with about parallelism() * morsel_size rows (at
+  /// least one batch). False once the child is drained.
+  Result<bool> Fill(const ExecContext& exec, Operator* child) {
+    rows.clear();
+    const size_t target =
+        exec.parallelism() * std::max<size_t>(1, exec.morsel_size);
+    for (size_t b = 0; !drained && rows.size() < target; ++b) {
+      if (b == batches.size()) batches.emplace_back();
+      RowBatch& batch = batches[b];
+      batch.capacity = std::max<size_t>(1, exec.batch_size);
+      CONQUER_ASSIGN_OR_RETURN(bool more, child->NextBatch(&batch));
+      drained = !more;
+      if (more) {
+        for (Row& row : batch.rows) rows.push_back(&row);
+      }
+    }
+    return !rows.empty();
+  }
+
+  /// The two-phase pass over the window. Phase 1 (morsel-parallel):
+  /// `key_fn(w, r, key)` writes row r's `width` key values, or returns
+  /// false to drop the row; the key is hashed once and the row goes to the
+  /// partition named by the hash's high mixed bits, leaving the low bits to
+  /// index the partition's flat table. Phase 2 (partition-parallel): worker
+  /// w walks the window in input order and runs `apply(w, p, r, KeySpan)`
+  /// for the rows of the partitions it owns (p % workers == w). Windows run in
+  /// input order, so every partition sees its rows in global input order
+  /// whatever the degree. A window holding fewer than two full morsels
+  /// runs both phases inline.
+  template <typename KeyFn, typename ApplyFn>
+  Status Run(const ExecContext& exec, const KeyFn& key_fn,
+             const ApplyFn& apply, OperatorMetrics* m) {
+    const size_t n = rows.size();
+    const size_t morsel = std::max<size_t>(1, exec.morsel_size);
+    const size_t num_morsels = (n + morsel - 1) / morsel;
+    // Only full morsels are worth a worker: under two, the window runs
+    // inline.
+    const size_t workers =
+        std::clamp<size_t>(n / morsel, 1, exec.parallelism());
+    NoteWorkers(workers, m);
+    keys.resize(n * width);
+    hashes.resize(n);
+    parts.resize(n);
+    std::atomic<size_t> next_morsel{0};
+    CONQUER_RETURN_NOT_OK(RunWorkers(exec, workers, [&](size_t w) -> Status {
+      size_t mo;
+      while ((mo = next_morsel.fetch_add(1, std::memory_order_relaxed)) <
+             num_morsels) {
+        const size_t end = std::min(n, (mo + 1) * morsel);
+        for (size_t r = mo * morsel; r < end; ++r) {
+          Value* key = keys.data() + r * width;
+          CONQUER_ASSIGN_OR_RETURN(bool keep, key_fn(w, r, key));
+          if (!keep) {
+            parts[r] = kDropped;
+            continue;
+          }
+          hashes[r] = HashValues(key, width);
+          parts[r] = static_cast<uint8_t>(
+              HashPartition(HashMix(hashes[r]), partitions));
+        }
+      }
+      return Status::OK();
+    }));
+    std::array<size_t, kMaxPartitions> owner;  // partition -> worker
+    for (size_t p = 0; p < partitions; ++p) owner[p] = p % workers;
+    return RunWorkers(exec, workers, [&](size_t w) -> Status {
+      uint64_t applied = 0;
+      for (size_t r = 0; r < n; ++r) {
+        if (parts[r] == kDropped || owner[parts[r]] != w) continue;
+        CONQUER_RETURN_NOT_OK(
+            apply(w, parts[r], r, KeySpan{keys.data() + r * width, width}));
+        ++applied;
+      }
+      m->worker_rows[w] += applied;
+      return Status::OK();
+    });
+  }
+};
 }  // namespace
 
 uint64_t EstimateRowBytes(const Row& row) {
@@ -85,14 +260,14 @@ std::string ExplainPlan(const Operator& root) {
 
 SeqScanOp::SeqScanOp(const Table* table, size_t slot_offset,
                      size_t total_slots, ExprPtr pushed_filter,
-                     const ExecContext* exec,
+                     const ExecContext& exec,
                      const std::vector<bool>* referenced_slots)
     : table_(table),
+      filter_(std::move(pushed_filter)),
+      exec_(exec),
       slot_offset_(slot_offset),
       total_slots_(total_slots),
-      filter_(std::move(pushed_filter)),
-      local_filter_(RebaseFilter(filter_.get(), slot_offset)),
-      exec_(exec) {
+      local_filter_(RebaseFilter(filter_.get(), slot_offset)) {
   if (referenced_slots != nullptr) {
     prune_ = true;
     for (size_t c = 0; c < table_->schema().num_columns(); ++c) {
@@ -122,39 +297,35 @@ void SeqScanOp::MaterializeWide(size_t chunk_index, uint32_t row,
   }
 }
 
-Status SeqScanOp::FilterChunk(size_t chunk_index, SelVector* sel,
-                              uint64_t* dict_hits, uint64_t* chunks_skipped,
-                              uint64_t* bloom_dropped, PinStats* pin_stats,
-                              ChunkPin* keep_pin) const {
+void SeqScanOp::SeedChunk(size_t chunk_index, SelVector* sel,
+                          ScanCounters* /*counters*/) const {
   const Chunk& ch = table_->chunk(chunk_index);
-  sel->clear();
-  const bool prune_chunks =
-      exec_ == nullptr || exec_->enable_zone_pruning;
-  // Zone maps are resident metadata: the skip test runs before the payload
-  // pin, so a pruned chunk never faults its columns in from disk.
-  if (local_filter_ && prune_chunks &&
-      ZoneMapCanSkip(*local_filter_, *table_, ch)) {
-    ++*chunks_skipped;
-    if (keep_pin != nullptr) keep_pin->Reset();
-    return Status::OK();
-  }
-  ChunkPin pin = table_->PinChunk(chunk_index, pin_stats);
   sel->resize(ch.num_rows());
   std::iota(sel->begin(), sel->end(), 0u);
   // Snapshot visibility before predicates: a stamped chunk may hold dead
-  // (deleted / superseded) versions or rows newer than this scan's pinned
-  // snapshot.
-  if (ch.has_versions()) {
-    size_t out = 0;
-    for (uint32_t i : *sel) {
-      if (ch.RowVisible(i, snapshot_)) (*sel)[out++] = i;
-    }
-    sel->resize(out);
+  // (deleted / superseded) versions or rows newer than the snapshot.
+  KeepVisible(ch, snapshot_, sel);
+}
+
+Status SeqScanOp::FilterChunk(size_t chunk_index, SelVector* sel,
+                              ChunkPin* pin, ScanCounters* counters) const {
+  const Chunk& ch = table_->chunk(chunk_index);
+  sel->clear();
+  pin->Reset();
+  // Zone maps are resident metadata: the skip test runs before the payload
+  // pin, so a pruned chunk never faults its columns in from disk.
+  if (local_filter_ && exec_.enable_zone_pruning &&
+      ZoneMapCanSkip(*local_filter_, *table_, ch)) {
+    ++counters->chunks_skipped;
+    return Status::OK();
   }
+  SeedChunk(chunk_index, sel, counters);
+  counters->rows += sel->size();
+  if (sel->empty()) return Status::OK();
+  *pin = table_->PinChunk(chunk_index, &counters->pins);
   if (local_filter_) {
-    CONQUER_RETURN_NOT_OK(
-        FilterChunkSelection(*local_filter_, *table_, chunk_index, sel,
-                             dict_hits));
+    CONQUER_RETURN_NOT_OK(FilterChunkSelection(
+        *local_filter_, *table_, chunk_index, sel, &counters->dict_hits));
   }
   // Runtime semi-join filters: drop rows whose join key provably cannot be
   // in the build side (NULL keys can never join either). Order among
@@ -170,197 +341,93 @@ Status SeqScanOp::FilterChunk(size_t chunk_index, SelVector* sel,
           rf.filter->bloom.MayContain(cv.GetValue(i, dict).Hash())) {
         (*sel)[out++] = i;
       } else {
-        ++*bloom_dropped;
+        ++counters->bloom_filtered;
       }
     }
     sel->resize(out);
   }
-  if (keep_pin != nullptr) *keep_pin = std::move(pin);
+  if (sel->empty()) pin->Reset();
   return Status::OK();
 }
 
-Status SeqScanOp::ParallelFilter() {
-  const size_t num_chunks = table_->num_chunks();
-  chunk_matches_.assign(num_chunks, {});
-  const size_t workers = std::min(exec_->parallelism(), num_chunks);
-  mutable_metrics().parallel_degree = static_cast<uint32_t>(workers);
-  mutable_metrics().worker_rows.assign(workers, 0);
-
-  std::atomic<size_t> next_chunk{0};
-  std::atomic<uint64_t> dict_hits{0};
-  std::atomic<uint64_t> chunks_skipped{0};
-  std::atomic<uint64_t> bloom_dropped{0};
-  std::atomic<uint64_t> chunks_loaded{0};
-  std::atomic<uint64_t> chunks_evicted{0};
-  std::atomic<uint64_t> io_read_nanos{0};
-  TaskGroup group(exec_->pool);
-  for (size_t w = 0; w < workers; ++w) {
-    group.Submit([this, w, num_chunks, &next_chunk, &dict_hits,
-                  &chunks_skipped, &bloom_dropped, &chunks_loaded,
-                  &chunks_evicted, &io_read_nanos, &group]() -> Status {
-      uint64_t scanned = 0;
-      uint64_t my_hits = 0, my_skipped = 0, my_bloom = 0;
-      PinStats my_pins;
-      while (!group.cancelled()) {
-        size_t c = next_chunk.fetch_add(1, std::memory_order_relaxed);
-        if (c >= num_chunks) break;
-        // A morsel is a whole chunk: zone-map pruning decides per claim,
-        // and only surviving positions are ever materialized into wide
-        // rows.
-        const uint64_t skipped_before = my_skipped;
-        CONQUER_RETURN_NOT_OK(FilterChunk(c, &chunk_matches_[c], &my_hits,
-                                          &my_skipped, &my_bloom, &my_pins));
-        if (my_skipped == skipped_before) {
-          scanned += table_->chunk(c).num_rows();
-        }
-      }
-      mutable_metrics().worker_rows[w] = scanned;
-      dict_hits.fetch_add(my_hits, std::memory_order_relaxed);
-      chunks_skipped.fetch_add(my_skipped, std::memory_order_relaxed);
-      bloom_dropped.fetch_add(my_bloom, std::memory_order_relaxed);
-      chunks_loaded.fetch_add(my_pins.chunks_loaded,
-                              std::memory_order_relaxed);
-      chunks_evicted.fetch_add(my_pins.chunks_evicted,
-                               std::memory_order_relaxed);
-      io_read_nanos.fetch_add(
-          static_cast<uint64_t>(my_pins.io_read_seconds * 1e9),
-          std::memory_order_relaxed);
-      return Status::OK();
-    });
+Status SeqScanOp::FilterWindow() {
+  const size_t count = std::min(exec_.parallelism(), end_chunk_ - next_chunk_);
+  window_.resize(count);
+  for (size_t i = 0; i < count; ++i) window_[i].chunk = next_chunk_ + i;
+  next_chunk_ += count;
+  window_cursor_ = 0;
+  match_cursor_ = 0;
+  OperatorMetrics& m = mutable_metrics();
+  NoteWorkers(count, &m);
+  // A morsel is a whole chunk: zone-map pruning decides per claim, and only
+  // surviving positions are ever materialized into wide rows.
+  std::vector<ScanCounters> counters(count);
+  std::atomic<size_t> next{0};
+  Status s = RunWorkers(exec_, count, [&](size_t w) -> Status {
+    size_t i;
+    while ((i = next.fetch_add(1, std::memory_order_relaxed)) < count) {
+      WindowChunk& wc = window_[i];
+      CONQUER_RETURN_NOT_OK(
+          FilterChunk(wc.chunk, &wc.sel, &wc.pin, &counters[w]));
+    }
+    return Status::OK();
+  });
+  for (size_t w = 0; w < count; ++w) {
+    const ScanCounters& c = counters[w];
+    m.worker_rows[w] += c.rows;
+    m.dict_hits += c.dict_hits;
+    m.chunks_skipped += c.chunks_skipped;
+    m.bloom_filtered += c.bloom_filtered;
+    m.index_probes += c.index_probes;
+    m.index_rows += c.index_rows;
+    AddPinStats(c.pins, &m);
   }
-  Status s = group.Wait();
-  mutable_metrics().dict_hits += dict_hits.load();
-  mutable_metrics().chunks_skipped += chunks_skipped.load();
-  mutable_metrics().bloom_filtered += bloom_dropped.load();
-  mutable_metrics().chunks_loaded += chunks_loaded.load();
-  mutable_metrics().chunks_evicted += chunks_evicted.load();
-  mutable_metrics().io_read_seconds +=
-      static_cast<double>(io_read_nanos.load()) * 1e-9;
   return s;
 }
 
-void SeqScanOp::AddPinStats(const PinStats& ps) {
-  mutable_metrics().chunks_loaded += ps.chunks_loaded;
-  mutable_metrics().chunks_evicted += ps.chunks_evicted;
-  mutable_metrics().io_read_seconds += ps.io_read_seconds;
-}
-
-void SeqScanOp::EnsureEmitPinned(size_t chunk_index) {
-  if (emit_pin_ && emit_pin_chunk_ == chunk_index) return;
-  PinStats ps;
-  emit_pin_ = table_->PinChunk(chunk_index, &ps);
-  emit_pin_chunk_ = chunk_index;
-  AddPinStats(ps);
-}
-
 Status SeqScanOp::OpenImpl() {
-  snapshot_ = (exec_ != nullptr &&
-               exec_->snapshot_override != ExecContext::kSnapshotLatest)
-                  ? exec_->snapshot_override
-                  : table_->committed_version();
-  chunk_cursor_ = 0;
+  snapshot_ = ScanSnapshot(exec_, *table_);
+  window_.clear();
+  window_cursor_ = 0;
   match_cursor_ = 0;
-  chunk_matches_.clear();
-  sel_scratch_.clear();
-  current_chunk_ = 0;
   next_chunk_ = 0;
-  emit_pin_.Reset();
-  emit_pin_chunk_ = SIZE_MAX;
-  const bool has_filter = filter_ != nullptr || !runtime_filters_.empty();
-  parallel_ = has_filter && exec_ != nullptr &&
-              exec_->ShouldParallelize(table_->num_rows());
-  if (parallel_) return ParallelFilter();
+  end_chunk_ = table_->num_chunks();
   return Status::OK();
-}
-
-/// Sequential path: advances to the next chunk with surviving rows, leaving
-/// its matches in sel_scratch_. Returns false at end of table.
-Result<bool> SeqScanOp::NextImpl(Row* out) {
-  if (parallel_) {
-    // Stream the pre-filtered positions in chunk order: same output order
-    // as the sequential scan.
-    while (chunk_cursor_ < chunk_matches_.size()) {
-      const SelVector& matches = chunk_matches_[chunk_cursor_];
-      if (match_cursor_ >= matches.size()) {
-        ++chunk_cursor_;
-        match_cursor_ = 0;
-        continue;
-      }
-      EnsureEmitPinned(chunk_cursor_);
-      MaterializeWide(chunk_cursor_, matches[match_cursor_++], out);
-      return true;
-    }
-    return false;
-  }
-  while (true) {
-    if (match_cursor_ < sel_scratch_.size()) {
-      EnsureEmitPinned(current_chunk_);
-      MaterializeWide(current_chunk_, sel_scratch_[match_cursor_++], out);
-      return true;
-    }
-    if (next_chunk_ >= table_->num_chunks()) return false;
-    current_chunk_ = next_chunk_++;
-    match_cursor_ = 0;
-    uint64_t hits = 0, skipped = 0, bloom = 0;
-    PinStats pins;
-    CONQUER_RETURN_NOT_OK(FilterChunk(current_chunk_, &sel_scratch_, &hits,
-                                      &skipped, &bloom, &pins, &emit_pin_));
-    emit_pin_chunk_ = emit_pin_ ? current_chunk_ : SIZE_MAX;
-    mutable_metrics().dict_hits += hits;
-    mutable_metrics().chunks_skipped += skipped;
-    mutable_metrics().bloom_filtered += bloom;
-    AddPinStats(pins);
-  }
 }
 
 Result<bool> SeqScanOp::NextBatchImpl(RowBatch* out) {
   // Rows are materialized in place (recycling each wide row's buffer when
   // the consumer left it behind) instead of cleared and re-pushed.
   size_t filled = 0;
-  if (parallel_) {
-    while (filled < out->capacity && chunk_cursor_ < chunk_matches_.size()) {
-      const SelVector& matches = chunk_matches_[chunk_cursor_];
-      if (match_cursor_ >= matches.size()) {
-        ++chunk_cursor_;
-        match_cursor_ = 0;
-        continue;
-      }
-      EnsureEmitPinned(chunk_cursor_);
-      if (filled == out->rows.size()) out->rows.emplace_back();
-      MaterializeWide(chunk_cursor_, matches[match_cursor_++],
-                      &out->rows[filled++]);
-    }
-    out->rows.resize(filled);
-    return filled > 0;
-  }
   while (filled < out->capacity) {
-    if (match_cursor_ < sel_scratch_.size()) {
-      EnsureEmitPinned(current_chunk_);
-      if (filled == out->rows.size()) out->rows.emplace_back();
-      MaterializeWide(current_chunk_, sel_scratch_[match_cursor_++],
-                      &out->rows[filled++]);
+    if (window_cursor_ == window_.size()) {
+      if (next_chunk_ >= end_chunk_) break;
+      CONQUER_RETURN_NOT_OK(FilterWindow());
       continue;
     }
-    if (next_chunk_ >= table_->num_chunks()) break;
-    current_chunk_ = next_chunk_++;
-    match_cursor_ = 0;
-    uint64_t hits = 0, skipped = 0, bloom = 0;
-    PinStats pins;
-    CONQUER_RETURN_NOT_OK(FilterChunk(current_chunk_, &sel_scratch_, &hits,
-                                      &skipped, &bloom, &pins, &emit_pin_));
-    emit_pin_chunk_ = emit_pin_ ? current_chunk_ : SIZE_MAX;
-    mutable_metrics().dict_hits += hits;
-    mutable_metrics().chunks_skipped += skipped;
-    mutable_metrics().bloom_filtered += bloom;
-    AddPinStats(pins);
+    WindowChunk& wc = window_[window_cursor_];
+    const size_t take =
+        std::min(out->capacity - filled, wc.sel.size() - match_cursor_);
+    if (out->rows.size() < filled + take) out->rows.resize(filled + take);
+    for (size_t i = 0; i < take; ++i) {
+      MaterializeWide(wc.chunk, wc.sel[match_cursor_ + i],
+                      &out->rows[filled + i]);
+    }
+    filled += take;
+    match_cursor_ += take;
+    if (match_cursor_ == wc.sel.size()) {
+      wc.pin.Reset();  // emission left the chunk
+      ++window_cursor_;
+      match_cursor_ = 0;
+    }
   }
   out->rows.resize(filled);
   return filled > 0;
 }
 
 void SeqScanOp::CloseImpl() {
-  emit_pin_.Reset();
-  emit_pin_chunk_ = SIZE_MAX;
+  window_.clear();
+  window_cursor_ = 0;
 }
 
 std::string SeqScanOp::Describe() const {
@@ -374,21 +441,14 @@ std::string SeqScanOp::Describe() const {
 
 IndexScanOp::IndexScanOp(const Table* table, size_t column, Value key,
                          size_t slot_offset, size_t total_slots,
-                         ExprPtr filter, const ExecContext* exec)
-    : table_(table),
+                         ExprPtr filter, const ExecContext& exec,
+                         const std::vector<bool>* referenced_slots)
+    : SeqScanOp(table, slot_offset, total_slots, std::move(filter), exec,
+                referenced_slots),
       column_(column),
-      key_(std::move(key)),
-      slot_offset_(slot_offset),
-      total_slots_(total_slots),
-      filter_(std::move(filter)),
-      local_filter_(RebaseFilter(filter_.get(), slot_offset)),
-      exec_(exec) {}
+      key_(std::move(key)) {}
 
 Status IndexScanOp::OpenImpl() {
-  snapshot_ = (exec_ != nullptr &&
-               exec_->snapshot_override != ExecContext::kSnapshotLatest)
-                  ? exec_->snapshot_override
-                  : table_->committed_version();
   const ChunkIndex* idx = table_->GetIndex(column_);
   if (idx == nullptr) {
     return Status::Internal("IndexScanOp: column is not indexed");
@@ -402,87 +462,23 @@ Status IndexScanOp::OpenImpl() {
     // planner-built tree.
     return Status::Internal("IndexScanOp: key has no sound index probe");
   }
-  num_chunks_ = table_->num_chunks();
-  chunk_cursor_ = 0;
-  current_chunk_ = 0;
-  positions_.clear();
-  pos_cursor_ = 0;
-  pin_.Reset();
-  pin_chunk_ = SIZE_MAX;
+  CONQUER_RETURN_NOT_OK(SeqScanOp::OpenImpl());
+  // No stored value can match: there is no chunk worth probing.
+  if (probe_.kind == ChunkIndex::ProbeSpec::Kind::kNone) end_chunk_ = 0;
   return Status::OK();
 }
 
-Result<bool> IndexScanOp::NextImpl(Row* out) {
-  while (true) {
-    while (pos_cursor_ < positions_.size()) {
-      const uint32_t local = positions_[pos_cursor_++];
-      // Only chunks known to hold a visible candidate reach this point, so
-      // the pin (and any payload fault) is paid per matching chunk, never
-      // for chunks the probe ruled out.
-      if (!pin_ || pin_chunk_ != current_chunk_) {
-        PinStats ps;
-        pin_ = table_->PinChunk(current_chunk_, &ps);
-        pin_chunk_ = current_chunk_;
-        mutable_metrics().chunks_loaded += ps.chunks_loaded;
-        mutable_metrics().chunks_evicted += ps.chunks_evicted;
-        mutable_metrics().io_read_seconds += ps.io_read_seconds;
-      }
-      const size_t pos = current_chunk_ * table_->chunk_capacity() + local;
-      table_->GetRowInto(pos, &row_scratch_);
-      if (local_filter_) {
-        // Re-check the full pushed-down predicate (including the equality
-        // the probe consumed): candidates are a superset, and re-applying
-        // the whole filter keeps this path bit-identical to a SeqScan.
-        CONQUER_ASSIGN_OR_RETURN(bool pass,
-                                 EvalPredicate(*local_filter_, row_scratch_));
-        if (!pass) continue;
-      }
-      out->assign(total_slots_, Value::Null());
-      for (size_t c = 0; c < row_scratch_.size(); ++c) {
-        (*out)[slot_offset_ + c] = row_scratch_[c];
-      }
-      return true;
-    }
-    if (probe_.kind == ChunkIndex::ProbeSpec::Kind::kNone) return false;
-    if (chunk_cursor_ >= num_chunks_) return false;
-    const size_t c = chunk_cursor_++;
-    positions_.clear();
-    pos_cursor_ = 0;
-    const Chunk& ch = table_->chunk(c);
-    if (ch.num_rows() == 0) continue;
-    // Same zone-map test (and the same knob) as SeqScanOp, so both access
-    // paths skip exactly the same chunks under every flag configuration.
-    const bool prune_chunks = exec_ == nullptr || exec_->enable_zone_pruning;
-    if (local_filter_ && prune_chunks &&
-        ZoneMapCanSkip(*local_filter_, *table_, ch)) {
-      ++mutable_metrics().chunks_skipped;
-      continue;
-    }
-    candidates_.clear();
-    PinStats ps;
-    table_->IndexProbeChunk(column_, probe_, /*scan_semantics=*/true, c,
-                            &candidates_, &ps);
-    mutable_metrics().chunks_loaded += ps.chunks_loaded;
-    mutable_metrics().chunks_evicted += ps.chunks_evicted;
-    mutable_metrics().io_read_seconds += ps.io_read_seconds;
-    ++mutable_metrics().index_probes;
-    mutable_metrics().index_rows += candidates_.size();
-    if (candidates_.empty()) continue;
-    // Visibility reads resident version stamps — still no payload I/O.
-    if (ch.has_versions()) {
-      for (uint32_t local : candidates_) {
-        if (ch.RowVisible(local, snapshot_)) positions_.push_back(local);
-      }
-    } else {
-      positions_.swap(candidates_);
-    }
-    current_chunk_ = c;
-  }
-}
-
-void IndexScanOp::CloseImpl() {
-  pin_.Reset();
-  pin_chunk_ = SIZE_MAX;
+void IndexScanOp::SeedChunk(size_t chunk_index, SelVector* sel,
+                            ScanCounters* counters) const {
+  const Chunk& ch = table_->chunk(chunk_index);
+  if (ch.num_rows() == 0) return;
+  // The index slice is resident; only an invalidated slice faults the
+  // payload in (to rebuild it).
+  table_->IndexProbeChunk(column_, probe_, /*scan_semantics=*/true,
+                          chunk_index, sel, &counters->pins);
+  ++counters->index_probes;
+  counters->index_rows += sel->size();
+  KeepVisible(ch, snapshot_, sel);
 }
 
 std::string IndexScanOp::Describe() const {
@@ -500,15 +496,6 @@ FilterOp::FilterOp(OperatorPtr child, ExprPtr predicate)
     : child_(std::move(child)), predicate_(std::move(predicate)) {}
 
 Status FilterOp::OpenImpl() { return child_->Open(); }
-
-Result<bool> FilterOp::NextImpl(Row* out) {
-  while (true) {
-    CONQUER_ASSIGN_OR_RETURN(bool more, child_->Next(out));
-    if (!more) return false;
-    CONQUER_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*predicate_, *out));
-    if (pass) return true;
-  }
-}
 
 Result<bool> FilterOp::NextBatchImpl(RowBatch* out) {
   out->rows.clear();
@@ -554,7 +541,7 @@ HashJoinOp::HashJoinOp(OperatorPtr build, OperatorPtr probe,
                        std::vector<int> probe_key_slots,
                        std::vector<uint32_t> build_slots,
                        std::vector<uint32_t> probe_slots,
-                       const ExecContext* exec)
+                       const ExecContext& exec)
     : build_(std::move(build)),
       probe_(std::move(probe)),
       build_keys_(std::move(build_key_slots)),
@@ -568,124 +555,65 @@ HashJoinOp::HashJoinOp(OperatorPtr build, OperatorPtr probe,
 void HashJoinOp::EmitRow(const Row& probe_row, const Row& build_row,
                          Row* dst) const {
   // Only the referenced probe/build slots ever hold values; everything else
-  // is NULL in probe_row, build_row and (by this invariant) a recycled dst.
+  // is NULL in probe_row and (by this invariant) a recycled dst.
   if (dst->size() != probe_row.size()) dst->assign(probe_row.size(), Value());
   for (uint32_t s : probe_slots_) (*dst)[s] = probe_row[s];
-  for (uint32_t s : build_slots_) (*dst)[s] = build_row[s];
+  for (size_t i = 0; i < build_slots_.size(); ++i) {
+    (*dst)[build_slots_[i]] = build_row[i];
+  }
 }
 
-Status HashJoinOp::ParallelBuild(std::vector<Row> rows) {
-  const size_t n = rows.size();
-  const size_t morsel = exec_->morsel_size;
-  const size_t num_morsels = (n + morsel - 1) / morsel;
-  num_partitions_ = std::max<size_t>(1, exec_->num_partitions);
-  partitions_.assign(num_partitions_, BuildTable{});
-
-  // Phase 1 (morsel-parallel): extract join keys, hash each key once, and
-  // route each row to its hash partition. The same raw hash later probes
-  // the partition's flat table: HashPartition routes with the *high* bits
-  // of the mixed hash while the table indexes with the low bits, so the two
-  // decisions stay independent. by_part[m][p] lists the row positions of
-  // morsel m that fall in partition p, preserving input order.
-  std::vector<std::vector<Value>> keys(n);
-  std::vector<uint64_t> hashes(n);
-  std::vector<std::vector<std::vector<uint32_t>>> by_part(
-      num_morsels, std::vector<std::vector<uint32_t>>(num_partitions_));
-  const size_t workers = std::min(exec_->parallelism(), num_morsels);
-  std::atomic<size_t> next_morsel{0};
-  {
-    TaskGroup group(exec_->pool);
-    for (size_t w = 0; w < workers; ++w) {
-      group.Submit([this, n, morsel, num_morsels, &rows, &keys, &hashes,
-                    &by_part, &next_morsel, &group]() -> Status {
-        while (!group.cancelled()) {
-          size_t m = next_morsel.fetch_add(1, std::memory_order_relaxed);
-          if (m >= num_morsels) break;
-          const size_t end = std::min(n, (m + 1) * morsel);
-          for (size_t r = m * morsel; r < end; ++r) {
-            std::vector<Value>& key = keys[r];
-            key.reserve(build_keys_.size());
-            bool has_null_key = false;
-            for (int slot : build_keys_) {
-              key.push_back(rows[r][slot]);
-              has_null_key = has_null_key || rows[r][slot].is_null();
-            }
-            // NULL join keys never match anything in SQL; drop at build.
-            if (has_null_key) continue;
-            hashes[r] = HashValues(key);
-            size_t p = HashPartition(HashMix(hashes[r]), num_partitions_);
-            by_part[m][p].push_back(static_cast<uint32_t>(r));
-          }
-        }
-        return Status::OK();
-      });
+Status HashJoinOp::Build() {
+  partitions_.assign(NumPartitions(exec_.parallelism()), BuildTable{});
+  // Per-worker counters: the two phases never overlap, so every slot has
+  // one writer at a time.
+  std::vector<uint64_t> bytes(exec_.parallelism(), 0);
+  std::vector<uint64_t> rows(exec_.parallelism(), 0);
+  InputWindow window(build_keys_.size(), partitions_.size());
+  auto key_fn = [&](size_t /*w*/, size_t r, Value* key) -> Result<bool> {
+    const Row& row = *window.rows[r];
+    for (int slot : build_keys_) {
+      // NULL join keys never match anything in SQL; drop them at build.
+      if (row[slot].is_null()) return false;
+      *key++ = row[slot];
     }
-    CONQUER_RETURN_NOT_OK(group.Wait());
-  }
-
-  // Phase 2 (partition-parallel): each partition is built by exactly one
-  // worker, inserting rows in global build order — bucket row order is
-  // identical to the sequential build whatever the thread count.
-  const size_t part_workers = std::min(exec_->parallelism(), num_partitions_);
-  mutable_metrics().parallel_degree = static_cast<uint32_t>(part_workers);
-  mutable_metrics().worker_rows.assign(part_workers, 0);
-  std::atomic<size_t> next_part{0};
-  std::atomic<uint64_t> table_bytes{0};
-  std::atomic<uint64_t> inserted{0};
-  {
-    TaskGroup group(exec_->pool);
-    for (size_t w = 0; w < part_workers; ++w) {
-      group.Submit([this, w, num_morsels, &rows, &keys, &hashes, &by_part,
-                    &next_part, &table_bytes, &inserted, &group]() -> Status {
-        uint64_t my_rows = 0;
-        uint64_t my_bytes = 0;
-        while (!group.cancelled()) {
-          size_t p = next_part.fetch_add(1, std::memory_order_relaxed);
-          if (p >= num_partitions_) break;
-          BuildTable& table = partitions_[p];
-          size_t routed = 0;
-          for (size_t m = 0; m < num_morsels; ++m) routed += by_part[m][p].size();
-          table.Reserve(routed);  // keys per partition <= rows routed to it
-          for (size_t m = 0; m < num_morsels; ++m) {
-            for (uint32_t r : by_part[m][p]) {
-              my_bytes += EstimateRowBytes(rows[r]) +
-                          keys[r].size() * sizeof(Value);
-              table.TryEmplaceHashed(hashes[r], std::move(keys[r]))
-                  .first->push_back(std::move(rows[r]));
-              ++my_rows;
-            }
-          }
-          my_bytes += table.StructureBytes();
-        }
-        mutable_metrics().worker_rows[w] = my_rows;
-        table_bytes.fetch_add(my_bytes, std::memory_order_relaxed);
-        inserted.fetch_add(my_rows, std::memory_order_relaxed);
-        return Status::OK();
-      });
+    return true;
+  };
+  auto apply = [&](size_t w, size_t p, size_t r, KeySpan key) -> Status {
+    // Only the first row of a key copies it into the table.
+    BuildTable& table = partitions_[p];
+    std::vector<Row>* bucket =
+        table.FindHashedAs(window.hashes[r], key, KeyMatches);
+    if (bucket == nullptr) {
+      bucket = table.TryEmplaceHashed(window.hashes[r], key.ToVector()).first;
+      bytes[w] += key.size * sizeof(Value);
     }
-    CONQUER_RETURN_NOT_OK(group.Wait());
+    ++rows[w];
+    // Keep only the build slots a match emits; the wide row stays in the
+    // child's batch, which recycles its buffer.
+    const Row& row = *window.rows[r];
+    Row& stored = bucket->emplace_back();
+    stored.reserve(build_slots_.size());
+    for (uint32_t s : build_slots_) stored.push_back(row[s]);
+    bytes[w] += EstimateRowBytes(stored);
+    return Status::OK();
+  };
+  while (true) {
+    CONQUER_ASSIGN_OR_RETURN(bool more, window.Fill(exec_, build_.get()));
+    if (!more) break;
+    mutable_metrics().build_rows += window.rows.size();
+    CONQUER_RETURN_NOT_OK(
+        window.Run(exec_, key_fn, apply, &mutable_metrics()));
   }
-  build_rows_ = inserted.load();
-  mutable_metrics().peak_memory_bytes = table_bytes.load();
+  uint64_t table_bytes = 0;
+  for (const BuildTable& table : partitions_) {
+    table_bytes += table.StructureBytes();
+  }
+  mutable_metrics().hash_entries =
+      std::accumulate(rows.begin(), rows.end(), uint64_t{0});
+  mutable_metrics().peak_memory_bytes =
+      std::accumulate(bytes.begin(), bytes.end(), table_bytes);
   return Status::OK();
-}
-
-void HashJoinOp::InsertBuildRow(Row row, uint64_t* table_bytes) {
-  std::vector<Value> key;
-  key.reserve(build_keys_.size());
-  bool has_null_key = false;
-  for (int slot : build_keys_) {
-    key.push_back(row[slot]);
-    has_null_key = has_null_key || row[slot].is_null();
-  }
-  // NULL join keys never match anything in SQL; drop them at build.
-  if (has_null_key) return;
-  *table_bytes += EstimateRowBytes(row) + key.size() * sizeof(Value);
-  const uint64_t raw = HashValues(key);
-  partitions_[0]
-      .TryEmplaceHashed(raw, std::move(key))
-      .first->push_back(std::move(row));
-  ++build_rows_;
 }
 
 void HashJoinOp::FillRuntimeFilters() {
@@ -706,52 +634,14 @@ void HashJoinOp::FillRuntimeFilters() {
 }
 
 Status HashJoinOp::OpenImpl() {
-  partitions_.clear();
-  num_partitions_ = 1;
-  build_rows_ = 0;
   // Re-execution starts from a clean slate: consumers must not observe a
   // stale filter from the previous run while this build is in progress.
   for (FilterTarget& target : filter_targets_) {
     target.filter->ready.store(false, std::memory_order_release);
   }
   CONQUER_RETURN_NOT_OK(build_->Open());
-  // Drain the build input batch-at-a-time. With a parallel context the rows
-  // are buffered and bulk-built; otherwise they stream into the single
-  // partition table.
-  const bool buffer_rows = exec_ != nullptr && exec_->pool != nullptr &&
-                           exec_->pool->num_threads() > 1;
-  std::vector<Row> buffered;
-  partitions_.assign(1, BuildTable{});
-  uint64_t table_bytes = 0;
-  RowBatch batch;
-  batch.capacity =
-      exec_ != nullptr ? std::max<size_t>(1, exec_->batch_size) : batch.capacity;
-  while (true) {
-    CONQUER_ASSIGN_OR_RETURN(bool more, build_->NextBatch(&batch));
-    if (!more) break;
-    mutable_metrics().build_rows += batch.rows.size();
-    for (Row& row : batch.rows) {
-      if (buffer_rows) {
-        buffered.push_back(std::move(row));
-      } else {
-        InsertBuildRow(std::move(row), &table_bytes);
-      }
-    }
-  }
+  CONQUER_RETURN_NOT_OK(Build());
   build_->Close();
-  if (buffer_rows) {
-    if (exec_->ShouldParallelize(buffered.size())) {
-      CONQUER_RETURN_NOT_OK(ParallelBuild(std::move(buffered)));
-    } else {
-      // Too small to fan out: sequential insert of the buffered rows.
-      for (Row& r : buffered) InsertBuildRow(std::move(r), &table_bytes);
-    }
-  }
-  mutable_metrics().hash_entries = build_rows_;
-  if (num_partitions_ == 1) {
-    mutable_metrics().peak_memory_bytes =
-        table_bytes + partitions_[0].StructureBytes();
-  }
   // The build side is final; publish its keys to any probe-side scans
   // before they open (scans in the probe subtree open strictly after this).
   FillRuntimeFilters();
@@ -775,37 +665,8 @@ const std::vector<Row>* HashJoinOp::ProbeLookup(const Row& probe_row) {
   // Hash once: the raw hash routes to the partition (high mixed bits) and
   // probes its flat table (low mixed bits).
   const uint64_t raw = HashValues(probe_key_);
-  const BuildTable& table =
-      partitions_[num_partitions_ == 1
-                      ? 0
-                      : HashPartition(HashMix(raw), num_partitions_)];
-  return table.FindHashed(raw, probe_key_);
-}
-
-Result<bool> HashJoinOp::AdvanceProbe() {
-  while (true) {
-    CONQUER_ASSIGN_OR_RETURN(bool more, probe_->Next(&probe_row_));
-    if (!more) return false;
-    mutable_metrics().probe_rows += 1;
-    const std::vector<Row>* hit = ProbeLookup(probe_row_);
-    if (hit == nullptr) continue;
-    current_matches_ = hit;
-    match_cursor_ = 0;
-    return true;
-  }
-}
-
-Result<bool> HashJoinOp::NextImpl(Row* out) {
-  while (true) {
-    if (current_matches_ == nullptr ||
-        match_cursor_ >= current_matches_->size()) {
-      CONQUER_ASSIGN_OR_RETURN(bool more, AdvanceProbe());
-      if (!more) return false;
-    }
-    const Row& build_row = (*current_matches_)[match_cursor_++];
-    EmitRow(probe_row_, build_row, out);
-    return true;
-  }
+  const size_t p = HashPartition(HashMix(raw), partitions_.size());
+  return partitions_[p].FindHashed(raw, probe_key_);
 }
 
 Result<bool> HashJoinOp::NextBatchImpl(RowBatch* out) {
@@ -875,7 +736,7 @@ IndexNestedLoopJoinOp::IndexNestedLoopJoinOp(
     OperatorPtr outer, const Table* inner, size_t inner_column,
     int outer_key_slot, size_t inner_slot_offset, size_t total_slots,
     ExprPtr inner_filter, std::vector<uint32_t> outer_slots,
-    std::vector<uint32_t> inner_slots, const ExecContext* exec)
+    std::vector<uint32_t> inner_slots, const ExecContext& exec)
     : outer_(std::move(outer)),
       inner_(inner),
       inner_column_(inner_column),
@@ -958,10 +819,7 @@ Status IndexNestedLoopJoinOp::ProbeOuter(uint32_t outer_idx,
 
 Status IndexNestedLoopJoinOp::OpenImpl() {
   CONQUER_RETURN_NOT_OK(outer_->Open());
-  snapshot_ = (exec_ != nullptr &&
-               exec_->snapshot_override != ExecContext::kSnapshotLatest)
-                  ? exec_->snapshot_override
-                  : inner_->committed_version();
+  snapshot_ = ScanSnapshot(exec_, *inner_);
   outer_rows_.clear();
   pairs_.clear();
   cursor_ = 0;
@@ -969,11 +827,12 @@ Status IndexNestedLoopJoinOp::OpenImpl() {
   verdict_keep_ = false;
   pin_.Reset();
   pin_chunk_ = SIZE_MAX;
-  Row row;
+  RowBatch batch;
+  batch.capacity = std::max<size_t>(1, exec_.batch_size);
   while (true) {
-    CONQUER_ASSIGN_OR_RETURN(bool more, outer_->Next(&row));
+    CONQUER_ASSIGN_OR_RETURN(bool more, outer_->NextBatch(&batch));
     if (!more) break;
-    outer_rows_.push_back(std::move(row));
+    for (Row& row : batch.rows) outer_rows_.push_back(std::move(row));
   }
   outer_->Close();
   mutable_metrics().build_rows = outer_rows_.size();
@@ -983,9 +842,7 @@ Status IndexNestedLoopJoinOp::OpenImpl() {
   for (uint32_t i = 0; i < outer_rows_.size(); ++i) {
     CONQUER_RETURN_NOT_OK(ProbeOuter(i, &ps));
   }
-  mutable_metrics().chunks_loaded += ps.chunks_loaded;
-  mutable_metrics().chunks_evicted += ps.chunks_evicted;
-  mutable_metrics().io_read_seconds += ps.io_read_seconds;
+  AddPinStats(ps, &mutable_metrics());
   // (pos, outer) order IS the replaced hash join's emission order: the
   // probe side streamed in scan order, each row matched against build rows
   // in build order.
@@ -995,8 +852,9 @@ Status IndexNestedLoopJoinOp::OpenImpl() {
   return Status::OK();
 }
 
-Result<bool> IndexNestedLoopJoinOp::NextImpl(Row* out) {
-  while (cursor_ < pairs_.size()) {
+Result<bool> IndexNestedLoopJoinOp::NextBatchImpl(RowBatch* out) {
+  size_t n = 0;
+  while (n < out->capacity && cursor_ < pairs_.size()) {
     const PairPos p = pairs_[cursor_++];
     if (p.first != verdict_pos_) {
       // New inner position: decide once whether the row survives MVCC
@@ -1011,9 +869,7 @@ Result<bool> IndexNestedLoopJoinOp::NextImpl(Row* out) {
       if (inner_->chunk(c).RowVisible(local, snapshot_)) {
         PinStats ps;
         EnsurePinned(c, &ps);
-        mutable_metrics().chunks_loaded += ps.chunks_loaded;
-        mutable_metrics().chunks_evicted += ps.chunks_evicted;
-        mutable_metrics().io_read_seconds += ps.io_read_seconds;
+        AddPinStats(ps, &mutable_metrics());
         inner_->GetRowInto(p.first, &inner_scratch_);
         bool pass = true;
         if (inner_local_filter_) {
@@ -1026,17 +882,19 @@ Result<bool> IndexNestedLoopJoinOp::NextImpl(Row* out) {
     }
     if (!verdict_keep_) continue;
     const Row& outer_row = outer_rows_[p.second];
+    if (n == out->rows.size()) out->rows.emplace_back();
+    Row& dst = out->rows[n++];
     // Exactly outer_slots_ + inner_slots_ are written on every emission, so
     // a recycled row of the right width (last written by this operator)
     // needs no re-clearing — HashJoinOp::EmitRow conventions.
-    if (out->size() != total_slots_) out->assign(total_slots_, Value::Null());
-    for (uint32_t s : outer_slots_) (*out)[s] = outer_row[s];
+    if (dst.size() != total_slots_) dst.assign(total_slots_, Value::Null());
+    for (uint32_t s : outer_slots_) dst[s] = outer_row[s];
     for (uint32_t s : inner_slots_) {
-      (*out)[s] = inner_scratch_[s - inner_slot_offset_];
+      dst[s] = inner_scratch_[s - inner_slot_offset_];
     }
-    return true;
   }
-  return false;
+  out->rows.resize(n);
+  return n > 0;
 }
 
 void IndexNestedLoopJoinOp::CloseImpl() {
@@ -1066,22 +924,6 @@ ProjectOp::ProjectOp(OperatorPtr child, std::vector<const Expr*> exprs)
 
 Status ProjectOp::OpenImpl() { return child_->Open(); }
 
-Result<bool> ProjectOp::NextImpl(Row* out) {
-  Row wide;
-  CONQUER_ASSIGN_OR_RETURN(bool more, child_->Next(&wide));
-  if (!more) return false;
-  out->clear();
-  out->reserve(exprs_.size());
-  for (const Expr* e : exprs_) {
-    CONQUER_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, wide));
-    out->push_back(std::move(v));
-  }
-  // Projection is the boundary where dictionary-interned strings leave the
-  // executor: decode them into owning values.
-  DecodeRowInPlace(out);
-  return true;
-}
-
 Result<bool> ProjectOp::NextBatchImpl(RowBatch* out) {
   out->rows.clear();
   child_batch_.capacity = out->capacity;
@@ -1095,6 +937,8 @@ Result<bool> ProjectOp::NextBatchImpl(RowBatch* out) {
       CONQUER_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, wide));
       narrow.push_back(std::move(v));
     }
+    // Projection is the boundary where dictionary-interned strings leave
+    // the executor: decode them into owning values.
     DecodeRowInPlace(&narrow);
     out->rows.push_back(std::move(narrow));
   }
@@ -1153,7 +997,7 @@ bool HasColumnRefOutsideAggregate(const Expr& e) {
 HashAggregateOp::HashAggregateOp(OperatorPtr child,
                                  std::vector<const Expr*> group_exprs,
                                  std::vector<const Expr*> select_items,
-                                 const ExecContext* exec)
+                                 const ExecContext& exec)
     : child_(std::move(child)),
       group_exprs_(std::move(group_exprs)),
       select_items_(std::move(select_items)),
@@ -1185,51 +1029,49 @@ HashAggregateOp::HashAggregateOp(OperatorPtr child,
   }
 }
 
-Status HashAggregateOp::GroupKeyInto(const Row& row,
-                                     std::vector<Value>* key) const {
-  key->clear();
-  key->reserve(group_exprs_.size());
+Status HashAggregateOp::GroupKeyInto(const Row& row, Value* key) const {
   for (const Expr* g : group_exprs_) {
     // Plain column keys (the clean-answer rewriting groups by the SELECT
     // attributes) copy straight out of the row, skipping the evaluator.
     if (g->kind == Expr::Kind::kColumnRef) {
-      key->push_back(row[g->slot]);
+      *key++ = row[g->slot];
       continue;
     }
     CONQUER_ASSIGN_OR_RETURN(Value v, EvalExpr(*g, row));
-    key->push_back(std::move(v));
+    *key++ = std::move(v);
   }
   return Status::OK();
 }
 
-Result<std::vector<Value>> HashAggregateOp::GroupKey(const Row& row) const {
-  std::vector<Value> key;
-  CONQUER_RETURN_NOT_OK(GroupKeyInto(row, &key));
-  return key;
-}
-
-Status HashAggregateOp::Accumulate(const Row& row, uint64_t row_index) {
-  // Probe with the scratch key; only the first row of a group pays for a
-  // fresh key vector (copied out of the scratch into the table).
-  CONQUER_RETURN_NOT_OK(GroupKeyInto(row, &key_scratch_));
-  const uint64_t raw = HashValues(key_scratch_);
-  GroupMap& map = partition_groups_[0];
-  Group* group = map.FindHashed(raw, key_scratch_);
-  if (group == nullptr) {
-    group = map.TryEmplaceHashed(raw, key_scratch_).first;
-    CONQUER_RETURN_NOT_OK(InitGroup(group, row, row_index));
+Result<uint64_t> HashAggregateOp::Accumulate() {
+  InputWindow window(group_exprs_.size(), partition_groups_.size());
+  uint64_t consumed = 0;  // global input position of the window's first row
+  auto key_fn = [&](size_t /*w*/, size_t r, Value* key) -> Result<bool> {
+    CONQUER_RETURN_NOT_OK(GroupKeyInto(*window.rows[r], key));
+    return true;
+  };
+  auto apply = [&](size_t w, size_t p, size_t r, KeySpan key) -> Status {
+    // Only the first row of a group copies its key into the table, so
+    // accumulating allocates once per new group.
+    GroupMap& map = partition_groups_[p];
+    const uint64_t hash = window.hashes[r];
+    Group* group = map.FindHashedAs(hash, key, KeyMatches);
+    if (group == nullptr) {
+      group = map.TryEmplaceHashed(hash, key.ToVector()).first;
+      created_[w].push_back({static_cast<uint32_t>(p),
+                             static_cast<uint32_t>(map.size() - 1)});
+      CONQUER_RETURN_NOT_OK(InitGroup(group, *window.rows[r], consumed + r));
+    }
+    return UpdateGroup(group, *window.rows[r]);
+  };
+  while (true) {
+    CONQUER_ASSIGN_OR_RETURN(bool more, window.Fill(exec_, child_.get()));
+    if (!more) break;
+    CONQUER_RETURN_NOT_OK(
+        window.Run(exec_, key_fn, apply, &mutable_metrics()));
+    consumed += window.rows.size();
   }
-  return UpdateGroup(group, row);
-}
-
-Status HashAggregateOp::AccumulateRow(GroupMap* map, uint64_t raw_hash,
-                                      std::vector<Value> key, const Row& row,
-                                      uint64_t row_index) {
-  auto [group, inserted] = map->TryEmplaceHashed(raw_hash, std::move(key));
-  if (inserted) {
-    CONQUER_RETURN_NOT_OK(InitGroup(group, row, row_index));
-  }
-  return UpdateGroup(group, row);
+  return consumed;
 }
 
 Status HashAggregateOp::InitGroup(Group* group_ptr, const Row& row,
@@ -1356,144 +1198,36 @@ Result<Value> HashAggregateOp::Finalize(const Expr& e,
   return Status::Internal("unhandled select item in aggregate finalize");
 }
 
-Status HashAggregateOp::ParallelAccumulate(const std::vector<Row>& rows) {
-  const size_t n = rows.size();
-  const size_t morsel = exec_->morsel_size;
-  const size_t num_morsels = (n + morsel - 1) / morsel;
-  num_partitions_ = std::max<size_t>(1, exec_->num_partitions);
-  partition_groups_.assign(num_partitions_, GroupMap{});
-
-  // Phase 1 (morsel-parallel): evaluate group keys, hash each key once, and
-  // route each row to its hash partition (high mixed bits; the same raw
-  // hash later indexes the partition's flat table through the low bits),
-  // preserving input order within every (morsel, partition) list.
-  std::vector<std::vector<Value>> keys(n);
-  std::vector<uint64_t> hashes(n);
-  std::vector<std::vector<std::vector<uint32_t>>> by_part(
-      num_morsels, std::vector<std::vector<uint32_t>>(num_partitions_));
-  const size_t workers = std::min(exec_->parallelism(), num_morsels);
-  std::atomic<size_t> next_morsel{0};
-  {
-    TaskGroup group(exec_->pool);
-    for (size_t w = 0; w < workers; ++w) {
-      group.Submit([this, n, morsel, num_morsels, &rows, &keys, &hashes,
-                    &by_part, &next_morsel, &group]() -> Status {
-        while (!group.cancelled()) {
-          size_t m = next_morsel.fetch_add(1, std::memory_order_relaxed);
-          if (m >= num_morsels) break;
-          const size_t end = std::min(n, (m + 1) * morsel);
-          for (size_t r = m * morsel; r < end; ++r) {
-            CONQUER_ASSIGN_OR_RETURN(keys[r], GroupKey(rows[r]));
-            hashes[r] = HashValues(keys[r]);
-            size_t p = HashPartition(HashMix(hashes[r]), num_partitions_);
-            by_part[m][p].push_back(static_cast<uint32_t>(r));
-          }
-        }
-        return Status::OK();
-      });
-    }
-    CONQUER_RETURN_NOT_OK(group.Wait());
-  }
-
-  // Phase 2 (partition-parallel): each partition accumulates its rows in
-  // global input order. All rows of one group share a partition, so the
-  // per-group addition order equals the sequential accumulate — float
-  // aggregates (SUM(prob)) come out bit-identical for any thread count.
-  const size_t part_workers = std::min(exec_->parallelism(), num_partitions_);
-  mutable_metrics().parallel_degree = static_cast<uint32_t>(part_workers);
-  mutable_metrics().worker_rows.assign(part_workers, 0);
-  std::atomic<size_t> next_part{0};
-  {
-    TaskGroup group(exec_->pool);
-    for (size_t w = 0; w < part_workers; ++w) {
-      group.Submit([this, w, num_morsels, &rows, &keys, &hashes, &by_part,
-                    &next_part, &group]() -> Status {
-        uint64_t my_rows = 0;
-        while (!group.cancelled()) {
-          size_t p = next_part.fetch_add(1, std::memory_order_relaxed);
-          if (p >= num_partitions_) break;
-          for (size_t m = 0; m < num_morsels; ++m) {
-            for (uint32_t r : by_part[m][p]) {
-              CONQUER_RETURN_NOT_OK(AccumulateRow(&partition_groups_[p],
-                                                  hashes[r],
-                                                  std::move(keys[r]), rows[r],
-                                                  r));
-              ++my_rows;
-            }
-          }
-        }
-        mutable_metrics().worker_rows[w] = my_rows;
-        return Status::OK();
-      });
-    }
-    CONQUER_RETURN_NOT_OK(group.Wait());
-  }
-  return Status::OK();
-}
-
 void HashAggregateOp::BuildOutputOrder() {
-  // Collect groups only after every insert is done: flat-table value
-  // pointers are stable from here on. Sorting on first_row restores the
-  // sequential first-seen order (for a sequential accumulate the entries
-  // are already in that order and the sort is a no-op).
-  output_order_.clear();
-  size_t total = 0;
-  for (const GroupMap& groups : partition_groups_) total += groups.size();
-  output_order_.reserve(total);
-  for (const GroupMap& groups : partition_groups_) {
-    for (const auto& e : groups.entries()) {
-      output_order_.push_back({&e.key, &e.value, e.value.first_row});
-    }
+  // A worker walks every window in input order, so its creation log is
+  // sorted by first_row; merging the logs restores the global first-seen
+  // order. At degree 1 the one log is the order.
+  output_order_ = std::move(created_[0]);
+  for (size_t w = 1; w < created_.size(); ++w) {
+    const size_t mid = output_order_.size();
+    output_order_.insert(output_order_.end(), created_[w].begin(),
+                         created_[w].end());
+    std::inplace_merge(output_order_.begin(), output_order_.begin() + mid,
+                       output_order_.end(), [this](GroupRef a, GroupRef b) {
+                         return Resolve(a).value.first_row <
+                                Resolve(b).value.first_row;
+                       });
   }
-  std::sort(output_order_.begin(), output_order_.end(),
-            [](const OutEntry& a, const OutEntry& b) {
-              return a.first_row < b.first_row;
-            });
+  created_.clear();
 }
 
 Status HashAggregateOp::OpenImpl() {
-  partition_groups_.assign(1, GroupMap{});
-  num_partitions_ = 1;
+  partition_groups_.assign(NumPartitions(exec_.parallelism()), GroupMap{});
+  created_.assign(exec_.parallelism(), {});
   output_order_.clear();
   cursor_ = 0;
   CONQUER_RETURN_NOT_OK(child_->Open());
-  size_t n = 0;
-  uint64_t buffered_bytes = 0;
-  // With a parallel context, buffer the input and bulk-accumulate;
-  // otherwise accumulate streaming (no extra memory).
-  const bool buffer_rows = exec_ != nullptr && exec_->pool != nullptr &&
-                           exec_->pool->num_threads() > 1;
-  std::vector<Row> buffered;
-  RowBatch batch;
-  batch.capacity =
-      exec_ != nullptr ? std::max<size_t>(1, exec_->batch_size) : batch.capacity;
-  while (true) {
-    CONQUER_ASSIGN_OR_RETURN(bool more, child_->NextBatch(&batch));
-    if (!more) break;
-    for (Row& row : batch.rows) {
-      if (buffer_rows) {
-        buffered_bytes += EstimateRowBytes(row);
-        buffered.push_back(std::move(row));
-      } else {
-        CONQUER_RETURN_NOT_OK(Accumulate(row, n));
-      }
-      ++n;
-    }
-  }
+  CONQUER_ASSIGN_OR_RETURN(uint64_t n, Accumulate());
   child_->Close();
   no_input_ = (n == 0);
-  if (buffer_rows) {
-    if (exec_->ShouldParallelize(buffered.size())) {
-      CONQUER_RETURN_NOT_OK(ParallelAccumulate(buffered));
-    } else {
-      for (size_t r = 0; r < buffered.size(); ++r) {
-        CONQUER_RETURN_NOT_OK(Accumulate(buffered[r], r));
-      }
-    }
-  }
   BuildOutputOrder();
   size_t num_groups = 0;
-  uint64_t table_bytes = buffer_rows ? buffered_bytes : 0;
+  uint64_t table_bytes = 0;
   for (const GroupMap& groups : partition_groups_) {
     num_groups += groups.size();
     table_bytes += groups.StructureBytes();
@@ -1514,36 +1248,21 @@ Status HashAggregateOp::OpenImpl() {
   return Status::OK();
 }
 
-Result<bool> HashAggregateOp::NextImpl(Row* out) {
-  // SQL corner case: an aggregate query with no GROUP BY produces exactly one
-  // row even on empty input (SUM -> NULL, COUNT -> 0).
-  if (no_input_ && group_exprs_.empty() && cursor_ == 0) {
-    ++cursor_;
-    out->clear();
-    Group empty;
-    empty.aggs.resize(agg_calls_.size());
-    for (const Expr* item : select_items_) {
-      CONQUER_ASSIGN_OR_RETURN(Value v, Finalize(*item, empty));
-      out->push_back(std::move(v));
-    }
-    DecodeRowInPlace(out);
-    return true;
-  }
-  if (cursor_ >= output_order_.size()) return false;
-  const OutEntry& entry = output_order_[cursor_++];
+Status HashAggregateOp::OutputRow(GroupRef ref, Row* out) {
+  const GroupMap::Entry& entry = Resolve(ref);
   out->clear();
   out->reserve(select_items_.size());
   for (size_t i = 0; i < select_items_.size(); ++i) {
     switch (item_plans_[i].source) {
       case ItemPlan::Source::kFromKey:
-        out->push_back((*entry.key)[item_plans_[i].index]);
+        out->push_back(entry.key[item_plans_[i].index]);
         break;
       case ItemPlan::Source::kInvariantEval:
-        out->push_back(entry.group->extra_values[item_plans_[i].index]);
+        out->push_back(entry.value.extra_values[item_plans_[i].index]);
         break;
       case ItemPlan::Source::kFinalize: {
         CONQUER_ASSIGN_OR_RETURN(Value v,
-                                 Finalize(*select_items_[i], *entry.group));
+                                 Finalize(*select_items_[i], entry.value));
         out->push_back(std::move(v));
         break;
       }
@@ -1552,11 +1271,37 @@ Result<bool> HashAggregateOp::NextImpl(Row* out) {
   // Aggregation produces narrow output rows: the boundary where interned
   // strings (group keys) leave the executor.
   DecodeRowInPlace(out);
-  return true;
+  return Status::OK();
+}
+
+Result<bool> HashAggregateOp::NextBatchImpl(RowBatch* out) {
+  out->rows.clear();
+  // SQL corner case: an aggregate query with no GROUP BY produces exactly one
+  // row even on empty input (SUM -> NULL, COUNT -> 0).
+  if (no_input_ && group_exprs_.empty() && cursor_ == 0) {
+    ++cursor_;
+    Group empty;
+    empty.aggs.resize(agg_calls_.size());
+    Row row;
+    for (const Expr* item : select_items_) {
+      CONQUER_ASSIGN_OR_RETURN(Value v, Finalize(*item, empty));
+      row.push_back(std::move(v));
+    }
+    DecodeRowInPlace(&row);
+    out->rows.push_back(std::move(row));
+    return true;
+  }
+  while (out->rows.size() < out->capacity && cursor_ < output_order_.size()) {
+    out->rows.emplace_back();
+    CONQUER_RETURN_NOT_OK(
+        OutputRow(output_order_[cursor_++], &out->rows.back()));
+  }
+  return !out->rows.empty();
 }
 
 void HashAggregateOp::CloseImpl() {
   partition_groups_.clear();
+  created_.clear();
   output_order_.clear();
 }
 
@@ -1604,12 +1349,6 @@ Status SortOp::OpenImpl() {
   return Status::OK();
 }
 
-Result<bool> SortOp::NextImpl(Row* out) {
-  if (cursor_ >= rows_.size()) return false;
-  *out = std::move(rows_[cursor_++]);
-  return true;
-}
-
 Result<bool> SortOp::NextBatchImpl(RowBatch* out) {
   out->rows.clear();
   while (out->rows.size() < out->capacity && cursor_ < rows_.size()) {
@@ -1651,20 +1390,6 @@ Status DistinctOp::OpenImpl() {
   return child_->Open();
 }
 
-Result<bool> DistinctOp::NextImpl(Row* out) {
-  while (true) {
-    CONQUER_ASSIGN_OR_RETURN(bool more, child_->Next(out));
-    if (!more) return false;
-    auto [value_ptr, inserted] = seen_.TryEmplace(*out);
-    (void)value_ptr;
-    if (inserted) {
-      mutable_metrics().hash_entries = seen_.size();
-      mutable_metrics().peak_memory_bytes += EstimateRowBytes(*out);
-      return true;
-    }
-  }
-}
-
 Result<bool> DistinctOp::NextBatchImpl(RowBatch* out) {
   out->rows.clear();
   while (out->rows.empty()) {
@@ -1704,14 +1429,6 @@ Status LimitOp::OpenImpl() {
   return child_->Open();
 }
 
-Result<bool> LimitOp::NextImpl(Row* out) {
-  if (produced_ >= limit_) return false;
-  CONQUER_ASSIGN_OR_RETURN(bool more, child_->Next(out));
-  if (!more) return false;
-  ++produced_;
-  return true;
-}
-
 Result<bool> LimitOp::NextBatchImpl(RowBatch* out) {
   out->rows.clear();
   if (produced_ >= limit_) return false;
@@ -1745,13 +1462,6 @@ StripColumnsOp::StripColumnsOp(OperatorPtr child, size_t num_visible)
     : child_(std::move(child)), num_visible_(num_visible) {}
 
 Status StripColumnsOp::OpenImpl() { return child_->Open(); }
-
-Result<bool> StripColumnsOp::NextImpl(Row* out) {
-  CONQUER_ASSIGN_OR_RETURN(bool more, child_->Next(out));
-  if (!more) return false;
-  out->resize(num_visible_);
-  return true;
-}
 
 Result<bool> StripColumnsOp::NextBatchImpl(RowBatch* out) {
   CONQUER_ASSIGN_OR_RETURN(bool more, child_->NextBatch(out));

@@ -23,19 +23,17 @@ namespace conquer {
 /// [slot_offset, slot_offset + arity). An optional pushed-down predicate
 /// (bound to the wide layout) filters during the scan.
 ///
-/// The scan walks the table chunk by chunk. Per chunk it first consults the
-/// zone maps: when they prove no row can match the pushed-down predicate the
-/// whole chunk is skipped (metrics: chunks_skipped). Surviving chunks are
-/// filtered column-at-a-time (FilterChunkSelection) and then through any
-/// runtime Bloom filters pushed down from ancestor hash joins (metrics:
-/// bloom_filtered); only rows passing everything are materialized into wide
-/// rows.
-///
-/// With an ExecContext that has a TaskPool and any filter, the per-chunk
-/// filtering runs morsel-parallel at Open() — a morsel is a whole chunk, so
-/// zone-map pruning composes with the TaskPool — and Next() streams matches
-/// in chunk order, so the output row order is identical to the sequential
-/// scan for every thread count.
+/// The scan walks the table in windows of `exec.parallelism()` chunks (a
+/// chunk is the scan's morsel). Per chunk it first consults the zone maps:
+/// when they prove no row can match the pushed-down predicate the whole
+/// chunk is skipped (metrics: chunks_skipped). Surviving chunks are seeded
+/// with their visible rows, pinned, filtered column-at-a-time
+/// (FilterChunkSelection) and then through any runtime Bloom filters pushed
+/// down from ancestor hash joins (metrics: bloom_filtered). The chunks of a
+/// window are filtered by one worker task each (inline when the window has
+/// one chunk); each keeps its pin until emission has materialized its
+/// matches into wide rows, in chunk order — so every chunk is faulted at
+/// most once, and the output row order is the same for every degree.
 class SeqScanOp : public Operator {
  public:
   /// `referenced_slots`, when given, is the planner's bitmap (indexed by
@@ -43,7 +41,7 @@ class SeqScanOp : public Operator {
   /// scan then materializes only those of its columns and leaves the rest
   /// NULL (column pruning). Pass nullptr to materialize every column.
   SeqScanOp(const Table* table, size_t slot_offset, size_t total_slots,
-            ExprPtr pushed_filter, const ExecContext* exec = nullptr,
+            ExprPtr pushed_filter, const ExecContext& exec,
             const std::vector<bool>* referenced_slots = nullptr);
 
   /// Registers a runtime semi-join filter over table-local column `column`
@@ -55,44 +53,63 @@ class SeqScanOp : public Operator {
   std::string Describe() const override;
 
  protected:
+  /// Per-worker counters of one window, folded into the metrics after it.
+  struct ScanCounters {
+    uint64_t rows = 0;  ///< seeded rows (the worker_rows share)
+    uint64_t dict_hits = 0;
+    uint64_t chunks_skipped = 0;
+    uint64_t bloom_filtered = 0;
+    uint64_t index_probes = 0;
+    uint64_t index_rows = 0;
+    PinStats pins;
+  };
+
   Status OpenImpl() override;
-  Result<bool> NextImpl(Row* out) override;
   Result<bool> NextBatchImpl(RowBatch* out) override;
   void CloseImpl() override;
+
+  /// Fills `sel` (empty on entry) with the chunk-local positions the filters
+  /// start from: every row visible at the snapshot. Reads resident metadata
+  /// only, so a chunk seeded empty is never pinned.
+  virtual void SeedChunk(size_t chunk_index, SelVector* sel,
+                         ScanCounters* counters) const;
+
+  const Table* table_;
+  ExprPtr filter_;  ///< may be null; bound to the wide layout (for Describe)
+  const ExecContext& exec_;
+  /// MVCC snapshot pinned at Open; rows outside it are dropped while
+  /// seeding (after the zone-map skip — zones cover dead versions too, so
+  /// skipping stays conservative).
+  uint64_t snapshot_ = 0;
+  /// One past the last chunk to scan (set at Open).
+  size_t end_chunk_ = 0;
 
  private:
   struct ScanFilter {
     RuntimeFilterPtr filter;
     size_t column;  ///< table-local column the Bloom filter keys on
   };
+  /// One chunk of the current window: its surviving positions and the pin
+  /// taken to filter it, held until emission leaves the chunk.
+  struct WindowChunk {
+    size_t chunk = 0;
+    SelVector sel;
+    ChunkPin pin;
+  };
 
-  /// Computes the surviving positions of one chunk: zone-map skip test
-  /// (on resident metadata, *before* the chunk payload is pinned — a
-  /// skipped chunk costs zero I/O), then chunk-native predicate and runtime
-  /// Bloom filters under a pin. Counters are caller-owned so parallel
-  /// workers can accumulate locally.
-  /// When `keep_pin` is non-null it receives the chunk pin this call took
-  /// (reset on the skip path), so a sequential caller can reuse it for
-  /// emission instead of faulting the chunk in a second time under a tight
-  /// memory budget.
-  Status FilterChunk(size_t chunk_index, SelVector* sel, uint64_t* dict_hits,
-                     uint64_t* chunks_skipped, uint64_t* bloom_dropped,
-                     PinStats* pin_stats, ChunkPin* keep_pin = nullptr) const;
-  /// Parallel pre-filter: fills chunk_matches_ with passing positions,
-  /// one claimable unit per chunk.
-  Status ParallelFilter();
+  /// Computes the surviving positions of one chunk: zone-map skip test (on
+  /// resident metadata, *before* the payload is pinned — a skipped chunk
+  /// costs zero I/O), SeedChunk, then the chunk-native predicate and the
+  /// runtime Bloom filters under `*pin`, which is left holding the chunk
+  /// while any position survives. Safe to run from several workers.
+  Status FilterChunk(size_t chunk_index, SelVector* sel, ChunkPin* pin,
+                     ScanCounters* counters) const;
+  /// Filters the next window of chunks into window_.
+  Status FilterWindow();
   void MaterializeWide(size_t chunk_index, uint32_t row, Row* out) const;
-  /// Holds the emission-path pin on `chunk_index` (rows are materialized
-  /// from raw columns, which must be resident). Cached across calls: the
-  /// pin only moves when emission crosses a chunk boundary.
-  void EnsureEmitPinned(size_t chunk_index);
-  /// Folds faulting I/O counters into this operator's metrics.
-  void AddPinStats(const PinStats& ps);
 
-  const Table* table_;
   size_t slot_offset_;
   size_t total_slots_;
-  ExprPtr filter_;  ///< may be null; bound to the wide layout (for Describe)
   /// `filter_` rebased to table-local slots, so the predicate runs on the
   /// chunk columns *before* wide materialization (and with dictionary
   /// access).
@@ -100,83 +117,50 @@ class SeqScanOp : public Operator {
   bool prune_ = false;  ///< true when materialize_cols_ limits the copy
   /// Table-local column indices to materialize (column pruning).
   std::vector<uint32_t> materialize_cols_;
-  const ExecContext* exec_;
   std::vector<ScanFilter> runtime_filters_;
-  /// MVCC snapshot pinned at Open; rows outside it are filtered with the
-  /// selection vector (before predicates, after zone-map skip — zones cover
-  /// dead versions too, so skipping stays conservative).
-  uint64_t snapshot_ = 0;
-  bool parallel_ = false;
-  /// Parallel path: surviving positions per chunk (chunk-local indices).
-  std::vector<SelVector> chunk_matches_;
-  /// Streaming cursor: chunk being emitted and position within its matches.
-  size_t chunk_cursor_ = 0;
-  size_t match_cursor_ = 0;
-  /// Sequential path: matches of the chunk currently being emitted.
-  SelVector sel_scratch_;
-  size_t current_chunk_ = 0;
-  size_t next_chunk_ = 0;  ///< next chunk the sequential path will filter
-  /// Emission-path pin (see EnsureEmitPinned); released at Close.
-  ChunkPin emit_pin_;
-  size_t emit_pin_chunk_ = SIZE_MAX;
+  std::vector<WindowChunk> window_;
+  size_t next_chunk_ = 0;     ///< first chunk of the next window
+  size_t window_cursor_ = 0;  ///< window chunk being emitted
+  size_t match_cursor_ = 0;   ///< position within its matches
 };
 
 /// \brief Point lookup via a per-chunk secondary index, producing wide rows.
 ///
 /// Used when a pushed-down predicate contains `col = literal` on an indexed
 /// column and the cost model estimates the match fraction small enough to
-/// beat the vectorized scan. The operator walks the table chunk by chunk:
-/// zone maps can rule a chunk out on resident metadata (same test SeqScanOp
-/// uses, so the two access paths skip identical chunks), then the chunk's
-/// index slice is probed for candidate positions (metrics: index_probes /
-/// index_rows). Only chunks with candidates that survive the MVCC
-/// visibility check are pinned — an out-of-core point lookup faults in just
-/// the chunks containing visible matches.
+/// beat the vectorized scan. It is a SeqScanOp whose chunks are seeded with
+/// index candidates instead of every row: zone maps can rule a chunk out on
+/// resident metadata (the same test, so both access paths skip identical
+/// chunks), then the chunk's index slice is probed (metrics: index_probes /
+/// index_rows) and the candidates are checked against MVCC visibility on
+/// resident stamps. Only chunks with a visible candidate are pinned — an
+/// out-of-core point lookup faults in just the chunks containing visible
+/// matches.
 ///
 /// `filter` is the *full* pushed-down predicate, including the equality
-/// conjunct the probe consumed: every emitted row re-passes it, so index-on
-/// and index-off plans return bit-identical rows (candidates are a
-/// superset; order is ascending position, i.e. scan order).
-class IndexScanOp : public Operator {
+/// conjunct the probe consumed: the scan's filter re-checks every
+/// candidate, so index-on and index-off plans return bit-identical rows
+/// (candidates are a superset; order is ascending position, i.e. scan
+/// order).
+class IndexScanOp : public SeqScanOp {
  public:
   IndexScanOp(const Table* table, size_t column, Value key,
               size_t slot_offset, size_t total_slots, ExprPtr filter,
-              const ExecContext* exec = nullptr);
+              const ExecContext& exec,
+              const std::vector<bool>* referenced_slots = nullptr);
 
   std::string Describe() const override;
 
  protected:
   Status OpenImpl() override;
-  Result<bool> NextImpl(Row* out) override;
-  void CloseImpl() override;
+  void SeedChunk(size_t chunk_index, SelVector* sel,
+                 ScanCounters* counters) const override;
 
  private:
-  const Table* table_;
   size_t column_;  ///< table-local indexed column
   Value key_;
-  size_t slot_offset_;
-  size_t total_slots_;
-  ExprPtr filter_;        ///< bound to the wide layout (for Describe)
-  ExprPtr local_filter_;  ///< rebased to table-local slots
-  const ExecContext* exec_;
-  /// MVCC snapshot pinned at Open. Index slices cover every physical row
-  /// (including dead versions — in-place writes invalidate, and rebuilds
-  /// re-read all rows), so candidates are post-filtered by visibility.
-  uint64_t snapshot_ = 0;
   /// `key_` normalized to the column's stored representation at Open.
   ChunkIndex::ProbeSpec probe_;
-  size_t num_chunks_ = 0;
-  size_t chunk_cursor_ = 0;   ///< next chunk to probe
-  size_t current_chunk_ = 0;  ///< chunk the positions below belong to
-  /// Visible candidate positions (chunk-local) of the current chunk.
-  std::vector<uint32_t> positions_;
-  std::vector<uint32_t> candidates_;  ///< probe scratch (pre-visibility)
-  size_t pos_cursor_ = 0;
-  Row row_scratch_;  ///< reused table-local materialization buffer
-  /// Pin on the chunk being emitted; taken only once a chunk is known to
-  /// hold a visible candidate, released when emission leaves the chunk.
-  ChunkPin pin_;
-  size_t pin_chunk_ = SIZE_MAX;
 };
 
 /// \brief Filters wide rows by a bound predicate.
@@ -189,7 +173,6 @@ class FilterOp : public Operator {
 
  protected:
   Status OpenImpl() override;
-  Result<bool> NextImpl(Row* out) override;
   Result<bool> NextBatchImpl(RowBatch* out) override;
   void CloseImpl() override;
 
@@ -209,14 +192,15 @@ class FilterOp : public Operator {
 ///
 /// Metrics: open_seconds is the build phase; build_rows / hash_entries /
 /// peak_memory_bytes describe the build table; probe_rows counts rows pulled
-/// from the probe input during Next().
+/// from the probe input.
 ///
-/// With an ExecContext the build is hash-partitioned: workers extract join
-/// keys morsel-parallel, then each of `num_partitions` partition tables is
-/// built by exactly one worker, inserting its rows in global build order.
-/// Bucket row order therefore matches the sequential build, and the probe
-/// (which routes each key to its partition) produces bit-identical output
-/// for every thread count.
+/// The build is hash-partitioned and runs over bounded windows of build
+/// input (the morsel-then-partition pass HashAggregateOp also uses):
+/// workers extract join keys morsel-parallel, then each partition table
+/// (one at degree 1, 32 above) is filled by exactly one worker, inserting
+/// its rows in global build order. Bucket row order therefore does not
+/// depend on the degree, and the probe (which routes each key to its
+/// partition) produces bit-identical output for every thread count.
 class HashJoinOp : public Operator {
  public:
   /// `build_slots` / `probe_slots` are the wide slots the build resp. probe
@@ -226,7 +210,7 @@ class HashJoinOp : public Operator {
   HashJoinOp(OperatorPtr build, OperatorPtr probe,
              std::vector<int> build_key_slots, std::vector<int> probe_key_slots,
              std::vector<uint32_t> build_slots, std::vector<uint32_t> probe_slots,
-             const ExecContext* exec = nullptr);
+             const ExecContext& exec);
 
   /// Registers a runtime filter this join fills from the distinct build-side
   /// values of key column `key_index` once its build phase completes —
@@ -240,7 +224,6 @@ class HashJoinOp : public Operator {
 
  protected:
   Status OpenImpl() override;
-  Result<bool> NextImpl(Row* out) override;
   Result<bool> NextBatchImpl(RowBatch* out) override;
   void CloseImpl() override;
 
@@ -264,45 +247,41 @@ class HashJoinOp : public Operator {
   /// distinct keys and marks them ready (called between build and probe
   /// open).
   void FillRuntimeFilters();
-  Result<bool> AdvanceProbe();
+  /// Drains the build input into the partition tables.
+  Status Build();
   /// Looks up `probe_row` in the build table: extracts the key, hashes it
   /// once (the hash both routes to a partition and probes its flat table)
   /// and returns the matching build rows, or nullptr.
   const std::vector<Row>* ProbeLookup(const Row& probe_row);
-  /// Partitioned parallel build over the drained build rows.
-  Status ParallelBuild(std::vector<Row> rows);
-  /// Streams one build row into the single sequential partition.
-  void InsertBuildRow(Row row, uint64_t* table_bytes);
   /// Writes the joined row for (probe_row, build_row) into `dst`, copying
-  /// only the referenced probe/build slots. Slots outside both sets are
-  /// NULL in every emitted row, so a recycled `dst` (same width, last
-  /// written by this operator) needs no re-clearing.
+  /// only the referenced probe slots and the stored build values (a build
+  /// row holds build_slots_ in order). Slots outside both sets are NULL in
+  /// every emitted row, so a recycled `dst` (same width, last written by
+  /// this operator) needs no re-clearing.
   void EmitRow(const Row& probe_row, const Row& build_row, Row* dst) const;
 
   OperatorPtr build_;
   OperatorPtr probe_;
   std::vector<int> build_keys_;
   std::vector<int> probe_keys_;
-  /// Referenced wide slots the build side populates; copied on match.
+  /// Referenced wide slots the build side populates: the values a build
+  /// row keeps, in this order, and copies back on match.
   std::vector<uint32_t> build_slots_;
   /// Referenced wide slots the probe side populates; copied on match.
   std::vector<uint32_t> probe_slots_;
-  const ExecContext* exec_;
+  const ExecContext& exec_;
   std::vector<FilterTarget> filter_targets_;
 
-  /// One table per hash partition; sequential builds use a single partition.
+  /// One table per hash partition.
   std::vector<BuildTable> partitions_;
-  size_t num_partitions_ = 1;
-  Row probe_row_;  ///< scalar-path probe row (batch path probes in place)
-  /// Batch-path probe row with pending matches; points into probe_batch_,
-  /// valid until that batch is refilled (which only happens once the
-  /// matches are exhausted).
+  /// Probe row with pending matches; points into probe_batch_, valid until
+  /// that batch is refilled (which only happens once the matches are
+  /// exhausted).
   const Row* probe_current_ = nullptr;
   const std::vector<Row>* current_matches_ = nullptr;
   size_t match_cursor_ = 0;
-  size_t build_rows_ = 0;
   std::vector<Value> probe_key_;  ///< scratch, reused across probe rows
-  RowBatch probe_batch_;          ///< batch-path probe input buffer
+  RowBatch probe_batch_;          ///< probe input buffer
   size_t probe_cursor_ = 0;
 };
 
@@ -338,14 +317,14 @@ class IndexNestedLoopJoinOp : public Operator {
                         ExprPtr inner_filter,
                         std::vector<uint32_t> outer_slots,
                         std::vector<uint32_t> inner_slots,
-                        const ExecContext* exec = nullptr);
+                        const ExecContext& exec);
 
   std::string Describe() const override;
   std::vector<const Operator*> Children() const override;
 
  protected:
   Status OpenImpl() override;
-  Result<bool> NextImpl(Row* out) override;
+  Result<bool> NextBatchImpl(RowBatch* out) override;
   void CloseImpl() override;
 
  private:
@@ -372,7 +351,7 @@ class IndexNestedLoopJoinOp : public Operator {
   ExprPtr inner_local_filter_;  ///< rebased to inner-table-local slots
   std::vector<uint32_t> outer_slots_;
   std::vector<uint32_t> inner_slots_;
-  const ExecContext* exec_;
+  const ExecContext& exec_;
   uint64_t snapshot_ = 0;
   std::vector<Row> outer_rows_;
   std::vector<PairPos> pairs_;  ///< sorted candidates
@@ -397,7 +376,6 @@ class ProjectOp : public Operator {
 
  protected:
   Status OpenImpl() override;
-  Result<bool> NextImpl(Row* out) override;
   Result<bool> NextBatchImpl(RowBatch* out) override;
   void CloseImpl() override;
 
@@ -416,27 +394,31 @@ class ProjectOp : public Operator {
 /// Metrics: open_seconds is the accumulate phase; hash_entries is the number
 /// of groups; peak_memory_bytes estimates the group table footprint.
 ///
-/// With an ExecContext the accumulate phase is partitioned: the input is
-/// buffered, group keys are computed morsel-parallel, and each of
-/// `num_partitions` partitions (chosen by key hash, so a group lives in
-/// exactly one partition) is accumulated by one worker in global input
-/// order. Because every group's values are added in the same order as the
-/// sequential accumulate, floating-point aggregates (the clean-answer
-/// SUM(prob) path) are bit-identical for every thread count; the final
-/// merge just concatenates partitions and restores global first-seen group
-/// order by sorting on each group's first input row.
+/// The accumulate phase is one morsel-then-partition pass per window of
+/// input, shared with HashJoinOp's build. A window is about
+/// `parallelism() * morsel_size` rows (at least one batch) read in place
+/// from the child's batches. Phase 1 computes group keys morsel-parallel
+/// and routes each row by key hash to one partition (one table at degree
+/// 1, 32 above), so a group lives in exactly one partition; phase 2
+/// evaluates and folds the aggregate arguments of each partition's rows in
+/// one worker, in global input order. A window under two morsels runs both
+/// phases inline. Every group's values are therefore added in input order
+/// whatever the degree, so floating-point aggregates (the clean-answer
+/// SUM(prob) path) are bit-identical for every thread count. Output follows
+/// global first-seen group order: the merge, by each group's first input
+/// row, of the workers' creation logs.
 class HashAggregateOp : public Operator {
  public:
   HashAggregateOp(OperatorPtr child, std::vector<const Expr*> group_exprs,
                   std::vector<const Expr*> select_items,
-                  const ExecContext* exec = nullptr);
+                  const ExecContext& exec);
 
   std::string Describe() const override;
   std::vector<const Operator*> Children() const override;
 
  protected:
   Status OpenImpl() override;
-  Result<bool> NextImpl(Row* out) override;
+  Result<bool> NextBatchImpl(RowBatch* out) override;
   void CloseImpl() override;
 
  private:
@@ -456,7 +438,7 @@ class HashAggregateOp : public Operator {
     Row representative;
     std::vector<AggState> aggs;  ///< parallel to agg_calls_
     /// Global input position of the row that created the group; the
-    /// deterministic output-order sort key (sequential first-seen order).
+    /// deterministic output order (global first-seen order).
     uint64_t first_row = 0;
   };
   struct KeyHash {
@@ -478,43 +460,35 @@ class HashAggregateOp : public Operator {
   };
 
   using GroupMap = FlatHashMap<std::vector<Value>, Group, KeyHash, KeyEq>;
-  /// One output group; collected from the partition tables *after* all
-  /// accumulation (flat-table value pointers are stable only once inserts
-  /// stop) and sorted by first_row to restore sequential first-seen order.
-  struct OutEntry {
-    const std::vector<Value>* key;
-    const Group* group;
-    uint64_t first_row;
+  /// A group by position: entry `index` of partition table `partition`
+  /// (stable while the table grows, unlike a pointer into it).
+  struct GroupRef {
+    uint32_t partition;
+    uint32_t index;
   };
 
-  /// Evaluates the group key of `row` and accumulates sequentially. Probes
-  /// with a reusable scratch key first and only materializes a key vector on
-  /// the first row of each group (the hot path for low-cardinality inputs).
-  Status Accumulate(const Row& row, uint64_t row_index);
-  /// Accumulates `row` into `map` under the precomputed `key` and its raw
-  /// hash (hash-once: the same hash routed the row to its partition).
-  Status AccumulateRow(GroupMap* map, uint64_t raw_hash,
-                       std::vector<Value> key, const Row& row,
-                       uint64_t row_index);
+  /// Drains the child into the partition tables; returns the input rows.
+  Result<uint64_t> Accumulate();
   /// One-time group setup on first-seen row (representative, invariant
   /// select items, agg state sizing).
   Status InitGroup(Group* group, const Row& row, uint64_t row_index);
-  /// Folds `row` into the running aggregate states of `group`.
+  /// Folds one row into the running aggregate states of `group`.
   Status UpdateGroup(Group* group, const Row& row);
-  /// Partitioned parallel accumulate over the buffered input rows.
-  Status ParallelAccumulate(const std::vector<Row>& rows);
-  /// Rebuilds output_order_ from the partition tables (post-accumulate).
+  /// Merges the creation logs into output_order_ (post-accumulate).
   void BuildOutputOrder();
+  GroupMap::Entry& Resolve(GroupRef ref) {
+    return partition_groups_[ref.partition].mutable_entries()[ref.index];
+  }
+  /// Writes the output row of one group (select-list order) into `out`.
+  Status OutputRow(GroupRef ref, Row* out);
   Result<Value> Finalize(const Expr& e, const Group& group) const;
-  Result<std::vector<Value>> GroupKey(const Row& row) const;
-  /// GroupKey into a caller-owned vector (cleared first); lets the
-  /// sequential path reuse one scratch allocation across all input rows.
-  Status GroupKeyInto(const Row& row, std::vector<Value>* key) const;
+  /// Writes the group key of `row` into key[0 .. group_exprs_.size()).
+  Status GroupKeyInto(const Row& row, Value* key) const;
 
   OperatorPtr child_;
   std::vector<const Expr*> group_exprs_;
   std::vector<const Expr*> select_items_;
-  const ExecContext* exec_;
+  const ExecContext& exec_;
   std::vector<ItemPlan> item_plans_;  ///< parallel to select_items_
   bool needs_representative_ = false;
   size_t num_invariant_evals_ = 0;
@@ -522,12 +496,12 @@ class HashAggregateOp : public Operator {
   /// order; AggState vectors are parallel to this.
   std::vector<const Expr*> agg_calls_;
 
-  /// Group tables, one per hash partition (a single one when sequential).
+  /// Group tables, one per hash partition.
   std::vector<GroupMap> partition_groups_;
-  /// Scratch key for the sequential accumulate probe (reused every row).
-  std::vector<Value> key_scratch_;
-  size_t num_partitions_ = 1;
-  std::vector<OutEntry> output_order_;
+  /// Groups each worker created, in creation order: sorted by first_row.
+  std::vector<std::vector<GroupRef>> created_;
+  /// Every group in global first-seen order (the merged creation logs).
+  std::vector<GroupRef> output_order_;
   size_t cursor_ = 0;
   bool no_input_ = false;  ///< true when child yielded zero rows
 };
@@ -548,7 +522,6 @@ class SortOp : public Operator {
 
  protected:
   Status OpenImpl() override;
-  Result<bool> NextImpl(Row* out) override;
   Result<bool> NextBatchImpl(RowBatch* out) override;
   void CloseImpl() override;
 
@@ -569,7 +542,6 @@ class DistinctOp : public Operator {
 
  protected:
   Status OpenImpl() override;
-  Result<bool> NextImpl(Row* out) override;
   Result<bool> NextBatchImpl(RowBatch* out) override;
   void CloseImpl() override;
 
@@ -595,7 +567,6 @@ class LimitOp : public Operator {
 
  protected:
   Status OpenImpl() override;
-  Result<bool> NextImpl(Row* out) override;
   Result<bool> NextBatchImpl(RowBatch* out) override;
   void CloseImpl() override;
 
@@ -616,7 +587,6 @@ class StripColumnsOp : public Operator {
 
  protected:
   Status OpenImpl() override;
-  Result<bool> NextImpl(Row* out) override;
   Result<bool> NextBatchImpl(RowBatch* out) override;
   void CloseImpl() override;
 

@@ -40,9 +40,9 @@ void RenderNode(const PlanNodeStats& node, int depth, std::string* out) {
   out->append(static_cast<size_t>(depth) * 2, ' ');
   out->append(node.description);
   out->append(StringPrintf(
-      "  (rows=%llu nexts=%llu time=%.3fms self=%.3fms",
-      (unsigned long long)m.rows_produced, (unsigned long long)m.next_calls,
-      m.total_seconds() * 1e3, node.self_seconds * 1e3));
+      "  (rows=%llu time=%.3fms self=%.3fms",
+      (unsigned long long)m.rows_produced, m.total_seconds() * 1e3,
+      node.self_seconds * 1e3));
   if (m.est_rows >= 0.0) {
     // Planner estimate next to the actual row count: cost-model
     // misestimates (histogram staleness, bad NDV) show up in one line.
@@ -95,7 +95,7 @@ void RenderNode(const PlanNodeStats& node, int depth, std::string* out) {
   if (m.peak_memory_bytes > 0) {
     out->append(" mem=" + HumanBytes(m.peak_memory_bytes));
   }
-  if (m.parallel_degree > 0) {
+  if (m.parallel_degree > 1) {
     out->append(StringPrintf(" workers=%u", m.parallel_degree));
     out->append(" worker_rows=[");
     for (size_t i = 0; i < m.worker_rows.size(); ++i) {

@@ -58,11 +58,13 @@ struct QueryStats {
 };
 
 /// Harvests per-operator counters from an executed plan (call after the
-/// Next() loop; metrics survive Close()).
+/// NextBatch() loop; metrics survive Close()).
 PlanNodeStats CollectPlanStats(const Operator& root);
 
 /// Renders an annotated plan tree, EXPLAIN ANALYZE style:
-///   HashAggregate(...)  (rows=42 nexts=43 time=1.20ms self=0.80ms ...)
+///   HashAggregate(...)  (rows=42 time=1.20ms self=0.80ms batches=2 ...)
+/// `workers=` and `worker_rows=` appear only for a phase that ran more than
+/// one worker task.
 std::string RenderAnalyzedPlan(const PlanNodeStats& root);
 
 /// Sum of peak_memory_bytes over the whole tree.

@@ -136,8 +136,14 @@ Result<std::vector<Row>> RowsFromCsv(const FuzzTable& t,
                                    loaded.status().ToString());
   }
   CONQUER_ASSIGN_OR_RETURN(Table * table, staging.GetTable(t.name));
-  std::vector<Row> rows = table->rows();
-  for (Row& row : rows) DecodeRowInPlace(&row);
+  std::vector<Row> rows;
+  RowCursor cursor(table);
+  for (size_t r : table->VisibleRowPositions(table->committed_version())) {
+    cursor.Touch(r);
+    rows.emplace_back();
+    table->GetRowInto(r, &rows.back());
+    DecodeRowInPlace(&rows.back());
+  }
   return rows;
 }
 

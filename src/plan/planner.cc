@@ -270,7 +270,7 @@ std::vector<int> DpJoinOrder(const BoundQuery& q,
 
 Result<OperatorPtr> Planner::Plan(const BoundQuery& q,
                                   const PlannerOptions& options,
-                                  const ExecContext* exec) {
+                                  const ExecContext& exec) {
   const SelectStatement& stmt = *q.stmt;
   size_t n = stmt.from.size();
 
@@ -355,7 +355,7 @@ Result<OperatorPtr> Planner::Plan(const BoundQuery& q,
   std::vector<SeqScanOp*> seq_scans(n, nullptr);
   std::vector<double> est(n);
   std::vector<std::pair<size_t, size_t>> ranges(n);
-  const bool enable_index = exec == nullptr || exec->enable_index_scan;
+  const bool enable_index = exec.enable_index_scan;
   // Per-table filter clones surviving the move into the scan: an index
   // nested-loop join chosen later needs the inner table's predicate again.
   std::vector<ExprPtr> inner_filters(n);
@@ -378,7 +378,7 @@ Result<OperatorPtr> Planner::Plan(const BoundQuery& q,
     if (use_index) {
       auto scan = std::make_unique<IndexScanOp>(
           t, lookups[i].column, lookups[i].key, q.slot_offsets[i],
-          q.total_slots, std::move(table_filters[i]), exec);
+          q.total_slots, std::move(table_filters[i]), exec, &referenced);
       scan->set_est_rows(est[i]);
       scans[i] = std::move(scan);
     } else {
@@ -392,8 +392,7 @@ Result<OperatorPtr> Planner::Plan(const BoundQuery& q,
     }
   }
 
-  const bool push_runtime_filters =
-      exec == nullptr || exec->enable_runtime_filters;
+  const bool push_runtime_filters = exec.enable_runtime_filters;
   // Pushes one Bloom filter per join key from `join` into the SeqScan that
   // owns each probe-side key slot. Safe because every scan in the probe
   // subtree opens only after the join's build completes (FillRuntimeFilters

@@ -36,13 +36,12 @@ struct PlannerOptions {
 class Planner {
  public:
   /// Plans `q`; the returned operator tree borrows expressions from `q`, so
-  /// the BoundQuery must outlive execution. When `exec` is non-null it is
-  /// borrowed by the parallel-capable operators (scan / hash join / hash
-  /// aggregate) and must outlive execution too; a null pool inside it — or
-  /// a null `exec` — yields strictly sequential operators.
+  /// the BoundQuery must outlive execution. `exec` is borrowed by the
+  /// operators and must outlive execution too; its parallelism() is the
+  /// degree of the morsel-driven phases.
   static Result<OperatorPtr> Plan(const BoundQuery& q,
-                                  const PlannerOptions& options = {},
-                                  const ExecContext* exec = nullptr);
+                                  const PlannerOptions& options,
+                                  const ExecContext& exec);
 };
 
 }  // namespace conquer

@@ -121,12 +121,6 @@ Row Table::row(size_t i) const {
   return out;
 }
 
-std::vector<Row> Table::rows() const {
-  std::vector<Row> out(num_rows_);
-  for (size_t i = 0; i < num_rows_; ++i) GetRowInto(i, &out[i]);
-  return out;
-}
-
 void Table::GetRowInto(size_t i, Row* out) const {
   const size_t c = i / chunk_capacity_;
   ChunkPin pin = PinChunk(c);

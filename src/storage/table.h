@@ -109,8 +109,6 @@ class Table {
   /// Materializes row `i` BY VALUE (the storage is columnar; there is no
   /// resident Row to reference). Strings come back interned.
   Row row(size_t i) const;
-  /// Materializes every row, in order (persistence / test convenience).
-  std::vector<Row> rows() const;
   /// Materializes row `i` into a caller-owned buffer (no allocation when
   /// the buffer already has the right arity).
   void GetRowInto(size_t i, Row* out) const;

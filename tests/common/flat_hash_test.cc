@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "types/value.h"
@@ -89,6 +90,20 @@ TEST(FlatHashMapTest, HashedEntryPointsMatchPlainOnes) {
   EXPECT_EQ(*map.Find("abc"), 1);
   EXPECT_EQ(*map.FindHashed(h("abc"), "abc"), 1);
   EXPECT_EQ(map.FindHashed(h("zzz"), "zzz"), nullptr);
+}
+
+TEST(FlatHashMapTest, FindHashedAsProbesWithAnotherKeyForm) {
+  FlatHashMap<std::string, int64_t> map;
+  std::hash<std::string_view> h;
+  *map.TryEmplaceHashed(h("abc"), "abc").first = 1;
+  auto eq = [](const std::string& stored, std::string_view probe) {
+    return stored == probe;
+  };
+  const char buffer[] = "xabcx";
+  const std::string_view probe(buffer + 1, 3);
+  ASSERT_NE(map.FindHashedAs(h(probe), probe, eq), nullptr);
+  EXPECT_EQ(*map.FindHashedAs(h(probe), probe, eq), 1);
+  EXPECT_EQ(map.FindHashedAs(h("abd"), std::string_view("abd"), eq), nullptr);
 }
 
 TEST(FlatHashPartitionTest, HighBitRoutingCoversAllPartitions) {

@@ -80,6 +80,46 @@ TEST_F(Figure1Test, OfflineCleaningKeepsMaxProbabilityTuples) {
   EXPECT_EQ((*cust)->num_rows(), 2u);  // one per cluster
 }
 
+// Offline cleaning works on the committed state: a row that a write deleted
+// or superseded must not come back as its cluster's representative.
+TEST(OfflineCleaningBaselineTest, SkipsDeletedAndSupersededRows) {
+  Database db;
+  ASSERT_TRUE(db.CreateTable(TableSchema("c", {{"id", DataType::kString},
+                                               {"name", DataType::kString},
+                                               {"prob", DataType::kDouble}}))
+                  .ok());
+  ASSERT_TRUE(db.CreateTable(TableSchema("d", {{"k", DataType::kInt64}})).ok());
+  ASSERT_TRUE(db.InsertMany("c", {{Value::String("a"), Value::String("x"),
+                                   Value::Double(1.0)},
+                                  {Value::String("b"), Value::String("y"),
+                                   Value::Double(1.0)}})
+                  .ok());
+  ASSERT_TRUE(db.InsertMany("d", {{Value::Int(1)}, {Value::Int(2)}}).ok());
+  DirtySchema dirty;
+  ASSERT_TRUE(dirty.AddTable({"c", "id", "prob", {}}).ok());
+
+  ASSERT_TRUE(db.ExecuteWrite("delete from c where id = 'b'").ok());
+  ASSERT_TRUE(db.ExecuteWrite("update c set name = 'z' where id = 'a'").ok());
+  ASSERT_TRUE(db.ExecuteWrite("delete from d where k = 1").ok());
+
+  const std::string sql = "select id, name from c";
+  auto live = db.Query(sql);
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  ASSERT_EQ(live->num_rows(), 1u);
+
+  OfflineCleaningBaseline baseline(&db, &dirty);
+  auto cleaned = baseline.Query(sql);
+  ASSERT_TRUE(cleaned.ok()) << cleaned.status().ToString();
+  ASSERT_EQ(cleaned->num_rows(), 1u);
+  EXPECT_EQ(cleaned->rows[0][0].string_value(), "a");
+  EXPECT_EQ(cleaned->rows[0][1].string_value(), "z");
+
+  auto plain = baseline.Query("select k from d");
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  ASSERT_EQ(plain->num_rows(), 1u);
+  EXPECT_EQ(plain->rows[0][0].int_value(), 2);
+}
+
 // The rewriting agrees with the semantics on the intro example.
 TEST_F(Figure1Test, RewritingMatchesIntroExample) {
   CleanAnswerEngine engine(&db_, &dirty_);

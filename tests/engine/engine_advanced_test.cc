@@ -128,9 +128,11 @@ TEST_F(PlanEquivalenceTest, WideJoinStress) {
   auto s = db_.GetTable("s");
   ASSERT_TRUE(r.ok() && s.ok());
   size_t expected = 0;
-  for (const Row& a : (*r)->rows()) {
-    for (const Row& b : (*s)->rows()) {
-      if (a[0].int_value() == b[0].int_value()) ++expected;
+  for (size_t i = 0; i < (*r)->num_rows(); ++i) {
+    for (size_t j = 0; j < (*s)->num_rows(); ++j) {
+      if ((*r)->ValueAt(i, 0).int_value() == (*s)->ValueAt(j, 0).int_value()) {
+        ++expected;
+      }
     }
   }
   EXPECT_EQ(rs->num_rows(), expected);
@@ -144,7 +146,8 @@ TEST_F(PlanEquivalenceTest, GroupByMatchesManualAggregation) {
   auto r = db_.GetTable("r");
   ASSERT_TRUE(r.ok());
   std::map<int64_t, std::tuple<int64_t, int64_t, int64_t, int64_t>> manual;
-  for (const Row& row : (*r)->rows()) {
+  for (size_t i = 0; i < (*r)->num_rows(); ++i) {
+    const Row row = (*r)->row(i);
     auto& [count, sum, mn, mx] = manual.try_emplace(
         row[1].int_value(), 0, 0, INT64_MAX, INT64_MIN).first->second;
     ++count;

@@ -92,6 +92,27 @@ TEST_F(OutOfCoreTest, FullScanLoadsEveryChunkExactlyOnce) {
   EXPECT_EQ(io.loaded, 16u);
 }
 
+// Each window of chunks is filtered under pins the scan keeps for emission,
+// so even when every chunk is evicted as soon as it is unpinned, a filtered
+// scan faults each chunk exactly once at any degree.
+TEST_F(OutOfCoreTest, FilteredScanLoadsEveryChunkOnceAtAnyDegree) {
+  auto loaded = LoadDatabase(dir_.string());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  Database* db = loaded->get();
+  db->SetThreads(3);
+  db->mutable_exec_context()->morsel_size = 16;
+  db->SetMemoryBudget(1);
+
+  QueryStats stats;
+  auto rs = db->Query("select sum(a) from t where a >= 0", &stats);
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  EXPECT_EQ(rs->rows[0][0].int_value(), (16 * 64 - 1) * (16 * 64) / 2);
+
+  IoTotals io;
+  SumIo(stats.plan, &io);
+  EXPECT_EQ(io.loaded, 16u);
+}
+
 TEST_F(OutOfCoreTest, ExplainAnalyzeRendersIoCounters) {
   auto loaded = LoadDatabase(dir_.string());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();

@@ -1,12 +1,16 @@
-// Unit tests for the Volcano operators, exercised directly (not through
-// SQL) to pin the wide-row contract and per-operator behaviour.
+// Unit tests for the batch operators, exercised directly (not through SQL)
+// to pin the wide-row contract and per-operator behaviour.
 
 #include "exec/operators.h"
 
 #include <gtest/gtest.h>
 
+#include "common/task_pool.h"
+
 namespace conquer {
 namespace {
+
+const ExecContext kCtx;  // degree 1, default batch and morsel sizes
 
 std::unique_ptr<Table> MakeNumbersTable(int n) {
   auto table = std::make_unique<Table>(
@@ -17,17 +21,45 @@ std::unique_ptr<Table> MakeNumbersTable(int n) {
   return table;
 }
 
-std::vector<Row> Drain(Operator* op) {
+// One Open/NextBatch/Close cycle at `capacity` rows per batch. Rows are
+// copied out, so the operator recycles the batch's row buffers.
+std::vector<Row> DrainAt(Operator* op, size_t capacity) {
   std::vector<Row> rows;
   EXPECT_TRUE(op->Open().ok());
-  Row row;
+  RowBatch batch;
+  batch.capacity = capacity;
   while (true) {
-    auto more = op->Next(&row);
+    auto more = op->NextBatch(&batch);
     EXPECT_TRUE(more.ok()) << more.status().ToString();
     if (!more.ok() || !*more) break;
-    rows.push_back(row);
+    EXPECT_FALSE(batch.rows.empty());
+    EXPECT_LE(batch.rows.size(), capacity);
+    rows.insert(rows.end(), batch.rows.begin(), batch.rows.end());
   }
   op->Close();
+  return rows;
+}
+
+void ExpectSameRows(const std::vector<Row>& a, const std::vector<Row>& b,
+                    const std::string& label) {
+  ASSERT_EQ(a.size(), b.size()) << label;
+  for (size_t r = 0; r < a.size(); ++r) {
+    ASSERT_EQ(a[r].size(), b[r].size()) << label << " row " << r;
+    for (size_t c = 0; c < a[r].size(); ++c) {
+      EXPECT_EQ(a[r][c].TotalCompare(b[r][c]), 0)
+          << label << " row " << r << " col " << c;
+    }
+  }
+}
+
+// Drains `op` at batch capacities 1, 7 and 1024 (re-opening it each time);
+// every capacity must return identical rows in identical order.
+std::vector<Row> Drain(Operator* op) {
+  std::vector<Row> rows = DrainAt(op, 1);
+  for (size_t capacity : {size_t{7}, size_t{1024}}) {
+    ExpectSameRows(rows, DrainAt(op, capacity),
+                   "capacity " + std::to_string(capacity));
+  }
   return rows;
 }
 
@@ -41,7 +73,8 @@ ExprPtr Slot(int slot, DataType type = DataType::kInt64) {
 
 TEST(SeqScanOpTest, ProducesWideRowsAtOffset) {
   auto table = MakeNumbersTable(3);
-  SeqScanOp scan(table.get(), /*slot_offset=*/2, /*total_slots=*/5, nullptr);
+  SeqScanOp scan(table.get(), /*slot_offset=*/2, /*total_slots=*/5, nullptr,
+                 kCtx);
   auto rows = Drain(&scan);
   ASSERT_EQ(rows.size(), 3u);
   EXPECT_TRUE(rows[0][0].is_null());
@@ -55,14 +88,14 @@ TEST(SeqScanOpTest, PushedFilterApplies) {
   auto table = MakeNumbersTable(9);
   ExprPtr pred = Expr::MakeBinary(BinaryOp::kEq, Slot(1),
                                   Expr::MakeLiteral(Value::Int(0)));
-  SeqScanOp scan(table.get(), 0, 2, std::move(pred));
+  SeqScanOp scan(table.get(), 0, 2, std::move(pred), kCtx);
   auto rows = Drain(&scan);
   EXPECT_EQ(rows.size(), 3u);  // b == 0 for a in {0,3,6}
 }
 
 TEST(SeqScanOpTest, ReopenRestartsTheScan) {
   auto table = MakeNumbersTable(4);
-  SeqScanOp scan(table.get(), 0, 2, nullptr);
+  SeqScanOp scan(table.get(), 0, 2, nullptr, kCtx);
   EXPECT_EQ(Drain(&scan).size(), 4u);
   EXPECT_EQ(Drain(&scan).size(), 4u);  // second Open() rewinds
 }
@@ -70,7 +103,8 @@ TEST(SeqScanOpTest, ReopenRestartsTheScan) {
 TEST(IndexScanOpTest, LooksUpOnlyMatchingRows) {
   auto table = MakeNumbersTable(9);
   ASSERT_TRUE(table->CreateIndex("b").ok());
-  IndexScanOp scan(table.get(), /*column=*/1, Value::Int(1), 0, 2, nullptr);
+  IndexScanOp scan(table.get(), /*column=*/1, Value::Int(1), 0, 2, nullptr,
+                   kCtx);
   auto rows = Drain(&scan);
   EXPECT_EQ(rows.size(), 3u);  // a in {1,4,7}
   for (const Row& r : rows) EXPECT_EQ(r[1].int_value(), 1);
@@ -78,7 +112,7 @@ TEST(IndexScanOpTest, LooksUpOnlyMatchingRows) {
 
 TEST(FilterOpTest, DropsNonMatching) {
   auto table = MakeNumbersTable(10);
-  auto scan = std::make_unique<SeqScanOp>(table.get(), 0, 2, nullptr);
+  auto scan = std::make_unique<SeqScanOp>(table.get(), 0, 2, nullptr, kCtx);
   ExprPtr pred = Expr::MakeBinary(BinaryOp::kGt, Slot(0),
                                   Expr::MakeLiteral(Value::Int(6)));
   FilterOp filter(std::move(scan), std::move(pred));
@@ -93,11 +127,11 @@ TEST(HashJoinOpTest, JoinsOnSlots) {
   ASSERT_TRUE(t2->Insert({Value::Int(0), Value::String("zero")}).ok());
   ASSERT_TRUE(t2->Insert({Value::Int(2), Value::String("two")}).ok());
 
-  auto build = std::make_unique<SeqScanOp>(t2.get(), 2, 4, nullptr);
-  auto probe = std::make_unique<SeqScanOp>(t1.get(), 0, 4, nullptr);
+  auto build = std::make_unique<SeqScanOp>(t2.get(), 2, 4, nullptr, kCtx);
+  auto probe = std::make_unique<SeqScanOp>(t1.get(), 0, 4, nullptr, kCtx);
   // join on t1.b (slot 1) == t2.x (slot 2)
   HashJoinOp join(std::move(build), std::move(probe), {2}, {1},
-                  /*build_slots=*/{2, 3}, /*probe_slots=*/{0, 1});
+                  /*build_slots=*/{2, 3}, /*probe_slots=*/{0, 1}, kCtx);
   auto rows = Drain(&join);
   // t1.b values: 0,1,2,0,1,2 -> matches for 0 (x2) and 2 (x2) = 4 rows.
   ASSERT_EQ(rows.size(), 4u);
@@ -117,26 +151,106 @@ TEST(HashJoinOpTest, NullKeysNeverMatch) {
   ASSERT_TRUE(t2->Insert({Value::Null()}).ok());
   ASSERT_TRUE(t2->Insert({Value::Int(1)}).ok());
 
-  auto build = std::make_unique<SeqScanOp>(t2.get(), 1, 2, nullptr);
-  auto probe = std::make_unique<SeqScanOp>(t1.get(), 0, 2, nullptr);
+  auto build = std::make_unique<SeqScanOp>(t2.get(), 1, 2, nullptr, kCtx);
+  auto probe = std::make_unique<SeqScanOp>(t1.get(), 0, 2, nullptr, kCtx);
   HashJoinOp join(std::move(build), std::move(probe), {1}, {0},
-                  /*build_slots=*/{1}, /*probe_slots=*/{0});
+                  /*build_slots=*/{1}, /*probe_slots=*/{0}, kCtx);
   EXPECT_EQ(Drain(&join).size(), 1u);  // only 1 = 1; NULL != NULL
 }
 
 TEST(HashJoinOpTest, EmptyKeysMakeCrossProduct) {
   auto t1 = MakeNumbersTable(3);
   auto t2 = MakeNumbersTable(4);
-  auto build = std::make_unique<SeqScanOp>(t2.get(), 2, 4, nullptr);
-  auto probe = std::make_unique<SeqScanOp>(t1.get(), 0, 4, nullptr);
+  auto build = std::make_unique<SeqScanOp>(t2.get(), 2, 4, nullptr, kCtx);
+  auto probe = std::make_unique<SeqScanOp>(t1.get(), 0, 4, nullptr, kCtx);
   HashJoinOp join(std::move(build), std::move(probe), {}, {},
-                  /*build_slots=*/{2, 3}, /*probe_slots=*/{0, 1});
+                  /*build_slots=*/{2, 3}, /*probe_slots=*/{0, 1}, kCtx);
   EXPECT_EQ(Drain(&join).size(), 12u);
+}
+
+TEST(IndexNestedLoopJoinOpTest, MatchesTheHashJoinItReplaces) {
+  // Wide layout [t1.a, t1.b, t2.x, t2.y]; the outer side carries a
+  // duplicate key so runs of pairs share one inner position.
+  auto t1 = MakeNumbersTable(9);  // slots 0,1; inner, indexed on b
+  ASSERT_TRUE(t1->CreateIndex("b").ok());
+  auto t2 = std::make_unique<Table>(
+      TableSchema("other", {{"x", DataType::kInt64}, {"y", DataType::kString}}));
+  ASSERT_TRUE(t2->Insert({Value::Int(2), Value::String("two")}).ok());
+  ASSERT_TRUE(t2->Insert({Value::Int(0), Value::String("zero")}).ok());
+  ASSERT_TRUE(t2->Insert({Value::Int(2), Value::String("again")}).ok());
+  ASSERT_TRUE(t2->Insert({Value::Int(7), Value::String("none")}).ok());
+
+  // Inner predicate a > 2, bound to the wide layout.
+  auto inner_filter = [] {
+    return Expr::MakeBinary(BinaryOp::kGt, Slot(0),
+                            Expr::MakeLiteral(Value::Int(2)));
+  };
+  HashJoinOp hash(std::make_unique<SeqScanOp>(t2.get(), 2, 4, nullptr, kCtx),
+                  std::make_unique<SeqScanOp>(t1.get(), 0, 4, inner_filter(),
+                                              kCtx),
+                  {2}, {1}, /*build_slots=*/{2, 3}, /*probe_slots=*/{0, 1},
+                  kCtx);
+  IndexNestedLoopJoinOp inlj(
+      std::make_unique<SeqScanOp>(t2.get(), 2, 4, nullptr, kCtx), t1.get(),
+      /*inner_column=*/1, /*outer_key_slot=*/2, /*inner_slot_offset=*/0,
+      /*total_slots=*/4, inner_filter(), /*outer_slots=*/{2, 3},
+      /*inner_slots=*/{0, 1}, kCtx);
+
+  auto expected = Drain(&hash);
+  auto rows = Drain(&inlj);
+  // a > 2 with b in {0, 2}: a in {3, 5, 6, 8}; b = 2 matches two outer rows.
+  ASSERT_EQ(rows.size(), 6u);
+  ExpectSameRows(expected, rows, "index nested-loop vs hash join");
+  EXPECT_EQ(inlj.metrics().build_rows, 4u);
+  EXPECT_GT(inlj.metrics().index_probes, 0u);
+}
+
+TEST(HashAggregateOpTest, SameGroupsAtEveryDegree) {
+  // Two-row morsels split each window into many morsels, so the two-phase
+  // pass runs on three workers; groups, their order and the double sums
+  // must match the inline run exactly.
+  auto table = std::make_unique<Table>(TableSchema(
+      "vals", {{"g", DataType::kInt64}, {"v", DataType::kDouble}}));
+  for (int i = 0; i < 500; ++i) {
+    ASSERT_TRUE(table
+                    ->Insert({Value::Int((i * 37) % 11),
+                              Value::Double(1.0 / (i + 3))})
+                    .ok());
+  }
+  ExprPtr key = Slot(0);
+  ExprPtr sum = Expr::MakeAggregate(AggFunc::kSum, Slot(1, DataType::kDouble));
+  sum->resolved_type = DataType::kDouble;
+  std::vector<const Expr*> keys = {key.get()};
+  std::vector<const Expr*> items = {key.get(), sum.get()};
+  auto run = [&](const ExecContext& ctx) {
+    HashAggregateOp agg(
+        std::make_unique<SeqScanOp>(table.get(), 0, 2, nullptr, ctx), keys,
+        items, ctx);
+    auto rows = Drain(&agg);
+    return std::make_pair(rows, agg.metrics().parallel_degree);
+  };
+  auto [inline_rows, inline_degree] = run(kCtx);
+  ASSERT_EQ(inline_rows.size(), 11u);
+  EXPECT_EQ(inline_degree, 1u);
+
+  TaskPool pool(3);
+  ExecContext parallel;
+  parallel.pool = &pool;
+  parallel.morsel_size = 2;
+  parallel.batch_size = 7;
+  auto [parallel_rows, parallel_degree] = run(parallel);
+  EXPECT_EQ(parallel_degree, 3u);
+  ASSERT_EQ(parallel_rows.size(), inline_rows.size());
+  for (size_t r = 0; r < inline_rows.size(); ++r) {
+    EXPECT_EQ(parallel_rows[r][0].int_value(), inline_rows[r][0].int_value());
+    EXPECT_EQ(parallel_rows[r][1].double_value(),
+              inline_rows[r][1].double_value());
+  }
 }
 
 TEST(ProjectOpTest, EvaluatesExpressions) {
   auto table = MakeNumbersTable(3);
-  auto scan = std::make_unique<SeqScanOp>(table.get(), 0, 2, nullptr);
+  auto scan = std::make_unique<SeqScanOp>(table.get(), 0, 2, nullptr, kCtx);
   ExprPtr doubled = Expr::MakeBinary(BinaryOp::kMul, Slot(0),
                                      Expr::MakeLiteral(Value::Int(2)));
   std::vector<const Expr*> items = {doubled.get()};
@@ -149,7 +263,7 @@ TEST(ProjectOpTest, EvaluatesExpressions) {
 
 TEST(SortOpTest, SortsByMultipleKeys) {
   auto table = MakeNumbersTable(6);
-  auto scan = std::make_unique<SeqScanOp>(table.get(), 0, 2, nullptr);
+  auto scan = std::make_unique<SeqScanOp>(table.get(), 0, 2, nullptr, kCtx);
   ExprPtr a = Slot(0), b = Slot(1);
   std::vector<const Expr*> items = {b.get(), a.get()};
   auto project = std::make_unique<ProjectOp>(std::move(scan), items);
@@ -164,7 +278,7 @@ TEST(SortOpTest, SortsByMultipleKeys) {
 
 TEST(DistinctOpTest, RemovesDuplicates) {
   auto table = MakeNumbersTable(9);
-  auto scan = std::make_unique<SeqScanOp>(table.get(), 0, 2, nullptr);
+  auto scan = std::make_unique<SeqScanOp>(table.get(), 0, 2, nullptr, kCtx);
   ExprPtr b = Slot(1);
   std::vector<const Expr*> items = {b.get()};
   auto project = std::make_unique<ProjectOp>(std::move(scan), items);
@@ -174,14 +288,14 @@ TEST(DistinctOpTest, RemovesDuplicates) {
 
 TEST(LimitOpTest, StopsEarly) {
   auto table = MakeNumbersTable(100);
-  auto scan = std::make_unique<SeqScanOp>(table.get(), 0, 2, nullptr);
+  auto scan = std::make_unique<SeqScanOp>(table.get(), 0, 2, nullptr, kCtx);
   LimitOp limit(std::move(scan), 7);
   EXPECT_EQ(Drain(&limit).size(), 7u);
 }
 
 TEST(StripColumnsOpTest, TruncatesRows) {
   auto table = MakeNumbersTable(2);
-  auto scan = std::make_unique<SeqScanOp>(table.get(), 0, 2, nullptr);
+  auto scan = std::make_unique<SeqScanOp>(table.get(), 0, 2, nullptr, kCtx);
   ExprPtr a = Slot(0), b = Slot(1);
   std::vector<const Expr*> items = {a.get(), b.get()};
   auto project = std::make_unique<ProjectOp>(std::move(scan), items);
@@ -193,7 +307,7 @@ TEST(StripColumnsOpTest, TruncatesRows) {
 
 TEST(HashAggregateOpTest, GroupsAndAggregates) {
   auto table = MakeNumbersTable(9);
-  auto scan = std::make_unique<SeqScanOp>(table.get(), 0, 2, nullptr);
+  auto scan = std::make_unique<SeqScanOp>(table.get(), 0, 2, nullptr, kCtx);
   ExprPtr key = Slot(1);
   ExprPtr sum_arg = Slot(0);
   ExprPtr sum = Expr::MakeAggregate(AggFunc::kSum, sum_arg->Clone());
@@ -201,7 +315,7 @@ TEST(HashAggregateOpTest, GroupsAndAggregates) {
   ExprPtr count = Expr::MakeAggregate(AggFunc::kCount, nullptr);
   std::vector<const Expr*> keys = {key.get()};
   std::vector<const Expr*> items = {key.get(), sum.get(), count.get()};
-  HashAggregateOp agg(std::move(scan), keys, items);
+  HashAggregateOp agg(std::move(scan), keys, items, kCtx);
   auto rows = Drain(&agg);
   ASSERT_EQ(rows.size(), 3u);
   for (const Row& r : rows) {
@@ -214,7 +328,7 @@ TEST(HashAggregateOpTest, GroupsAndAggregates) {
 
 TEST(ExplainPlanTest, RendersIndentedTree) {
   auto table = MakeNumbersTable(1);
-  auto scan = std::make_unique<SeqScanOp>(table.get(), 0, 2, nullptr);
+  auto scan = std::make_unique<SeqScanOp>(table.get(), 0, 2, nullptr, kCtx);
   LimitOp limit(std::move(scan), 1);
   std::string text = ExplainPlan(limit);
   EXPECT_NE(text.find("Limit(1)\n  SeqScan(nums)"), std::string::npos) << text;

@@ -22,7 +22,9 @@ TEST(CoraGenTest, GeneratesRequestedClusters) {
   ASSERT_TRUE(table.ok()) << table.status().ToString();
   EXPECT_EQ(info.id_column, "id");
   std::set<std::string> ids;
-  for (const Row& r : (*table)->rows()) ids.insert(r[0].string_value());
+  for (size_t i = 0; i < (*table)->num_rows(); ++i) {
+    ids.insert((*table)->ValueAt(i, 0).string_value());
+  }
   EXPECT_EQ(ids.size(), 8u);
 }
 

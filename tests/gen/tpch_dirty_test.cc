@@ -48,7 +48,8 @@ TEST(TpchDirtyTest, CleanDatabaseWhenIfIsOne) {
   ASSERT_TRUE(customer.ok());
   // Every cluster is a singleton: ids are unique.
   std::unordered_set<std::string> ids;
-  for (const Row& r : (*customer)->rows()) {
+  for (size_t i = 0; i < (*customer)->num_rows(); ++i) {
+    const Row r = (*customer)->row(i);
     EXPECT_TRUE(ids.insert(r[0].string_value()).second);
     EXPECT_NEAR(r.back().AsDouble(), 1.0, 1e-12);  // prob 1 everywhere
   }
@@ -60,7 +61,9 @@ TEST(TpchDirtyTest, ClusterSizesFollowUniformOneToTwoIfMinusOne) {
   auto customer = gen->db->GetTable("customer");
   ASSERT_TRUE(customer.ok());
   std::unordered_map<std::string, size_t> sizes;
-  for (const Row& r : (*customer)->rows()) ++sizes[r[0].string_value()];
+  for (size_t i = 0; i < (*customer)->num_rows(); ++i) {
+    ++sizes[(*customer)->ValueAt(i, 0).string_value()];
+  }
   double sum = 0;
   size_t max_size = 0, min_size = 99;
   for (const auto& [id, n] : sizes) {
@@ -82,7 +85,8 @@ TEST(TpchDirtyTest, ProbabilitiesFormDistributionPerCluster) {
     auto t = gen->db->GetTable(name);
     ASSERT_TRUE(t.ok());
     std::unordered_map<std::string, double> mass;
-    for (const Row& r : (*t)->rows()) {
+    for (size_t i = 0; i < (*t)->num_rows(); ++i) {
+      const Row r = (*t)->row(i);
       mass[r[0].string_value()] += r.back().AsDouble();
     }
     for (const auto& [id, m] : mass) {
@@ -99,11 +103,14 @@ TEST(TpchDirtyTest, PropagatedIdentifiersMatchReferencedClusters) {
   auto customer = gen->db->GetTable("customer");
   ASSERT_TRUE(orders.ok() && customer.ok());
   std::unordered_set<std::string> cust_ids;
-  for (const Row& r : (*customer)->rows()) cust_ids.insert(r[0].string_value());
+  for (size_t i = 0; i < (*customer)->num_rows(); ++i) {
+    cust_ids.insert((*customer)->ValueAt(i, 0).string_value());
+  }
   size_t o_cust_id = (*orders)->schema().GetColumnIndex("o_cust_id").value();
-  for (const Row& r : (*orders)->rows()) {
-    ASSERT_FALSE(r[o_cust_id].is_null());
-    EXPECT_TRUE(cust_ids.count(r[o_cust_id].string_value()) > 0);
+  for (size_t i = 0; i < (*orders)->num_rows(); ++i) {
+    const Value v = (*orders)->ValueAt(i, o_cust_id);
+    ASSERT_FALSE(v.is_null());
+    EXPECT_TRUE(cust_ids.count(v.string_value()) > 0);
   }
 }
 
@@ -128,9 +135,12 @@ TEST(TpchDirtyTest, DuplicatesPerturbAttributes) {
   auto customer = gen->db->GetTable("customer");
   ASSERT_TRUE(customer.ok());
   // Within clusters of size > 1, at least some attribute values disagree.
-  // rows() materializes a fresh copy; keep it alive while pointers into it
-  // are held below.
-  std::vector<Row> rows = (*customer)->rows();
+  // Rows are materialized by value; keep them alive while pointers into
+  // them are held below.
+  std::vector<Row> rows;
+  for (size_t i = 0; i < (*customer)->num_rows(); ++i) {
+    rows.push_back((*customer)->row(i));
+  }
   std::unordered_map<std::string, std::vector<const Row*>> clusters;
   for (const Row& r : rows) {
     clusters[r[0].string_value()].push_back(&r);

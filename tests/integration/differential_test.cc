@@ -304,6 +304,25 @@ class ParallelDeterminismTest : public ::testing::Test {
     return rs.ok() ? std::move(rs->rows) : std::vector<Row>{};
   }
 
+  /// The HashAggregate node's tracked state for `sql` at `threads`.
+  static uint64_t AggregateMemory(Database* db, const std::string& sql,
+                                  size_t threads) {
+    db->SetThreads(threads);
+    QueryStats stats;
+    auto rs = db->Query(sql, &stats);
+    EXPECT_TRUE(rs.ok()) << rs.status().ToString();
+    std::vector<const PlanNodeStats*> stack = {&stats.plan};
+    while (!stack.empty()) {
+      const PlanNodeStats* node = stack.back();
+      stack.pop_back();
+      if (node->description.rfind("HashAggregate", 0) == 0) {
+        return node->metrics.peak_memory_bytes;
+      }
+      for (const PlanNodeStats& c : node->children) stack.push_back(&c);
+    }
+    return 0;
+  }
+
   static void ExpectBitIdentical(const std::vector<Row>& a,
                                  const std::vector<Row>& b,
                                  const std::string& label) {
@@ -375,6 +394,15 @@ TEST_F(ParallelDeterminismTest, JoinAggregateBitIdenticalAcrossThreadCounts) {
   for (size_t threads : {2u, 4u}) {
     ExpectBitIdentical(baseline, Run(&db, sql, threads),
                        "threads=" + std::to_string(threads));
+  }
+
+  // No degree buffers the aggregate's whole input: its state stays within
+  // twice the single-threaded run's.
+  const uint64_t sequential_memory = AggregateMemory(&db, sql, 1);
+  ASSERT_GT(sequential_memory, 0u);
+  for (size_t threads : {2u, 4u}) {
+    EXPECT_LE(AggregateMemory(&db, sql, threads), 2 * sequential_memory)
+        << "threads=" << threads;
   }
 }
 

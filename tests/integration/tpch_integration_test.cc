@@ -129,7 +129,9 @@ TEST_F(TpchIntegrationTest, IfSweepKeepsTotalSizeComparable) {
   auto customer = dirty_db_->db->GetTable("customer");
   ASSERT_TRUE(customer.ok());
   std::set<std::string> ids;
-  for (const Row& r : (*customer)->rows()) ids.insert(r[0].string_value());
+  for (size_t i = 0; i < (*customer)->num_rows(); ++i) {
+    ids.insert((*customer)->ValueAt(i, 0).string_value());
+  }
   EXPECT_LT(ids.size(), (*customer)->num_rows());  // real duplication
 }
 

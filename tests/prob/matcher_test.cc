@@ -106,7 +106,9 @@ TEST(MatcherTest, AssignClusterIdentifiersWritesColumn) {
   auto result = AssignClusterIdentifiers(table.get(), "id", options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   std::set<std::string> ids;
-  for (const Row& r : table->rows()) ids.insert(r[0].string_value());
+  for (size_t i = 0; i < table->num_rows(); ++i) {
+    ids.insert(table->ValueAt(i, 0).string_value());
+  }
   EXPECT_EQ(ids.size(), result->num_clusters);
   EXPECT_EQ(table->row(0)[0].string_value(), table->row(1)[0].string_value());
 }

@@ -150,11 +150,16 @@ TEST(ChunkTest, AnalyzeStatisticsRetightensZonesAfterUpdates) {
 
 TEST(ChunkTest, RechunkPreservesRowsAndPositions) {
   Table table = MakeSmallChunkTable(/*chunk_capacity=*/64, /*rows=*/10);
-  std::vector<Row> before = table.rows();
+  auto all_rows = [&table] {
+    std::vector<Row> rows;
+    for (size_t i = 0; i < table.num_rows(); ++i) rows.push_back(table.row(i));
+    return rows;
+  };
+  std::vector<Row> before = all_rows();
   table.Rechunk(3);
   EXPECT_EQ(table.num_chunks(), 4u);
   EXPECT_EQ(table.chunk_capacity(), 3u);
-  std::vector<Row> after = table.rows();
+  std::vector<Row> after = all_rows();
   ASSERT_EQ(before.size(), after.size());
   for (size_t r = 0; r < before.size(); ++r) {
     ASSERT_EQ(before[r].size(), after[r].size());

@@ -66,10 +66,8 @@ double Percentile(const std::vector<double>& sorted, double p) {
 }
 
 SweepPoint RunPoint(Database* db, const std::vector<std::string>& mix,
-                    int clients, double seconds, size_t max_concurrent) {
-  ServiceOptions options;
-  options.max_concurrent_queries = max_concurrent;
-  QueryService service(db, options);
+                    int clients, double seconds) {
+  QueryService service(db);
   // Prime the plan cache so every client starts on the hit path (each
   // distinct statement still counts one miss in the hit-rate below).
   for (const std::string& sql : mix) {
@@ -200,8 +198,6 @@ int main(int argc, char** argv) {
   }
 
   db->SetThreads(static_cast<size_t>(std::max(1, db_threads)));
-  const size_t max_concurrent =
-      static_cast<size_t>(*std::max_element(clients.begin(), clients.end()));
 
   std::printf("serving sweep: %zu queries in mix, db threads=%d, "
               "%.1fs per point, hardware threads=%u\n",
@@ -212,7 +208,7 @@ int main(int argc, char** argv) {
 
   std::vector<SweepPoint> points;
   for (int c : clients) {
-    SweepPoint point = RunPoint(db, mix, c, seconds, max_concurrent);
+    SweepPoint point = RunPoint(db, mix, c, seconds);
     std::printf("%8d %10.1f %9.3f %9.3f %9.3f %8.1f%% %8llu\n", point.clients,
                 point.qps, point.p50_ms, point.p95_ms, point.p99_ms,
                 100.0 * point.cache_hit_rate,

@@ -214,7 +214,7 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(ss.reprepares),
           static_cast<unsigned long long>(ss.admission.admitted),
           static_cast<unsigned long long>(ss.admission.waited),
-          ss.admission.peak_active, service.max_concurrent_queries());
+          ss.admission.peak_active, db->max_concurrent_queries());
       for (const std::string& name : session->PreparedNames()) {
         const PreparedStatement* ps = session->GetPrepared(name);
         std::printf("  prepared %-10s (%d params): %s\n", name.c_str(),
@@ -238,7 +238,7 @@ int main(int argc, char** argv) {
       if (n < 1) {
         std::printf("usage: .threads <n>  (n >= 1)\n");
       } else {
-        service.SetThreads(static_cast<size_t>(n));
+        db->SetThreads(static_cast<size_t>(n));
         std::printf("worker threads: %zu%s\n", db->num_threads(),
                     db->num_threads() == 1 ? " (sequential)" : "");
       }

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <vector>
 
 #include "core/clean_engine.h"
 #include "gen/cora.h"
@@ -69,13 +70,16 @@ int main() {
 
   // 3. Load into a database and answer clean queries over it.
   Database db;
-  if (Status s = db.mutable_catalog()->AddTable(std::move(*table)).status();
-      !s.ok()) {
-    std::fprintf(stderr, "%s\n", s.ToString().c_str());
-    return 1;
+  std::vector<Row> rows;
+  rows.reserve((*table)->num_rows());
+  for (size_t i = 0; i < (*table)->num_rows(); ++i) {
+    rows.push_back((*table)->row(i));
   }
   DirtySchema dirty;
-  if (Status s = dirty.AddTable(info); !s.ok()) {
+  Status s = db.CreateTable((*table)->schema());
+  if (s.ok()) s = db.InsertMany(info.table_name, std::move(rows));
+  if (s.ok()) s = dirty.AddTable(info);
+  if (!s.ok()) {
     std::fprintf(stderr, "%s\n", s.ToString().c_str());
     return 1;
   }

@@ -28,7 +28,7 @@ esac
 run_suite() {
   local dir="$1" sanitize="$2" label="$3"
   echo "=== ${sanitize}: configuring ${dir} ===" &&
-  # Instrumented trees only need the test binaries, not benches/examples.
+  # Instrumented trees only need the tests (examples included), not benches.
   cmake -B "${dir}" -S . -DCONQUER_SANITIZE="${sanitize}" \
         -DCONQUER_BUILD_AUX=OFF -DCMAKE_BUILD_TYPE=RelWithDebInfo &&
   echo "=== ${sanitize}: building ===" &&

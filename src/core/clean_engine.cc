@@ -9,9 +9,14 @@ namespace conquer {
 Result<CleanAnswerSet> CleanAnswerEngine::Query(std::string_view sql,
                                                 QueryStats* stats) const {
   CONQUER_ASSIGN_OR_RETURN(auto stmt, Parser::Parse(sql));
-  CONQUER_ASSIGN_OR_RETURN(auto rewritten, rewriter_.RewriteClean(*stmt));
-  CONQUER_ASSIGN_OR_RETURN(ResultSet rs,
-                           db_->Execute(std::move(rewritten), stats));
+  ResultSet rs;
+  {
+    // The rewrite binds against the catalog: admit it with the execution.
+    const Database::ReadSlot slot = db_->AdmitRead();
+    CONQUER_ASSIGN_OR_RETURN(auto rewritten, rewriter_.RewriteClean(*stmt));
+    CONQUER_ASSIGN_OR_RETURN(rs,
+                             db_->Execute(slot, std::move(rewritten), stats));
+  }
 
   CleanAnswerSet out;
   // The last column is the SUM(prob product) appended by the rewriting.
@@ -33,15 +38,23 @@ Result<CleanAnswerSet> CleanAnswerEngine::Query(std::string_view sql,
   return out;
 }
 
+Result<std::string> CleanAnswerEngine::RewrittenSql(
+    std::string_view sql) const {
+  const Database::ReadSlot slot = db_->AdmitRead();
+  return rewriter_.RewriteCleanSql(sql);
+}
+
 Result<RewritabilityCheck> CleanAnswerEngine::Check(
     std::string_view sql) const {
   CONQUER_ASSIGN_OR_RETURN(auto stmt, Parser::Parse(sql));
+  const Database::ReadSlot slot = db_->AdmitRead();
   return rewriter_.CheckRewritable(*stmt);
 }
 
 Result<std::unique_ptr<Database>>
 OfflineCleaningBaseline::BuildCleanedDatabase() const {
   auto cleaned = std::make_unique<Database>();
+  const Database::ReadSlot slot = db_->AdmitRead();
   Row row;
   for (const std::string& name : db_->catalog().TableNames()) {
     CONQUER_ASSIGN_OR_RETURN(Table * src, db_->GetTable(name));

@@ -15,7 +15,9 @@ namespace conquer {
 ///
 /// Wraps a Database annotated with a DirtySchema. Queries are rewritten via
 /// RewriteClean and executed on the dirty data directly; each answer comes
-/// back with its probability of holding over the clean database.
+/// back with its probability of holding over the clean database. Every
+/// method reads the catalog under one of the database's read slots, so the
+/// engine is as safe to share between threads as the Database itself.
 ///
 /// \code
 ///   CleanAnswerEngine engine(&db, &dirty);
@@ -41,9 +43,7 @@ class CleanAnswerEngine {
                                QueryStats* stats = nullptr) const;
 
   /// The rewritten SQL that Query executes (for inspection / logging).
-  Result<std::string> RewrittenSql(std::string_view sql) const {
-    return rewriter_.RewriteCleanSql(sql);
-  }
+  Result<std::string> RewrittenSql(std::string_view sql) const;
 
   /// Rewritability diagnosis without executing.
   Result<RewritabilityCheck> Check(std::string_view sql) const;
@@ -70,6 +70,7 @@ class OfflineCleaningBaseline {
 
   /// Builds the cleaned database: for each cluster, the max-probability
   /// tuple (first wins on ties). Unregistered tables are copied verbatim.
+  /// The walk holds a read slot, so no write interleaves with it.
   Result<std::unique_ptr<Database>> BuildCleanedDatabase() const;
 
   /// Answers `sql` over the cleaned database (ordinary certain semantics).

@@ -1,6 +1,7 @@
 #include "engine/database.h"
 
 #include <algorithm>
+#include <thread>
 
 #include "common/str_util.h"
 #include "common/timer.h"
@@ -11,26 +12,21 @@
 
 namespace conquer {
 
-Database::ActiveQueryGuard::ActiveQueryGuard(const Database* db) : db_(db) {
-  std::unique_lock<std::mutex> lock(db_->exec_mu_);
-  db_->exec_cv_.wait(lock, [db] { return !db->reconfig_waiting_; });
-  ++db_->active_queries_;
+namespace {
+
+size_t DefaultMaxConcurrent() {
+  static const size_t cap =
+      std::max<size_t>(2, std::thread::hardware_concurrency());
+  return cap;
 }
 
-Database::ActiveQueryGuard::~ActiveQueryGuard() {
-  {
-    std::lock_guard<std::mutex> lock(db_->exec_mu_);
-    --db_->active_queries_;
-  }
-  db_->exec_cv_.notify_all();
-}
+}  // namespace
+
+Database::Database() : gate_(DefaultMaxConcurrent()) {}
 
 void Database::SetThreads(size_t n) {
-  std::unique_lock<std::mutex> lock(exec_mu_);
-  // Wait out in-flight queries; block new ones from being admitted so a
-  // steady stream cannot starve the reconfiguration.
-  reconfig_waiting_ = true;
-  exec_cv_.wait(lock, [this] { return active_queries_ == 0; });
+  ExclusiveAdmission admission(&gate_);
+  std::lock_guard<std::mutex> lock(pool_mu_);
   if (n <= 1) {
     exec_ctx_.pool = nullptr;
     pool_.reset();
@@ -39,12 +35,15 @@ void Database::SetThreads(size_t n) {
     pool_ = std::make_unique<TaskPool>(n);
     exec_ctx_.pool = pool_.get();
   }
-  reconfig_waiting_ = false;
-  lock.unlock();
-  exec_cv_.notify_all();
+}
+
+void Database::set_planner_options(const PlannerOptions& options) {
+  ExclusiveAdmission admission(&gate_);
+  planner_options_ = options;
 }
 
 Status Database::CreateTable(TableSchema schema) {
+  ExclusiveAdmission admission(&gate_);
   Result<Table*> t = catalog_.CreateTable(std::move(schema));
   if (t.ok()) {
     t.value()->AttachBufferPool(buffer_pool_.get());
@@ -54,17 +53,20 @@ Status Database::CreateTable(TableSchema schema) {
 }
 
 Status Database::DropTable(std::string_view name) {
+  ExclusiveAdmission admission(&gate_);
   Status s = catalog_.DropTable(name);
   if (s.ok()) BumpCatalogVersion();
   return s;
 }
 
 Status Database::Insert(std::string_view table, Row row) {
+  ExclusiveAdmission admission(&gate_);
   CONQUER_ASSIGN_OR_RETURN(Table * t, catalog_.GetTable(table));
   return t->Insert(std::move(row));
 }
 
 Status Database::InsertMany(std::string_view table, std::vector<Row> rows) {
+  ExclusiveAdmission admission(&gate_);
   CONQUER_ASSIGN_OR_RETURN(Table * t, catalog_.GetTable(table));
   t->Reserve(t->num_rows() + rows.size());
   for (auto& row : rows) {
@@ -74,6 +76,7 @@ Status Database::InsertMany(std::string_view table, std::vector<Row> rows) {
 }
 
 Status Database::CreateIndex(std::string_view table, std::string_view column) {
+  ExclusiveAdmission admission(&gate_);
   CONQUER_ASSIGN_OR_RETURN(Table * t, catalog_.GetTable(table));
   CONQUER_RETURN_NOT_OK(t->CreateIndex(column));
   // A new index changes what the planner would pick (access paths, join
@@ -83,6 +86,11 @@ Status Database::CreateIndex(std::string_view table, std::string_view column) {
 }
 
 Status Database::Analyze(std::string_view table) {
+  ExclusiveAdmission admission(&gate_);
+  return AnalyzeLocked(table);
+}
+
+Status Database::AnalyzeLocked(std::string_view table) {
   CONQUER_ASSIGN_OR_RETURN(Table * t, catalog_.GetTable(table));
   t->AnalyzeStatistics();
   BumpCatalogVersion();
@@ -90,8 +98,9 @@ Status Database::Analyze(std::string_view table) {
 }
 
 Status Database::AnalyzeAll() {
+  ExclusiveAdmission admission(&gate_);
   for (const std::string& name : catalog_.TableNames()) {
-    CONQUER_RETURN_NOT_OK(Analyze(name));
+    CONQUER_RETURN_NOT_OK(AnalyzeLocked(name));
   }
   return Status::OK();
 }
@@ -127,26 +136,23 @@ Result<ResultSet> Database::Query(std::string_view sql,
   if (parsed.is_write()) {
     return Status::InvalidArgument(
         "write statements are not allowed through Query(); use "
-        "ExecuteWrite(), which requires exclusive admission");
+        "ExecuteWrite()");
   }
 
+  const ReadSlot slot = AdmitRead();
   switch (parsed.explain) {
     case ExplainMode::kNone:
-      return Execute(std::move(parsed.select), stats);
+      return Execute(slot, std::move(parsed.select), stats);
     case ExplainMode::kPlan: {
-      Binder binder(&catalog_);
-      CONQUER_ASSIGN_OR_RETURN(BoundQuery bound,
-                               binder.Bind(std::move(parsed.select)));
-      ActiveQueryGuard guard(this);
-      CONQUER_ASSIGN_OR_RETURN(OperatorPtr plan,
-                               Planner::Plan(bound, planner_options_, exec_ctx_));
-      return TextResultSet("QUERY PLAN", ExplainPlan(*plan));
+      CONQUER_ASSIGN_OR_RETURN(std::string text,
+                               PlanText(slot, std::move(parsed.select)));
+      return TextResultSet("QUERY PLAN", text);
     }
     case ExplainMode::kAnalyze: {
       QueryStats local;
       QueryStats* out = stats != nullptr ? stats : &local;
       CONQUER_ASSIGN_OR_RETURN(ResultSet rs,
-                               Execute(std::move(parsed.select), out));
+                               Execute(slot, std::move(parsed.select), out));
       out->parse_seconds = parse_seconds;
       return TextResultSet("QUERY PLAN", out->ToString());
     }
@@ -156,21 +162,31 @@ Result<ResultSet> Database::Query(std::string_view sql,
 
 Result<ResultSet> Database::Execute(std::unique_ptr<SelectStatement> stmt,
                                     QueryStats* stats) const {
+  const ReadSlot slot = AdmitRead();
+  return Execute(slot, std::move(stmt), stats);
+}
+
+Result<ResultSet> Database::Execute(const ReadSlot& slot,
+                                    std::unique_ptr<SelectStatement> stmt,
+                                    QueryStats* stats) const {
   Timer timer;
   Binder binder(&catalog_);
   CONQUER_ASSIGN_OR_RETURN(BoundQuery bound, binder.Bind(std::move(stmt)));
   if (stats != nullptr) stats->bind_seconds = timer.ElapsedSeconds();
-  return ExecuteBound(std::move(bound), stats);
+  return ExecuteBound(slot, std::move(bound), stats);
 }
 
-Result<ResultSet> Database::ExecuteBound(BoundQuery bound,
+Result<ResultSet> Database::ExecuteBound(const ReadSlot& slot,
+                                         BoundQuery bound,
                                          QueryStats* stats) const {
+  if (slot.db_ != this) {
+    return Status::InvalidArgument("read slot belongs to another database");
+  }
   if (bound.stmt->num_params > 0) {
     return Status::InvalidArgument(
         "statement contains unbound '?' parameters; prepare it and bind "
         "values before executing");
   }
-  ActiveQueryGuard guard(this);
   Timer timer;
   CONQUER_ASSIGN_OR_RETURN(OperatorPtr plan, Planner::Plan(bound, planner_options_, exec_ctx_));
   if (stats != nullptr) stats->plan_seconds = timer.ElapsedSeconds();
@@ -202,10 +218,16 @@ Result<ResultSet> Database::ExecuteBound(BoundQuery bound,
 
 Result<std::string> Database::Explain(std::string_view sql) const {
   CONQUER_ASSIGN_OR_RETURN(auto stmt, Parser::Parse(sql));
+  const ReadSlot slot = AdmitRead();
+  return PlanText(slot, std::move(stmt));
+}
+
+Result<std::string> Database::PlanText(
+    const ReadSlot& /*slot*/, std::unique_ptr<SelectStatement> stmt) const {
   Binder binder(&catalog_);
   CONQUER_ASSIGN_OR_RETURN(BoundQuery bound, binder.Bind(std::move(stmt)));
-  ActiveQueryGuard guard(this);
-  CONQUER_ASSIGN_OR_RETURN(OperatorPtr plan, Planner::Plan(bound, planner_options_, exec_ctx_));
+  CONQUER_ASSIGN_OR_RETURN(OperatorPtr plan,
+                           Planner::Plan(bound, planner_options_, exec_ctx_));
   return ExplainPlan(*plan);
 }
 
@@ -225,6 +247,7 @@ Result<Table*> Database::GetTable(std::string_view name) const {
 }
 
 void Database::SetWriteHook(std::string_view table, WriteMaintenanceHook hook) {
+  ExclusiveAdmission admission(&gate_);
   std::string key = ToLower(table);
   if (hook.after_write == nullptr) {
     write_hooks_.erase(key);
@@ -255,6 +278,7 @@ Result<ResultSet> Database::ExecuteWrite(std::string_view sql,
         "ExecuteWrite() only accepts INSERT, UPDATE or DELETE statements");
   }
 
+  ExclusiveAdmission admission(&gate_);
   const std::string table_name =
       parsed.kind == StatementKind::kInsert   ? parsed.insert->table_name
       : parsed.kind == StatementKind::kUpdate ? parsed.update->table_name
@@ -273,8 +297,8 @@ Result<ResultSet> Database::ExecuteWrite(std::string_view sql,
 
   Binder binder(&catalog_);
   // Stamps are applied at `version` but the version is only published by
-  // CommitWrite below, after the maintenance hook succeeds. The caller
-  // guarantees no query overlaps this call, so the intermediate state is
+  // CommitWrite below, after the maintenance hook succeeds. The exclusive
+  // slot keeps every query out meanwhile, so the intermediate state is
   // never observed.
   const uint64_t version = table->BeginWrite();
   Result<WriteResult> executed = [&]() -> Result<WriteResult> {

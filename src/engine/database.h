@@ -2,7 +2,6 @@
 #define CONQUER_ENGINE_DATABASE_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -12,6 +11,7 @@
 #include <vector>
 
 #include "catalog/catalog.h"
+#include "common/admission.h"
 #include "common/result.h"
 #include "common/task_pool.h"
 #include "storage/buffer_pool.h"
@@ -33,6 +33,10 @@ namespace conquer {
 /// (old and new). A non-OK status aborts the write: its version stamps are
 /// physically rolled back (Table::AbortWrite) and the commit is skipped, so
 /// the hook must not leave partial in-place mutations of its own behind.
+///
+/// The hook runs while the write holds the database's exclusive admission
+/// slot: it works on the `Table*` it is handed and must not call back into
+/// the Database, whose admitted entries would wait on that slot forever.
 struct WriteMaintenanceHook {
   /// Column whose values identify the maintenance unit (e.g. the dirty
   /// cluster id column).
@@ -48,6 +52,16 @@ struct WriteMaintenanceHook {
 /// supported subset. All methods are Status/Result based; no exceptions
 /// escape the public API.
 ///
+/// Every public entry is admitted through the database's one FIFO-fair
+/// AdmissionGate, so any number of threads may call it concurrently: reads
+/// (Query, Execute, Explain, ExplainAnalyze, ExecuteBound under a
+/// ReadSlot) share up to max_concurrent_queries() slots and hold theirs
+/// across bind, plan and execute; writes, DDL, statistics, hooks, planner
+/// options and SetThreads take the exclusive slot and run alone. That is
+/// what lets the query path read catalog and table data without per-row
+/// locks. The one unadmitted path is the raw access of GetTable() and
+/// catalog(): bulk-loading through a `Table*` must not overlap queries.
+///
 /// \code
 ///   Database db;
 ///   TableSchema schema("t", {{"a", DataType::kInt64}, {"b", DataType::kString}});
@@ -57,9 +71,33 @@ struct WriteMaintenanceHook {
 /// \endcode
 class Database {
  public:
-  Database() = default;
+  Database();
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
+
+  /// \brief A shared admission slot held across several reads.
+  ///
+  /// Callers that read outside one admitted call — the serving layer's
+  /// plan cache pinning a catalog epoch, SaveDatabase walking every table —
+  /// hold one for the whole span. Only AdmitRead() creates one, so
+  /// ExecuteBound, which takes it by reference, cannot run unadmitted.
+  /// While holding a slot, call only slot-taking and unadmitted methods:
+  /// a second acquisition queued behind a waiting writer would deadlock.
+  class ReadSlot {
+   public:
+    ReadSlot(const ReadSlot&) = delete;
+    ReadSlot& operator=(const ReadSlot&) = delete;
+
+   private:
+    friend class Database;
+    explicit ReadSlot(const Database* db) : db_(db), admission_(&db->gate_) {}
+
+    const Database* db_;
+    SharedAdmission admission_;
+  };
+
+  /// Blocks until admitted as a reader; writers wait until it is released.
+  ReadSlot AdmitRead() const { return ReadSlot(this); }
 
   /// Creates an empty table.
   Status CreateTable(TableSchema schema);
@@ -96,13 +134,11 @@ class Database {
 
   /// Executes one INSERT / UPDATE / DELETE statement.
   ///
-  /// The caller must guarantee exclusivity: no query may be in flight for
-  /// the duration of the call (the serving layer acquires an exclusive
-  /// admission ticket; embedded callers simply must not overlap it with
-  /// Query). The write appends new row versions stamped with a fresh
-  /// version number, runs the table's maintenance hook (if registered),
-  /// commits the version so subsequent readers see it, and bumps the
-  /// catalog version so cached plans are discarded.
+  /// Runs under the exclusive admission slot, so no query is in flight
+  /// while it executes. The write appends new row versions stamped with a
+  /// fresh version number, runs the table's maintenance hook (if
+  /// registered), commits the version so subsequent readers see it, and
+  /// bumps the catalog version so cached plans are discarded.
   ///
   /// Returns a one-row result set with a single `rows_affected` column.
   /// When `touched_ids` is non-null it receives the hook id-column values
@@ -121,11 +157,18 @@ class Database {
   Result<ResultSet> Execute(std::unique_ptr<SelectStatement> stmt,
                             QueryStats* stats = nullptr) const;
 
+  /// Execute under a slot the caller already holds (e.g. across a
+  /// clean-answer rewrite that reads the catalog first).
+  Result<ResultSet> Execute(const ReadSlot& slot,
+                            std::unique_ptr<SelectStatement> stmt,
+                            QueryStats* stats = nullptr) const;
+
   /// Executes an already-bound query (what the serving layer's plan cache
   /// stores): plans and drains it without re-parsing or re-binding. The
   /// bound query must have been produced against this database's catalog
-  /// at its current version, with every parameter already substituted.
-  Result<ResultSet> ExecuteBound(BoundQuery bound,
+  /// under `slot` (so at the current version), with every parameter
+  /// already substituted.
+  Result<ResultSet> ExecuteBound(const ReadSlot& slot, BoundQuery bound,
                                  QueryStats* stats = nullptr) const;
 
   /// Physical plan of the statement, as an indented tree.
@@ -136,11 +179,12 @@ class Database {
   Result<std::string> ExplainAnalyze(std::string_view sql,
                                      QueryStats* stats = nullptr) const;
 
-  /// Direct table access for bulk loading and inspection.
+  /// Direct table access for bulk loading and inspection. Unadmitted:
+  /// mutating the table must not overlap queries or writes.
   Result<Table*> GetTable(std::string_view name) const;
 
+  /// Unadmitted, like GetTable: reading it must not overlap DDL.
   const Catalog& catalog() const { return catalog_; }
-  Catalog* mutable_catalog() { return &catalog_; }
 
   /// Caps resident column-payload bytes across every table of this database
   /// (0 = unlimited). Cold chunks beyond the budget are evicted to their
@@ -156,21 +200,14 @@ class Database {
 
   /// Planner configuration used by Query/Execute/Explain (e.g. greedy vs.
   /// dynamic-programming join ordering).
-  void set_planner_options(const PlannerOptions& options) {
-    planner_options_ = options;
-  }
+  void set_planner_options(const PlannerOptions& options);
   const PlannerOptions& planner_options() const { return planner_options_; }
 
   /// Sizes the worker pool used by morsel-driven parallel operators.
   /// `n <= 1` (the default) destroys the pool and restores strictly
-  /// sequential execution.
-  ///
-  /// Safe to call concurrently with Query: the swap is DEFERRED until every
-  /// in-flight query has drained (in-flight plans hold a pointer to the
-  /// current pool through their shared ExecContext, so swapping under them
-  /// would race). While a reconfiguration waits, new queries block at
-  /// admission, so a steady query stream cannot starve the swap. Do not
-  /// call from inside a running query's thread — it would wait on itself.
+  /// sequential execution. Takes the exclusive slot, so the swap waits for
+  /// in-flight queries (whose plans hold the pool through their
+  /// ExecContext) and FIFO admission keeps a query stream from starving it.
   void SetThreads(size_t n);
 
   /// Worker threads queries run with (1 means sequential).
@@ -193,34 +230,24 @@ class Database {
     return catalog_version_.load(std::memory_order_acquire);
   }
 
-  /// Queries currently inside ExecuteBound/Explain (approximate; for
-  /// stats and tests).
-  size_t active_queries() const {
-    std::lock_guard<std::mutex> lock(exec_mu_);
-    return active_queries_;
-  }
+  /// Reads admitted at once: max(2, hardware_concurrency). More wait in
+  /// FIFO order.
+  size_t max_concurrent_queries() const { return gate_.max_shared(); }
+  AdmissionGate::Stats admission_stats() const { return gate_.stats(); }
 
-  /// Morsel tasks queued but not yet running (0 without a pool). Reads the
-  /// pool under the same mutex SetThreads swaps it under.
+  /// Morsel tasks queued but not yet running (0 without a pool). Needs no
+  /// admission: reads the pool under the mutex SetThreads swaps it under.
   size_t scheduler_backlog() const {
-    std::lock_guard<std::mutex> lock(exec_mu_);
+    std::lock_guard<std::mutex> lock(pool_mu_);
     return pool_ != nullptr ? pool_->num_queued() : 0;
   }
 
  private:
-  /// RAII in-flight marker. Blocks while a SetThreads reconfiguration is
-  /// waiting so the swap cannot be starved, then counts the query in;
-  /// releases and wakes any waiting reconfiguration on destruction.
-  class ActiveQueryGuard {
-   public:
-    explicit ActiveQueryGuard(const Database* db);
-    ~ActiveQueryGuard();
-    ActiveQueryGuard(const ActiveQueryGuard&) = delete;
-    ActiveQueryGuard& operator=(const ActiveQueryGuard&) = delete;
-
-   private:
-    const Database* db_;
-  };
+  /// Analyze for a caller holding the exclusive slot (AnalyzeAll).
+  Status AnalyzeLocked(std::string_view table);
+  /// Binds and plans `stmt` and renders the plan tree (EXPLAIN).
+  Result<std::string> PlanText(const ReadSlot& slot,
+                               std::unique_ptr<SelectStatement> stmt) const;
 
   void BumpCatalogVersion() {
     catalog_version_.fetch_add(1, std::memory_order_acq_rel);
@@ -234,15 +261,13 @@ class Database {
   PlannerOptions planner_options_;
   /// Post-write maintenance hooks, keyed by lower-cased table name.
   std::unordered_map<std::string, WriteMaintenanceHook> write_hooks_;
+  /// Guards the pool_ swap for scheduler_backlog() only; queries see a
+  /// stable pool through admission.
+  mutable std::mutex pool_mu_;
   std::unique_ptr<TaskPool> pool_;
   ExecContext exec_ctx_;
   std::atomic<uint64_t> catalog_version_{0};
-
-  // Query/reconfiguration interlock (see SetThreads).
-  mutable std::mutex exec_mu_;
-  mutable std::condition_variable exec_cv_;
-  mutable size_t active_queries_ = 0;
-  mutable bool reconfig_waiting_ = false;
+  mutable AdmissionGate gate_;
 };
 
 }  // namespace conquer

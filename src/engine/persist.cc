@@ -86,6 +86,8 @@ Status SaveDatabase(const Database& db, const std::string& dir,
     return Status::InvalidArgument("cannot write manifest in '" + dir + "'");
   }
   CsvOptions csv = PersistCsvOptions();
+  // Writers wait until the walk is done; concurrent queries may continue.
+  const Database::ReadSlot slot = db.AdmitRead();
   for (const std::string& name : db.catalog().TableNames()) {
     CONQUER_ASSIGN_OR_RETURN(Table * table, db.GetTable(name));
     manifest << name;

@@ -40,7 +40,8 @@ enum class SaveFormat {
 /// \{
 
 /// Saves every table of `db` (and the dirty annotations if supplied) under
-/// `dir`, creating the directory.
+/// `dir`, creating the directory. Holds a read slot for the whole walk, so
+/// the saved state is one committed snapshot: writers wait, queries run.
 Status SaveDatabase(const Database& db, const std::string& dir,
                     const DirtySchema* dirty = nullptr,
                     SaveFormat format = SaveFormat::kBinary);

@@ -49,13 +49,6 @@ void PlanCache::Insert(const std::string& key, uint64_t epoch,
   }
 }
 
-void PlanCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  stats_.invalidated += lru_.size();
-  lru_.clear();
-  index_.clear();
-}
-
 PlanCacheStats PlanCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   PlanCacheStats s = stats_;

@@ -57,12 +57,7 @@ class PlanCache {
   /// recently used entry when over capacity.
   void Insert(const std::string& key, uint64_t epoch, BoundQuery bound);
 
-  /// Drops every entry (e.g. when the serving layer runs DDL and does not
-  /// want stale entries lingering until their next lookup).
-  void Clear();
-
   PlanCacheStats stats() const;
-  size_t capacity() const { return capacity_; }
 
  private:
   struct Entry {

@@ -1,7 +1,5 @@
 #include "engine/service.h"
 
-#include <algorithm>
-#include <thread>
 #include <utility>
 
 #include "common/str_util.h"
@@ -11,11 +9,6 @@
 namespace conquer {
 
 namespace {
-
-size_t DefaultMaxConcurrent() {
-  const size_t hw = std::thread::hardware_concurrency();
-  return std::max<size_t>(2, hw);
-}
 
 bool IsExplain(const std::string& normalized_sql) {
   return normalized_sql.rfind("EXPLAIN", 0) == 0;
@@ -41,12 +34,6 @@ bool IsWrite(const std::string& normalized_sql) {
 
 }  // namespace
 
-QueryService::QueryService(Database* db, ServiceOptions options)
-    : db_(db),
-      gate_(options.max_concurrent_queries > 0 ? options.max_concurrent_queries
-                                               : DefaultMaxConcurrent()),
-      cache_(options.plan_cache_capacity) {}
-
 std::unique_ptr<Session> QueryService::CreateSession(std::string name) {
   const uint64_t id = next_session_id_.fetch_add(1, std::memory_order_relaxed);
   sessions_created_.fetch_add(1, std::memory_order_relaxed);
@@ -61,9 +48,9 @@ Result<ResultSet> QueryService::Record(Result<ResultSet> r) {
   return r;
 }
 
-Result<BoundQuery> QueryService::BindAndCache(std::string_view sql,
-                                              const std::string& key,
-                                              uint64_t epoch) {
+Result<BoundQuery> QueryService::BindAndCache(
+    const Database::ReadSlot& /*slot*/, std::string_view sql,
+    const std::string& key, uint64_t epoch) {
   std::unique_ptr<SelectStatement> stmt;
   CONQUER_ASSIGN_OR_RETURN(stmt, Parser::Parse(sql));
   Binder binder(&db_->catalog());
@@ -78,36 +65,31 @@ Result<ResultSet> QueryService::ExecuteSql(std::string_view sql,
   Result<std::string> norm = NormalizeSql(sql);
   if (!norm.ok()) {
     // Text the lexer rejects: let the regular path produce the real error.
-    SharedAdmission admission(&gate_);
     return Record(db_->Query(sql, stats));
   }
   const std::string key = std::move(norm).value();
   if (IsWrite(key)) {
-    // Writes run alone: the exclusive ticket drains in-flight queries and
-    // blocks new ones, so version stamping and incremental probability
-    // maintenance need no row-level synchronization. ExecuteWrite bumps the
+    // ExecuteWrite runs alone under the exclusive slot and bumps the
     // catalog epoch, invalidating cached plans bound over the old data.
-    ExclusiveAdmission admission(&gate_);
     return Record(db_->ExecuteWrite(sql));
   }
   if (IsExplain(key)) {
     // EXPLAIN [ANALYZE] is diagnostic output, not a row stream worth
     // caching; run it straight through the Database.
-    SharedAdmission admission(&gate_);
     return Record(db_->Query(sql, stats));
   }
 
-  SharedAdmission admission(&gate_);
-  // While we hold a shared slot no DDL can run, so the epoch read here
-  // stays valid through bind and execution.
+  // While we hold a read slot no DDL can run, so the epoch read here stays
+  // valid through bind and execution.
+  const Database::ReadSlot slot = db_->AdmitRead();
   const uint64_t epoch = db_->catalog_version();
   if (std::optional<BoundQuery> cached = cache_.Lookup(key, epoch)) {
     if (info != nullptr) info->cache_hit = true;
-    return Record(db_->ExecuteBound(std::move(*cached), stats));
+    return Record(db_->ExecuteBound(slot, std::move(*cached), stats));
   }
-  Result<BoundQuery> bound = BindAndCache(sql, key, epoch);
+  Result<BoundQuery> bound = BindAndCache(slot, sql, key, epoch);
   if (!bound.ok()) return Record(bound.status());
-  return Record(db_->ExecuteBound(std::move(bound).value(), stats));
+  return Record(db_->ExecuteBound(slot, std::move(bound).value(), stats));
 }
 
 Result<PreparedStatement> QueryService::PrepareInternal(std::string_view name,
@@ -124,14 +106,14 @@ Result<PreparedStatement> QueryService::PrepareInternal(std::string_view name,
         "cannot prepare a write statement; execute INSERT/UPDATE/DELETE "
         "ad hoc");
   }
-  SharedAdmission admission(&gate_);
+  const Database::ReadSlot slot = db_->AdmitRead();
   const uint64_t epoch = db_->catalog_version();
   int num_params = 0;
   if (std::optional<BoundQuery> cached = cache_.Lookup(key, epoch)) {
     num_params = cached->stmt->num_params;
   } else {
     BoundQuery bound;
-    CONQUER_ASSIGN_OR_RETURN(bound, BindAndCache(sql, key, epoch));
+    CONQUER_ASSIGN_OR_RETURN(bound, BindAndCache(slot, sql, key, epoch));
     num_params = bound.stmt->num_params;
   }
   PreparedStatement ps;
@@ -146,7 +128,7 @@ Result<ResultSet> QueryService::ExecutePreparedInternal(
     const PreparedStatement& ps, const std::vector<Value>& params,
     QueryStats* stats, ExecInfo* info) {
   prepared_executions_.fetch_add(1, std::memory_order_relaxed);
-  SharedAdmission admission(&gate_);
+  const Database::ReadSlot slot = db_->AdmitRead();
   const uint64_t epoch = db_->catalog_version();
   BoundQuery bound;
   if (std::optional<BoundQuery> cached = cache_.Lookup(ps.key, epoch)) {
@@ -155,7 +137,7 @@ Result<ResultSet> QueryService::ExecutePreparedInternal(
   } else {
     // The template was evicted or invalidated by DDL/ANALYZE since Prepare:
     // transparently re-bind from the stored text.
-    Result<BoundQuery> fresh = BindAndCache(ps.sql, ps.key, epoch);
+    Result<BoundQuery> fresh = BindAndCache(slot, ps.sql, ps.key, epoch);
     if (!fresh.ok()) return Record(fresh.status());
     bound = std::move(fresh).value();
     reprepares_.fetch_add(1, std::memory_order_relaxed);
@@ -163,50 +145,7 @@ Result<ResultSet> QueryService::ExecutePreparedInternal(
   }
   Status s = BindParameters(bound.stmt.get(), params);
   if (!s.ok()) return Record(std::move(s));
-  return Record(db_->ExecuteBound(std::move(bound), stats));
-}
-
-Status QueryService::CreateTable(TableSchema schema) {
-  ExclusiveAdmission admission(&gate_);
-  return db_->CreateTable(std::move(schema));
-}
-
-Status QueryService::DropTable(std::string_view name) {
-  ExclusiveAdmission admission(&gate_);
-  return db_->DropTable(name);
-}
-
-Status QueryService::Insert(std::string_view table, Row row) {
-  ExclusiveAdmission admission(&gate_);
-  return db_->Insert(table, std::move(row));
-}
-
-Status QueryService::InsertMany(std::string_view table, std::vector<Row> rows) {
-  ExclusiveAdmission admission(&gate_);
-  return db_->InsertMany(table, std::move(rows));
-}
-
-Status QueryService::CreateIndex(std::string_view table,
-                                 std::string_view column) {
-  ExclusiveAdmission admission(&gate_);
-  return db_->CreateIndex(table, column);
-}
-
-Status QueryService::Analyze(std::string_view table) {
-  ExclusiveAdmission admission(&gate_);
-  return db_->Analyze(table);
-}
-
-Status QueryService::AnalyzeAll() {
-  ExclusiveAdmission admission(&gate_);
-  return db_->AnalyzeAll();
-}
-
-void QueryService::SetThreads(size_t n) {
-  // Exclusive admission has already drained in-flight queries, so the
-  // Database-level wait inside SetThreads returns immediately.
-  ExclusiveAdmission admission(&gate_);
-  db_->SetThreads(n);
+  return Record(db_->ExecuteBound(slot, std::move(bound), stats));
 }
 
 ServiceStats QueryService::stats() const {
@@ -217,7 +156,7 @@ ServiceStats QueryService::stats() const {
   s.reprepares = reprepares_.load(std::memory_order_relaxed);
   s.sessions_created = sessions_created_.load(std::memory_order_relaxed);
   s.plan_cache = cache_.stats();
-  s.admission = gate_.stats();
+  s.admission = db_->admission_stats();
   s.scheduler_backlog = db_->scheduler_backlog();
   return s;
 }

@@ -8,21 +8,11 @@
 #include <string_view>
 #include <vector>
 
-#include "common/admission.h"
 #include "engine/database.h"
 #include "engine/plan_cache.h"
 #include "engine/session.h"
 
 namespace conquer {
-
-struct ServiceOptions {
-  /// Queries admitted concurrently; 0 picks max(2, hardware_concurrency).
-  /// More in-flight queries than this wait in FIFO order.
-  size_t max_concurrent_queries = 0;
-
-  /// Plan-cache capacity in entries (LRU beyond that).
-  size_t plan_cache_capacity = 128;
-};
 
 struct ServiceStats {
   uint64_t queries_executed = 0;    ///< attempts, successful or not
@@ -31,23 +21,17 @@ struct ServiceStats {
   uint64_t reprepares = 0;          ///< stale prepared statements rebound
   uint64_t sessions_created = 0;
   PlanCacheStats plan_cache;
-  AdmissionGate::Stats admission;
+  AdmissionGate::Stats admission;   ///< the Database's gate, all callers
   size_t scheduler_backlog = 0;     ///< morsel tasks queued in the TaskPool
 };
 
 /// \brief Multi-client serving layer over one Database.
 ///
-/// The service is the thread-safe front door: any number of threads may use
-/// it (each through its own Session, or via ExecuteSql directly) while the
-/// underlying Database and its single TaskPool stay shared. Three
-/// mechanisms make that safe and fast:
-///
-///  - Admission control. Queries enter under a shared admission slot (at
-///    most `max_concurrent_queries` at once, FIFO-fair), so N clients
-///    multiplex onto the morsel scheduler instead of oversubscribing it.
-///    DDL, writes and pool resizes enter exclusively: they run alone,
-///    which is what lets the query path read catalog and table data — and
-///    resolve dictionary codes — without per-row locks.
+/// Any number of threads may use the service (each through its own
+/// Session, or via ExecuteSql directly) while the underlying Database and
+/// its single TaskPool stay shared. Admission is the Database's own: every
+/// statement takes its slot exactly once, and DDL, bulk loads and pool
+/// resizes go to the Database directly. The service adds:
 ///
 ///  - Plan caching. Bound statements are cached under their normalized
 ///    text and the catalog epoch they were bound at; a hit skips parse and
@@ -58,7 +42,7 @@ struct ServiceStats {
 ///    is parameter substitution + physical planning + execution.
 class QueryService {
  public:
-  explicit QueryService(Database* db, ServiceOptions options = {});
+  explicit QueryService(Database* db) : db_(db) {}
 
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
@@ -71,26 +55,7 @@ class QueryService {
                                QueryStats* stats = nullptr,
                                ExecInfo* info = nullptr);
 
-  /// \name Write/DDL gateways
-  /// Run under exclusive admission: they wait for in-flight queries to
-  /// drain and keep new ones out while they mutate shared state.
-  /// @{
-  Status CreateTable(TableSchema schema);
-  Status DropTable(std::string_view name);
-  Status Insert(std::string_view table, Row row);
-  Status InsertMany(std::string_view table, std::vector<Row> rows);
-  Status CreateIndex(std::string_view table, std::string_view column);
-  Status Analyze(std::string_view table);
-  Status AnalyzeAll();
-  void SetThreads(size_t n);
-  /// @}
-
   ServiceStats stats() const;
-
-  Database* database() { return db_; }
-  const Database* database() const { return db_; }
-  size_t max_concurrent_queries() const { return gate_.max_shared(); }
-  size_t plan_cache_capacity() const { return cache_.capacity(); }
 
  private:
   friend class Session;
@@ -100,22 +65,25 @@ class QueryService {
                                             std::string_view sql);
 
   /// Clone-from-cache (or transparent re-prepare), parameter substitution,
-  /// execution — all under one shared admission slot.
+  /// execution — all under one read slot.
   Result<ResultSet> ExecutePreparedInternal(const PreparedStatement& ps,
                                             const std::vector<Value>& params,
                                             QueryStats* stats, ExecInfo* info);
 
-  /// Parses and binds `sql` and caches the result under `key`/`epoch`.
-  /// Caller must hold a shared admission slot (it pins the catalog epoch).
-  Result<BoundQuery> BindAndCache(std::string_view sql, const std::string& key,
+  /// Parses and binds `sql` and caches the result under `key`/`epoch`,
+  /// the catalog epoch `slot` pins.
+  Result<BoundQuery> BindAndCache(const Database::ReadSlot& slot,
+                                  std::string_view sql, const std::string& key,
                                   uint64_t epoch);
 
   /// Tallies one query attempt; returns `r` unchanged.
   Result<ResultSet> Record(Result<ResultSet> r);
 
+  /// Plan-cache capacity in entries (LRU beyond that).
+  static constexpr size_t kPlanCacheCapacity = 128;
+
   Database* const db_;
-  AdmissionGate gate_;
-  PlanCache cache_;
+  PlanCache cache_{kPlanCacheCapacity};
   std::atomic<uint64_t> queries_executed_{0};
   std::atomic<uint64_t> query_errors_{0};
   std::atomic<uint64_t> prepared_executions_{0};

@@ -38,9 +38,9 @@ struct ExecInfo {
 /// A session is the unit of client state: it owns the client's prepared
 /// statements and counts its queries. It is intentionally NOT thread-safe —
 /// the concurrency model is one session per client thread, with all
-/// cross-session coordination (admission, plan cache, catalog epochs)
-/// living in the shared QueryService. The service must outlive every
-/// session it created.
+/// cross-session coordination living in the shared QueryService (plan
+/// cache) and its Database (admission, catalog epochs). The service must
+/// outlive every session it created.
 class Session {
  public:
   Session(const Session&) = delete;

@@ -27,10 +27,9 @@ namespace conquer {
 /// Thread-safety: Intern/InternValue/Find/size/MemoryBytes are mutually
 /// thread-safe (one mutex). The per-code accessors (StringAt/HashAt/
 /// ValueAt) are lock-free and must not run concurrently with interning —
-/// they index `hashes_`, which can reallocate on growth. The serving
-/// layer's admission control enforces exactly that split: writes (which
-/// intern) run exclusively, queries (which only Find and decode codes)
-/// share. The query path never interns: a literal that misses the
+/// they index `hashes_`, which can reallocate on growth. The Database's
+/// admission gate enforces exactly that split: writes (which intern) run
+/// exclusively, queries (which only Find and decode codes) share. The query path never interns: a literal that misses the
 /// dictionary proves no stored row can match it.
 class StringDictionary {
  public:

@@ -479,9 +479,9 @@ Status WriteTableSegment(Table* table, const std::string& path) {
   // the replaced inode (otherwise held alive by still-evicted chunks — a
   // full file's worth of dead disk) and any spill extents. Best-effort: if
   // the reopen fails the save already succeeded and the old handles stay
-  // valid. Safe because saves run without concurrent writers (the same
-  // exclusivity the unsynchronized metadata walk above relies on); a
-  // concurrent reader mid-fault is waited out by RebindBacking.
+  // valid. Safe because saves run without concurrent writers (SaveDatabase
+  // holds a read slot, which the unsynchronized metadata walk above relies
+  // on too); a concurrent reader mid-fault is waited out by RebindBacking.
   Result<std::shared_ptr<SegmentFile>> reopened =
       SegmentFile::OpenReadOnly(path);
   if (!reopened.ok()) return Status::OK();

@@ -124,7 +124,8 @@ class SegmentCodec {
 /// successful save the table is checkpointed: every chunk's backing is
 /// re-pointed at its freshly written extent and marked clean, releasing
 /// any spill extents. Requires no concurrent writers (concurrent readers
-/// are fine), the same exclusivity the metadata walk already assumes.
+/// are fine), the same exclusivity the metadata walk already assumes;
+/// SaveDatabase enforces it by holding a Database read slot.
 Status WriteTableSegment(Table* table, const std::string& path);
 
 /// Replaces `table`'s storage with the segment's contents. Dictionaries,

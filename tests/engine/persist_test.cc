@@ -4,14 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/clean_engine.h"
+#include "prob/incremental.h"
 #include "tests/core/paper_fixtures.h"
 
 namespace conquer {
@@ -369,6 +373,103 @@ TEST_F(PersistTest, SaveWithoutDirtySchemaOmitsFile) {
   auto loaded = LoadDatabase(dir_.string(), &dirty);
   ASSERT_TRUE(loaded.ok());
   EXPECT_TRUE(dirty.tables().empty());
+}
+
+/// Every visible row of both Figure-2 tables in a fixed order: the state a
+/// save must capture whole.
+std::vector<Row> VisibleState(Database* db) {
+  std::vector<Row> rows;
+  for (const char* q : {"select * from customer order by id, custid",
+                        "select * from orders order by id, orderid"}) {
+    auto rs = db->Query(q);
+    EXPECT_TRUE(rs.ok()) << rs.status().ToString();
+    if (!rs.ok()) continue;
+    for (Row& row : rs->rows) rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+bool SameRows(const std::vector<Row>& a, const std::vector<Row>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t r = 0; r < a.size(); ++r) {
+    if (a[r].size() != b[r].size()) return false;
+    for (size_t c = 0; c < a[r].size(); ++c) {
+      if (a[r][c].TotalCompare(b[r][c]) != 0) return false;
+    }
+  }
+  return true;
+}
+
+// SaveDatabase holds a read slot for its whole walk, so a write racing it
+// lands wholly before or wholly after the saved snapshot: every reloaded
+// directory equals the state after some prefix of the write stream, and
+// incremental maintenance keeps each of its clusters summing to 1.
+TEST_F(PersistTest, SaveRacingAWriterCapturesOneCommittedState) {
+  std::vector<std::string> writes;
+  for (int k = 0; k < 12; ++k) {
+    writes.push_back("insert into customer values ('c1', 'x" +
+                     std::to_string(k) + "', 'Jon', " +
+                     std::to_string(1000 * k) + ", 0.5)");
+    if (k % 3 == 2) {
+      writes.push_back("delete from customer where custid = 'x" +
+                       std::to_string(k - 1) + "'");
+    }
+    if (k % 4 == 1) {
+      writes.push_back("update orders set quantity = " + std::to_string(k) +
+                       " where id = 'o2'");
+    }
+  }
+
+  // Serial replay: the state after every prefix, the empty one included.
+  std::vector<std::vector<Row>> states;
+  {
+    Database replay;
+    DirtySchema dirty;
+    LoadFigure2(&replay, &dirty);
+    ASSERT_TRUE(InstallIncrementalMaintenance(&replay, &dirty).ok());
+    states.push_back(VisibleState(&replay));
+    for (const std::string& w : writes) {
+      ASSERT_TRUE(replay.ExecuteWrite(w).ok()) << w;
+      states.push_back(VisibleState(&replay));
+    }
+  }
+
+  Database db;
+  DirtySchema dirty;
+  LoadFigure2(&db, &dirty);
+  ASSERT_TRUE(InstallIncrementalMaintenance(&db, &dirty).ok());
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (const std::string& w : writes) {
+      EXPECT_TRUE(db.ExecuteWrite(w).ok()) << w;
+    }
+    done.store(true);
+  });
+  std::vector<std::string> saved;
+  for (int i = 0; i < 4 || !done.load(); ++i) {
+    saved.push_back((dir_ / ("save" + std::to_string(i))).string());
+    EXPECT_TRUE(SaveDatabase(db, saved.back(), &dirty).ok());
+  }
+  writer.join();
+
+  for (const std::string& dir : saved) {
+    auto loaded = LoadDatabase(dir);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    const std::vector<Row> got = VisibleState(loaded->get());
+    EXPECT_TRUE(std::any_of(
+        states.begin(), states.end(),
+        [&](const std::vector<Row>& state) { return SameRows(got, state); }))
+        << dir << " holds no committed state of the write stream";
+    for (const char* table : {"customer", "orders"}) {
+      auto sums = (*loaded)->Query(std::string("select id, sum(prob) from ") +
+                                   table + " group by id");
+      ASSERT_TRUE(sums.ok()) << sums.status().ToString();
+      for (const Row& row : sums->rows) {
+        EXPECT_NEAR(row[1].double_value(), 1.0, 1e-9)
+            << dir << ": " << table << " cluster " << row[0].ToString();
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <string>
@@ -12,7 +13,10 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/str_util.h"
+#include "core/clean_engine.h"
 #include "engine/service.h"
+#include "sql/parser.h"
 #include "types/value.h"
 
 namespace conquer {
@@ -100,9 +104,7 @@ class ServiceStressTest : public ::testing::Test {
 TEST_F(ServiceStressTest, MixedWorkloadMatchesOracleBitIdentically) {
   db_.SetThreads(3);  // shared morsel pool under all clients
   db_.mutable_exec_context()->morsel_size = 128;  // force parallel splits
-  ServiceOptions options;
-  options.max_concurrent_queries = 4;
-  QueryService service(&db_, options);
+  QueryService service(&db_);
 
   const std::vector<ResultSet> oracle = Oracle(&service);
   std::atomic<int> mismatches{0};
@@ -137,7 +139,7 @@ TEST_F(ServiceStressTest, MixedWorkloadMatchesOracleBitIdentically) {
 
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.query_errors, 0u);
-  EXPECT_LE(stats.admission.peak_active, 4u);
+  EXPECT_LE(stats.admission.peak_active, db_.max_concurrent_queries());
   // Every distinct statement missed once (plus possibly a duplicated
   // insert race); everything else must hit.
   EXPECT_GT(stats.plan_cache.hit_rate(), 0.9)
@@ -148,9 +150,7 @@ TEST_F(ServiceStressTest, MixedWorkloadMatchesOracleBitIdentically) {
 
 TEST_F(ServiceStressTest, DdlAndAnalyzeInterleavedWithQueries) {
   db_.SetThreads(2);
-  ServiceOptions options;
-  options.max_concurrent_queries = 4;
-  QueryService service(&db_, options);
+  QueryService service(&db_);
   const std::vector<ResultSet> oracle = Oracle(&service);
 
   std::atomic<bool> stop{false};
@@ -172,9 +172,9 @@ TEST_F(ServiceStressTest, DdlAndAnalyzeInterleavedWithQueries) {
   for (int i = 0; i < 8; ++i) {
     TableSchema scratch("scratch" + std::to_string(i),
                         {{"x", DataType::kInt64}});
-    ASSERT_TRUE(service.CreateTable(scratch).ok());
-    ASSERT_TRUE(service.Analyze("fact").ok());
-    ASSERT_TRUE(service.DropTable(scratch.table_name()).ok());
+    ASSERT_TRUE(db_.CreateTable(scratch).ok());
+    ASSERT_TRUE(db_.Analyze("fact").ok());
+    ASSERT_TRUE(db_.DropTable(scratch.table_name()).ok());
   }
   stop.store(true);
   for (auto& t : clients) t.join();
@@ -185,14 +185,12 @@ TEST_F(ServiceStressTest, DdlAndAnalyzeInterleavedWithQueries) {
 
 // Regression for the SetThreads race: resizing the pool while queries are
 // in flight used to swap the TaskPool out from under their ExecContext.
-// Now the swap defers until in-flight queries drain (and, through the
-// service, runs under exclusive admission).
+// Now the swap takes the exclusive admission slot, so it waits for
+// in-flight queries to drain.
 TEST_F(ServiceStressTest, SetThreadsUnderLoadIsSafe) {
   db_.SetThreads(2);
   db_.mutable_exec_context()->morsel_size = 128;
-  ServiceOptions options;
-  options.max_concurrent_queries = 4;
-  QueryService service(&db_, options);
+  QueryService service(&db_);
   const std::vector<ResultSet> oracle = Oracle(&service);
 
   std::atomic<bool> stop{false};
@@ -210,7 +208,7 @@ TEST_F(ServiceStressTest, SetThreadsUnderLoadIsSafe) {
     });
   }
   for (int round = 0; round < 12; ++round) {
-    service.SetThreads(1 + round % 3);
+    db_.SetThreads(1 + round % 3);
   }
   stop.store(true);
   for (auto& t : clients) t.join();
@@ -260,9 +258,7 @@ TEST_F(ServiceStressTest, WriterUnderQueryLoadMatchesSerializedReplay) {
 
   db_.SetThreads(3);
   db_.mutable_exec_context()->morsel_size = 128;
-  ServiceOptions options;
-  options.max_concurrent_queries = 4;
-  QueryService service(&db_, options);
+  QueryService service(&db_);
 
   std::atomic<bool> done{false};
   std::atomic<int> failures{0};
@@ -314,9 +310,9 @@ TEST_F(ServiceStressTest, WriterUnderQueryLoadMatchesSerializedReplay) {
   db_.SetThreads(1);
 }
 
-// The same race at the Database layer, without the service's exclusive
-// admission in front: concurrent Query + SetThreads on the raw Database
-// must also be safe, because SetThreads waits for the in-flight count.
+// The same race at the Database layer, without a service in front:
+// concurrent Query + SetThreads on the raw Database must also be safe,
+// because the Database admits SetThreads exclusively itself.
 TEST_F(ServiceStressTest, DatabaseSetThreadsConcurrentWithQueries) {
   db_.mutable_exec_context()->morsel_size = 128;
   std::atomic<bool> stop{false};
@@ -337,6 +333,215 @@ TEST_F(ServiceStressTest, DatabaseSetThreadsConcurrentWithQueries) {
   stop.store(true);
   for (auto& t : clients) t.join();
   EXPECT_EQ(bad.load(), 0);
+  db_.SetThreads(1);
+}
+
+// One step of the embedded writer's script.
+struct EmbeddedOp {
+  enum Kind { kWrite, kIndex, kAnalyze, kThreads } kind;
+  std::string text;  ///< write SQL or indexed column
+  size_t threads = 1;
+};
+
+/// A seeded script of single-statement writes (inserts of a `w<i>` stripe,
+/// updates and deletes over it and over the seeded rows) mixed with index
+/// builds, statistics refreshes and pool resizes.
+std::vector<EmbeddedOp> EmbeddedScript() {
+  Rng rng(20061);
+  std::vector<EmbeddedOp> ops;
+  int inserted = 0;
+  for (int i = 0; i < 36; ++i) {
+    // Exact binary fractions, so the SQL literals round-trip bit for bit.
+    const int g = static_cast<int>(rng.Next() % 16);
+    const double val = static_cast<double>(rng.Next() % 128) / 128;
+    const double prob = static_cast<double>(rng.Next() % 8) / 8;
+    const int pick = static_cast<int>(rng.Next() % 32);
+    std::string sql;
+    if (i % 4 < 2) {
+      sql = StringPrintf("insert into fact values (%d, 'w%d', %.7f, %.3f)", g,
+                         inserted++, val, prob);
+    } else if (i % 4 == 2) {
+      sql = StringPrintf("update fact set prob = %.3f where g = %d", prob, g);
+    } else if (i % 8 == 3) {
+      sql = StringPrintf("delete from fact where name = 'w%d'",
+                         pick % inserted);
+    } else {
+      sql = StringPrintf("delete from fact where g = %d and name = 'n%d'", g,
+                         pick);
+    }
+    ops.push_back({EmbeddedOp::kWrite, std::move(sql)});
+    if (i == 8) ops.push_back({EmbeddedOp::kIndex, "name"});
+    if (i == 20) ops.push_back({EmbeddedOp::kIndex, "g"});
+    if (i % 6 == 5) ops.push_back({EmbeddedOp::kAnalyze, ""});
+    if (i % 5 == 2) {
+      ops.push_back(
+          {EmbeddedOp::kThreads, "", static_cast<size_t>(1 + i % 3)});
+    }
+  }
+  return ops;
+}
+
+Status ApplyEmbeddedOp(Database* db, const EmbeddedOp& op) {
+  switch (op.kind) {
+    case EmbeddedOp::kWrite:
+      return db->ExecuteWrite(op.text).status();
+    case EmbeddedOp::kIndex:
+      return db->CreateIndex("fact", op.text);
+    case EmbeddedOp::kAnalyze:
+      return db->Analyze("fact");
+    case EmbeddedOp::kThreads:
+      db->SetThreads(op.threads);
+      return Status::OK();
+  }
+  return Status::Internal("unknown op");
+}
+
+/// Clean answers as a result set (probability last), sorted: the
+/// aggregate's group order is not part of the contract, its sums are.
+ResultSet CleanRows(const CleanAnswerSet& answers) {
+  ResultSet rs;
+  for (const CleanAnswer& a : answers.answers) {
+    Row row = a.row;
+    row.push_back(Value::Double(a.probability));
+    rs.rows.push_back(std::move(row));
+  }
+  std::sort(rs.rows.begin(), rs.rows.end(), [](const Row& x, const Row& y) {
+    for (size_t c = 0; c < x.size(); ++c) {
+      const int cmp = x[c].TotalCompare(y[c]);
+      if (cmp != 0) return cmp < 0;
+    }
+    return false;
+  });
+  return rs;
+}
+
+// The embedded contract, with no service in front: readers call every
+// admitted read entry of a raw Database (Query, Execute, Explain and a
+// CleanAnswerEngine over it) while one thread runs a seeded write script
+// mixed with CreateIndex, Analyze and SetThreads. The Database admits
+// every call itself, so each read must equal, bit for bit and SUM(prob)
+// included, what a serialized replay answers after some prefix of the
+// script, and the prefixes a reader observes never go backwards.
+TEST_F(ServiceStressTest, EmbeddedCallsMatchSerializedReplay) {
+  const std::string grouped =
+      "select g, sum(prob), count(*) from fact group by g order by g";
+  const std::string stripe =
+      "select name, val, prob from fact where val > 0.9 "
+      "order by name, val, prob";
+  const std::string lookup =
+      "select g, count(*) from fact where name = 'n7' group by g";
+  const std::string clean = "select f.g, f.name from fact f where f.val > 0.5";
+  DirtySchema dirty;
+  ASSERT_TRUE(dirty.AddTable({"fact", "g", "prob", {}}).ok());
+  const std::vector<EmbeddedOp> script = EmbeddedScript();
+
+  // What each read kind answers after every prefix of the script.
+  struct State {
+    ResultSet grouped, stripe, clean;
+    std::string plan;
+  };
+  auto observe = [&](Database* db) {
+    State st;
+    auto a = db->Query(grouped);
+    auto b = db->Query(stripe);
+    auto c = CleanAnswerEngine(db, &dirty).Query(clean);
+    auto d = db->Explain(lookup);
+    EXPECT_TRUE(a.ok() && b.ok() && c.ok() && d.ok());
+    if (a.ok()) st.grouped = std::move(a).value();
+    if (b.ok()) st.stripe = std::move(b).value();
+    if (c.ok()) st.clean = CleanRows(*c);
+    if (d.ok()) st.plan = std::move(d).value();
+    return st;
+  };
+  std::vector<State> states;
+  {
+    Database replay;
+    PopulateFact(&replay);
+    replay.mutable_exec_context()->morsel_size = 128;
+    states.push_back(observe(&replay));
+    for (const EmbeddedOp& op : script) {
+      ASSERT_TRUE(ApplyEmbeddedOp(&replay, op).ok()) << op.text;
+      states.push_back(observe(&replay));
+    }
+    replay.SetThreads(1);
+  }
+
+  db_.mutable_exec_context()->morsel_size = 128;
+  const CleanAnswerEngine engine(&db_, &dirty);
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  std::atomic<int> unmatched{0};
+  std::atomic<int> reads{0};
+  std::vector<std::thread> readers;
+  for (int tid = 0; tid < 4; ++tid) {
+    readers.emplace_back([&, tid] {
+      // Earliest script prefix each read kind may still observe.
+      size_t earliest[4] = {0, 0, 0, 0};
+      auto match = [&](int kind, auto&& same) {
+        for (size_t k = earliest[kind]; k < states.size(); ++k) {
+          if (same(states[k])) {
+            earliest[kind] = k;
+            return;
+          }
+        }
+        unmatched.fetch_add(1);
+      };
+      for (int i = tid; !done.load(std::memory_order_relaxed); ++i) {
+        reads.fetch_add(1);
+        switch (i % 4) {
+          case 0: {
+            auto rs = db_.Query(grouped);
+            if (!rs.ok()) break;
+            match(0, [&](const State& st) {
+              return SameResults(*rs, st.grouped);
+            });
+            continue;
+          }
+          case 1: {
+            auto stmt = Parser::Parse(stripe);
+            if (!stmt.ok()) break;
+            auto rs = db_.Execute(std::move(stmt).value());
+            if (!rs.ok()) break;
+            match(1, [&](const State& st) {
+              return SameResults(*rs, st.stripe);
+            });
+            continue;
+          }
+          case 2: {
+            auto answers = engine.Query(clean);
+            if (!answers.ok()) break;
+            const ResultSet rows = CleanRows(*answers);
+            match(2, [&](const State& st) {
+              return SameResults(rows, st.clean);
+            });
+            continue;
+          }
+          default: {
+            auto plan = db_.Explain(lookup);
+            if (!plan.ok()) break;
+            match(3, [&](const State& st) { return *plan == st.plan; });
+            continue;
+          }
+        }
+        failures.fetch_add(1);
+      }
+    });
+  }
+  for (const EmbeddedOp& op : script) {
+    Status s = ApplyEmbeddedOp(&db_, op);
+    EXPECT_TRUE(s.ok()) << op.text << ": " << s.ToString();
+  }
+  done.store(true);
+  for (auto& t : readers) t.join();
+
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(unmatched.load(), 0);
+  EXPECT_GT(reads.load(), 0);
+  const State final_state = observe(&db_);
+  EXPECT_TRUE(SameResults(final_state.grouped, states.back().grouped));
+  EXPECT_TRUE(SameResults(final_state.stripe, states.back().stripe));
+  EXPECT_TRUE(SameResults(final_state.clean, states.back().clean));
+  EXPECT_EQ(final_state.plan, states.back().plan);
   db_.SetThreads(1);
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "engine/plan_cache.h"
+#include "sql/parser.h"
 #include "types/value.h"
 
 namespace conquer {
@@ -69,7 +70,7 @@ TEST_F(ServiceTest, DdlInvalidatesCachedPlans) {
   EXPECT_FALSE(info.cache_hit);
 
   TableSchema u("u", {{"x", DataType::kInt64}});
-  ASSERT_TRUE(service.CreateTable(u).ok());
+  ASSERT_TRUE(db_.CreateTable(u).ok());
 
   info = ExecInfo{};
   ASSERT_TRUE(service.ExecuteSql("select id from t", nullptr, &info).ok());
@@ -85,7 +86,7 @@ TEST_F(ServiceTest, DdlInvalidatesCachedPlans) {
 TEST_F(ServiceTest, AnalyzeInvalidatesCachedPlans) {
   QueryService service(&db_);
   ASSERT_TRUE(service.ExecuteSql("select id from t").ok());
-  ASSERT_TRUE(service.Analyze("t").ok());
+  ASSERT_TRUE(db_.Analyze("t").ok());
   ExecInfo info;
   ASSERT_TRUE(service.ExecuteSql("select id from t", nullptr, &info).ok());
   EXPECT_FALSE(info.cache_hit);
@@ -104,7 +105,7 @@ TEST_F(ServiceTest, CreateIndexInvalidatesCachedPlans) {
           .ok());
   EXPECT_TRUE(info.cache_hit);
 
-  ASSERT_TRUE(service.CreateIndex("t", "id").ok());
+  ASSERT_TRUE(db_.CreateIndex("t", "id").ok());
 
   // A new index changes the chosen access path; serving the stale cached
   // entry would silently keep the pre-index plan.
@@ -227,7 +228,7 @@ TEST_F(ServiceTest, PreparedSurvivesDdlViaReprepare) {
 
   // Invalidate the cached template, then execute again: the session
   // re-binds transparently from the stored text.
-  ASSERT_TRUE(service.Analyze("t").ok());
+  ASSERT_TRUE(db_.Analyze("t").ok());
   ExecInfo info;
   auto rs = session->ExecutePrepared("q", {Value::Int(2)}, nullptr, &info);
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();
@@ -253,6 +254,21 @@ TEST_F(ServiceTest, SessionBookkeeping) {
   ASSERT_TRUE(s1->DeallocatePrepared("q").ok());
   EXPECT_FALSE(s1->DeallocatePrepared("q").ok());
   EXPECT_EQ(service.stats().sessions_created, 2u);
+}
+
+// A read slot admits its own database only: a plan bound here cannot run
+// under a slot taken on some other database's gate.
+TEST_F(ServiceTest, ExecuteBoundRejectsAnotherDatabasesSlot) {
+  auto stmt = Parser::Parse("select id from t");
+  ASSERT_TRUE(stmt.ok());
+  Binder binder(&db_.catalog());
+  auto bound = binder.Bind(std::move(stmt).value());
+  ASSERT_TRUE(bound.ok());
+  Database other;
+  const Database::ReadSlot foreign = other.AdmitRead();
+  auto rs = db_.ExecuteBound(foreign, std::move(bound).value());
+  ASSERT_FALSE(rs.ok());
+  EXPECT_EQ(rs.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(ServiceTest, UnboundParamsRejectedByDatabase) {

@@ -1,7 +1,5 @@
 #include "core/clean_engine.h"
 
-#include <unordered_map>
-
 #include "sql/parser.h"
 
 namespace conquer {
@@ -62,46 +60,37 @@ OfflineCleaningBaseline::BuildCleanedDatabase() const {
     CONQUER_ASSIGN_OR_RETURN(Table * dst, cleaned->GetTable(name));
     // Clean the committed state only: rows a write deleted or superseded
     // are not part of it.
-    const std::vector<size_t> visible =
-        src->VisibleRowPositions(src->committed_version());
+    const uint64_t snapshot = src->committed_version();
     RowCursor cursor(src);
 
     const DirtyTableInfo* info = dirty_->Find(name);
     if (info == nullptr || info->prob_column.empty()) {
-      for (size_t r : visible) {
+      for (size_t r : src->VisibleRowPositions(snapshot)) {
         cursor.Touch(r);
         src->GetRowInto(r, &row);
         dst->InsertUnchecked(row);
       }
       continue;
     }
-    CONQUER_ASSIGN_OR_RETURN(size_t id_col,
-                             src->schema().GetColumnIndex(info->id_column));
     CONQUER_ASSIGN_OR_RETURN(size_t prob_col,
                              src->schema().GetColumnIndex(info->prob_column));
+    CONQUER_ASSIGN_OR_RETURN(VisibleClusters clusters,
+                             CollectVisibleClusters(*src, *info, snapshot));
     // Best row per cluster, first wins on ties.
-    struct Best {
-      size_t pos;
-      double prob;
-    };
-    std::unordered_map<Value, Best, ValueHash> best;
-    std::vector<Value> order;
-    for (size_t r : visible) {
-      cursor.Touch(r);
-      Value id = src->ValueAt(r, id_col);
-      const double prob = src->ValueAt(r, prob_col).AsDouble();
-      auto it = best.find(id);
-      if (it == best.end()) {
-        best.emplace(id, Best{r, prob});
-        order.push_back(std::move(id));
-      } else if (prob > it->second.prob) {
-        it->second = {r, prob};
+    for (const std::vector<size_t>& members : clusters.members) {
+      size_t best = members[0];
+      cursor.Touch(best);
+      double best_prob = src->ValueAt(best, prob_col).AsDouble();
+      for (size_t i = 1; i < members.size(); ++i) {
+        cursor.Touch(members[i]);
+        const double prob = src->ValueAt(members[i], prob_col).AsDouble();
+        if (prob > best_prob) {
+          best = members[i];
+          best_prob = prob;
+        }
       }
-    }
-    for (const Value& id : order) {
-      const size_t r = best.at(id).pos;
-      cursor.Touch(r);
-      src->GetRowInto(r, &row);
+      cursor.Touch(best);
+      src->GetRowInto(best, &row);
       dst->InsertUnchecked(row);
     }
   }

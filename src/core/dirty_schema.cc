@@ -1,6 +1,9 @@
 #include "core/dirty_schema.h"
 
+#include <unordered_map>
+
 #include "common/str_util.h"
+#include "storage/table.h"
 
 namespace conquer {
 
@@ -32,6 +35,26 @@ Result<const DirtyTableInfo*> DirtySchema::Get(
                             "' is not registered in the dirty schema");
   }
   return info;
+}
+
+Result<VisibleClusters> CollectVisibleClusters(const Table& table,
+                                               const DirtyTableInfo& info,
+                                               uint64_t snapshot) {
+  CONQUER_ASSIGN_OR_RETURN(size_t id_col,
+                           table.schema().GetColumnIndex(info.id_column));
+  VisibleClusters out;
+  std::unordered_map<Value, size_t, ValueHash> cluster_of;
+  RowCursor cursor(&table);
+  for (size_t pos = 0; pos < table.num_rows(); ++pos) {
+    if (!table.RowVisibleAt(pos, snapshot)) continue;
+    cursor.Touch(pos);
+    auto [it, inserted] =
+        cluster_of.try_emplace(table.ValueAt(pos, id_col), out.members.size());
+    if (inserted) out.members.emplace_back();
+    out.members[it->second].push_back(pos);
+    ++out.num_rows;
+  }
+  return out;
 }
 
 }  // namespace conquer

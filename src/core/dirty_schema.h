@@ -1,12 +1,15 @@
 #ifndef CONQUER_CORE_DIRTY_SCHEMA_H_
 #define CONQUER_CORE_DIRTY_SCHEMA_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
 
 namespace conquer {
+
+class Table;
 
 /// \brief Dirty-table annotations for one relation (paper Dfn 2).
 ///
@@ -46,6 +49,24 @@ class DirtySchema {
  private:
   std::vector<DirtyTableInfo> tables_;
 };
+
+/// \brief A dirty table's clusters as visible at one snapshot.
+struct VisibleClusters {
+  /// Row positions of each cluster, ascending; clusters come in the order
+  /// of their first visible row.
+  std::vector<std::vector<size_t>> members;
+  /// Visible rows over all clusters (Fig. 5's total weight).
+  size_t num_rows = 0;
+};
+
+/// \brief The one cluster walk of every per-cluster pass: groups the rows
+/// of `table` visible at `snapshot` by `info.id_column` (equal identifier
+/// values form one cluster, Dfn 2). Deleted and superseded row versions are
+/// not part of any cluster. Reads each visible row's identifier once, in
+/// position order, under one RowCursor.
+Result<VisibleClusters> CollectVisibleClusters(const Table& table,
+                                               const DirtyTableInfo& info,
+                                               uint64_t snapshot);
 
 }  // namespace conquer
 

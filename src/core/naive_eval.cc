@@ -53,25 +53,17 @@ std::vector<std::string> DistinctFromTables(const SelectStatement& stmt) {
 }  // namespace
 
 Result<std::vector<NaiveCandidateEvaluator::Cluster>>
-NaiveCandidateEvaluator::CollectClusters(
+NaiveCandidateEvaluator::ClustersOf(
     const std::vector<std::string>& tables) const {
   std::vector<Cluster> clusters;
   for (const std::string& name : tables) {
     CONQUER_ASSIGN_OR_RETURN(Table * table, db_->GetTable(name));
     CONQUER_ASSIGN_OR_RETURN(const DirtyTableInfo* info, dirty_->Get(name));
-    CONQUER_ASSIGN_OR_RETURN(size_t id_col,
-                             table->schema().GetColumnIndex(info->id_column));
-    // Group rows by identifier value, preserving first-seen order.
-    std::unordered_map<Value, size_t, ValueHash> index;  // id -> cluster pos
-    for (size_t r = 0; r < table->num_rows(); ++r) {
-      Value id = table->ValueAt(r, id_col);
-      auto it = index.find(id);
-      if (it == index.end()) {
-        index.emplace(std::move(id), clusters.size());
-        clusters.push_back({name, {r}});
-      } else {
-        clusters[it->second].members.push_back(r);
-      }
+    CONQUER_ASSIGN_OR_RETURN(
+        VisibleClusters visible,
+        CollectVisibleClusters(*table, *info, table->committed_version()));
+    for (std::vector<size_t>& members : visible.members) {
+      clusters.push_back({name, std::move(members)});
     }
   }
   return clusters;
@@ -81,7 +73,7 @@ Result<uint64_t> NaiveCandidateEvaluator::CountCandidates(
     std::string_view sql) const {
   CONQUER_ASSIGN_OR_RETURN(auto stmt, Parser::Parse(sql));
   CONQUER_ASSIGN_OR_RETURN(auto clusters,
-                           CollectClusters(DistinctFromTables(*stmt)));
+                           ClustersOf(DistinctFromTables(*stmt)));
   uint64_t total = 1;
   for (const Cluster& c : clusters) {
     if (total > (1ull << 62) / c.members.size()) {
@@ -94,7 +86,7 @@ Result<uint64_t> NaiveCandidateEvaluator::CountCandidates(
 
 Result<std::vector<double>> NaiveCandidateEvaluator::CandidateProbabilities(
     const std::vector<std::string>& tables, uint64_t max_candidates) const {
-  CONQUER_ASSIGN_OR_RETURN(auto clusters, CollectClusters(tables));
+  CONQUER_ASSIGN_OR_RETURN(auto clusters, ClustersOf(tables));
 
   // Per-cluster member probabilities.
   std::vector<std::vector<double>> probs(clusters.size());
@@ -146,7 +138,7 @@ Result<CleanAnswerSet> NaiveCandidateEvaluator::Evaluate(
   stmt->limit = -1;
 
   std::vector<std::string> table_names = DistinctFromTables(*stmt);
-  CONQUER_ASSIGN_OR_RETURN(auto clusters, CollectClusters(table_names));
+  CONQUER_ASSIGN_OR_RETURN(auto clusters, ClustersOf(table_names));
 
   uint64_t total = 1;
   for (const Cluster& c : clusters) {

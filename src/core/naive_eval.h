@@ -47,8 +47,9 @@ class NaiveCandidateEvaluator {
     std::vector<size_t> members; ///< row positions within the table
   };
 
-  /// Clusters of the given tables, in deterministic (table, first-row) order.
-  Result<std::vector<Cluster>> CollectClusters(
+  /// Clusters of the given tables' committed rows, in deterministic
+  /// (table, first-visible-row) order.
+  Result<std::vector<Cluster>> ClustersOf(
       const std::vector<std::string>& tables) const;
 
   const Database* db_;

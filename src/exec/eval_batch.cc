@@ -70,33 +70,6 @@ Status FilterScalar(const Expr& e, const std::vector<Row>& rows,
   return Status::OK();
 }
 
-/// Equality of a string column against a dictionary-resolved constant.
-/// `target` is the interned storage pointer of the literal, or nullptr when
-/// the literal is absent from the column's dictionary (then no interned row
-/// can match, only plain strings written after the last analyze could).
-void FilterDictEquality(BinaryOp op, int slot, const std::string* target,
-                        const std::string& lit_text,
-                        const std::vector<Row>& rows, SelVector* sel,
-                        uint64_t* dict_hits) {
-  const bool want_equal = op == BinaryOp::kEq;
-  uint64_t hits = 0;
-  size_t out = 0;
-  for (uint32_t i : *sel) {
-    const Value& v = rows[i][slot];
-    if (v.is_null()) continue;
-    bool equal;
-    if (const std::string* p = v.interned_ptr()) {
-      equal = (p == target);
-      ++hits;
-    } else {
-      equal = (v.string_value() == lit_text);
-    }
-    if (equal == want_equal) (*sel)[out++] = i;
-  }
-  sel->resize(out);
-  *dict_hits += hits;
-}
-
 /// Comparison of a column slot against a non-NULL literal.
 void FilterColumnConst(BinaryOp op, int slot, const Value& lit,
                        const std::vector<Row>& rows, SelVector* sel) {
@@ -140,66 +113,6 @@ Status FilterColumnLike(int slot, const std::string& pattern,
   return Status::OK();
 }
 
-/// Dispatches a comparison node to its vectorized shape, or falls back.
-Status FilterComparison(const Expr& e, const std::vector<Row>& rows,
-                        const Table* table, SelVector* sel,
-                        uint64_t* dict_hits) {
-  const Expr& l = *e.left;
-  const Expr& r = *e.right;
-
-  // Normalize to column-on-the-left.
-  const Expr* col = nullptr;
-  const Expr* lit = nullptr;
-  BinaryOp op = e.bop;
-  if (l.kind == Expr::Kind::kColumnRef && r.kind == Expr::Kind::kLiteral) {
-    col = &l;
-    lit = &r;
-  } else if (l.kind == Expr::Kind::kLiteral &&
-             r.kind == Expr::Kind::kColumnRef && e.bop != BinaryOp::kLike) {
-    col = &r;
-    lit = &l;
-    op = FlipComparison(e.bop);
-  } else if (l.kind == Expr::Kind::kColumnRef &&
-             r.kind == Expr::Kind::kColumnRef &&
-             IsOrderedComparison(e.bop)) {
-    FilterColumnColumn(e.bop, l.slot, r.slot, rows, sel);
-    return Status::OK();
-  }
-  if (col == nullptr) return FilterScalar(e, rows, sel);
-
-  if (lit->literal.is_null()) {
-    // A comparison with NULL is never TRUE.
-    sel->clear();
-    return Status::OK();
-  }
-  if (op == BinaryOp::kLike) {
-    if (lit->literal.type() != DataType::kString) {
-      return FilterScalar(e, rows, sel);  // scalar path raises the TypeError
-    }
-    return FilterColumnLike(col->slot, lit->literal.string_value(), rows, sel);
-  }
-  // String (in)equality through the column's dictionary: resolve the
-  // constant to an interned pointer once, compare pointers per row.
-  if ((op == BinaryOp::kEq || op == BinaryOp::kNe) &&
-      lit->literal.type() == DataType::kString && table != nullptr &&
-      col->slot >= 0 &&
-      static_cast<size_t>(col->slot) < table->schema().num_columns()) {
-    if (const StringDictionary* dict = table->dictionary(col->slot)) {
-      const std::string& text = lit->literal.string_value();
-      const uint32_t code = dict->Find(text);
-      const std::string* target =
-          code != StringDictionary::kInvalidCode ? dict->StringAt(code)
-                                                 : nullptr;
-      FilterDictEquality(op, col->slot, target, text, rows, sel, dict_hits);
-      return Status::OK();
-    }
-  }
-  FilterColumnConst(op, col->slot, lit->literal, rows, sel);
-  return Status::OK();
-}
-
-// ---------------------------------------------------------- chunk filtering
-
 /// Normalizes a comparison node to column-on-the-left. Returns false when
 /// the node is not a column-vs-literal comparison (col/lit untouched).
 bool NormalizeColLit(const Expr& e, const Expr** col, const Expr** lit,
@@ -221,6 +134,38 @@ bool NormalizeColLit(const Expr& e, const Expr** col, const Expr** lit,
   }
   return false;
 }
+
+/// Dispatches a comparison node to its vectorized shape, or falls back.
+Status FilterComparison(const Expr& e, const std::vector<Row>& rows,
+                        SelVector* sel) {
+  const Expr* col = nullptr;
+  const Expr* lit = nullptr;
+  BinaryOp op;
+  if (!NormalizeColLit(e, &col, &lit, &op)) {
+    if (e.left->kind == Expr::Kind::kColumnRef &&
+        e.right->kind == Expr::Kind::kColumnRef &&
+        IsOrderedComparison(e.bop)) {
+      FilterColumnColumn(e.bop, e.left->slot, e.right->slot, rows, sel);
+      return Status::OK();
+    }
+    return FilterScalar(e, rows, sel);
+  }
+  if (lit->literal.is_null()) {
+    // A comparison with NULL is never TRUE.
+    sel->clear();
+    return Status::OK();
+  }
+  if (op == BinaryOp::kLike) {
+    if (lit->literal.type() != DataType::kString) {
+      return FilterScalar(e, rows, sel);  // scalar path raises the TypeError
+    }
+    return FilterColumnLike(col->slot, lit->literal.string_value(), rows, sel);
+  }
+  FilterColumnConst(op, col->slot, lit->literal, rows, sel);
+  return Status::OK();
+}
+
+// ---------------------------------------------------------- chunk filtering
 
 /// Scalar fallback over a chunk: materializes each candidate row (table-
 /// local layout, matching the rebased predicate's slots) and evaluates.
@@ -541,8 +486,7 @@ Status FilterChunkSelection(const Expr& e, const Table& table,
 }
 
 Status FilterSelection(const Expr& e, const std::vector<Row>& rows,
-                       const Table* table, SelVector* sel,
-                       uint64_t* dict_hits) {
+                       SelVector* sel) {
   if (sel->empty()) return Status::OK();
   switch (e.kind) {
     case Expr::Kind::kLiteral:
@@ -552,30 +496,27 @@ Status FilterSelection(const Expr& e, const std::vector<Row>& rows,
       if (e.bop == BinaryOp::kAnd) {
         // A row passes a conjunction iff both sides are TRUE: filter the
         // survivors of the left conjunct through the right one.
-        CONQUER_RETURN_NOT_OK(
-            FilterSelection(*e.left, rows, table, sel, dict_hits));
-        return FilterSelection(*e.right, rows, table, sel, dict_hits);
+        CONQUER_RETURN_NOT_OK(FilterSelection(*e.left, rows, sel));
+        return FilterSelection(*e.right, rows, sel);
       }
       if (e.bop == BinaryOp::kOr) {
         // A row passes a disjunction iff either side is TRUE. Evaluate the
         // left side, give only the rejected rows to the right side, then
         // merge the two (disjoint, ordered) position sets.
         SelVector left = *sel;
-        CONQUER_RETURN_NOT_OK(
-            FilterSelection(*e.left, rows, table, &left, dict_hits));
+        CONQUER_RETURN_NOT_OK(FilterSelection(*e.left, rows, &left));
         SelVector right;
         right.reserve(sel->size() - left.size());
         std::set_difference(sel->begin(), sel->end(), left.begin(),
                             left.end(), std::back_inserter(right));
-        CONQUER_RETURN_NOT_OK(
-            FilterSelection(*e.right, rows, table, &right, dict_hits));
+        CONQUER_RETURN_NOT_OK(FilterSelection(*e.right, rows, &right));
         sel->clear();
         std::merge(left.begin(), left.end(), right.begin(), right.end(),
                    std::back_inserter(*sel));
         return Status::OK();
       }
       if (IsOrderedComparison(e.bop) || e.bop == BinaryOp::kLike) {
-        return FilterComparison(e, rows, table, sel, dict_hits);
+        return FilterComparison(e, rows, sel);
       }
       return FilterScalar(e, rows, sel);
     default:

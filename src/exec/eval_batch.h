@@ -22,20 +22,12 @@ namespace conquer {
 ///   - AND: evaluate the left conjunct, then the right over the survivors;
 ///   - OR: evaluate both sides over disjoint position sets and merge;
 ///   - column-vs-literal and column-vs-column comparisons: one tight loop
-///     over the selection, no Value copies and no per-row Result plumbing;
-///   - `string_col = 'literal'` with a table dictionary: the literal is
-///     resolved to its interned pointer once, each row is then a pointer
-///     compare (counted in `*dict_hits`); a dictionary miss proves no
-///     interned row can match.
-/// Anything else falls back to scalar EvalPredicate per row.
-///
-/// `table` supplies per-column dictionaries when `rows` are base-table rows
-/// (column references bound to table-local slots); pass nullptr for wide or
-/// narrow intermediate rows. `dict_hits` (required) accumulates the number
-/// of rows decided by an interned pointer compare.
+///     over the selection, no Value copies and no per-row Result plumbing.
+/// Anything else falls back to scalar EvalPredicate per row. `rows` are
+/// intermediate rows (FilterOp's input); base-table scans filter chunks in
+/// place with FilterChunkSelection instead.
 Status FilterSelection(const Expr& e, const std::vector<Row>& rows,
-                       const Table* table, SelVector* sel,
-                       uint64_t* dict_hits);
+                       SelVector* sel);
 
 /// \brief Chunk-native predicate evaluation over a selection vector.
 ///

@@ -22,8 +22,8 @@ namespace conquer {
 struct OperatorMetrics {
   uint64_t batches = 0;        ///< NextBatch() invocations (incl. the EOS one)
   uint64_t rows_produced = 0;  ///< rows returned from NextBatch()
-  /// Rows decided by an interned-pointer compare against a
-  /// dictionary-resolved string constant (vectorized filter fast path).
+  /// Rows a scan decided by comparing dictionary codes against a string
+  /// constant resolved once (FilterChunkSelection's fast path).
   uint64_t dict_hits = 0;
   /// Chunks a scan skipped wholesale because the zone maps proved no row
   /// could satisfy the pushed-down predicate.

@@ -505,10 +505,8 @@ Result<bool> FilterOp::NextBatchImpl(RowBatch* out) {
     if (!more) return false;
     sel_.resize(child_batch_.rows.size());
     std::iota(sel_.begin(), sel_.end(), 0u);
-    uint64_t hits = 0;
-    CONQUER_RETURN_NOT_OK(FilterSelection(*predicate_, child_batch_.rows,
-                                          /*table=*/nullptr, &sel_, &hits));
-    mutable_metrics().dict_hits += hits;
+    CONQUER_RETURN_NOT_OK(
+        FilterSelection(*predicate_, child_batch_.rows, &sel_));
     for (uint32_t i : sel_) {
       out->rows.push_back(std::move(child_batch_.rows[i]));
     }

@@ -96,8 +96,6 @@ Result<BuiltDb> BuildFuzzDatabase(const FuzzCase& c) {
     out.db = std::move(*reloaded);
     if (c.memory_budget > 0) out.db->SetMemoryBudget(c.memory_budget);
   }
-  // After every AddTable: the hooks hold pointers into the dirty schema's
-  // table vector, which must not reallocate any more.
   CONQUER_RETURN_NOT_OK(
       InstallIncrementalMaintenance(out.db.get(), &out.dirty));
   for (const FuzzOp& op : c.ops) {

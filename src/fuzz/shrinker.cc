@@ -100,7 +100,7 @@ FuzzCase WithoutTable(const FuzzCase& c, size_t table_index) {
 
 /// Rescales the cluster's remaining probabilities so they sum to ~1 again
 /// after a member row was dropped.
-void RenormalizeCluster(FuzzTable* t, const std::string& id_value) {
+void RescaleClusterProbs(FuzzTable* t, const std::string& id_value) {
   auto id_col = t->FindColumn(t->id_column);
   auto prob_col = t->FindColumn(t->prob_column);
   if (!id_col.has_value() || !prob_col.has_value()) return;
@@ -189,7 +189,7 @@ bool ShrinkRows(Shrinker* s, FuzzCase* c) {
           FuzzCase candidate = *c;
           FuzzTable& t = candidate.tables[ti];
           t.rows.erase(t.rows.begin() + static_cast<ptrdiff_t>(r));
-          RenormalizeCluster(&t, id);
+          RescaleClusterProbs(&t, id);
           if (!candidate.ops.empty()) candidate.ops.clear();
           if (s->StillFails(candidate)) {
             *c = std::move(candidate);

@@ -1,14 +1,12 @@
 #include "prob/assigner.h"
 
-#include <cmath>
-#include <unordered_map>
-
-#include "common/str_util.h"
+#include <algorithm>
 
 namespace conquer {
 
 namespace {
 constexpr double kZeroDistanceEpsilon = 1e-12;
+}  // namespace
 
 Result<std::vector<size_t>> ResolveAttributeColumns(
     const Table& table, const DirtyTableInfo& info,
@@ -37,19 +35,6 @@ Result<std::vector<size_t>> ResolveAttributeColumns(
   return cols;
 }
 
-std::vector<uint32_t> TupleValueIndices(const Table& table, size_t row,
-                                        const std::vector<size_t>& attrs,
-                                        ValueSpace* space) {
-  std::vector<uint32_t> out;
-  out.reserve(attrs.size());
-  for (size_t a = 0; a < attrs.size(); ++a) {
-    out.push_back(space->Intern(a, table.ValueAt(row, attrs[a])));
-  }
-  return out;
-}
-
-}  // namespace
-
 Result<Dcf> BuildClusterRepresentative(const Table& table,
                                        const std::vector<size_t>& rows,
                                        const std::vector<size_t>& attr_columns,
@@ -59,87 +44,105 @@ Result<Dcf> BuildClusterRepresentative(const Table& table,
   }
   RowCursor cursor(&table);
   cursor.Touch(rows[0]);
-  Dcf rep = Dcf::ForTuple(TupleValueIndices(table, rows[0], attr_columns,
-                                            space));
+  Dcf rep = TupleDcf(table, rows[0], attr_columns, space);
   for (size_t i = 1; i < rows.size(); ++i) {
     cursor.Touch(rows[i]);
-    rep = Dcf::Merge(rep, Dcf::ForTuple(TupleValueIndices(
-                              table, rows[i], attr_columns, space)));
+    rep = Dcf::Merge(rep, TupleDcf(table, rows[i], attr_columns, space));
   }
   return rep;
 }
 
-Result<std::vector<TupleProbability>> AssignProbabilities(
-    Table* table, const DirtyTableInfo& info, const AssignerOptions& options) {
+void NormalizeCluster(std::vector<TupleProbability>* cluster) {
+  const double n = static_cast<double>(cluster->size());
+  double total = 0.0;
+  for (const TupleProbability& t : *cluster) total += t.distance;
+  const bool uniform = cluster->size() == 1 || total <= kZeroDistanceEpsilon;
+  for (TupleProbability& t : *cluster) {
+    t.similarity = uniform ? 1.0 : 1.0 - t.distance / total;
+    t.probability = uniform ? 1.0 / n : t.similarity / (n - 1.0);
+  }
+}
+
+std::vector<TupleProbability> InformationLossProbabilities(
+    const Table& table, const std::vector<size_t>& members,
+    const std::vector<size_t>& attr_columns, double total_weight,
+    ValueSpace* space) {
+  std::vector<TupleProbability> out(members.size());
+  for (size_t i = 0; i < members.size(); ++i) out[i].row = members[i];
+  if (members.size() > 1) {
+    // Step 1: each member's tuple DCF, merged in member order into the
+    // representative.
+    std::vector<Dcf> tuples;
+    tuples.reserve(members.size());
+    RowCursor cursor(&table);
+    for (size_t r : members) {
+      cursor.Touch(r);
+      tuples.push_back(TupleDcf(table, r, attr_columns, space));
+    }
+    Dcf rep = Dcf::Merge(tuples[0], tuples[1]);
+    for (size_t i = 2; i < tuples.size(); ++i) {
+      rep = Dcf::Merge(rep, tuples[i]);
+    }
+    // Step 2: every member's information-loss distance to it.
+    for (size_t i = 0; i < tuples.size(); ++i) {
+      out[i].distance = InformationLossDistance(tuples[i], rep, total_weight);
+    }
+  }
+  NormalizeCluster(&out);
+  return out;
+}
+
+void ApplyStagedWrites(Table* table, const std::vector<StagedWrite>& writes) {
+  RowCursor cursor(table);
+  for (const StagedWrite& w : writes) {
+    cursor.Touch(w.row);
+    table->SetValue(w.row, w.col, w.value);
+  }
+}
+
+Result<std::vector<TupleProbability>> AssignClusterProbabilities(
+    Table* table, const DirtyTableInfo& info,
+    const ClusterProbabilityFn& per_cluster) {
   if (info.prob_column.empty()) {
     return Status::InvalidArgument(
         "table '" + info.table_name +
         "' has no probability column to assign into");
   }
-  CONQUER_ASSIGN_OR_RETURN(size_t id_col,
-                           table->schema().GetColumnIndex(info.id_column));
   CONQUER_ASSIGN_OR_RETURN(size_t prob_col,
                            table->schema().GetColumnIndex(info.prob_column));
+  CONQUER_ASSIGN_OR_RETURN(
+      VisibleClusters clusters,
+      CollectVisibleClusters(*table, info, table->committed_version()));
+  std::vector<TupleProbability> out;
+  out.reserve(clusters.num_rows);
+  for (const std::vector<size_t>& members : clusters.members) {
+    const std::vector<TupleProbability> cluster =
+        per_cluster(members, clusters.num_rows);
+    out.insert(out.end(), cluster.begin(), cluster.end());
+  }
+  std::sort(out.begin(), out.end(),
+            [](const TupleProbability& a, const TupleProbability& b) {
+              return a.row < b.row;
+            });
+  std::vector<StagedWrite> staged;
+  staged.reserve(out.size());
+  for (const TupleProbability& t : out) {
+    staged.push_back({t.row, prob_col, Value::Double(t.probability)});
+  }
+  ApplyStagedWrites(table, staged);
+  return out;
+}
+
+Result<std::vector<TupleProbability>> AssignProbabilities(
+    Table* table, const DirtyTableInfo& info, const AssignerOptions& options) {
   CONQUER_ASSIGN_OR_RETURN(std::vector<size_t> attrs,
                            ResolveAttributeColumns(*table, info, options));
-
-  // Group rows into clusters by identifier value.
-  std::unordered_map<Value, std::vector<size_t>, ValueHash> clusters;
-  std::vector<Value> order;
-  RowCursor cursor(table);
-  for (size_t r = 0; r < table->num_rows(); ++r) {
-    cursor.Touch(r);
-    Value id = table->ValueAt(r, id_col);
-    auto [it, inserted] = clusters.try_emplace(id);
-    if (inserted) order.push_back(std::move(id));
-    it->second.push_back(r);
-  }
-
-  const double total_weight = static_cast<double>(table->num_rows());
-  std::vector<TupleProbability> out(table->num_rows());
   ValueSpace space;
-
-  for (const Value& id : order) {
-    const std::vector<size_t>& members = clusters.at(id);
-    if (members.size() == 1) {
-      // Step 3, singleton case: certainty.
-      size_t r = members[0];
-      out[r] = {r, 0.0, 1.0, 1.0};
-      cursor.Touch(r);
-      table->SetValue(r, prob_col, Value::Double(1.0));
-      continue;
-    }
-    // Step 1: representative and distance accumulator.
-    CONQUER_ASSIGN_OR_RETURN(
-        Dcf rep, BuildClusterRepresentative(*table, members, attrs, &space));
-    // Step 2: distances to the representative.
-    double s_sum = 0.0;
-    std::vector<double> dist(members.size());
-    for (size_t i = 0; i < members.size(); ++i) {
-      cursor.Touch(members[i]);
-      Dcf tuple = Dcf::ForTuple(
-          TupleValueIndices(*table, members[i], attrs, &space));
-      dist[i] = InformationLossDistance(tuple, rep, total_weight);
-      s_sum += dist[i];
-    }
-    // Step 3: similarities and probabilities.
-    for (size_t i = 0; i < members.size(); ++i) {
-      size_t r = members[i];
-      double prob, sim;
-      if (s_sum <= kZeroDistanceEpsilon) {
-        // All members identical to the representative: uniform.
-        sim = 1.0;
-        prob = 1.0 / static_cast<double>(members.size());
-      } else {
-        sim = 1.0 - dist[i] / s_sum;
-        prob = sim / static_cast<double>(members.size() - 1);
-      }
-      out[r] = {r, dist[i], sim, prob};
-      cursor.Touch(r);
-      table->SetValue(r, prob_col, Value::Double(prob));
-    }
-  }
-  return out;
+  return AssignClusterProbabilities(
+      table, info, [&](const std::vector<size_t>& members, size_t num_rows) {
+        return InformationLossProbabilities(
+            *table, members, attrs, static_cast<double>(num_rows), &space);
+      });
 }
 
 }  // namespace conquer

@@ -35,6 +35,7 @@ SparseDist SparseDist::FromIndices(std::vector<uint32_t> indices) {
   SparseDist out;
   if (indices.empty()) return out;
   double p = 1.0 / static_cast<double>(indices.size());
+  out.entries_.reserve(indices.size());
   for (uint32_t v : indices) out.Add(v, p);
   out.SortAndCombine();
   return out;
@@ -109,6 +110,16 @@ Dcf Dcf::Merge(const Dcf& a, const Dcf& b) {
   out.dist = SparseDist::Mix(a.dist, a.weight / out.weight, b.dist,
                              b.weight / out.weight);
   return out;
+}
+
+Dcf TupleDcf(const Table& table, size_t row,
+             const std::vector<size_t>& attr_columns, ValueSpace* space) {
+  std::vector<uint32_t> indices;
+  indices.reserve(attr_columns.size());
+  for (size_t a = 0; a < attr_columns.size(); ++a) {
+    indices.push_back(space->Intern(a, table.ValueAt(row, attr_columns[a])));
+  }
+  return Dcf::ForTuple(std::move(indices));
 }
 
 double InformationLossDistance(const Dcf& a, const Dcf& b,

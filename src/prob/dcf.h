@@ -84,6 +84,13 @@ struct Dcf {
   static Dcf Merge(const Dcf& a, const Dcf& b);
 };
 
+/// \brief The DCF of one table row over `attr_columns`: weight 1 and
+/// p(v|t) = 1/m for each of its m attribute values (paper Section 4.1.1).
+/// Interns the values into `space` in attribute order. Callers walking many
+/// rows keep the row's chunk pinned with a RowCursor.
+Dcf TupleDcf(const Table& table, size_t row,
+             const std::vector<size_t>& attr_columns, ValueSpace* space);
+
 /// \brief Information-loss distance between two summaries (paper
 /// Section 4.1.3): d(s1, s2) = I(C;V) - I(C';V), where C' merges s1 and s2.
 ///

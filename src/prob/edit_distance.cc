@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
+#include <limits>
 
 namespace conquer {
 
@@ -65,107 +65,40 @@ double MixedEditDistance::Distance(
   return total / static_cast<double>(attribute_columns.size());
 }
 
-namespace {
-
-constexpr double kZeroDistanceEpsilon = 1e-12;
-
-Result<std::vector<size_t>> ResolveAttributeColumns(
-    const Table& table, const DirtyTableInfo& info,
-    const AssignerOptions& options) {
-  std::vector<size_t> cols;
-  if (!options.attribute_columns.empty()) {
-    for (const std::string& name : options.attribute_columns) {
-      CONQUER_ASSIGN_OR_RETURN(size_t idx,
-                               table.schema().GetColumnIndex(name));
-      cols.push_back(idx);
-    }
-    return cols;
-  }
-  CONQUER_ASSIGN_OR_RETURN(size_t id_col,
-                           table.schema().GetColumnIndex(info.id_column));
-  int prob_col = -1;
-  if (!info.prob_column.empty()) {
-    CONQUER_ASSIGN_OR_RETURN(size_t idx,
-                             table.schema().GetColumnIndex(info.prob_column));
-    prob_col = static_cast<int>(idx);
-  }
-  for (size_t c = 0; c < table.schema().num_columns(); ++c) {
-    if (c == id_col || static_cast<int>(c) == prob_col) continue;
-    cols.push_back(c);
-  }
-  return cols;
-}
-
-}  // namespace
-
 Result<std::vector<TupleProbability>> AssignProbabilitiesWithDistance(
     Table* table, const DirtyTableInfo& info,
     const TupleDistanceMeasure& measure, const AssignerOptions& options) {
-  if (info.prob_column.empty()) {
-    return Status::InvalidArgument(
-        "table '" + info.table_name +
-        "' has no probability column to assign into");
-  }
-  CONQUER_ASSIGN_OR_RETURN(size_t id_col,
-                           table->schema().GetColumnIndex(info.id_column));
-  CONQUER_ASSIGN_OR_RETURN(size_t prob_col,
-                           table->schema().GetColumnIndex(info.prob_column));
   CONQUER_ASSIGN_OR_RETURN(std::vector<size_t> attrs,
                            ResolveAttributeColumns(*table, info, options));
-
-  std::unordered_map<Value, std::vector<size_t>, ValueHash> clusters;
-  std::vector<Value> order;
-  for (size_t r = 0; r < table->num_rows(); ++r) {
-    Value id = table->ValueAt(r, id_col);
-    auto [it, inserted] = clusters.try_emplace(id);
-    if (inserted) order.push_back(std::move(id));
-    it->second.push_back(r);
-  }
-
-  std::vector<TupleProbability> out(table->num_rows());
-  for (const Value& id : order) {
-    const std::vector<size_t>& members = clusters.at(id);
-    size_t n = members.size();
-    if (n == 1) {
-      out[members[0]] = {members[0], 0.0, 1.0, 1.0};
-      table->SetValue(members[0], prob_col, Value::Double(1.0));
-      continue;
-    }
-    // Pairwise distances; representative = medoid.
-    std::vector<std::vector<double>> d(n, std::vector<double>(n, 0.0));
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = i + 1; j < n; ++j) {
-        d[i][j] = d[j][i] =
-            measure.Distance(*table, members[i], members[j], attrs);
-      }
-    }
-    size_t medoid = 0;
-    double best_total = std::numeric_limits<double>::infinity();
-    for (size_t i = 0; i < n; ++i) {
-      double total = 0.0;
-      for (size_t j = 0; j < n; ++j) total += d[i][j];
-      if (total < best_total) {
-        best_total = total;
-        medoid = i;
-      }
-    }
-    double s_sum = 0.0;
-    for (size_t i = 0; i < n; ++i) s_sum += d[i][medoid];
-    for (size_t i = 0; i < n; ++i) {
-      size_t r = members[i];
-      double sim, prob;
-      if (s_sum <= kZeroDistanceEpsilon) {
-        sim = 1.0;
-        prob = 1.0 / static_cast<double>(n);
-      } else {
-        sim = 1.0 - d[i][medoid] / s_sum;
-        prob = sim / static_cast<double>(n - 1);
-      }
-      out[r] = {r, d[i][medoid], sim, prob};
-      table->SetValue(r, prob_col, Value::Double(prob));
-    }
-  }
-  return out;
+  return AssignClusterProbabilities(
+      table, info, [&](const std::vector<size_t>& members, size_t) {
+        const size_t n = members.size();
+        // Pairwise distances; representative = medoid.
+        std::vector<std::vector<double>> d(n, std::vector<double>(n, 0.0));
+        for (size_t i = 0; i < n; ++i) {
+          for (size_t j = i + 1; j < n; ++j) {
+            d[i][j] = d[j][i] =
+                measure.Distance(*table, members[i], members[j], attrs);
+          }
+        }
+        size_t medoid = 0;
+        double best_total = std::numeric_limits<double>::infinity();
+        for (size_t i = 0; i < n; ++i) {
+          double total = 0.0;
+          for (size_t j = 0; j < n; ++j) total += d[i][j];
+          if (total < best_total) {
+            best_total = total;
+            medoid = i;
+          }
+        }
+        std::vector<TupleProbability> out(n);
+        for (size_t i = 0; i < n; ++i) {
+          out[i].row = members[i];
+          out[i].distance = d[i][medoid];
+        }
+        NormalizeCluster(&out);
+        return out;
+      });
 }
 
 }  // namespace conquer

@@ -50,7 +50,8 @@ class MixedEditDistance : public TupleDistanceMeasure {
 /// d_t is its distance to the medoid, and steps 2-3 proceed exactly as in
 /// the paper (similarity s_t = 1 - d_t/S, probability s_t/(|c|-1),
 /// singletons get 1, all-identical clusters go uniform). O(|c|^2) distance
-/// evaluations per cluster.
+/// evaluations per cluster. Like AssignProbabilities it reads the rows
+/// visible at the table's committed version.
 Result<std::vector<TupleProbability>> AssignProbabilitiesWithDistance(
     Table* table, const DirtyTableInfo& info,
     const TupleDistanceMeasure& measure, const AssignerOptions& options = {});

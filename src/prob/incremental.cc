@@ -13,87 +13,10 @@ namespace conquer {
 
 namespace {
 
-constexpr double kZeroDistanceEpsilon = 1e-12;
-
 IncrementalFault g_fault = IncrementalFault::kNone;
-
-/// Attribute columns of the dirty relation: everything except the
-/// identifier and probability columns (mirrors the batch assigner).
-Result<std::vector<size_t>> AttributeColumns(const Table& table,
-                                             const DirtyTableInfo& info) {
-  CONQUER_ASSIGN_OR_RETURN(size_t id_col,
-                           table.schema().GetColumnIndex(info.id_column));
-  CONQUER_ASSIGN_OR_RETURN(size_t prob_col,
-                           table.schema().GetColumnIndex(info.prob_column));
-  std::vector<size_t> cols;
-  for (size_t c = 0; c < table.schema().num_columns(); ++c) {
-    if (c != id_col && c != prob_col) cols.push_back(c);
-  }
-  return cols;
-}
-
-std::vector<uint32_t> TupleValueIndices(const Table& table, size_t row,
-                                        const std::vector<size_t>& attrs,
-                                        ValueSpace* space) {
-  std::vector<uint32_t> out;
-  out.reserve(attrs.size());
-  for (size_t a = 0; a < attrs.size(); ++a) {
-    out.push_back(space->Intern(a, table.ValueAt(row, attrs[a])));
-  }
-  return out;
-}
-
-/// One deferred Table::SetValue. Maintenance computes into a staging list
-/// and the caller applies it only after every touched cluster succeeded, so
-/// a failure midway leaves the committed probabilities and identifiers
-/// untouched (matching the write path's abort contract). Staging is sound
-/// because maintenance only ever writes the id and probability columns and
-/// only ever reads the attribute columns.
-struct StagedWrite {
-  size_t row;
-  size_t col;
-  Value value;
-};
 
 using ClusterMembers =
     std::unordered_map<Value, std::vector<size_t>, ValueHash>;
-
-/// Computes one cluster's renormalized probabilities over its visible
-/// member rows into `staged`, exactly as the batch assigner's steps 1-3 but
-/// with the total weight taken from the visible row count.
-Status RenormalizeCluster(const Table& table,
-                          const std::vector<size_t>& members,
-                          const std::vector<size_t>& attrs, size_t prob_col,
-                          double total_weight, ValueSpace* space,
-                          std::vector<StagedWrite>* staged) {
-  if (members.empty()) return Status::OK();  // cluster fully deleted
-  if (members.size() == 1) {
-    staged->push_back({members[0], prob_col, Value::Double(1.0)});
-    return Status::OK();
-  }
-  CONQUER_ASSIGN_OR_RETURN(
-      Dcf rep, BuildClusterRepresentative(table, members, attrs, space));
-  double s_sum = 0.0;
-  std::vector<double> dist(members.size());
-  RowCursor cursor(&table);
-  for (size_t i = 0; i < members.size(); ++i) {
-    cursor.Touch(members[i]);
-    Dcf tuple =
-        Dcf::ForTuple(TupleValueIndices(table, members[i], attrs, space));
-    dist[i] = InformationLossDistance(tuple, rep, total_weight);
-    s_sum += dist[i];
-  }
-  for (size_t i = 0; i < members.size(); ++i) {
-    double prob;
-    if (s_sum <= kZeroDistanceEpsilon) {
-      prob = 1.0 / static_cast<double>(members.size());
-    } else {
-      prob = (1.0 - dist[i] / s_sum) / static_cast<double>(members.size() - 1);
-    }
-    staged->push_back({members[i], prob_col, Value::Double(prob)});
-  }
-  return Status::OK();
-}
 
 /// Fresh cluster identifier for an unmatched NULL-id insert: "m<N>" for
 /// string identifiers, max+1 for integer ones. Identifiers are user data,
@@ -142,7 +65,7 @@ Result<size_t> ReassignClusters(Table* table, const DirtyTableInfo& info,
   CONQUER_ASSIGN_OR_RETURN(size_t prob_col,
                            table->schema().GetColumnIndex(info.prob_column));
   CONQUER_ASSIGN_OR_RETURN(std::vector<size_t> attrs,
-                           AttributeColumns(*table, info));
+                           ResolveAttributeColumns(*table, info));
 
   const std::vector<size_t> visible = table->VisibleRowPositions(snapshot);
   const double total_weight = static_cast<double>(visible.size());
@@ -188,7 +111,7 @@ Result<size_t> ReassignClusters(Table* table, const DirtyTableInfo& info,
     size_t fresh_counter = 0;
     for (size_t pos : null_rows) {
       cursor.Touch(pos);
-      Dcf tuple = Dcf::ForTuple(TupleValueIndices(*table, pos, attrs, &space));
+      Dcf tuple = TupleDcf(*table, pos, attrs, &space);
       const Value* best_id = nullptr;
       double best_dist = options.merge_threshold;
       for (const auto& [id, rows] : members) {
@@ -221,15 +144,13 @@ Result<size_t> ReassignClusters(Table* table, const DirtyTableInfo& info,
   for (size_t i = first; i < touched.size(); ++i) {
     auto it = members.find(touched[i]);
     if (it == members.end()) continue;  // cluster fully deleted
-    CONQUER_RETURN_NOT_OK(RenormalizeCluster(*table, it->second, attrs,
-                                             prob_col, total_weight, &space,
-                                             &staged));
+    for (const TupleProbability& t : InformationLossProbabilities(
+             *table, it->second, attrs, total_weight, &space)) {
+      staged.push_back({t.row, prob_col, Value::Double(t.probability)});
+    }
     ++renormalized;
   }
-  for (const StagedWrite& w : staged) {
-    cursor.Touch(w.row);
-    table->SetValue(w.row, w.col, w.value);
-  }
+  ApplyStagedWrites(table, staged);
   return renormalized;
 }
 
@@ -239,9 +160,9 @@ Status InstallIncrementalMaintenance(Database* db, const DirtySchema* dirty,
     if (info.prob_column.empty()) continue;  // clean relation
     WriteMaintenanceHook hook;
     hook.id_column = info.id_column;
-    hook.after_write = [&info, options](Table* table,
-                                        const std::vector<Value>& touched,
-                                        uint64_t version) -> Status {
+    hook.after_write = [info, options](Table* table,
+                                       const std::vector<Value>& touched,
+                                       uint64_t version) -> Status {
       return ReassignClusters(table, info, touched, version, options)
           .status();
     };

@@ -36,23 +36,26 @@ struct IncrementalOptions {
   double merge_threshold = 0.35;
 };
 
-/// \brief Incremental Figure-5 maintenance after a write (the tentpole's
-/// "re-match only the touched clusters").
+/// \brief Incremental Figure-5 maintenance after a write: re-derives only
+/// the touched clusters.
 ///
 /// `touched_ids` are the cluster-identifier values of every row version a
-/// write statement touched (from WriteResult::touched_ids). For each
-/// distinct touched cluster, rebuilds its DCF representative over the rows
-/// visible at `snapshot`, recomputes information-loss distances with
-/// total weight = the table's visible row count, and renormalizes the
-/// member probabilities in place (singleton -> 1.0; all-identical ->
-/// uniform; fully deleted cluster -> nothing to do).
+/// write statement touched (from WriteResult::touched_ids). Each distinct
+/// touched cluster is recomputed over its rows visible at `snapshot` by the
+/// same per-cluster computation the batch AssignProbabilities runs
+/// (InformationLossProbabilities, total weight = the table's visible row
+/// count): singleton -> 1.0, all-identical -> uniform, fully deleted
+/// cluster -> nothing to do. Run over every visible identifier in
+/// first-visible order at the committed version, it leaves the same
+/// probability bits as AssignProbabilities.
 ///
 /// Rows visible at `snapshot` whose identifier is NULL (freshly inserted
 /// without a cluster assignment) are first matched against every existing
 /// cluster representative; within `options.merge_threshold` they join the
 /// nearest cluster, otherwise they found a new singleton cluster with a
 /// fresh identifier. Either way the identifier cell is filled in and the
-/// affected cluster is renormalized.
+/// affected cluster is renormalized. All identifier and probability writes
+/// are staged and applied once every cluster is done.
 ///
 /// Returns the number of clusters renormalized.
 Result<size_t> ReassignClusters(Table* table, const DirtyTableInfo& info,
@@ -62,8 +65,8 @@ Result<size_t> ReassignClusters(Table* table, const DirtyTableInfo& info,
 
 /// Registers a write-maintenance hook on every dirty table of `dirty` that
 /// has a probability column, so INSERT/UPDATE/DELETE through
-/// Database::ExecuteWrite keep cluster probabilities normalized. `dirty`
-/// must outlive `db`'s use of the hooks.
+/// Database::ExecuteWrite keep cluster probabilities normalized. Each hook
+/// keeps its own copy of its table's annotations.
 Status InstallIncrementalMaintenance(Database* db, const DirtySchema* dirty,
                                      const IncrementalOptions& options = {});
 

@@ -50,12 +50,7 @@ Result<MatchResult> MatchTuples(const Table& table,
   RowCursor cursor(&table);
   for (size_t r = 0; r < table.num_rows(); ++r) {
     cursor.Touch(r);
-    std::vector<uint32_t> values;
-    values.reserve(cols.size());
-    for (size_t a = 0; a < cols.size(); ++a) {
-      values.push_back(space.Intern(a, table.ValueAt(r, cols[a])));
-    }
-    Dcf tuple = Dcf::ForTuple(std::move(values));
+    Dcf tuple = TupleDcf(table, r, cols, &space);
 
     // Nearest representative by (pure) Jensen-Shannon divergence: pass the
     // summed weight as the ensemble size so the n/N prefactor is 1.

@@ -24,18 +24,24 @@ Result<PropagationStats> PropagateIdentifiers(
     CONQUER_ASSIGN_OR_RETURN(size_t ref_id_col,
                              ref->schema().GetColumnIndex(ref_info->id_column));
 
-    // Record key -> cluster identifier of the referenced table.
+    // Record key -> cluster identifier over the referenced table's
+    // committed rows: a deleted record no longer resolves, and an updated
+    // one resolves to its current identifier.
     std::unordered_map<Value, Value, ValueHash> crossref;
     crossref.reserve(ref->num_rows());
+    const uint64_t ref_snapshot = ref->committed_version();
     RowCursor ref_cursor(ref);
     for (size_t r = 0; r < ref->num_rows(); ++r) {
+      if (!ref->RowVisibleAt(r, ref_snapshot)) continue;
       ref_cursor.Touch(r);
       crossref.emplace(ref->ValueAt(r, ref_key_col),
                        ref->ValueAt(r, ref_id_col));
     }
 
+    const uint64_t snapshot = table->committed_version();
     RowCursor cursor(table);
     for (size_t r = 0; r < table->num_rows(); ++r) {
+      if (!table->RowVisibleAt(r, snapshot)) continue;
       cursor.Touch(r);
       auto it = crossref.find(table->ValueAt(r, fk_col));
       if (it == crossref.end()) {

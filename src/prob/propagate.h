@@ -35,10 +35,12 @@ struct PropagationStats {
 /// \brief Executes identifier propagation over the database in place.
 ///
 /// The referenced cluster identifier is read from the referenced table's
-/// DirtyTableInfo::id_column. Dangling references are written as NULL and
-/// counted. The pass is a per-spec hash build over the referenced table
-/// followed by a linear scan — its cost is linear in table sizes and, as
-/// the paper observes, independent of the cluster cardinalities.
+/// DirtyTableInfo::id_column. Both sides are read at their committed
+/// version: only visible rows resolve and only visible rows are written.
+/// Dangling references are written as NULL and counted. The pass is a
+/// per-spec hash build over the referenced table followed by a linear
+/// scan — its cost is linear in table sizes and, as the paper observes,
+/// independent of the cluster cardinalities.
 Result<PropagationStats> PropagateIdentifiers(
     Database* db, const DirtySchema& dirty,
     const std::vector<PropagationSpec>& specs);

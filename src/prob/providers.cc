@@ -2,50 +2,24 @@
 
 #include <vector>
 
+#include "prob/assigner.h"
+
 namespace conquer {
 
-namespace {
-
-/// Groups row positions by identifier value, preserving first-seen order.
-Result<std::vector<std::vector<size_t>>> CollectClusters(
-    const Table& table, const DirtyTableInfo& info) {
-  CONQUER_ASSIGN_OR_RETURN(size_t id_col,
-                           table.schema().GetColumnIndex(info.id_column));
-  std::unordered_map<Value, size_t, ValueHash> index;
-  std::vector<std::vector<size_t>> clusters;
-  RowCursor cursor(&table);
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    cursor.Touch(r);
-    Value id = table.ValueAt(r, id_col);
-    auto [it, inserted] = index.try_emplace(std::move(id), clusters.size());
-    if (inserted) clusters.emplace_back();
-    clusters[it->second].push_back(r);
-  }
-  return clusters;
-}
-
-Result<size_t> ProbColumn(const Table& table, const DirtyTableInfo& info) {
-  if (info.prob_column.empty()) {
-    return Status::InvalidArgument("table '" + info.table_name +
-                                   "' has no probability column");
-  }
-  return table.schema().GetColumnIndex(info.prob_column);
-}
-
-}  // namespace
-
 Status AssignUniformProbabilities(Table* table, const DirtyTableInfo& info) {
-  CONQUER_ASSIGN_OR_RETURN(size_t prob_col, ProbColumn(*table, info));
-  CONQUER_ASSIGN_OR_RETURN(auto clusters, CollectClusters(*table, info));
-  RowCursor cursor(table);
-  for (const auto& members : clusters) {
-    double p = 1.0 / static_cast<double>(members.size());
-    for (size_t r : members) {
-      cursor.Touch(r);
-      table->SetValue(r, prob_col, Value::Double(p));
-    }
-  }
-  return Status::OK();
+  // Every member at distance 0 from its representative: Fig. 5 step 3 then
+  // gives each one 1/|cluster|.
+  return AssignClusterProbabilities(
+             table, info,
+             [](const std::vector<size_t>& members, size_t) {
+               std::vector<TupleProbability> out(members.size());
+               for (size_t i = 0; i < members.size(); ++i) {
+                 out[i].row = members[i];
+               }
+               NormalizeCluster(&out);
+               return out;
+             })
+      .status();
 }
 
 Status AssignSourceReliabilityProbabilities(
@@ -61,11 +35,8 @@ Status AssignSourceReliabilityProbabilities(
                                      source + "'");
     }
   }
-  CONQUER_ASSIGN_OR_RETURN(size_t prob_col, ProbColumn(*table, info));
   CONQUER_ASSIGN_OR_RETURN(size_t source_col,
                            table->schema().GetColumnIndex(source_column));
-  CONQUER_ASSIGN_OR_RETURN(auto clusters, CollectClusters(*table, info));
-
   RowCursor cursor(table);
   auto weight_of = [&](size_t row) {
     cursor.Touch(row);
@@ -74,18 +45,25 @@ Status AssignSourceReliabilityProbabilities(
     auto it = reliability.find(v.ToString());
     return it == reliability.end() ? default_reliability : it->second;
   };
-
-  for (const auto& members : clusters) {
-    double total = 0.0;
-    for (size_t r : members) total += weight_of(r);
-    for (size_t r : members) {
-      double p = total > 0.0 ? weight_of(r) / total
-                             : 1.0 / static_cast<double>(members.size());
-      cursor.Touch(r);
-      table->SetValue(r, prob_col, Value::Double(p));
-    }
-  }
-  return Status::OK();
+  return AssignClusterProbabilities(
+             table, info,
+             [&](const std::vector<size_t>& members, size_t) {
+               std::vector<double> weight(members.size());
+               double total = 0.0;
+               for (size_t i = 0; i < members.size(); ++i) {
+                 weight[i] = weight_of(members[i]);
+                 total += weight[i];
+               }
+               std::vector<TupleProbability> out(members.size());
+               for (size_t i = 0; i < members.size(); ++i) {
+                 out[i].row = members[i];
+                 out[i].probability =
+                     total > 0.0 ? weight[i] / total
+                                 : 1.0 / static_cast<double>(members.size());
+               }
+               return out;
+             })
+      .status();
 }
 
 }  // namespace conquer

@@ -17,7 +17,8 @@ namespace conquer {
 /// (prob/assigner.h), the paper names two other sources, implemented here:
 /// uniform probabilities "in the absence of provenance information", and
 /// source-reliability probabilities ("the more reliable the source, the
-/// higher its probability", distributed to tuples via provenance).
+/// higher its probability", distributed to tuples via provenance). Both
+/// read the rows visible at the table's committed version.
 /// \{
 
 /// Assigns 1/|cluster| to every tuple of every cluster.

@@ -58,6 +58,33 @@ TEST_F(NaiveEvalTest, ZeroProbabilityTuplesContributeNothing) {
               0.0, 1e-12);
 }
 
+TEST_F(NaiveEvalTest, CandidatesComeFromCommittedRows) {
+  Database db;
+  DirtySchema dirty;
+  ASSERT_TRUE(db.CreateTable(TableSchema("t", {{"id", DataType::kString},
+                                               {"x", DataType::kInt64},
+                                               {"prob", DataType::kDouble}}))
+                  .ok());
+  for (int x = 1; x <= 2; ++x) {
+    ASSERT_TRUE(db.Insert("t", {Value::String("a"), Value::Int(x),
+                                Value::Double(0.5)})
+                    .ok());
+  }
+  ASSERT_TRUE(dirty.AddTable({"t", "id", "prob", {}}).ok());
+  // The deleted version is part of no candidate database; the updated one
+  // is replaced by its new image.
+  ASSERT_TRUE(db.ExecuteWrite("delete from t where x = 2").ok());
+  ASSERT_TRUE(db.ExecuteWrite("update t set prob = 1.0 where x = 1").ok());
+  NaiveCandidateEvaluator naive(&db, &dirty);
+  auto count = naive.CountCandidates("select id, x from t");
+  ASSERT_TRUE(count.ok());
+  EXPECT_EQ(*count, 1u);
+  auto answers = naive.Evaluate("select id, x from t");
+  ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+  ASSERT_EQ(answers->answers.size(), 1u);
+  EXPECT_EQ(answers->ProbabilityOf({Value::String("a"), Value::Int(1)}), 1.0);
+}
+
 TEST_F(NaiveEvalTest, OrderByAndLimitAreIgnoredForSemantics) {
   NaiveCandidateEvaluator naive(&db_, &dirty_);
   auto plain = naive.Evaluate("select id from customer c");

@@ -137,8 +137,7 @@ TEST(FilterSelectionTest, AllTrueKeepsEveryPosition) {
   SelVector sel = FullSelection(rows.size());
   ExprPtr pred = Expr::MakeBinary(BinaryOp::kGe, ColRef(0),
                                   Expr::MakeLiteral(Value::Int(0)));
-  uint64_t dict_hits = 0;
-  ASSERT_TRUE(FilterSelection(*pred, rows, nullptr, &sel, &dict_hits).ok());
+  ASSERT_TRUE(FilterSelection(*pred, rows, &sel).ok());
   ASSERT_EQ(sel.size(), rows.size());
   for (size_t i = 0; i < sel.size(); ++i) {
     EXPECT_EQ(sel[i], static_cast<uint32_t>(i));  // order preserved
@@ -150,8 +149,7 @@ TEST(FilterSelectionTest, AllFalseEmptiesTheSelection) {
   SelVector sel = FullSelection(rows.size());
   ExprPtr pred = Expr::MakeBinary(BinaryOp::kLt, ColRef(0),
                                   Expr::MakeLiteral(Value::Int(0)));
-  uint64_t dict_hits = 0;
-  ASSERT_TRUE(FilterSelection(*pred, rows, nullptr, &sel, &dict_hits).ok());
+  ASSERT_TRUE(FilterSelection(*pred, rows, &sel).ok());
   EXPECT_TRUE(sel.empty());
 }
 
@@ -160,8 +158,7 @@ TEST(FilterSelectionTest, EmptySelectionStaysEmpty) {
   SelVector sel;  // nothing selected to begin with
   ExprPtr pred = Expr::MakeBinary(BinaryOp::kGe, ColRef(0),
                                   Expr::MakeLiteral(Value::Int(0)));
-  uint64_t dict_hits = 0;
-  ASSERT_TRUE(FilterSelection(*pred, rows, nullptr, &sel, &dict_hits).ok());
+  ASSERT_TRUE(FilterSelection(*pred, rows, &sel).ok());
   EXPECT_TRUE(sel.empty());
 }
 
@@ -173,8 +170,7 @@ TEST(FilterSelectionTest, NullComparisonsDropRows) {
   SelVector sel = FullSelection(rows.size());
   ExprPtr pred = Expr::MakeBinary(BinaryOp::kGe, ColRef(0),
                                   Expr::MakeLiteral(Value::Int(0)));
-  uint64_t dict_hits = 0;
-  ASSERT_TRUE(FilterSelection(*pred, rows, nullptr, &sel, &dict_hits).ok());
+  ASSERT_TRUE(FilterSelection(*pred, rows, &sel).ok());
   ASSERT_EQ(sel.size(), 2u);
   EXPECT_EQ(sel[0], 0u);
   EXPECT_EQ(sel[1], 2u);

@@ -3,17 +3,21 @@
 // cluster's probabilities sum to 1 (within 1e-12) and clusters a write did
 // not touch keep bit-identical probabilities. The direct ReassignClusters
 // tests cover NULL-identifier matching, fully-deleted clusters, and the
-// injected off-by-one fault the fuzzer's self-test relies on.
+// injected off-by-one fault the fuzzer's self-test relies on; the last
+// section pins that batch and incremental assignment are one computation.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <map>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "common/rng.h"
 #include "engine/database.h"
+#include "gen/tpch_dirty.h"
+#include "prob/assigner.h"
 #include "prob/incremental.h"
 #include "storage/table.h"
 #include "types/value.h"
@@ -92,7 +96,7 @@ class IncrementalWriteTest : public ::testing::TestWithParam<uint64_t> {
   }
 
   Database db_;
-  DirtySchema dirty_;  // must outlive the hooks installed on db_
+  DirtySchema dirty_;
 };
 
 TEST_P(IncrementalWriteTest, WriteSequencesKeepEveryClusterNormalized) {
@@ -174,11 +178,45 @@ TEST_F(IncrementalWriteTest, InsertIntoClusterRedistributesItsMass) {
   EXPECT_NEAR(sum, 1.0, 1e-12);
 }
 
+TEST(InstallIncrementalMaintenanceTest, HooksSurviveDirtySchemaChanges) {
+  Database db;
+  auto dirty = std::make_unique<DirtySchema>();
+  ASSERT_TRUE(db.CreateTable(TableSchema("people",
+                                         {{"id", DataType::kString},
+                                          {"name", DataType::kString},
+                                          {"prob", DataType::kDouble}}))
+                  .ok());
+  ASSERT_TRUE(dirty->AddTable({"people", "id", "prob", {}}).ok());
+  ASSERT_TRUE(InstallIncrementalMaintenance(&db, dirty.get()).ok());
+  // Registering more tables reallocates the schema's table vector, and the
+  // schema may go away entirely: the installed hooks must not care.
+  for (int i = 0; i < 16; ++i) {
+    ASSERT_TRUE(
+        dirty->AddTable({"other" + std::to_string(i), "id", "prob", {}}).ok());
+  }
+  dirty.reset();
+
+  ASSERT_TRUE(db.InsertMany("people", {{Value::String("c0"),
+                                        Value::String("ann"),
+                                        Value::Double(0.5)},
+                                       {Value::String("c0"),
+                                        Value::String("bob"),
+                                        Value::Double(0.5)}})
+                  .ok());
+  auto rs = db.ExecuteWrite("delete from people where name = 'bob'");
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  auto table = db.GetTable("people");
+  ASSERT_TRUE(table.ok());
+  EXPECT_EQ(VisibleClusterProbs(**table, 0, 2)["c0"],
+            std::vector<double>{1.0});
+}
+
 // ---------------------------------------------------------------------------
 // Direct ReassignClusters unit tests.
 // ---------------------------------------------------------------------------
 
 const DirtyTableInfo kInfo{"t", "id", "prob", {}};
+const DirtyTableInfo kPeopleInfo{"people", "id", "prob", {}};
 
 std::unique_ptr<Table> TwoClusterTable() {
   auto table = std::make_unique<Table>(
@@ -342,6 +380,109 @@ TEST(ReassignClustersTest, TableWithoutProbColumnIsRejected) {
   auto n = ReassignClusters(table.get(), clean, {Value::String("c0")},
                             table->committed_version());
   EXPECT_FALSE(n.ok());
+}
+
+// ---------------------------------------------------------------------------
+// Batch and incremental assignment are one computation: ReassignClusters
+// over every visible identifier, in first-visible order at the committed
+// version, leaves the probability column AssignProbabilities leaves.
+// ---------------------------------------------------------------------------
+
+/// Runs AssignProbabilities on `batch` and ReassignClusters on `incremental`
+/// (two identically built copies of the same table) and checks that every
+/// physical row's probability cell matches bit for bit.
+void ExpectBatchEqualsIncremental(Table* batch, Table* incremental,
+                                  const DirtyTableInfo& info) {
+  auto details = AssignProbabilities(batch, info);
+  ASSERT_TRUE(details.ok()) << details.status().ToString();
+
+  const uint64_t snapshot = incremental->committed_version();
+  auto id_col = incremental->schema().GetColumnIndex(info.id_column);
+  ASSERT_TRUE(id_col.ok());
+  std::vector<Value> ids;
+  std::unordered_set<Value, ValueHash> seen;
+  for (size_t pos : incremental->VisibleRowPositions(snapshot)) {
+    Value id = incremental->ValueAt(pos, *id_col);
+    ASSERT_FALSE(id.is_null()) << info.table_name << " row " << pos;
+    if (seen.insert(id).second) ids.push_back(std::move(id));
+  }
+  auto n = ReassignClusters(incremental, info, ids, snapshot);
+  ASSERT_TRUE(n.ok()) << n.status().ToString();
+  EXPECT_EQ(*n, ids.size());
+
+  auto prob_col = batch->schema().GetColumnIndex(info.prob_column);
+  ASSERT_TRUE(prob_col.ok());
+  ASSERT_EQ(batch->num_rows(), incremental->num_rows());
+  for (size_t r = 0; r < batch->num_rows(); ++r) {
+    const Value a = batch->ValueAt(r, *prob_col);
+    const Value b = incremental->ValueAt(r, *prob_col);
+    ASSERT_EQ(a.is_null(), b.is_null()) << info.table_name << " row " << r;
+    if (a.is_null()) continue;
+    ASSERT_TRUE(SameBits(a.AsDouble(), b.AsDouble()))
+        << info.table_name << " row " << r << ": batch " << a.AsDouble()
+        << " vs incremental " << b.AsDouble();
+  }
+}
+
+/// The IncrementalWriteTest data written through ExecuteWrite without a
+/// maintenance hook: updated, deleted and inserted versions interleave the
+/// clusters' rows.
+std::unique_ptr<Database> WrittenPeopleDatabase() {
+  auto db = std::make_unique<Database>();
+  EXPECT_TRUE(db->CreateTable(TableSchema("people",
+                                          {{"id", DataType::kString},
+                                           {"name", DataType::kString},
+                                           {"city", DataType::kString},
+                                           {"prob", DataType::kDouble}}))
+                  .ok());
+  std::vector<Row> rows;
+  for (int k = 0; k < 3; ++k) {
+    for (int m = 0; m < 2 + k; ++m) {
+      rows.push_back({Value::String("c" + std::to_string(k)),
+                      Value::String(kWords[m % 3]),
+                      Value::String(kWords[3 + (m + k) % 3]),
+                      Value::Double(0.25)});
+    }
+  }
+  EXPECT_TRUE(db->InsertMany("people", std::move(rows)).ok());
+  for (const char* sql :
+       {"update people set city = 'lima' where id = 'c2' and name = 'ann'",
+        "delete from people where id = 'c1' and name = 'bob'",
+        "insert into people values ('c0', 'cid', 'rome', 0.5)",
+        "insert into people values ('c3', 'bob', 'oslo', 0.5)",
+        "update people set id = 'c1' where id = 'c0' and name = 'bob'"}) {
+    EXPECT_TRUE(db->ExecuteWrite(sql).ok()) << sql;
+  }
+  return db;
+}
+
+TEST(BatchIncrementalEquivalenceTest, WrittenTable) {
+  auto batch = WrittenPeopleDatabase();
+  auto incremental = WrittenPeopleDatabase();
+  auto a = batch->GetTable("people");
+  auto b = incremental->GetTable("people");
+  ASSERT_TRUE(a.ok() && b.ok());
+  ExpectBatchEqualsIncremental(*a, *b, kPeopleInfo);
+}
+
+TEST(BatchIncrementalEquivalenceTest, TpchDirtyTables) {
+  TpchDirtyConfig config;
+  config.scale_factor = 0.002;
+  config.fill_probabilities = false;
+  auto batch = MakeTpchDirtyDatabase(config);
+  auto incremental = MakeTpchDirtyDatabase(config);
+  ASSERT_TRUE(batch.ok() && incremental.ok());
+  size_t dirty_tables = 0;
+  for (const DirtyTableInfo& info : batch->dirty.tables()) {
+    if (info.prob_column.empty()) continue;
+    SCOPED_TRACE(info.table_name);
+    auto a = batch->db->GetTable(info.table_name);
+    auto b = incremental->db->GetTable(info.table_name);
+    ASSERT_TRUE(a.ok() && b.ok());
+    ExpectBatchEqualsIncremental(*a, *b, info);
+    ++dirty_tables;
+  }
+  EXPECT_GE(dirty_tables, 6u);
 }
 
 }  // namespace

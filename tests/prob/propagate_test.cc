@@ -87,6 +87,41 @@ TEST_F(PropagateTest, PropagatedJoinsFindAllDuplicates) {
   EXPECT_EQ(by_key->num_rows(), 3u);
 }
 
+TEST_F(PropagateTest, UpdatedRecordResolvesToItsCurrentIdentifier) {
+  // The UPDATE stamps customer 101's old version (cluster c1) dead and
+  // appends its new image under c2; only the visible version may resolve.
+  ASSERT_TRUE(
+      db_.ExecuteWrite("update customer set id = 'c2' where custkey = 101")
+          .ok());
+  auto stats = PropagateIdentifiers(
+      &db_, dirty_,
+      {{"orders", "custfk", "cidfk", "customer", "custkey"}});
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  auto orders = db_.GetTable("orders");
+  ASSERT_TRUE(orders.ok());
+  EXPECT_EQ((*orders)->ValueAt(0, 2).ToString(), "c2");
+  EXPECT_EQ((*orders)->ValueAt(1, 2).ToString(), "c1");
+}
+
+TEST_F(PropagateTest, DeletedRecordCountsAsDangling) {
+  ASSERT_TRUE(
+      db_.ExecuteWrite("delete from customer where custkey = 202").ok());
+  // A dead order version is not written: o2's old image keeps its NULL.
+  ASSERT_TRUE(
+      db_.ExecuteWrite("update orders set prob = 0.5 where id = 'o2'").ok());
+  auto stats = PropagateIdentifiers(
+      &db_, dirty_,
+      {{"orders", "custfk", "cidfk", "customer", "custkey"}});
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->rows_updated, 2u);         // o1 and o2's new version
+  EXPECT_EQ(stats->dangling_references, 2u);  // o3 (deleted) and o4
+  auto orders = db_.GetTable("orders");
+  ASSERT_TRUE(orders.ok());
+  EXPECT_TRUE((*orders)->ValueAt(2, 2).is_null());
+  EXPECT_TRUE((*orders)->ValueAt(1, 2).is_null());  // superseded version
+  EXPECT_EQ((*orders)->ValueAt(4, 2).ToString(), "c1");
+}
+
 TEST_F(PropagateTest, UnknownColumnsAreReported) {
   auto stats = PropagateIdentifiers(
       &db_, dirty_, {{"orders", "nosuch", "cidfk", "customer", "custkey"}});

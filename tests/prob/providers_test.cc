@@ -1,8 +1,15 @@
 // Tests of the alternative probability providers (uniform, source
-// reliability) and the pluggable edit-distance assignment.
+// reliability) and the pluggable edit-distance assignment, and of the
+// visible-rows contract every batch probability pass keeps.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <functional>
+#include <map>
+
+#include "engine/database.h"
+#include "prob/assigner.h"
 #include "prob/edit_distance.h"
 #include "prob/providers.h"
 
@@ -168,6 +175,88 @@ TEST(EditDistanceAssignerTest, IdenticalClusterGoesUniform) {
   auto details = AssignProbabilitiesWithDistance(&table, info, measure);
   ASSERT_TRUE(details.ok());
   for (const auto& d : *details) EXPECT_NEAR(d.probability, 0.25, 1e-12);
+}
+
+// ---------------------------------------------------------------------------
+// Every batch pass reads the rows visible at the committed version.
+// ---------------------------------------------------------------------------
+
+/// MakeSourcedTable's rows in a database, then one UPDATE and one DELETE on
+/// the three-row cluster c1 through ExecuteWrite with no maintenance hook:
+/// c1 keeps two visible rows (row 0 and the updated image at row 6) and two
+/// dead versions (rows 1 and 2). Every stored probability starts at 0.125.
+std::unique_ptr<Database> WrittenSourcedDatabase() {
+  auto db = std::make_unique<Database>();
+  EXPECT_TRUE(db->CreateTable(MakeSourcedTable()->schema()).ok());
+  const char* rows[][3] = {{"c1", "John Smith", "crm"},
+                           {"c1", "Jon Smith", "webform"},
+                           {"c1", "J. Smith", "legacy"},
+                           {"c2", "Mary Jones", "crm"},
+                           {"c2", "Mary Jonse", "webform"},
+                           {"c3", "Wei Chen", "legacy"}};
+  for (const auto& r : rows) {
+    EXPECT_TRUE(db->Insert("t", {Value::String(r[0]), Value::String(r[1]),
+                                 Value::String(r[2]), Value::Double(0.125)})
+                    .ok());
+  }
+  EXPECT_TRUE(db->ExecuteWrite(
+                    "update t set name = 'Jon Smyth' where name = 'Jon Smith'")
+                  .ok());
+  EXPECT_TRUE(db->ExecuteWrite("delete from t where name = 'J. Smith'").ok());
+  return db;
+}
+
+TEST(BatchPassVisibilityTest, EveryPassNormalizesTheVisibleClusters) {
+  MixedEditDistance measure;
+  const std::map<std::string, std::function<Status(Table*)>> passes = {
+      {"information loss",
+       [](Table* t) { return AssignProbabilities(t, kInfo).status(); }},
+      {"medoid",
+       [&](Table* t) {
+         return AssignProbabilitiesWithDistance(t, kInfo, measure).status();
+       }},
+      {"uniform",
+       [](Table* t) { return AssignUniformProbabilities(t, kInfo); }},
+      {"source reliability", [](Table* t) {
+         return AssignSourceReliabilityProbabilities(
+             t, kInfo, "src", {{"crm", 0.8}, {"webform", 0.1}}, 0.1);
+       }}};
+  for (const auto& [name, pass] : passes) {
+    SCOPED_TRACE(name);
+    auto db = WrittenSourcedDatabase();
+    auto table = db->GetTable("t");
+    ASSERT_TRUE(table.ok());
+    Table* t = *table;
+    ASSERT_EQ(t->num_rows(), 7u);
+    ASSERT_TRUE(pass(t).ok());
+
+    std::map<std::string, double> sums;
+    for (size_t pos : t->VisibleRowPositions(t->committed_version())) {
+      sums[t->ValueAt(pos, 0).ToString()] += t->ValueAt(pos, 3).AsDouble();
+    }
+    ASSERT_EQ(sums.size(), 3u);
+    for (const auto& [id, sum] : sums) {
+      EXPECT_NEAR(sum, 1.0, 1e-12) << "cluster " << id;
+    }
+    // The dead versions keep their stored probabilities bit for bit.
+    for (size_t dead : {1u, 2u}) {
+      ASSERT_FALSE(t->RowVisibleAt(dead, t->committed_version()));
+      const double p = t->ValueAt(dead, 3).AsDouble();
+      const double stored = 0.125;
+      EXPECT_EQ(std::memcmp(&p, &stored, sizeof(double)), 0) << "row " << dead;
+    }
+  }
+}
+
+TEST(BatchPassVisibilityTest, DetailsCoverTheVisibleRowsInRowOrder) {
+  auto db = WrittenSourcedDatabase();
+  auto table = db->GetTable("t");
+  ASSERT_TRUE(table.ok());
+  auto details = AssignProbabilities(*table, kInfo);
+  ASSERT_TRUE(details.ok()) << details.status().ToString();
+  std::vector<size_t> rows;
+  for (const TupleProbability& t : *details) rows.push_back(t.row);
+  EXPECT_EQ(rows, (std::vector<size_t>{0, 3, 4, 5, 6}));
 }
 
 }  // namespace

@@ -1,12 +1,16 @@
 // Micro-benchmarks of the core primitives: SQL parsing, binding, the
-// RewriteClean transformation, DCF operations, and the information-loss
-// distance. These bound the constant factors behind the offline (Fig. 7)
-// and online (Fig. 8) costs.
+// RewriteClean transformation, DCF operations, the information-loss
+// distance and the clean-answer GROUP BY. These bound the constant factors
+// behind the offline (Fig. 7) and online (Fig. 8) costs.
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "common/rng.h"
 #include "common/str_util.h"
+#include "common/task_pool.h"
+#include "exec/operators.h"
 #include "gen/tpch_queries.h"
 #include "plan/binder.h"
 #include "prob/dcf.h"
@@ -90,6 +94,120 @@ void BM_LikeMatch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LikeMatch)->Name("Micro/LikeMatch");
+
+/// Fig. 8 Q1's rewritten aggregate over 64k lineitem-shaped rows: GROUP BY
+/// the string id, two string flags, an INT64 quantity and two DOUBLEs, with
+/// SUM(prob). Ids come in clusters of one to three duplicates that mostly
+/// share their attributes, so about 70% of the rows start a group (Q1 at
+/// sf 0.01: 44.6k groups from 58.9k rows).
+std::unique_ptr<Table> MakeQ1ShapedTable() {
+  auto table = std::make_unique<Table>(TableSchema(
+      "lineitem", {{"id", DataType::kString},
+                   {"l_returnflag", DataType::kString},
+                   {"l_linestatus", DataType::kString},
+                   {"l_quantity", DataType::kInt64},
+                   {"l_extendedprice", DataType::kDouble},
+                   {"l_discount", DataType::kDouble},
+                   {"prob", DataType::kDouble}}));
+  Rng rng(11);
+  const char* kFlags[] = {"A", "N", "R"};
+  const char* kStatus[] = {"F", "O"};
+  int64_t cluster = 0;
+  for (int rows = 0; rows < 65536; ++cluster) {
+    const int64_t size = rng.Uniform(1, 3);
+    const int64_t quantity = rng.Uniform(1, 50);
+    const double price = 900.0 + static_cast<double>(rng.Uniform(0, 100000));
+    for (int64_t d = 0; d < size && rows < 65536; ++d, ++rows) {
+      // A duplicate changes one attribute half of the time.
+      const bool perturbed = d > 0 && rng.Chance(0.5);
+      Status s = table->Insert(
+          {Value::String("L" + std::to_string(cluster)),
+           Value::String(kFlags[cluster % 3]),
+           Value::String(kStatus[cluster % 2]),
+           Value::Int(perturbed ? quantity + 1 : quantity),
+           Value::Double(price), Value::Double(0.01 * (cluster % 11)),
+           Value::Double(1.0 / static_cast<double>(size))});
+      if (!s.ok()) return nullptr;
+    }
+  }
+  return table;
+}
+
+ExprPtr ColumnSlot(int slot, DataType type) {
+  auto e = std::make_unique<Expr>();
+  e->kind = Expr::Kind::kColumnRef;
+  e->slot = slot;
+  e->resolved_type = type;
+  return e;
+}
+
+/// The hash-aggregate insert kernel at degree 1 and 4. Timed is the
+/// HashAggregate's self time (its time minus its scan's), reported per
+/// input row; output_share is the part of it spent building output rows.
+void BM_HashAggregate(benchmark::State& state) {
+  static const std::unique_ptr<Table> table = MakeQ1ShapedTable();
+  if (table == nullptr) {
+    state.SkipWithError("table build failed");
+    return;
+  }
+  const size_t degree = static_cast<size_t>(state.range(0));
+  std::unique_ptr<TaskPool> pool;
+  if (degree > 1) pool = std::make_unique<TaskPool>(degree);
+  ExecContext ctx;
+  ctx.pool = pool.get();
+  const DataType kTypes[] = {DataType::kString, DataType::kString,
+                             DataType::kString, DataType::kInt64,
+                             DataType::kDouble, DataType::kDouble};
+  std::vector<ExprPtr> keys_owned;
+  std::vector<const Expr*> keys;
+  for (int k = 0; k < 6; ++k) {
+    keys_owned.push_back(ColumnSlot(k, kTypes[k]));
+    keys.push_back(keys_owned.back().get());
+  }
+  ExprPtr sum = Expr::MakeAggregate(AggFunc::kSum,
+                                    ColumnSlot(6, DataType::kDouble));
+  sum->resolved_type = DataType::kDouble;
+  std::vector<const Expr*> items = keys;
+  items.push_back(sum.get());
+
+  double self_seconds = 0.0;
+  double output_seconds = 0.0;
+  uint64_t input_rows = 0;
+  uint64_t groups = 0;
+  for (auto _ : state) {
+    HashAggregateOp agg(
+        std::make_unique<SeqScanOp>(table.get(), 0, 7, nullptr, ctx), keys,
+        items, ctx);
+    RowBatch batch;
+    bool ok = agg.Open().ok();
+    while (ok) {
+      auto more = agg.NextBatch(&batch);
+      ok = more.ok() && *more;
+      if (!more.ok()) state.SkipWithError("aggregate failed");
+      benchmark::DoNotOptimize(batch.rows);
+    }
+    agg.Close();
+    const OperatorMetrics& scan = agg.Children()[0]->metrics();
+    const double self = agg.metrics().total_seconds() - scan.total_seconds();
+    state.SetIterationTime(self);
+    self_seconds += self;
+    output_seconds += agg.metrics().next_seconds;
+    input_rows += scan.rows_produced;
+    groups = agg.metrics().hash_entries;
+  }
+  state.counters["ns_per_input_row"] =
+      input_rows > 0 ? self_seconds * 1e9 / static_cast<double>(input_rows)
+                     : 0.0;
+  state.counters["groups"] = static_cast<double>(groups);
+  state.counters["output_share"] =
+      self_seconds > 0 ? output_seconds / self_seconds : 0.0;
+}
+BENCHMARK(BM_HashAggregate)
+    ->Name("Micro/HashAggregate")
+    ->Arg(1)
+    ->Arg(4)
+    ->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace conquer

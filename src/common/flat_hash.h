@@ -32,6 +32,10 @@ inline size_t HashPartition(uint64_t mixed, size_t num_partitions) {
 /// \brief Open-addressing hash map: linear probing, power-of-two capacity,
 /// precomputed 64-bit hashes stored next to the entries.
 ///
+/// The probe directory holds, per slot, an entry index and the high 32 bits
+/// of that entry's mixed hash, so a probe passes over other keys without
+/// touching the entry array (the low bits pick the slot).
+///
 /// Designed for the executor's build-then-probe pattern (hash join builds,
 /// aggregation group tables, hash indexes):
 ///   - no erase, hence no tombstones — rehash is a clean reinsertion;
@@ -93,9 +97,10 @@ class FlatHashMap {
     const uint64_t h = HashMix(raw_hash);
     const size_t mask = slots_.size() - 1;
     for (size_t i = h & mask;; i = (i + 1) & mask) {
-      uint32_t s = slots_[i];
+      const uint64_t s = slots_[i];
       if (s == kEmptySlot) return nullptr;
-      Entry& e = entries_[s];
+      if (!SlotMayHold(s, h)) continue;
+      Entry& e = entries_[SlotIndex(s)];
       if (e.hash == h && eq(e.key, probe)) return &e.value;
     }
   }
@@ -113,19 +118,36 @@ class FlatHashMap {
 
   /// TryEmplace with a caller-computed raw hash (hash-once pattern).
   std::pair<V*, bool> TryEmplaceHashed(uint64_t raw_hash, K key) {
+    auto [index, inserted] = FindOrInsertHashedAs(
+        raw_hash, key, eq_, [&key] { return std::move(key); });
+    return {&entries_[index].value, inserted};
+  }
+
+  /// Find-or-insert for a probe held in another form than K (see
+  /// FindHashedAs): the probe sequence that misses goes on to place the new
+  /// entry, whose key is `make_key()` — it must equal `probe` and hash to
+  /// `raw_hash`. Returns {entry index, inserted}; an entry's index is its
+  /// insertion rank and never changes.
+  template <typename Probe, typename ProbeEq, typename MakeKey>
+  std::pair<uint32_t, bool> FindOrInsertHashedAs(uint64_t raw_hash,
+                                                 const Probe& probe,
+                                                 const ProbeEq& eq,
+                                                 const MakeKey& make_key) {
     if (NeedsGrow()) Rehash(slots_.empty() ? kMinSlots : slots_.size() * 2);
     const uint64_t h = HashMix(raw_hash);
     const size_t mask = slots_.size() - 1;
     for (size_t i = h & mask;; i = (i + 1) & mask) {
-      uint32_t s = slots_[i];
+      const uint64_t s = slots_[i];
       if (s == kEmptySlot) {
-        entries_.push_back(Entry{h, std::move(key), V{}});
-        slots_[i] = static_cast<uint32_t>(entries_.size() - 1);
+        const uint32_t index = static_cast<uint32_t>(entries_.size());
+        entries_.push_back(Entry{h, make_key(), V{}});
+        slots_[i] = MakeSlot(h, index);
         ++size_;
-        return {&entries_.back().value, true};
+        return {index, true};
       }
-      Entry& e = entries_[s];
-      if (e.hash == h && eq_(e.key, key)) return {&e.value, false};
+      if (!SlotMayHold(s, h)) continue;
+      const Entry& e = entries_[SlotIndex(s)];
+      if (e.hash == h && eq(e.key, probe)) return {SlotIndex(s), false};
     }
   }
 
@@ -137,13 +159,26 @@ class FlatHashMap {
   /// Approximate heap footprint of the table structure itself (slot
   /// directory + entry array), excluding key/value payload allocations.
   uint64_t StructureBytes() const {
-    return slots_.capacity() * sizeof(uint32_t) +
+    return slots_.capacity() * sizeof(uint64_t) +
            entries_.capacity() * sizeof(Entry);
   }
 
  private:
-  static constexpr uint32_t kEmptySlot = 0xffffffffu;
+  /// No entry index is ever 0xffffffff, so no occupied slot is all ones.
+  static constexpr uint64_t kEmptySlot = ~uint64_t{0};
+  static constexpr uint64_t kHashBits = 0xffffffff00000000ull;
   static constexpr size_t kMinSlots = 16;
+
+  static uint64_t MakeSlot(uint64_t h, uint32_t index) {
+    return (h & kHashBits) | index;
+  }
+  static uint32_t SlotIndex(uint64_t slot) {
+    return static_cast<uint32_t>(slot);
+  }
+  /// False when the slot's entry provably has another hash than `h`.
+  static bool SlotMayHold(uint64_t slot, uint64_t h) {
+    return ((slot ^ h) & kHashBits) == 0;
+  }
 
   static size_t NextPow2(size_t n) {
     size_t p = kMinSlots;
@@ -152,8 +187,8 @@ class FlatHashMap {
   }
 
   bool NeedsGrow() const {
-    // Max load factor 3/4; entries are indexed by uint32_t.
-    assert(entries_.size() < kEmptySlot);
+    // Max load factor 3/4; entries are indexed by uint32_t below 2^32 - 1.
+    assert(entries_.size() < 0xffffffffu);
     return slots_.empty() || (size_ + 1) * 4 > slots_.size() * 3;
   }
 
@@ -164,11 +199,13 @@ class FlatHashMap {
     for (uint32_t s = 0; s < entries_.size(); ++s) {
       size_t i = entries_[s].hash & mask;
       while (slots_[i] != kEmptySlot) i = (i + 1) & mask;
-      slots_[i] = s;
+      slots_[i] = MakeSlot(entries_[s].hash, s);
     }
   }
 
-  std::vector<uint32_t> slots_;  ///< probe directory: index into entries_
+  /// Probe directory: entry index (low 32 bits) and hash bits (see class
+  /// comment), or kEmptySlot.
+  std::vector<uint64_t> slots_;
   std::vector<Entry> entries_;   ///< dense storage in insertion order
   size_t size_ = 0;
   [[no_unique_address]] Hash hasher_;

@@ -23,6 +23,10 @@ double ClampProbability(double p) {
   return p;
 }
 
+double ProbabilityValue(const Value& v) {
+  return v.is_null() ? 0.0 : v.AsDouble();
+}
+
 double CleanAnswerSet::ProbabilityOf(const Row& row) const {
   for (const CleanAnswer& a : answers) {
     if (RowsEqual(a.row, row)) return a.probability;

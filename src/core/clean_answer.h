@@ -20,6 +20,12 @@ inline constexpr double kProbabilityEpsilon = 1e-9;
 /// and certainty bands stay reliable.
 double ClampProbability(double p);
 
+/// Reads a stored or accumulated probability, NULL as 0. A tuple with a
+/// NULL probability (say, inserted with no maintenance hook installed)
+/// contributes nothing, just as SQL SUM skips it; an answer all of whose
+/// tuples are NULL therefore has probability 0.
+double ProbabilityValue(const Value& v);
+
 /// \brief One clean answer (paper Dfn 5): an answer tuple together with the
 /// probability that it is an answer over the (unknown) clean database.
 struct CleanAnswer {

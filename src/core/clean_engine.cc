@@ -28,7 +28,7 @@ Result<CleanAnswerSet> CleanAnswerEngine::Query(std::string_view sql,
     CleanAnswer a;
     // SUM over a cluster's tuple probabilities can drift past 1.0 by a few
     // ulps; clamp so consistency checks on probability == 1.0 stay exact.
-    a.probability = ClampProbability(row.back().AsDouble());
+    a.probability = ClampProbability(ProbabilityValue(row.back()));
     row.pop_back();
     a.row = std::move(row);
     out.answers.push_back(std::move(a));
@@ -80,10 +80,11 @@ OfflineCleaningBaseline::BuildCleanedDatabase() const {
     for (const std::vector<size_t>& members : clusters.members) {
       size_t best = members[0];
       cursor.Touch(best);
-      double best_prob = src->ValueAt(best, prob_col).AsDouble();
+      double best_prob = ProbabilityValue(src->ValueAt(best, prob_col));
       for (size_t i = 1; i < members.size(); ++i) {
         cursor.Touch(members[i]);
-        const double prob = src->ValueAt(members[i], prob_col).AsDouble();
+        const double prob =
+            ProbabilityValue(src->ValueAt(members[i], prob_col));
         if (prob > best_prob) {
           best = members[i];
           best_prob = prob;

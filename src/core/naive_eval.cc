@@ -104,8 +104,8 @@ Result<std::vector<double>> NaiveCandidateEvaluator::CandidateProbabilities(
     for (size_t m : clusters[i].members) {
       double p = prob_col < 0
                      ? 1.0
-                     : table->ValueAt(m, static_cast<size_t>(prob_col))
-                           .AsDouble();
+                     : ProbabilityValue(
+                           table->ValueAt(m, static_cast<size_t>(prob_col)));
       probs[i].push_back(p);
     }
     // Divide-before-multiply so the running product cannot wrap uint64_t.
@@ -197,7 +197,7 @@ Result<CleanAnswerSet> NaiveCandidateEvaluator::Evaluate(
       size_t row_pos = clusters[i].members[choice[i]];
       const Row& row = src_tables[t]->row(row_pos);
       cand_tables[t]->InsertUnchecked(row);
-      if (prob_cols[t] >= 0) cand_prob *= row[prob_cols[t]].AsDouble();
+      if (prob_cols[t] >= 0) cand_prob *= ProbabilityValue(row[prob_cols[t]]);
     }
     // Answers over this candidate (set semantics).
     CONQUER_ASSIGN_OR_RETURN(ResultSet rs, cand.Execute(stmt->Clone()));

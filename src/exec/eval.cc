@@ -8,6 +8,10 @@ namespace conquer {
 
 namespace {
 
+Status IntegerOverflow(const Expr& e) {
+  return Status::OutOfRange("integer overflow in '" + e.ToString() + "'");
+}
+
 Result<Value> EvalBinary(const Expr& e, const Row& row) {
   // Kleene AND/OR need operand-aware NULL handling and short circuits.
   if (e.bop == BinaryOp::kAnd || e.bop == BinaryOp::kOr) {
@@ -55,28 +59,35 @@ Result<Value> EvalBinary(const Expr& e, const Row& row) {
       return Value::Bool(LikeMatch(l.string_value(), r.string_value()));
     case BinaryOp::kAdd:
     case BinaryOp::kSub: {
-      // DATE arithmetic.
-      if (l.type() == DataType::kDate && r.type() == DataType::kInt64) {
-        int64_t d = e.bop == BinaryOp::kAdd ? l.date_value() + r.int_value()
-                                            : l.date_value() - r.int_value();
-        return Value::Date(d);
+      // Integer results (DATE ± INT64 -> DATE, DATE - DATE and INT64 ±
+      // INT64 -> INT64; a DATE holds its days as the int64) fail on
+      // overflow instead of wrapping.
+      const bool add = e.bop == BinaryOp::kAdd;
+      const bool date_shift =
+          l.type() == DataType::kDate && r.type() == DataType::kInt64;
+      const bool int_result =
+          (!add && l.type() == DataType::kDate &&
+           r.type() == DataType::kDate) ||
+          (l.type() == DataType::kInt64 && r.type() == DataType::kInt64);
+      if (date_shift || int_result) {
+        int64_t v = 0;
+        if (add ? __builtin_add_overflow(l.int_value(), r.int_value(), &v)
+                : __builtin_sub_overflow(l.int_value(), r.int_value(), &v)) {
+          return IntegerOverflow(e);
+        }
+        return date_shift ? Value::Date(v) : Value::Int(v);
       }
-      if (e.bop == BinaryOp::kSub && l.type() == DataType::kDate &&
-          r.type() == DataType::kDate) {
-        return Value::Int(l.date_value() - r.date_value());
-      }
-      if (l.type() == DataType::kInt64 && r.type() == DataType::kInt64) {
-        int64_t v = e.bop == BinaryOp::kAdd ? l.int_value() + r.int_value()
-                                            : l.int_value() - r.int_value();
-        return Value::Int(v);
-      }
-      double v = e.bop == BinaryOp::kAdd ? l.AsDouble() + r.AsDouble()
-                                         : l.AsDouble() - r.AsDouble();
+      double v = add ? l.AsDouble() + r.AsDouble()
+                     : l.AsDouble() - r.AsDouble();
       return Value::Double(v);
     }
     case BinaryOp::kMul:
       if (l.type() == DataType::kInt64 && r.type() == DataType::kInt64) {
-        return Value::Int(l.int_value() * r.int_value());
+        int64_t v = 0;
+        if (__builtin_mul_overflow(l.int_value(), r.int_value(), &v)) {
+          return IntegerOverflow(e);
+        }
+        return Value::Int(v);
       }
       return Value::Double(l.AsDouble() * r.AsDouble());
     case BinaryOp::kDiv: {
@@ -110,7 +121,13 @@ Result<Value> EvalExpr(const Expr& e, const Row& row) {
           return Value::Bool(!v.bool_value());
         case UnaryOp::kNeg:
           if (v.is_null()) return Value::Null();
-          if (v.type() == DataType::kInt64) return Value::Int(-v.int_value());
+          if (v.type() == DataType::kInt64) {
+            int64_t negated = 0;
+            if (__builtin_sub_overflow(int64_t{0}, v.int_value(), &negated)) {
+              return IntegerOverflow(e);
+            }
+            return Value::Int(negated);
+          }
           return Value::Double(-v.AsDouble());
         case UnaryOp::kIsNull:
           return Value::Bool(v.is_null());

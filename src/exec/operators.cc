@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cassert>
+#include <cmath>
 #include <functional>
 #include <numeric>
 
@@ -35,16 +37,34 @@ bool ValuesEqual(const std::vector<Value>& a, const std::vector<Value>& b) {
   return true;
 }
 
+/// Raw hash of a key of fixed-width words (a HashAggregateOp group key).
+/// Each word is multiplied in and its high bits folded back down; the
+/// tables' HashMix then spreads the result over all 64 bits.
+uint64_t HashWords(const uint64_t* words, size_t n) {
+  uint64_t h = 0x9e3779b97f4a7c15ull;
+  for (size_t i = 0; i < n; ++i) {
+    h = (h ^ words[i]) * 0xff51afd7ed558ccdull;
+    h ^= h >> 32;
+  }
+  return h;
+}
+
+/// The raw hash of an InputWindow key, by key form.
+uint64_t HashKey(const Value* key, size_t n) { return HashValues(key, n); }
+uint64_t HashKey(const uint64_t* key, size_t n) { return HashWords(key, n); }
+
 /// A key stored in an InputWindow's flat buffer: probes the hash tables
-/// without being copied into a vector first.
+/// without being copied first.
+template <typename Word>
 struct KeySpan {
-  const Value* data;
+  const Word* data;
   size_t size;
 
-  std::vector<Value> ToVector() const { return {data, data + size}; }
+  std::vector<Word> ToVector() const { return {data, data + size}; }
 };
 
-bool KeyMatches(const std::vector<Value>& stored, const KeySpan& probe) {
+bool KeyMatches(const std::vector<Value>& stored,
+                const KeySpan<Value>& probe) {
   for (size_t i = 0; i < probe.size; ++i) {
     if (stored[i].TotalCompare(probe.data[i]) != 0) return false;
   }
@@ -133,7 +153,10 @@ size_t NumPartitions(size_t degree) {
 /// \brief One bounded window of an operator's input, read in place from the
 /// child's own batches, plus the scratch of the morsel-then-partition pass
 /// over it (HashJoinOp's build, HashAggregateOp's accumulate). Reused
-/// across windows, so steady-state passes allocate nothing here.
+/// across windows, so steady-state passes allocate nothing here. `Word` is
+/// the key form: Values for the join build (whose two sides intern strings
+/// in different dictionaries), 64-bit words for the aggregate.
+template <typename Word>
 struct InputWindow {
   static constexpr uint8_t kDropped = 0xff;
   static_assert(kMaxPartitions < kDropped, "partition ids fit in a byte");
@@ -141,11 +164,11 @@ struct InputWindow {
   InputWindow(size_t key_width, size_t num_partitions)
       : width(key_width), partitions(num_partitions) {}
 
-  const size_t width;       ///< values per key
+  const size_t width;       ///< words per key
   const size_t partitions;  ///< hash partitions rows are routed to
   std::vector<RowBatch> batches;
   std::vector<Row*> rows;        ///< window rows in input order
-  std::vector<Value> keys;       ///< row r's key: [r * width, (r+1) * width)
+  std::vector<Word> keys;        ///< row r's key: [r * width, (r+1) * width)
   std::vector<uint64_t> hashes;  ///< raw key hash per window row
   std::vector<uint8_t> parts;    ///< partition per window row, or kDropped
   bool drained = false;          ///< the child reported end of stream
@@ -170,7 +193,7 @@ struct InputWindow {
   }
 
   /// The two-phase pass over the window. Phase 1 (morsel-parallel):
-  /// `key_fn(w, r, key)` writes row r's `width` key values, or returns
+  /// `key_fn(w, r, key)` writes row r's `width` key words, or returns
   /// false to drop the row; the key is hashed once and the row goes to the
   /// partition named by the hash's high mixed bits, leaving the low bits to
   /// index the partition's flat table. Phase 2 (partition-parallel): worker
@@ -200,13 +223,13 @@ struct InputWindow {
              num_morsels) {
         const size_t end = std::min(n, (mo + 1) * morsel);
         for (size_t r = mo * morsel; r < end; ++r) {
-          Value* key = keys.data() + r * width;
+          Word* key = keys.data() + r * width;
           CONQUER_ASSIGN_OR_RETURN(bool keep, key_fn(w, r, key));
           if (!keep) {
             parts[r] = kDropped;
             continue;
           }
-          hashes[r] = HashValues(key, width);
+          hashes[r] = HashKey(key, width);
           parts[r] = static_cast<uint8_t>(
               HashPartition(HashMix(hashes[r]), partitions));
         }
@@ -219,8 +242,8 @@ struct InputWindow {
       uint64_t applied = 0;
       for (size_t r = 0; r < n; ++r) {
         if (parts[r] == kDropped || owner[parts[r]] != w) continue;
-        CONQUER_RETURN_NOT_OK(
-            apply(w, parts[r], r, KeySpan{keys.data() + r * width, width}));
+        CONQUER_RETURN_NOT_OK(apply(
+            w, parts[r], r, KeySpan<Word>{keys.data() + r * width, width}));
         ++applied;
       }
       m->worker_rows[w] += applied;
@@ -567,7 +590,7 @@ Status HashJoinOp::Build() {
   // one writer at a time.
   std::vector<uint64_t> bytes(exec_.parallelism(), 0);
   std::vector<uint64_t> rows(exec_.parallelism(), 0);
-  InputWindow window(build_keys_.size(), partitions_.size());
+  InputWindow<Value> window(build_keys_.size(), partitions_.size());
   auto key_fn = [&](size_t /*w*/, size_t r, Value* key) -> Result<bool> {
     const Row& row = *window.rows[r];
     for (int slot : build_keys_) {
@@ -577,7 +600,8 @@ Status HashJoinOp::Build() {
     }
     return true;
   };
-  auto apply = [&](size_t w, size_t p, size_t r, KeySpan key) -> Status {
+  auto apply = [&](size_t w, size_t p, size_t r,
+                   KeySpan<Value> key) -> Status {
     // Only the first row of a key copies it into the table.
     BuildTable& table = partitions_[p];
     std::vector<Row>* bucket =
@@ -961,15 +985,6 @@ std::vector<const Operator*> ProjectOp::Children() const {
 
 // ----------------------------------------------------------- HashAggregateOp
 
-size_t HashAggregateOp::KeyHash::operator()(
-    const std::vector<Value>& key) const {
-  return HashValues(key);
-}
-bool HashAggregateOp::KeyEq::operator()(const std::vector<Value>& a,
-                                        const std::vector<Value>& b) const {
-  return ValuesEqual(a, b);
-}
-
 namespace {
 void CollectAggCalls(const Expr* e, std::vector<const Expr*>* out) {
   if (e == nullptr) return;
@@ -990,6 +1005,28 @@ bool HasColumnRefOutsideAggregate(const Expr& e) {
   if (e.right && HasColumnRefOutsideAggregate(*e.right)) return true;
   return false;
 }
+
+/// Appends the slots of a left-deep product of DOUBLE column references,
+/// leftmost factor first — EvalBinary's multiplication order. False for
+/// any other shape.
+bool CollectDoubleFactors(const Expr& e, std::vector<int>* slots) {
+  if (e.kind == Expr::Kind::kColumnRef) {
+    if (e.resolved_type != DataType::kDouble) return false;
+    slots->push_back(e.slot);
+    return true;
+  }
+  return e.kind == Expr::Kind::kBinary && e.bop == BinaryOp::kMul &&
+         e.resolved_type == DataType::kDouble &&
+         e.right->kind == Expr::Kind::kColumnRef &&
+         CollectDoubleFactors(*e.left, slots) &&
+         CollectDoubleFactors(*e.right, slots);
+}
+
+Status TypeMismatch(const char* what, DataType bound, const Value& v) {
+  return Status::Internal(StringPrintf("%s: %s value where %s is bound", what,
+                                       DataTypeToString(v.type()),
+                                       DataTypeToString(bound)));
+}
 }  // namespace
 
 HashAggregateOp::HashAggregateOp(OperatorPtr child,
@@ -1000,16 +1037,44 @@ HashAggregateOp::HashAggregateOp(OperatorPtr child,
       group_exprs_(std::move(group_exprs)),
       select_items_(std::move(select_items)),
       exec_(exec) {
-  for (const Expr* item : select_items_) {
-    CollectAggCalls(item, &agg_calls_);
+  key_columns_.reserve(group_exprs_.size());
+  for (const Expr* g : group_exprs_) {
+    KeyColumn key{KeyColumn::Kind::kNull, g->resolved_type, -1, g};
+    const bool column = g->kind == Expr::Kind::kColumnRef;
+    if (column) key.slot = g->slot;
+    switch (g->resolved_type) {
+      case DataType::kNull:
+        break;
+      case DataType::kInt64:
+      case DataType::kDate:
+        key.kind = KeyColumn::Kind::kInt;
+        break;
+      case DataType::kBool:
+        key.kind = KeyColumn::Kind::kBool;
+        break;
+      case DataType::kDouble:
+        key.kind = KeyColumn::Kind::kDouble;
+        has_double_key_ = true;
+        break;
+      case DataType::kString:
+        key.kind = column ? KeyColumn::Kind::kColumnString
+                          : KeyColumn::Kind::kLocalString;
+        break;
+    }
+    key_columns_.push_back(key);
   }
+  mask_words_ = (key_columns_.size() + 63) / 64;
+  key_width_ = key_columns_.size() + mask_words_;
+
   // Plan each output item: serve it from the group key when it matches a
   // grouping expression (the common case for the clean-answer rewriting,
   // which groups by exactly the SELECT attributes), evaluate it once per
   // group when group-invariant, or finalize it from aggregate state.
+  std::vector<const Expr*> aggregates;
   for (const Expr* item : select_items_) {
     if (item->ContainsAggregate()) {
-      item_plans_.push_back({ItemPlan::Source::kFinalize, 0});
+      item_plans_.push_back({ItemPlan::Source::kFinalize, aggregates.size()});
+      CollectAggCalls(item, &aggregates);
       if (HasColumnRefOutsideAggregate(*item)) needs_representative_ = true;
       continue;
     }
@@ -1025,46 +1090,167 @@ HashAggregateOp::HashAggregateOp(OperatorPtr child,
           {ItemPlan::Source::kInvariantEval, num_invariant_evals_++});
     }
   }
+  // Compile each argument: a column or a DOUBLE product reads the row's
+  // slots directly; anything else keeps the scalar evaluator.
+  calls_.reserve(aggregates.size());
+  for (const Expr* node : aggregates) {
+    AggCall call{node, AggCall::Arg::kEval,
+                 node->agg == AggFunc::kSum &&
+                     node->resolved_type == DataType::kInt64,
+                 {}};
+    const Expr* arg = node->left.get();
+    if (arg == nullptr) {
+      call.arg = AggCall::Arg::kNone;
+    } else if (CollectDoubleFactors(*arg, &call.factors)) {
+      call.arg = AggCall::Arg::kProduct;  // a DOUBLE column is one factor
+      call.product = num_products_++;
+    } else if (arg->kind == Expr::Kind::kColumnRef) {
+      call.arg = AggCall::Arg::kColumn;
+      call.factors = {arg->slot};
+    } else {
+      call.factors.clear();
+    }
+    calls_.push_back(std::move(call));
+  }
 }
 
-Status HashAggregateOp::GroupKeyInto(const Row& row, Value* key) const {
-  for (const Expr* g : group_exprs_) {
-    // Plain column keys (the clean-answer rewriting groups by the SELECT
-    // attributes) copy straight out of the row, skipping the evaluator.
-    if (g->kind == Expr::Kind::kColumnRef) {
-      *key++ = row[g->slot];
+Status HashAggregateOp::EncodeKey(const Row& row, uint64_t* key,
+                                  uint64_t* negative_zeros) const {
+  const size_t n = key_columns_.size();
+  uint64_t* nulls = key + n;
+  std::fill(nulls, nulls + mask_words_, 0);
+  if (has_double_key_) {
+    std::fill(negative_zeros, negative_zeros + mask_words_, 0);
+  }
+  Value computed;
+  for (size_t k = 0; k < n; ++k) {
+    const KeyColumn& col = key_columns_[k];
+    // Column keys (the rewriting groups by the SELECT attributes) are read
+    // in place; only computed keys go through the evaluator.
+    const Value* v = &computed;
+    if (col.slot >= 0) {
+      v = &row[col.slot];
+    } else {
+      CONQUER_ASSIGN_OR_RETURN(computed, EvalExpr(*col.expr, row));
+    }
+    const uint64_t bit = uint64_t{1} << (k % 64);
+    if (v->is_null()) {
+      key[k] = 0;
+      nulls[k / 64] |= bit;
       continue;
     }
-    CONQUER_ASSIGN_OR_RETURN(Value v, EvalExpr(*g, row));
-    *key++ = std::move(v);
+    if (v->type() != col.type) return TypeMismatch("group key", col.type, *v);
+    switch (col.kind) {
+      case KeyColumn::Kind::kNull:
+        break;  // unreachable: a NULL-typed key admits only NULL
+      case KeyColumn::Kind::kInt:
+        key[k] = static_cast<uint64_t>(v->int_value());  // DATE: its days
+        break;
+      case KeyColumn::Kind::kBool:
+        key[k] = v->bool_value() ? 1 : 0;
+        break;
+      case KeyColumn::Kind::kDouble: {
+        double d = v->double_value();
+        if (d == 0.0) {  // -0.0 groups with +0.0; remember which came first
+          if (std::signbit(d)) negative_zeros[k / 64] |= bit;
+          d = 0.0;
+        }
+        key[k] = std::bit_cast<uint64_t>(d);
+        break;
+      }
+      case KeyColumn::Kind::kColumnString: {
+        // One dictionary per column stores each text once and every write
+        // interns eagerly, so equal texts share one pointer.
+        const std::string* s = v->interned_ptr();
+        assert(s != nullptr && "column strings are dictionary-interned");
+        if (s == nullptr) {
+          return Status::Internal("group key: column string not interned");
+        }
+        key[k] = reinterpret_cast<uintptr_t>(s);
+        break;
+      }
+      case KeyColumn::Kind::kLocalString:
+        key[k] = reinterpret_cast<uintptr_t>(
+            local_strings_->InternValue(v->string_value()).interned_ptr());
+        break;
+    }
+  }
+  return Status::OK();
+}
+
+Status HashAggregateOp::ComputeProducts(
+    const Row& row, std::optional<double>* products) const {
+  for (const AggCall& call : calls_) {
+    if (call.arg != AggCall::Arg::kProduct) continue;
+    // ((f0 * f1) * f2) ...: EvalBinary's order, so sums stay bit-identical;
+    // a NULL factor makes the product NULL.
+    std::optional<double>& product = products[call.product];
+    product = 1.0;
+    for (size_t f = 0; f < call.factors.size(); ++f) {
+      const Value& x = row[call.factors[f]];
+      if (x.is_null()) {
+        product.reset();
+        break;
+      }
+      if (x.type() != DataType::kDouble) {
+        return TypeMismatch("aggregate factor", DataType::kDouble, x);
+      }
+      *product = f == 0 ? x.double_value() : *product * x.double_value();
+    }
   }
   return Status::OK();
 }
 
 Result<uint64_t> HashAggregateOp::Accumulate() {
-  InputWindow window(group_exprs_.size(), partition_groups_.size());
+  InputWindow<uint64_t> window(key_width_, partitions_.size());
   uint64_t consumed = 0;  // global input position of the window's first row
-  auto key_fn = [&](size_t /*w*/, size_t r, Value* key) -> Result<bool> {
-    CONQUER_RETURN_NOT_OK(GroupKeyInto(*window.rows[r], key));
+  auto negative_zeros = [&](size_t r) {
+    return has_double_key_ ? window_negative_zeros_.data() + r * mask_words_
+                           : nullptr;
+  };
+  auto products = [&](size_t r) {
+    return window_products_.data() + r * num_products_;
+  };
+  // Phase 1 reads each row once: its key and its products.
+  auto key_fn = [&](size_t /*w*/, size_t r, uint64_t* key) -> Result<bool> {
+    const Row& row = *window.rows[r];
+    CONQUER_RETURN_NOT_OK(EncodeKey(row, key, negative_zeros(r)));
+    CONQUER_RETURN_NOT_OK(ComputeProducts(row, products(r)));
     return true;
   };
-  auto apply = [&](size_t w, size_t p, size_t r, KeySpan key) -> Status {
-    // Only the first row of a group copies its key into the table, so
-    // accumulating allocates once per new group.
-    GroupMap& map = partition_groups_[p];
-    const uint64_t hash = window.hashes[r];
-    Group* group = map.FindHashedAs(hash, key, KeyMatches);
-    if (group == nullptr) {
-      group = map.TryEmplaceHashed(hash, key.ToVector()).first;
-      created_[w].push_back({static_cast<uint32_t>(p),
-                             static_cast<uint32_t>(map.size() - 1)});
-      CONQUER_RETURN_NOT_OK(InitGroup(group, *window.rows[r], consumed + r));
+  auto apply = [&](size_t w, size_t p, size_t r,
+                   KeySpan<uint64_t> key) -> Status {
+    if (partitions_[p] == nullptr) {
+      partitions_[p] = std::make_unique<Partition>();
     }
-    return UpdateGroup(group, *window.rows[r]);
+    Partition& part = *partitions_[p];
+    auto same_key = [&part, &key](uint32_t g, const uint64_t* probe) {
+      const uint64_t* stored = part.keys.data() + size_t{g} * key.size;
+      for (size_t i = 0; i < key.size; ++i) {
+        if (stored[i] != probe[i]) return false;
+      }
+      return true;
+    };
+    // One probe finds the group or, on a miss, places the new one; only a
+    // new group copies its key words.
+    const auto [g, inserted] = part.directory.FindOrInsertHashedAs(
+        window.hashes[r], key.data, same_key,
+        [&part] { return part.num_groups(); });
+    const Row& row = *window.rows[r];
+    if (inserted) {
+      created_[w].push_back({static_cast<uint32_t>(p), g});
+      CONQUER_RETURN_NOT_OK(
+          AddGroup(&part, key.data, negative_zeros(r), row, consumed + r));
+    }
+    return UpdateGroup(&part, g, row, products(r));
   };
   while (true) {
     CONQUER_ASSIGN_OR_RETURN(bool more, window.Fill(exec_, child_.get()));
     if (!more) break;
+    if (has_double_key_) {
+      window_negative_zeros_.resize(window.rows.size() * mask_words_);
+    }
+    window_products_.resize(window.rows.size() * num_products_);
     CONQUER_RETURN_NOT_OK(
         window.Run(exec_, key_fn, apply, &mutable_metrics()));
     consumed += window.rows.size();
@@ -1072,60 +1258,117 @@ Result<uint64_t> HashAggregateOp::Accumulate() {
   return consumed;
 }
 
-Status HashAggregateOp::InitGroup(Group* group_ptr, const Row& row,
-                                  uint64_t row_index) {
-  Group& group = *group_ptr;
-  group.first_row = row_index;
-  if (needs_representative_) group.representative = row;
-  if (num_invariant_evals_ > 0) {
-    group.extra_values.reserve(num_invariant_evals_);
-    for (size_t i = 0; i < select_items_.size(); ++i) {
-      if (item_plans_[i].source == ItemPlan::Source::kInvariantEval) {
-        CONQUER_ASSIGN_OR_RETURN(Value v, EvalExpr(*select_items_[i], row));
-        group.extra_values.push_back(std::move(v));
-      }
+Status HashAggregateOp::AddGroup(Partition* part, const uint64_t* key,
+                                 const uint64_t* negative_zeros,
+                                 const Row& row, uint64_t row_index) {
+  const size_t at = part->keys.size();
+  part->keys.resize(at + key_width_);
+  std::copy(key, key + key_width_, part->keys.begin() + at);
+  part->directory.mutable_entries().back().value = row_index;
+  for (size_t i = 0; has_double_key_ && i < mask_words_; ++i) {
+    part->negative_zeros.push_back(negative_zeros[i]);
+  }
+  if (part->aggs.size() != calls_.size()) part->aggs.resize(calls_.size());
+  for (size_t i = 0; i < calls_.size(); ++i) {
+    AggColumn& col = part->aggs[i];
+    switch (calls_[i].expr->agg) {
+      case AggFunc::kCount:
+        col.count.push_back(0);
+        break;
+      case AggFunc::kSum:
+        if (calls_[i].int_sum) {
+          col.isum.push_back(0);
+        } else {
+          col.sum.push_back(0.0);
+        }
+        col.saw.push_back(0);
+        break;
+      case AggFunc::kAvg:
+        col.sum.push_back(0.0);
+        col.count.push_back(0);
+        break;
+      case AggFunc::kMin:
+      case AggFunc::kMax:
+        col.min_max.emplace_back();
+        break;
+      case AggFunc::kNone:
+        return Status::Internal("kNone aggregate call");
     }
   }
-  group.aggs.resize(agg_calls_.size());
+  for (size_t i = 0; i < select_items_.size(); ++i) {
+    if (item_plans_[i].source == ItemPlan::Source::kInvariantEval) {
+      CONQUER_ASSIGN_OR_RETURN(Value v, EvalExpr(*select_items_[i], row));
+      part->invariants.push_back(std::move(v));
+    }
+  }
+  if (needs_representative_) part->representatives.push_back(row);
   return Status::OK();
 }
 
-Status HashAggregateOp::UpdateGroup(Group* group_ptr, const Row& row) {
-  Group& group = *group_ptr;
-  for (size_t i = 0; i < agg_calls_.size(); ++i) {
-    const Expr& call = *agg_calls_[i];
-    AggState& st = group.aggs[i];
-    if (call.agg == AggFunc::kCount && call.left == nullptr) {
-      ++st.count;
-      continue;
+Status HashAggregateOp::UpdateGroup(
+    Partition* part, uint32_t g, const Row& row,
+    const std::optional<double>* products) const {
+  Value computed;
+  for (size_t i = 0; i < calls_.size(); ++i) {
+    const AggCall& call = calls_[i];
+    const AggFunc fn = call.expr->agg;
+    AggColumn& col = part->aggs[i];
+    const Value* v = &computed;
+    switch (call.arg) {
+      case AggCall::Arg::kNone:  // COUNT(*)
+        ++col.count[g];
+        continue;
+      case AggCall::Arg::kColumn:
+        v = &row[call.factors[0]];
+        break;
+      case AggCall::Arg::kProduct: {
+        const std::optional<double>& product = products[call.product];
+        if (!product) continue;  // SQL aggregates skip NULLs
+        if (fn == AggFunc::kSum || fn == AggFunc::kAvg) {
+          col.sum[g] += *product;
+          if (fn == AggFunc::kSum) {
+            col.saw[g] = 1;
+          } else {
+            ++col.count[g];
+          }
+          continue;
+        }
+        computed = Value::Double(*product);
+        break;
+      }
+      case AggCall::Arg::kEval:
+        CONQUER_ASSIGN_OR_RETURN(computed, EvalExpr(*call.expr->left, row));
+        break;
     }
-    CONQUER_ASSIGN_OR_RETURN(Value v, EvalExpr(*call.left, row));
-    if (v.is_null()) continue;  // SQL aggregates skip NULLs
-    st.saw_value = true;
-    switch (call.agg) {
+    if (v->is_null()) continue;  // SQL aggregates skip NULLs
+    switch (fn) {
       case AggFunc::kCount:
-        ++st.count;
+        ++col.count[g];
         break;
       case AggFunc::kSum:
-      case AggFunc::kAvg:
-        ++st.count;
-        if (v.type() == DataType::kInt64) {
-          st.isum += v.int_value();
+        col.saw[g] = 1;
+        if (!call.int_sum) {
+          col.sum[g] += v->AsDouble();
+        } else if (v->type() != DataType::kInt64) {
+          return TypeMismatch("SUM argument", DataType::kInt64, *v);
+        } else if (__builtin_add_overflow(col.isum[g], v->int_value(),
+                                          &col.isum[g])) {
+          return Status::OutOfRange("integer overflow in '" +
+                                    call.expr->ToString() + "'");
         }
-        st.sum += v.AsDouble();
+        break;
+      case AggFunc::kAvg:
+        ++col.count[g];
+        col.sum[g] += v->AsDouble();
         break;
       case AggFunc::kMin:
-        if (!st.min_max.is_null()) {
-          if (v.Compare(st.min_max) < 0) st.min_max = v;
-        } else {
-          st.min_max = v;
+        if (col.min_max[g].is_null() || v->Compare(col.min_max[g]) < 0) {
+          col.min_max[g] = *v;
         }
         break;
       case AggFunc::kMax:
-        if (!st.min_max.is_null()) {
-          if (v.Compare(st.min_max) > 0) st.min_max = v;
-        } else {
-          st.min_max = v;
+        if (col.min_max[g].is_null() || v->Compare(col.min_max[g]) > 0) {
+          col.min_max[g] = *v;
         }
         break;
       case AggFunc::kNone:
@@ -1135,63 +1378,60 @@ Status HashAggregateOp::UpdateGroup(Group* group_ptr, const Row& row) {
   return Status::OK();
 }
 
-Result<Value> HashAggregateOp::Finalize(const Expr& e,
-                                        const Group& group) const {
+Result<Value> HashAggregateOp::Finalize(const Expr& e, const Partition* part,
+                                        uint32_t g,
+                                        size_t* next_call) const {
+  static const Row kNoRow;
   if (e.kind == Expr::Kind::kAggregate) {
-    // Find this call's state (pointer identity within agg_calls_).
-    size_t idx = agg_calls_.size();
-    for (size_t i = 0; i < agg_calls_.size(); ++i) {
-      if (agg_calls_[i] == &e) {
-        idx = i;
-        break;
-      }
-    }
-    if (idx == agg_calls_.size()) {
-      return Status::Internal("aggregate call not registered");
-    }
-    const AggState& st = group.aggs[idx];
+    const size_t i = (*next_call)++;
+    assert(i < calls_.size() && calls_[i].expr == &e);
+    // A null partition is the one group of an empty input.
+    const AggColumn* col = part != nullptr ? &part->aggs[i] : nullptr;
     switch (e.agg) {
       case AggFunc::kCount:
-        return Value::Int(st.count);
+        return Value::Int(col != nullptr ? col->count[g] : 0);
       case AggFunc::kSum:
-        if (!st.saw_value) return Value::Null();
-        if (e.resolved_type == DataType::kInt64) return Value::Int(st.isum);
-        return Value::Double(st.sum);
+        if (col == nullptr || col->saw[g] == 0) return Value::Null();
+        if (calls_[i].int_sum) return Value::Int(col->isum[g]);
+        return Value::Double(col->sum[g]);
       case AggFunc::kAvg:
-        if (!st.saw_value || st.count == 0) return Value::Null();
-        return Value::Double(st.sum / static_cast<double>(st.count));
+        if (col == nullptr || col->count[g] == 0) return Value::Null();
+        return Value::Double(col->sum[g] / static_cast<double>(col->count[g]));
       case AggFunc::kMin:
       case AggFunc::kMax:
-        return st.min_max;  // NULL when the group had only NULLs
+        // NULL when the group had only NULLs
+        return col != nullptr ? col->min_max[g] : Value::Null();
       case AggFunc::kNone:
         break;
     }
     return Status::Internal("unhandled aggregate finalize");
   }
-  if (e.kind == Expr::Kind::kLiteral) return e.literal;
-  if (e.kind == Expr::Kind::kColumnRef) {
-    return EvalExpr(e, group.representative);
+  if (!e.ContainsAggregate()) {
+    // The group of an empty input has no row: its columns read as NULL.
+    if (part == nullptr && HasColumnRefOutsideAggregate(e)) {
+      return Value::Null();
+    }
+    return EvalExpr(e, part != nullptr && needs_representative_
+                           ? part->representatives[g]
+                           : kNoRow);
   }
   // Composite expression over aggregates / group keys: recurse and combine.
   if (e.kind == Expr::Kind::kBinary || e.kind == Expr::Kind::kUnary) {
-    if (!e.ContainsAggregate()) {
-      return EvalExpr(e, group.representative);
-    }
-    // Rebuild a literal-only copy with aggregate children replaced by their
+    // Rebuild a literal-only copy with the children replaced by their
     // finalized values, then evaluate.
     Expr copy;
     copy.kind = e.kind;
     copy.bop = e.bop;
     copy.uop = e.uop;
     copy.resolved_type = e.resolved_type;
-    CONQUER_ASSIGN_OR_RETURN(Value lv, Finalize(*e.left, group));
+    CONQUER_ASSIGN_OR_RETURN(Value lv, Finalize(*e.left, part, g, next_call));
     copy.left = Expr::MakeLiteral(std::move(lv));
     if (e.right) {
-      CONQUER_ASSIGN_OR_RETURN(Value rv, Finalize(*e.right, group));
+      CONQUER_ASSIGN_OR_RETURN(Value rv,
+                               Finalize(*e.right, part, g, next_call));
       copy.right = Expr::MakeLiteral(std::move(rv));
     }
-    static const Row kEmptyRow;
-    return EvalExpr(copy, kEmptyRow);
+    return EvalExpr(copy, kNoRow);
   }
   return Status::Internal("unhandled select item in aggregate finalize");
 }
@@ -1201,73 +1441,127 @@ void HashAggregateOp::BuildOutputOrder() {
   // sorted by first_row; merging the logs restores the global first-seen
   // order. At degree 1 the one log is the order.
   output_order_ = std::move(created_[0]);
+  auto first_row = [this](GroupRef ref) {
+    return partitions_[ref.partition]->first_row(ref.index);
+  };
   for (size_t w = 1; w < created_.size(); ++w) {
     const size_t mid = output_order_.size();
     output_order_.insert(output_order_.end(), created_[w].begin(),
                          created_[w].end());
     std::inplace_merge(output_order_.begin(), output_order_.begin() + mid,
-                       output_order_.end(), [this](GroupRef a, GroupRef b) {
-                         return Resolve(a).value.first_row <
-                                Resolve(b).value.first_row;
+                       output_order_.end(), [&](GroupRef a, GroupRef b) {
+                         return first_row(a) < first_row(b);
                        });
   }
   created_.clear();
 }
 
+uint64_t HashAggregateOp::StateBytes() const {
+  uint64_t bytes = partitions_.capacity() * sizeof(partitions_[0]);
+  if (local_strings_) bytes += local_strings_->MemoryBytes();
+  for (const auto& partition : partitions_) {
+    if (partition == nullptr) continue;
+    const Partition& part = *partition;
+    bytes += sizeof(Partition) + part.directory.StructureBytes() +
+             (part.keys.capacity() + part.negative_zeros.capacity()) *
+                 sizeof(uint64_t) +
+             part.aggs.capacity() * sizeof(AggColumn) +
+             part.invariants.capacity() * sizeof(Value) +
+             part.representatives.capacity() * sizeof(Row);
+    for (const AggColumn& col : part.aggs) {
+      bytes += col.sum.capacity() * sizeof(double) +
+               (col.isum.capacity() + col.count.capacity()) * sizeof(int64_t) +
+               col.saw.capacity() + col.min_max.capacity() * sizeof(Value);
+      for (const Value& v : col.min_max) bytes += ValueHeapBytes(v);
+    }
+    for (const Value& v : part.invariants) bytes += ValueHeapBytes(v);
+    for (const Row& r : part.representatives) {
+      bytes += EstimateRowBytes(r) - sizeof(Row);
+    }
+  }
+  return bytes;
+}
+
 Status HashAggregateOp::OpenImpl() {
-  partition_groups_.assign(NumPartitions(exec_.parallelism()), GroupMap{});
+  partitions_.clear();
+  partitions_.resize(NumPartitions(exec_.parallelism()));  // all null
   created_.assign(exec_.parallelism(), {});
   output_order_.clear();
   cursor_ = 0;
+  local_strings_.reset();
+  for (const KeyColumn& key : key_columns_) {
+    if (key.kind == KeyColumn::Kind::kLocalString) {
+      local_strings_ = std::make_unique<StringDictionary>();
+      break;
+    }
+  }
   CONQUER_RETURN_NOT_OK(child_->Open());
   CONQUER_ASSIGN_OR_RETURN(uint64_t n, Accumulate());
   child_->Close();
   no_input_ = (n == 0);
   BuildOutputOrder();
-  size_t num_groups = 0;
-  uint64_t table_bytes = 0;
-  for (const GroupMap& groups : partition_groups_) {
-    num_groups += groups.size();
-    table_bytes += groups.StructureBytes();
-    for (const auto& e : groups.entries()) {
-      const std::vector<Value>& key = e.key;
-      const Group& group = e.value;
-      table_bytes += key.size() * sizeof(Value) + sizeof(Group) +
-                     group.aggs.size() * sizeof(AggState);
-      for (const Value& v : key) table_bytes += ValueHeapBytes(v);
-      if (!group.representative.empty()) {
-        table_bytes += EstimateRowBytes(group.representative);
-      }
-      table_bytes += group.extra_values.size() * sizeof(Value);
-    }
+  uint64_t num_groups = 0;
+  for (const auto& part : partitions_) {
+    if (part != nullptr) num_groups += part->num_groups();
   }
   mutable_metrics().hash_entries = num_groups;
-  mutable_metrics().peak_memory_bytes = table_bytes;
+  mutable_metrics().peak_memory_bytes = StateBytes();
   return Status::OK();
 }
 
-Status HashAggregateOp::OutputRow(GroupRef ref, Row* out) {
-  const GroupMap::Entry& entry = Resolve(ref);
+Value HashAggregateOp::DecodeKey(const Partition& part, uint32_t g,
+                                 size_t k) const {
+  const uint64_t* key = part.keys.data() + size_t{g} * key_width_;
+  const uint64_t bit = uint64_t{1} << (k % 64);
+  if ((key[key_columns_.size() + k / 64] & bit) != 0) return Value::Null();
+  const uint64_t word = key[k];
+  switch (key_columns_[k].kind) {
+    case KeyColumn::Kind::kNull:
+      break;
+    case KeyColumn::Kind::kInt:
+      return key_columns_[k].type == DataType::kDate
+                 ? Value::Date(static_cast<int64_t>(word))
+                 : Value::Int(static_cast<int64_t>(word));
+    case KeyColumn::Kind::kBool:
+      return Value::Bool(word != 0);
+    case KeyColumn::Kind::kDouble: {
+      const bool negative_zero =
+          (part.negative_zeros[size_t{g} * mask_words_ + k / 64] & bit) != 0;
+      return Value::Double(negative_zero ? -0.0 : std::bit_cast<double>(word));
+    }
+    case KeyColumn::Kind::kColumnString:
+    case KeyColumn::Kind::kLocalString:
+      return Value::String(*reinterpret_cast<const std::string*>(word));
+  }
+  return Value::Null();
+}
+
+Status HashAggregateOp::OutputRow(GroupRef ref, Row* out) const {
+  const Partition& part = *partitions_[ref.partition];
   out->clear();
   out->reserve(select_items_.size());
   for (size_t i = 0; i < select_items_.size(); ++i) {
-    switch (item_plans_[i].source) {
+    const ItemPlan& plan = item_plans_[i];
+    switch (plan.source) {
       case ItemPlan::Source::kFromKey:
-        out->push_back(entry.key[item_plans_[i].index]);
+        out->push_back(DecodeKey(part, ref.index, plan.index));
         break;
       case ItemPlan::Source::kInvariantEval:
-        out->push_back(entry.value.extra_values[item_plans_[i].index]);
+        out->push_back(
+            part.invariants[ref.index * num_invariant_evals_ + plan.index]);
         break;
       case ItemPlan::Source::kFinalize: {
-        CONQUER_ASSIGN_OR_RETURN(Value v,
-                                 Finalize(*select_items_[i], entry.value));
+        size_t next_call = plan.index;
+        CONQUER_ASSIGN_OR_RETURN(
+            Value v,
+            Finalize(*select_items_[i], &part, ref.index, &next_call));
         out->push_back(std::move(v));
         break;
       }
     }
   }
   // Aggregation produces narrow output rows: the boundary where interned
-  // strings (group keys) leave the executor.
+  // strings (MIN/MAX, invariant items) leave the executor.
   DecodeRowInPlace(out);
   return Status::OK();
 }
@@ -1278,11 +1572,11 @@ Result<bool> HashAggregateOp::NextBatchImpl(RowBatch* out) {
   // row even on empty input (SUM -> NULL, COUNT -> 0).
   if (no_input_ && group_exprs_.empty() && cursor_ == 0) {
     ++cursor_;
-    Group empty;
-    empty.aggs.resize(agg_calls_.size());
     Row row;
-    for (const Expr* item : select_items_) {
-      CONQUER_ASSIGN_OR_RETURN(Value v, Finalize(*item, empty));
+    for (size_t i = 0; i < select_items_.size(); ++i) {
+      size_t next_call = item_plans_[i].index;
+      CONQUER_ASSIGN_OR_RETURN(
+          Value v, Finalize(*select_items_[i], nullptr, 0, &next_call));
       row.push_back(std::move(v));
     }
     DecodeRowInPlace(&row);
@@ -1298,7 +1592,10 @@ Result<bool> HashAggregateOp::NextBatchImpl(RowBatch* out) {
 }
 
 void HashAggregateOp::CloseImpl() {
-  partition_groups_.clear();
+  partitions_.clear();
+  local_strings_.reset();
+  window_negative_zeros_ = {};
+  window_products_ = {};
   created_.clear();
   output_order_.clear();
 }
@@ -1309,7 +1606,7 @@ std::string HashAggregateOp::Describe() const {
     if (i > 0) out += ", ";
     out += group_exprs_[i]->ToString();
   }
-  out += "; aggs: " + std::to_string(agg_calls_.size()) + ")";
+  out += "; aggs: " + std::to_string(calls_.size()) + ")";
   return out;
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -391,22 +392,38 @@ class ProjectOp : public Operator {
 /// Non-aggregate items are evaluated on the first row of each group (the
 /// binder guarantees they are group-invariant).
 ///
+/// Group keys are fixed-width 64-bit words, chosen per key from its bound
+/// type: the int64 of an INT64 or DATE, 0/1 for a BOOL, the bits of a
+/// DOUBLE (-0.0 folded into +0.0; the group still outputs its first-seen
+/// bits), and for a STRING the interned `const std::string*` — the
+/// column's dictionary pointer for a column reference, otherwise the
+/// pointer from a dictionary local to the operator. NULL is a bit in the
+/// null-mask words that follow the value words. A runtime value outside
+/// its key's type is an Internal error. Aggregate state lives in per-call
+/// arrays indexed by group. An argument that is a left-deep product of
+/// DOUBLE column references (the rewriting's SUM(R1.prob * ... * Rm.prob))
+/// is multiplied straight from the row's slots in EvalBinary's order, a
+/// column reference is read in place, and any other argument goes through
+/// EvalExpr. Keys decode into Values only at output.
+///
 /// Metrics: open_seconds is the accumulate phase; hash_entries is the number
-/// of groups; peak_memory_bytes estimates the group table footprint.
+/// of groups; peak_memory_bytes is the capacity of the group arrays plus
+/// the hash directories.
 ///
 /// The accumulate phase is one morsel-then-partition pass per window of
 /// input, shared with HashJoinOp's build. A window is about
 /// `parallelism() * morsel_size` rows (at least one batch) read in place
-/// from the child's batches. Phase 1 computes group keys morsel-parallel
-/// and routes each row by key hash to one partition (one table at degree
-/// 1, 32 above), so a group lives in exactly one partition; phase 2
-/// evaluates and folds the aggregate arguments of each partition's rows in
-/// one worker, in global input order. A window under two morsels runs both
-/// phases inline. Every group's values are therefore added in input order
-/// whatever the degree, so floating-point aggregates (the clean-answer
-/// SUM(prob) path) are bit-identical for every thread count. Output follows
-/// global first-seen group order: the merge, by each group's first input
-/// row, of the workers' creation logs.
+/// from the child's batches. Phase 1 encodes group keys and multiplies the
+/// products morsel-parallel, and routes each row by key hash to one
+/// partition (one table at degree 1, 32 above), so a group lives in
+/// exactly one partition; phase 2 folds the aggregate arguments of each
+/// partition's rows in one worker, in global input order. A window under
+/// two morsels runs both phases inline. Every group's values are therefore
+/// added in input order whatever the degree, so floating-point aggregates
+/// (the clean-answer SUM(prob) path) are bit-identical for every thread
+/// count. Output follows
+/// global first-seen group order — the merge, by each group's first input
+/// row, of the workers' creation logs — so the word hash never shows.
 class HashAggregateOp : public Operator {
  public:
   HashAggregateOp(OperatorPtr child, std::vector<const Expr*> group_exprs,
@@ -422,68 +439,125 @@ class HashAggregateOp : public Operator {
   void CloseImpl() override;
 
  private:
-  struct AggState {
-    double sum = 0.0;
-    int64_t isum = 0;
-    int64_t count = 0;
-    Value min_max;  ///< running MIN or MAX
-    bool saw_value = false;
+  /// How one group key is encoded into its word.
+  struct KeyColumn {
+    enum class Kind : uint8_t {
+      kNull,         ///< NULL-typed key (a NULL literal): always NULL
+      kInt,          ///< INT64 or DATE: the int64
+      kBool,         ///< 0/1
+      kDouble,       ///< bits, -0.0 folded into +0.0
+      kColumnString, ///< column reference: the dictionary pointer
+      kLocalString,  ///< other STRING: pointer into local_strings_
+    };
+    Kind kind;
+    DataType type;  ///< bound type; the only non-NULL runtime type allowed
+    /// Slot of a column-reference key, read in place; -1 evaluates `expr`.
+    int slot;
+    const Expr* expr;
   };
-  struct Group {
-    /// Values of group-invariant select items not covered by the key
-    /// (kInvariantEval items), in plan order.
-    std::vector<Value> extra_values;
-    /// First wide row of the group; kept only when some aggregate item
+  /// One aggregate call and how its argument is read.
+  struct AggCall {
+    enum class Arg : uint8_t {
+      kNone,     ///< COUNT(*)
+      kColumn,   ///< a non-DOUBLE column reference, read in place
+      /// Left-deep product of DOUBLE column references (a DOUBLE column is
+      /// a product of one), multiplied from the row's slots while its key
+      /// is encoded, so the fold never rereads the row.
+      kProduct,
+      kEval,     ///< anything else: EvalExpr
+    };
+    const Expr* expr;  ///< the aggregate node
+    Arg arg;
+    bool int_sum;              ///< SUM bound to INT64: folds into isum
+    std::vector<int> factors;  ///< kColumn: the slot; kProduct: in order
+    size_t product = 0;        ///< kProduct: position in a row's products
+  };
+  /// Running state of one aggregate call, one element per group of a
+  /// partition. A call grows only the arrays its function reads.
+  struct AggColumn {
+    std::vector<double> sum;     ///< SUM over DOUBLE, AVG
+    std::vector<int64_t> isum;   ///< SUM over INT64
+    std::vector<int64_t> count;  ///< COUNT, AVG
+    std::vector<uint8_t> saw;    ///< SUM: some non-NULL value was folded
+    std::vector<Value> min_max;  ///< MIN, MAX: NULL until a value arrives
+  };
+  /// The groups of one hash partition, columnar. Group g's key words are
+  /// keys[g * key_width_, (g + 1) * key_width_). A partition is created by
+  /// its first group, and every array grows with its groups.
+  struct Partition {
+    /// Hash directory: entry g is group g (insertion rank == group id) and
+    /// maps it to the global input position of the row that created it,
+    /// the deterministic output order (global first-seen order).
+    FlatHashMap<uint32_t, uint64_t> directory;
+    std::vector<uint64_t> keys;
+    /// Per group, mask_words_ words: bit k set when key k was first seen
+    /// as -0.0. Only with a DOUBLE key.
+    std::vector<uint64_t> negative_zeros;
+    std::vector<AggColumn> aggs;  ///< parallel to calls_
+    /// Group-invariant select values not served by the key, one run of
+    /// num_invariant_evals_ per group.
+    std::vector<Value> invariants;
+    /// First wide row of each group; kept only when some aggregate item
     /// mixes column references with its aggregates.
-    Row representative;
-    std::vector<AggState> aggs;  ///< parallel to agg_calls_
-    /// Global input position of the row that created the group; the
-    /// deterministic output order (global first-seen order).
-    uint64_t first_row = 0;
-  };
-  struct KeyHash {
-    size_t operator()(const std::vector<Value>& key) const;
-  };
-  struct KeyEq {
-    bool operator()(const std::vector<Value>& a,
-                    const std::vector<Value>& b) const;
+    std::vector<Row> representatives;
+
+    uint32_t num_groups() const {
+      return static_cast<uint32_t>(directory.size());
+    }
+    uint64_t first_row(uint32_t g) const {
+      return directory.entries()[g].value;
+    }
   };
   /// How each select item is produced at output time.
   struct ItemPlan {
     enum class Source {
       kFromKey,        ///< item structurally equals group_exprs_[index]
       kInvariantEval,  ///< group-invariant; evaluated once per group
-      kFinalize,       ///< contains aggregates; finalized from AggStates
+      kFinalize,       ///< contains aggregates; finalized from their state
     };
     Source source;
-    size_t index = 0;  ///< key position or extra_values position
+    /// kFromKey: key position; kInvariantEval: position in the group's run
+    /// of invariants; kFinalize: calls_ index of the item's first
+    /// aggregate (the rest follow in the same left-to-right order).
+    size_t index = 0;
   };
-
-  using GroupMap = FlatHashMap<std::vector<Value>, Group, KeyHash, KeyEq>;
-  /// A group by position: entry `index` of partition table `partition`
-  /// (stable while the table grows, unlike a pointer into it).
+  /// A group by position: group `index` of partition `partition`.
   struct GroupRef {
     uint32_t partition;
     uint32_t index;
   };
 
-  /// Drains the child into the partition tables; returns the input rows.
+  /// Drains the child into the partitions; returns the input rows.
   Result<uint64_t> Accumulate();
-  /// One-time group setup on first-seen row (representative, invariant
-  /// select items, agg state sizing).
-  Status InitGroup(Group* group, const Row& row, uint64_t row_index);
-  /// Folds one row into the running aggregate states of `group`.
-  Status UpdateGroup(Group* group, const Row& row);
+  /// Writes the key words of `row` (value words, then the null mask) and,
+  /// with DOUBLE keys, its -0.0 mask into `negative_zeros`.
+  Status EncodeKey(const Row& row, uint64_t* key,
+                   uint64_t* negative_zeros) const;
+  /// Writes the kProduct arguments of `row` into products[0, num_products_)
+  /// (nullopt for a NULL product), in EvalBinary's multiplication order.
+  Status ComputeProducts(const Row& row,
+                         std::optional<double>* products) const;
+  /// Appends a group created by `row` (global position `row_index`).
+  Status AddGroup(Partition* part, const uint64_t* key,
+                  const uint64_t* negative_zeros, const Row& row,
+                  uint64_t row_index);
+  /// Folds one row, whose products ComputeProducts wrote, into the
+  /// aggregate state of group `g`.
+  Status UpdateGroup(Partition* part, uint32_t g, const Row& row,
+                     const std::optional<double>* products) const;
   /// Merges the creation logs into output_order_ (post-accumulate).
   void BuildOutputOrder();
-  GroupMap::Entry& Resolve(GroupRef ref) {
-    return partition_groups_[ref.partition].mutable_entries()[ref.index];
-  }
   /// Writes the output row of one group (select-list order) into `out`.
-  Status OutputRow(GroupRef ref, Row* out);
-  Result<Value> Finalize(const Expr& e, const Group& group) const;
-  /// Writes the group key of `row` into key[0 .. group_exprs_.size()).
-  Status GroupKeyInto(const Row& row, Value* key) const;
+  Status OutputRow(GroupRef ref, Row* out) const;
+  /// Value of key position k of group g.
+  Value DecodeKey(const Partition& part, uint32_t g, size_t k) const;
+  /// Finalizes `e` for group g of `part`, or for the group of an empty
+  /// input when `part` is null. `*next_call` is the calls_ index of the
+  /// next aggregate node in left-to-right order.
+  Result<Value> Finalize(const Expr& e, const Partition* part, uint32_t g,
+                         size_t* next_call) const;
+  /// Operator state outside the child: group arrays and directories.
+  uint64_t StateBytes() const;
 
   OperatorPtr child_;
   std::vector<const Expr*> group_exprs_;
@@ -492,12 +566,23 @@ class HashAggregateOp : public Operator {
   std::vector<ItemPlan> item_plans_;  ///< parallel to select_items_
   bool needs_representative_ = false;
   size_t num_invariant_evals_ = 0;
-  /// All aggregate sub-expressions found in the select items, in discovery
-  /// order; AggState vectors are parallel to this.
-  std::vector<const Expr*> agg_calls_;
+  std::vector<KeyColumn> key_columns_;  ///< parallel to group_exprs_
+  size_t mask_words_ = 0;  ///< null-mask words: one per 64 keys
+  size_t key_width_ = 0;   ///< words per key: values, then the null mask
+  bool has_double_key_ = false;
+  /// Every aggregate node of the select items, in discovery order.
+  std::vector<AggCall> calls_;
+  size_t num_products_ = 0;  ///< kProduct calls
 
-  /// Group tables, one per hash partition.
-  std::vector<GroupMap> partition_groups_;
+  /// Owns the text of STRING keys that are not column references (today a
+  /// literal); thread-safe interning, pointers stable until Close.
+  std::unique_ptr<StringDictionary> local_strings_;
+  /// One per hash partition; null until the partition's first group.
+  std::vector<std::unique_ptr<Partition>> partitions_;
+  /// Per-row -0.0 masks of the current window (DOUBLE keys only).
+  std::vector<uint64_t> window_negative_zeros_;
+  /// Per-row kProduct arguments of the current window, num_products_ each.
+  std::vector<std::optional<double>> window_products_;
   /// Groups each worker created, in creation order: sorted by first_row.
   std::vector<std::vector<GroupRef>> created_;
   /// Every group in global first-seen order (the merged creation logs).

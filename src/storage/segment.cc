@@ -54,6 +54,9 @@ class ByteReader {
     if (pos_ + n > data_.size()) {
       return Status::InvalidArgument("segment data truncated");
     }
+    // An empty read may target an empty vector's data(), which can be null:
+    // memcpy must not see it even with n == 0.
+    if (n == 0) return Status::OK();
     std::memcpy(out, data_.data() + pos_, n);
     pos_ += n;
     return Status::OK();

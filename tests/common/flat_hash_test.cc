@@ -106,6 +106,35 @@ TEST(FlatHashMapTest, FindHashedAsProbesWithAnotherKeyForm) {
   EXPECT_EQ(map.FindHashedAs(h("abd"), std::string_view("abd"), eq), nullptr);
 }
 
+TEST(FlatHashMapTest, FindOrInsertHashedAsBuildsKeysOnlyOnMiss) {
+  // Keys live in a caller's buffer; the map stores their index into it.
+  std::vector<std::string> texts;
+  FlatHashMap<uint32_t, int64_t> map;
+  std::hash<std::string_view> h;
+  int made = 0;
+  auto lookup = [&](std::string_view probe) {
+    auto eq = [&](uint32_t stored, std::string_view p) {
+      return texts[stored] == p;
+    };
+    auto [index, inserted] = map.FindOrInsertHashedAs(h(probe), probe, eq, [&] {
+      ++made;
+      texts.emplace_back(probe);
+      return static_cast<uint32_t>(texts.size() - 1);
+    });
+    EXPECT_EQ(map.entries()[index].key, index);  // index == insertion rank
+    return std::make_pair(index, inserted);
+  };
+  for (int round = 0; round < 2; ++round) {
+    for (int i = 0; i < 100; ++i) {
+      auto [index, inserted] = lookup("k" + std::to_string(i));
+      EXPECT_EQ(index, static_cast<uint32_t>(i));
+      EXPECT_EQ(inserted, round == 0);
+    }
+  }
+  EXPECT_EQ(made, 100);
+  EXPECT_EQ(map.size(), 100u);
+}
+
 TEST(FlatHashPartitionTest, HighBitRoutingCoversAllPartitions) {
   constexpr size_t kParts = 32;
   std::vector<int> hits(kParts, 0);

@@ -7,6 +7,7 @@
 
 #include <limits>
 
+#include "core/clean_engine.h"
 #include "tests/core/paper_fixtures.h"
 
 namespace conquer {
@@ -83,6 +84,39 @@ TEST_F(NaiveEvalTest, CandidatesComeFromCommittedRows) {
   ASSERT_TRUE(answers.ok()) << answers.status().ToString();
   ASSERT_EQ(answers->answers.size(), 1u);
   EXPECT_EQ(answers->ProbabilityOf({Value::String("a"), Value::Int(1)}), 1.0);
+}
+
+TEST_F(NaiveEvalTest, NullProbabilityReadsAsZeroInBothEvaluators) {
+  // An INSERT with no maintenance hook leaves its tuple's probability NULL.
+  // The rewriting's SUM over it is NULL, which reads as probability 0 (the
+  // tuple contributes nothing, as SUM skips it), and the oracle agrees.
+  Database db;
+  DirtySchema dirty;
+  ASSERT_TRUE(db.CreateTable(TableSchema("t", {{"id", DataType::kString},
+                                               {"x", DataType::kInt64},
+                                               {"prob", DataType::kDouble}}))
+                  .ok());
+  ASSERT_TRUE(dirty.AddTable({"t", "id", "prob", {}}).ok());
+  ASSERT_TRUE(db.ExecuteWrite("insert into t values ('c1', 2, NULL)").ok());
+
+  CleanAnswerEngine engine(&db, &dirty);
+  auto clean = engine.Query("select id, x from t");
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  ASSERT_EQ(clean->answers.size(), 1u);
+  EXPECT_EQ(clean->answers[0].row[0].string_value(), "c1");
+  EXPECT_EQ(clean->answers[0].probability, 0.0);
+
+  NaiveCandidateEvaluator naive(&db, &dirty);
+  auto oracle = naive.Evaluate("select id, x from t");
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  ASSERT_EQ(oracle->answers.size(), 1u);
+  EXPECT_EQ(oracle->ProbabilityOf(clean->answers[0].row), 0.0);
+
+  // The offline baseline keeps the tuple as its cluster's only row.
+  OfflineCleaningBaseline offline(&db, &dirty);
+  auto cleaned = offline.Query("select id, x from t");
+  ASSERT_TRUE(cleaned.ok()) << cleaned.status().ToString();
+  EXPECT_EQ(cleaned->num_rows(), 1u);
 }
 
 TEST_F(NaiveEvalTest, OrderByAndLimitAreIgnoredForSemantics) {

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace conquer {
 namespace {
 
@@ -157,6 +159,43 @@ TEST(EvalTest, UnaryNegation) {
       -2.5);
   EXPECT_TRUE(
       Eval(Expr::MakeUnary(UnaryOp::kNeg, Lit(Value::Null()))).is_null());
+}
+
+TEST(EvalTest, IntegerOverflowIsOutOfRange) {
+  static const Row kEmpty;
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  auto code = [](ExprPtr e) {
+    auto v = EvalExpr(*e, kEmpty);
+    return v.ok() ? StatusCode::kOk : v.status().code();
+  };
+  auto bin = [](BinaryOp op, Value l, Value r) {
+    return Expr::MakeBinary(op, Lit(std::move(l)), Lit(std::move(r)));
+  };
+  EXPECT_EQ(code(bin(BinaryOp::kMul, Value::Int(kMax), Value::Int(4))),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(code(bin(BinaryOp::kAdd, Value::Int(kMax), Value::Int(1))),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(code(bin(BinaryOp::kSub, Value::Int(kMin), Value::Int(1))),
+            StatusCode::kOutOfRange);
+  // Dates stay where FormatDate can render them (the error message prints
+  // the expression).
+  const int64_t far = kMax - 1000000;
+  EXPECT_EQ(code(bin(BinaryOp::kAdd, Value::Date(far), Value::Int(2000000))),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(code(bin(BinaryOp::kSub, Value::Date(-2), Value::Int(kMax))),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(code(bin(BinaryOp::kSub, Value::Date(far), Value::Date(-2000000))),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(code(Expr::MakeUnary(UnaryOp::kNeg, Lit(Value::Int(kMin)))),
+            StatusCode::kOutOfRange);
+  // The largest results that fit still compute.
+  EXPECT_EQ(Eval(bin(BinaryOp::kAdd, Value::Int(kMax - 1), Value::Int(1)))
+                .int_value(),
+            kMax);
+  EXPECT_EQ(Eval(Expr::MakeUnary(UnaryOp::kNeg, Lit(Value::Int(kMax))))
+                .int_value(),
+            -kMax);
 }
 
 TEST(EvalTest, PredicateTreatsNullAsNotPassed) {

@@ -41,12 +41,12 @@ struct ExecContext {
   /// the join would reject, so results are identical either way.
   bool enable_runtime_filters = true;
 
-  /// Let the planner pick index access paths (IndexScan point lookups and
-  /// index-nested-loop joins) where the cost model favors them. Index
-  /// probes return candidate supersets that are re-verified against the
-  /// full predicate, and the physical operators preserve scan row order,
-  /// so results are bit-identical either way (A/B knob for the
-  /// differential fuzzer and benchmarks).
+  /// Let the planner pick index access paths where the cost model favors
+  /// them: IndexScan point lookups, and IndexScan probe sides of hash joins
+  /// seeded with the join's build keys. Index probes return candidate
+  /// supersets that are re-verified against the full predicate or the join
+  /// keys, and the scan preserves row order, so results are bit-identical
+  /// either way (A/B knob for the differential fuzzer and benchmarks).
   bool enable_index_scan = true;
 
   /// Sentinel for snapshot_override: scans pin the table's latest committed

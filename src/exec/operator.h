@@ -40,7 +40,7 @@ struct OperatorMetrics {
   uint64_t chunks_evicted = 0;
   /// Wall time spent reading and decoding faulted chunk payloads.
   double io_read_seconds = 0.0;
-  /// Per-chunk index probes issued (IndexScanOp / IndexNestedLoopJoinOp).
+  /// Per-chunk index probes issued (IndexScanOp).
   uint64_t index_probes = 0;
   /// Candidate rows those probes returned, before MVCC visibility and the
   /// residual predicate re-check.

@@ -469,36 +469,55 @@ IndexScanOp::IndexScanOp(const Table* table, size_t column, Value key,
     : SeqScanOp(table, slot_offset, total_slots, std::move(filter), exec,
                 referenced_slots),
       column_(column),
-      key_(std::move(key)) {}
+      keys_{std::move(key)} {}
+
+IndexScanOp::IndexScanOp(const Table* table, size_t column,
+                         RuntimeFilterPtr join_keys, size_t slot_offset,
+                         size_t total_slots, ExprPtr filter,
+                         const ExecContext& exec,
+                         const std::vector<bool>* referenced_slots)
+    : SeqScanOp(table, slot_offset, total_slots, std::move(filter), exec,
+                referenced_slots),
+      column_(column),
+      join_keys_(std::move(join_keys)) {}
 
 Status IndexScanOp::OpenImpl() {
   const ChunkIndex* idx = table_->GetIndex(column_);
   if (idx == nullptr) {
     return Status::Internal("IndexScanOp: column is not indexed");
   }
-  bool unsupported = false;
-  probe_ = idx->ResolveProbe(key_, table_->dictionary(column_),
-                             /*join_semantics=*/false, &unsupported);
-  if (unsupported) {
-    // ResolveProbe is deterministic in (key, column type); the planner runs
-    // it before choosing this access path, so this cannot happen in a
-    // planner-built tree.
-    return Status::Internal("IndexScanOp: key has no sound index probe");
+  if (join_keys_ && !join_keys_->ready.load(std::memory_order_acquire)) {
+    return Status::Internal("IndexScanOp: opened before its join's build");
+  }
+  const std::vector<Value>& keys = join_keys_ ? join_keys_->keys : keys_;
+  probes_.clear();
+  seed_all_ = false;
+  for (const Value& key : keys) {
+    bool unsupported = false;
+    const ChunkIndex::ProbeSpec probe =
+        idx->ResolveProbe(key, table_->dictionary(column_), &unsupported);
+    seed_all_ = seed_all_ || unsupported;
+    if (probe.kind == ChunkIndex::ProbeSpec::Kind::kKey) {
+      probes_.push_back(probe);
+    }
   }
   CONQUER_RETURN_NOT_OK(SeqScanOp::OpenImpl());
-  // No stored value can match: there is no chunk worth probing.
-  if (probe_.kind == ChunkIndex::ProbeSpec::Kind::kNone) end_chunk_ = 0;
+  // No stored value can match any key: there is no chunk worth probing.
+  if (probes_.empty() && !seed_all_) end_chunk_ = 0;
   return Status::OK();
 }
 
 void IndexScanOp::SeedChunk(size_t chunk_index, SelVector* sel,
                             ScanCounters* counters) const {
+  if (seed_all_) {
+    SeqScanOp::SeedChunk(chunk_index, sel, counters);
+    return;
+  }
   const Chunk& ch = table_->chunk(chunk_index);
   if (ch.num_rows() == 0) return;
   // The index slice is resident; only an invalidated slice faults the
   // payload in (to rebuild it).
-  table_->IndexProbeChunk(column_, probe_, /*scan_semantics=*/true,
-                          chunk_index, sel, &counters->pins);
+  table_->IndexProbeChunk(column_, probes_, chunk_index, sel, &counters->pins);
   ++counters->index_probes;
   counters->index_rows += sel->size();
   KeepVisible(ch, snapshot_, sel);
@@ -507,7 +526,7 @@ void IndexScanOp::SeedChunk(size_t chunk_index, SelVector* sel,
 std::string IndexScanOp::Describe() const {
   std::string out = "IndexScan(" + table_->name() + ", " +
                     table_->schema().column(column_).name + " = " +
-                    key_.ToSqlLiteral();
+                    (join_keys_ ? "build keys" : keys_[0].ToSqlLiteral());
   if (filter_) out += ", filter: " + filter_->ToString();
   out += ")";
   return out;
@@ -643,15 +662,28 @@ void HashJoinOp::FillRuntimeFilters() {
   size_t total_keys = 0;
   for (const BuildTable& part : partitions_) total_keys += part.size();
   for (FilterTarget& target : filter_targets_) {
-    target.filter->bloom.Init(total_keys);
+    RuntimeFilter& filter = *target.filter;
+    const bool publish_keys = filter.kind == RuntimeFilter::Kind::kKeys;
+    if (publish_keys) {
+      filter.keys.clear();
+      filter.keys.reserve(total_keys);
+    } else {
+      filter.bloom.Init(total_keys);
+    }
     for (const BuildTable& part : partitions_) {
       for (const auto& entry : part.entries()) {
-        // Single-column hash: the consuming scan hashes its key column the
-        // same way, so membership tests line up even for composite joins.
-        target.filter->bloom.Add(entry.key[target.key_index].Hash());
+        const Value& key = entry.key[target.key_index];
+        if (publish_keys) {
+          filter.keys.push_back(key);
+        } else {
+          // Single-column hash: the consuming scan hashes its key column
+          // the same way, so membership tests line up even for composite
+          // joins.
+          filter.bloom.Add(key.Hash());
+        }
       }
     }
-    target.filter->ready.store(true, std::memory_order_release);
+    filter.ready.store(true, std::memory_order_release);
   }
 }
 
@@ -750,193 +782,6 @@ std::string HashJoinOp::Describe() const {
 
 std::vector<const Operator*> HashJoinOp::Children() const {
   return {build_.get(), probe_.get()};
-}
-
-// ----------------------------------------------- IndexNestedLoopJoinOp
-
-IndexNestedLoopJoinOp::IndexNestedLoopJoinOp(
-    OperatorPtr outer, const Table* inner, size_t inner_column,
-    int outer_key_slot, size_t inner_slot_offset, size_t total_slots,
-    ExprPtr inner_filter, std::vector<uint32_t> outer_slots,
-    std::vector<uint32_t> inner_slots, const ExecContext& exec)
-    : outer_(std::move(outer)),
-      inner_(inner),
-      inner_column_(inner_column),
-      outer_key_slot_(outer_key_slot),
-      inner_slot_offset_(inner_slot_offset),
-      total_slots_(total_slots),
-      inner_filter_(std::move(inner_filter)),
-      inner_local_filter_(RebaseFilter(inner_filter_.get(), inner_slot_offset)),
-      outer_slots_(std::move(outer_slots)),
-      inner_slots_(std::move(inner_slots)),
-      exec_(exec) {}
-
-void IndexNestedLoopJoinOp::EnsurePinned(size_t chunk, PinStats* pin_stats) {
-  if (pin_ && pin_chunk_ == chunk) return;
-  pin_ = inner_->PinChunk(chunk, pin_stats);
-  pin_chunk_ = chunk;
-}
-
-Status IndexNestedLoopJoinOp::LinearProbe(const Value& key, uint32_t outer_idx,
-                                          PinStats* pin_stats) {
-  // Join key equality is hash-bucket + TotalCompare == 0. For the keys that
-  // land here (an int64 column probed with a double beyond 2^52) a
-  // TotalCompare match implies the double images — and therefore the
-  // hashes — agree, so TotalCompare alone reproduces the hash join's
-  // verdict exactly.
-  const size_t cap = inner_->chunk_capacity();
-  const StringDictionary* dict = inner_->dictionary(inner_column_);
-  for (size_t c = 0; c < inner_->num_chunks(); ++c) {
-    const Chunk& ch = inner_->chunk(c);
-    const size_t n = ch.num_rows();
-    if (n == 0) continue;
-    ChunkPin pin = inner_->PinChunk(c, pin_stats);
-    const ColumnVector& cv = ch.column(inner_column_);
-    for (size_t r = 0; r < n; ++r) {
-      if (cv.GetValue(r, dict).TotalCompare(key) == 0) {
-        pairs_.emplace_back(static_cast<uint64_t>(c) * cap + r, outer_idx);
-      }
-    }
-  }
-  return Status::OK();
-}
-
-Status IndexNestedLoopJoinOp::ProbeOuter(uint32_t outer_idx,
-                                         PinStats* pin_stats) {
-  const Value& key = outer_rows_[outer_idx][static_cast<size_t>(outer_key_slot_)];
-  const ChunkIndex* idx = inner_->GetIndex(inner_column_);
-  bool unsupported = false;
-  const ChunkIndex::ProbeSpec probe =
-      idx->ResolveProbe(key, inner_->dictionary(inner_column_),
-                        /*join_semantics=*/true, &unsupported);
-  if (unsupported) return LinearProbe(key, outer_idx, pin_stats);
-  if (probe.kind == ChunkIndex::ProbeSpec::Kind::kNone) return Status::OK();
-  const size_t cap = inner_->chunk_capacity();
-  for (size_t c = 0; c < inner_->num_chunks(); ++c) {
-    const Chunk& ch = inner_->chunk(c);
-    if (ch.num_rows() == 0) continue;
-    // Zone maps (resident metadata) rule the chunk out before any payload
-    // pin. Conservative: zones bound every stored value under TotalCompare
-    // order, and the probe key is same-class comparable with them, so a
-    // skipped chunk provably holds no join match. (No NaN caveat: double
-    // columns never take a key probe under join semantics.)
-    const ZoneMap& zone = ch.zone(inner_column_);
-    if (probe.kind == ChunkIndex::ProbeSpec::Kind::kNull) {
-      if (zone.null_count == 0) continue;
-    } else if (!zone.has_values() || key.TotalCompare(zone.min) < 0 ||
-               key.TotalCompare(zone.max) > 0) {
-      continue;
-    }
-    candidates_.clear();
-    inner_->IndexProbeChunk(inner_column_, probe, /*scan_semantics=*/false, c,
-                            &candidates_, pin_stats);
-    ++mutable_metrics().index_probes;
-    mutable_metrics().index_rows += candidates_.size();
-    for (uint32_t local : candidates_) {
-      pairs_.emplace_back(static_cast<uint64_t>(c) * cap + local, outer_idx);
-    }
-  }
-  return Status::OK();
-}
-
-Status IndexNestedLoopJoinOp::OpenImpl() {
-  CONQUER_RETURN_NOT_OK(outer_->Open());
-  snapshot_ = ScanSnapshot(exec_, *inner_);
-  outer_rows_.clear();
-  pairs_.clear();
-  cursor_ = 0;
-  verdict_pos_ = ~0ull;
-  verdict_keep_ = false;
-  pin_.Reset();
-  pin_chunk_ = SIZE_MAX;
-  RowBatch batch;
-  batch.capacity = std::max<size_t>(1, exec_.batch_size);
-  while (true) {
-    CONQUER_ASSIGN_OR_RETURN(bool more, outer_->NextBatch(&batch));
-    if (!more) break;
-    for (Row& row : batch.rows) outer_rows_.push_back(std::move(row));
-  }
-  outer_->Close();
-  mutable_metrics().build_rows = outer_rows_.size();
-  uint64_t outer_bytes = 0;
-  for (const Row& r : outer_rows_) outer_bytes += EstimateRowBytes(r);
-  PinStats ps;
-  for (uint32_t i = 0; i < outer_rows_.size(); ++i) {
-    CONQUER_RETURN_NOT_OK(ProbeOuter(i, &ps));
-  }
-  AddPinStats(ps, &mutable_metrics());
-  // (pos, outer) order IS the replaced hash join's emission order: the
-  // probe side streamed in scan order, each row matched against build rows
-  // in build order.
-  std::sort(pairs_.begin(), pairs_.end());
-  mutable_metrics().peak_memory_bytes =
-      outer_bytes + pairs_.capacity() * sizeof(PairPos);
-  return Status::OK();
-}
-
-Result<bool> IndexNestedLoopJoinOp::NextBatchImpl(RowBatch* out) {
-  size_t n = 0;
-  while (n < out->capacity && cursor_ < pairs_.size()) {
-    const PairPos p = pairs_[cursor_++];
-    if (p.first != verdict_pos_) {
-      // New inner position: decide once whether the row survives MVCC
-      // visibility and the pushed-down inner predicate; runs of pairs on
-      // the same position (several outer duplicates) reuse the verdict and
-      // the materialized inner row.
-      verdict_pos_ = p.first;
-      verdict_keep_ = false;
-      const size_t cap = inner_->chunk_capacity();
-      const size_t c = static_cast<size_t>(p.first / cap);
-      const uint32_t local = static_cast<uint32_t>(p.first % cap);
-      if (inner_->chunk(c).RowVisible(local, snapshot_)) {
-        PinStats ps;
-        EnsurePinned(c, &ps);
-        AddPinStats(ps, &mutable_metrics());
-        inner_->GetRowInto(p.first, &inner_scratch_);
-        bool pass = true;
-        if (inner_local_filter_) {
-          CONQUER_ASSIGN_OR_RETURN(
-              pass, EvalPredicate(*inner_local_filter_, inner_scratch_));
-        }
-        verdict_keep_ = pass;
-        if (pass) ++mutable_metrics().probe_rows;
-      }
-    }
-    if (!verdict_keep_) continue;
-    const Row& outer_row = outer_rows_[p.second];
-    if (n == out->rows.size()) out->rows.emplace_back();
-    Row& dst = out->rows[n++];
-    // Exactly outer_slots_ + inner_slots_ are written on every emission, so
-    // a recycled row of the right width (last written by this operator)
-    // needs no re-clearing — HashJoinOp::EmitRow conventions.
-    if (dst.size() != total_slots_) dst.assign(total_slots_, Value::Null());
-    for (uint32_t s : outer_slots_) dst[s] = outer_row[s];
-    for (uint32_t s : inner_slots_) {
-      dst[s] = inner_scratch_[s - inner_slot_offset_];
-    }
-  }
-  out->rows.resize(n);
-  return n > 0;
-}
-
-void IndexNestedLoopJoinOp::CloseImpl() {
-  pin_.Reset();
-  pin_chunk_ = SIZE_MAX;
-  outer_rows_.clear();
-  pairs_.clear();
-}
-
-std::string IndexNestedLoopJoinOp::Describe() const {
-  std::string out = "IndexNestedLoopJoin(" + inner_->name() + ", " +
-                    inner_->schema().column(inner_column_).name +
-                    " = outer slot " + std::to_string(outer_key_slot_);
-  if (inner_filter_) out += ", filter: " + inner_filter_->ToString();
-  out += ")";
-  return out;
-}
-
-std::vector<const Operator*> IndexNestedLoopJoinOp::Children() const {
-  return {outer_.get()};
 }
 
 // ----------------------------------------------------------------- ProjectOp

@@ -125,27 +125,40 @@ class SeqScanOp : public Operator {
   size_t match_cursor_ = 0;   ///< position within its matches
 };
 
-/// \brief Point lookup via a per-chunk secondary index, producing wide rows.
+/// \brief A scan seeded from a per-chunk secondary index: a SeqScanOp whose
+/// chunks are seeded with the index candidates of a list of keys instead of
+/// every row.
 ///
-/// Used when a pushed-down predicate contains `col = literal` on an indexed
-/// column and the cost model estimates the match fraction small enough to
-/// beat the vectorized scan. It is a SeqScanOp whose chunks are seeded with
-/// index candidates instead of every row: zone maps can rule a chunk out on
-/// resident metadata (the same test, so both access paths skip identical
-/// chunks), then the chunk's index slice is probed (metrics: index_probes /
-/// index_rows) and the candidates are checked against MVCC visibility on
-/// resident stamps. Only chunks with a visible candidate are pinned — an
-/// out-of-core point lookup faults in just the chunks containing visible
-/// matches.
+/// Two plans use it. A point lookup (`col = literal` on an indexed column,
+/// when the cost model estimates the match fraction small enough to beat
+/// the vectorized scan) has one literal key. The probe side of a hash join
+/// whose build side is estimated tiny takes the join's distinct build keys,
+/// published after the build and before this scan opens.
 ///
-/// `filter` is the *full* pushed-down predicate, including the equality
-/// conjunct the probe consumed: the scan's filter re-checks every
-/// candidate, so index-on and index-off plans return bit-identical rows
-/// (candidates are a superset; order is ascending position, i.e. scan
-/// order).
+/// At Open every key resolves to an index probe. Per chunk, zone maps can
+/// rule the chunk out on resident metadata (the same test, so both access
+/// paths skip identical chunks), then the chunk's index slice is probed for
+/// all keys at once (metrics: index_probes / index_rows) and the candidates
+/// are checked against MVCC visibility on resident stamps. Only chunks with
+/// a visible candidate are pinned — an out-of-core lookup or join faults in
+/// just the chunks containing visible matches. A key with no sound probe
+/// (an INT64 column probed with a double above 2^52, say) seeds every
+/// visible row instead.
+///
+/// Candidates are a superset of the matches, in ascending position (scan
+/// order). `filter` is the *full* pushed-down predicate, including a point
+/// lookup's equality conjunct, and a join re-checks every key, so index-on
+/// and index-off plans return bit-identical rows.
 class IndexScanOp : public SeqScanOp {
  public:
+  /// A point lookup: `column = key`.
   IndexScanOp(const Table* table, size_t column, Value key,
+              size_t slot_offset, size_t total_slots, ExprPtr filter,
+              const ExecContext& exec,
+              const std::vector<bool>* referenced_slots = nullptr);
+  /// The probe side of the hash join that fills `join_keys` (kind kKeys):
+  /// the keys are read at Open.
+  IndexScanOp(const Table* table, size_t column, RuntimeFilterPtr join_keys,
               size_t slot_offset, size_t total_slots, ExprPtr filter,
               const ExecContext& exec,
               const std::vector<bool>* referenced_slots = nullptr);
@@ -159,9 +172,11 @@ class IndexScanOp : public SeqScanOp {
 
  private:
   size_t column_;  ///< table-local indexed column
-  Value key_;
-  /// `key_` normalized to the column's stored representation at Open.
-  ChunkIndex::ProbeSpec probe_;
+  std::vector<Value> keys_;     ///< the point lookup's key
+  RuntimeFilterPtr join_keys_;  ///< or the join's keys
+  /// The keys' probes with a possible match, resolved at Open.
+  std::vector<ChunkIndex::ProbeSpec> probes_;
+  bool seed_all_ = false;  ///< some key has no sound probe
 };
 
 /// \brief Filters wide rows by a bound predicate.
@@ -214,8 +229,9 @@ class HashJoinOp : public Operator {
              const ExecContext& exec);
 
   /// Registers a runtime filter this join fills from the distinct build-side
-  /// values of key column `key_index` once its build phase completes —
-  /// before the probe subtree (which holds the consuming scan) opens.
+  /// values of key column `key_index` (a Bloom filter or the keys, per the
+  /// filter's kind) once its build phase completes — before the probe
+  /// subtree (which holds the consuming scan) opens.
   void AddRuntimeFilterTarget(RuntimeFilterPtr filter, size_t key_index) {
     filter_targets_.push_back({std::move(filter), key_index});
   }
@@ -284,87 +300,6 @@ class HashJoinOp : public Operator {
   std::vector<Value> probe_key_;  ///< scratch, reused across probe rows
   RowBatch probe_batch_;          ///< probe input buffer
   size_t probe_cursor_ = 0;
-};
-
-/// \brief Index nested-loop equi-join: a tiny build (outer) input probing a
-/// base table's per-chunk index instead of scanning the table.
-///
-/// Drop-in replacement for a HashJoinOp whose build side is estimated tiny
-/// and whose probe side is a scan of an indexed table: the outer input is
-/// drained at Open, each outer key is resolved to an index probe
-/// (join-semantics: NULL matches NULL, exactly like this engine's hash-join
-/// key equality), and candidate inner positions are collected chunk by
-/// chunk — zone maps rule chunks out on resident metadata, so an
-/// out-of-core join faults in only chunks holding matches.
-///
-/// Bit-identity with the hash join it replaces: the hash join streams the
-/// probe (inner table) side in scan order, emitting each inner row against
-/// its matching build rows in build order. This operator therefore sorts
-/// the collected (inner position, outer index) pairs and emits in exactly
-/// that order; inner rows are re-checked against MVCC visibility and the
-/// pushed-down inner predicate before emission, so the output matches the
-/// hash join row for row.
-class IndexNestedLoopJoinOp : public Operator {
- public:
-  /// `outer_key_slot` is the wide slot of the outer join key;
-  /// `inner_column` the indexed table-local column of `inner`.
-  /// `inner_filter` is the predicate the planner would have pushed into the
-  /// inner scan (wide layout; may be null). `outer_slots` / `inner_slots`
-  /// are the referenced wide slots each side contributes (HashJoinOp
-  /// conventions).
-  IndexNestedLoopJoinOp(OperatorPtr outer, const Table* inner,
-                        size_t inner_column, int outer_key_slot,
-                        size_t inner_slot_offset, size_t total_slots,
-                        ExprPtr inner_filter,
-                        std::vector<uint32_t> outer_slots,
-                        std::vector<uint32_t> inner_slots,
-                        const ExecContext& exec);
-
-  std::string Describe() const override;
-  std::vector<const Operator*> Children() const override;
-
- protected:
-  Status OpenImpl() override;
-  Result<bool> NextBatchImpl(RowBatch* out) override;
-  void CloseImpl() override;
-
- private:
-  /// One candidate match: inner physical position x outer row index.
-  /// Ordered by (pos, outer) — the hash join's probe-major emission order.
-  using PairPos = std::pair<uint64_t, uint32_t>;
-
-  /// Index probes for one outer key, appending (pos, outer) candidates.
-  Status ProbeOuter(uint32_t outer_idx, PinStats* pin_stats);
-  /// Fallback for keys the index cannot probe exactly (e.g. an int column
-  /// probed with a huge double): linear scan of every chunk comparing
-  /// stored values under join key equality (TotalCompare == 0).
-  Status LinearProbe(const Value& key, uint32_t outer_idx,
-                     PinStats* pin_stats);
-  void EnsurePinned(size_t chunk, PinStats* pin_stats);
-
-  OperatorPtr outer_;
-  const Table* inner_;
-  size_t inner_column_;
-  int outer_key_slot_;
-  size_t inner_slot_offset_;
-  size_t total_slots_;
-  ExprPtr inner_filter_;        ///< wide layout (for Describe)
-  ExprPtr inner_local_filter_;  ///< rebased to inner-table-local slots
-  std::vector<uint32_t> outer_slots_;
-  std::vector<uint32_t> inner_slots_;
-  const ExecContext& exec_;
-  uint64_t snapshot_ = 0;
-  std::vector<Row> outer_rows_;
-  std::vector<PairPos> pairs_;  ///< sorted candidates
-  size_t cursor_ = 0;
-  /// Verdict cache for runs of pairs sharing one inner position: whether
-  /// the row passed visibility + inner filter, and its materialized values.
-  uint64_t verdict_pos_ = ~0ull;
-  bool verdict_keep_ = false;
-  Row inner_scratch_;  ///< inner table-local row of verdict_pos_
-  ChunkPin pin_;
-  size_t pin_chunk_ = SIZE_MAX;
-  std::vector<uint32_t> candidates_;  ///< per-chunk probe scratch
 };
 
 /// \brief Projects wide rows to narrow output rows (one value per item).

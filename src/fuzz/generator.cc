@@ -469,9 +469,10 @@ FuzzCase GenerateCase(uint64_t seed, const FuzzConfig& cfg) {
   // data or query draws above: the same seed with index_rate zeroed yields
   // the identical case minus the index dimension. Each indexed table may
   // also pick up a selective predicate template (point or narrow range, so
-  // plans flow through IndexScan / index nested-loop joins) and an in-place
-  // SetValue that invalidates one chunk's index slice after the build —
-  // the query path must lazily rebuild exactly that slice.
+  // plans flow through IndexScan point lookups and index-seeded join
+  // probes) and an in-place SetValue that invalidates one chunk's index
+  // slice after the build — the query path must lazily rebuild exactly
+  // that slice.
   for (int t = 0; t < n; ++t) {
     if (!rng.Chance(cfg.index_rate)) continue;
     const FuzzTable& table = c.tables[static_cast<size_t>(t)];

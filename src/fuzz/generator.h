@@ -74,9 +74,9 @@ struct FuzzConfig {
 
   // ---- Secondary indexes (on by default). ----
   /// Probability that a table gets a CREATE INDEX op (on its identifier or
-  /// a random attribute). Indexed cases flow through IndexScan and index
-  /// nested-loop joins; the oracle sweeps re-run them with index access
-  /// disabled and demand bit-identical answers.
+  /// a random attribute). Indexed cases flow through IndexScan point
+  /// lookups and index-seeded join probes; the oracle sweeps re-run them
+  /// with index access disabled and demand bit-identical answers.
   double index_rate = 0.5;
   /// Probability that an indexed attribute also receives a selective point
   /// or narrow-range predicate template (satisfiable: literals are sampled

@@ -258,9 +258,9 @@ void RunConfigSweeps(OracleRun* r, const CleanAnswerEngine& engine,
       bool zone, bloom, index;
       const char* label;
     };
-    // Index access is swept like the pruning flags: IndexScan and the index
-    // nested-loop join return candidate supersets re-verified against the
-    // full predicate in scan row order, so disabling them must be invisible
+    // Index access is swept like the pruning flags: IndexScan returns
+    // candidate supersets, in scan row order, that the full predicate or
+    // the hash join above re-verifies, so disabling it must be invisible
     // down to the last probability bit.
     static const FlagConfig kFlagConfigs[] = {
         {false, true, true, "(zone_pruning=off)"},

@@ -20,9 +20,10 @@ namespace {
 /// expected to keep at most 1-in-kIndexCostFactor rows.
 constexpr double kIndexCostFactor = 8.0;
 
-/// An index nested-loop join must amortize one multi-chunk index probe per
-/// outer row; require the inner side to be at least this many times larger
-/// than the outer estimate before abandoning the hash join.
+/// A hash join whose probe scan is seeded from the index with its build
+/// keys pays one multi-chunk index probe per build key; require the probe
+/// table to be at least this many times larger than the build estimate
+/// before seeding it instead of scanning it.
 constexpr double kInljBuildFactor = 16.0;
 
 /// Numeric image of a literal for histogram probes; false for NULL,
@@ -325,7 +326,7 @@ Result<OperatorPtr> Planner::Plan(const BoundQuery& q,
             bool unsupported = false;
             idx->ResolveProbe(lit->literal,
                               q.tables[t]->dictionary(col->column_index),
-                              /*join_semantics=*/false, &unsupported);
+                              &unsupported);
             if (!unsupported) {
               lookups[t].column = col->column_index;
               lookups[t].key = lit->literal;
@@ -348,17 +349,11 @@ Result<OperatorPtr> Planner::Plan(const BoundQuery& q,
     residuals.push_back({c, refs, false});
   }
 
-  // ---- Per-table scans and cardinality estimates. ----
-  std::vector<OperatorPtr> scans(n);
-  // Raw scan pointers survive the moves into the join tree; runtime filters
-  // are attached through them as joins above each scan are constructed.
-  std::vector<SeqScanOp*> seq_scans(n, nullptr);
+  // ---- Per-table cardinality estimates and access paths. ----
   std::vector<double> est(n);
   std::vector<std::pair<size_t, size_t>> ranges(n);
+  std::vector<bool> point_lookup(n, false);
   const bool enable_index = exec.enable_index_scan;
-  // Per-table filter clones surviving the move into the scan: an index
-  // nested-loop join chosen later needs the inner table's predicate again.
-  std::vector<ExprPtr> inner_filters(n);
   for (size_t i = 0; i < n; ++i) {
     const Table* t = q.tables[i];
     ranges[i] = {q.slot_offsets[i], t->schema().num_columns()};
@@ -368,29 +363,41 @@ Result<OperatorPtr> Planner::Plan(const BoundQuery& q,
     double rows = static_cast<double>(t->num_rows());
     if (table_filters[i]) {
       rows *= EstimateSelectivity(*table_filters[i], q.tables);
-      inner_filters[i] = table_filters[i]->Clone();
     }
     est[i] = std::max(rows, 1.0);
     // Cost-based access path: probe the index only when the equality is
     // estimated selective enough to beat the vectorized full scan.
-    const bool use_index = enable_index && lookups[i].column != SIZE_MAX &&
-                           lookups[i].eq_sel * kIndexCostFactor <= 1.0;
-    if (use_index) {
-      auto scan = std::make_unique<IndexScanOp>(
+    point_lookup[i] = enable_index && lookups[i].column != SIZE_MAX &&
+                      lookups[i].eq_sel * kIndexCostFactor <= 1.0;
+  }
+
+  // Raw scan pointers survive the moves into the join tree; runtime filters
+  // are attached through them as joins above each scan are constructed.
+  std::vector<SeqScanOp*> seq_scans(n, nullptr);
+  // Builds table i's scan, with its pushed-down filter, when the join order
+  // reaches it. `join_keys`, when given, seeds an IndexScan on the indexed
+  // column `key_column` with the build keys of the hash join above it.
+  auto make_scan = [&](size_t i, RuntimeFilterPtr join_keys = nullptr,
+                       size_t key_column = 0) -> OperatorPtr {
+    const Table* t = q.tables[i];
+    std::unique_ptr<SeqScanOp> scan;
+    if (join_keys) {
+      scan = std::make_unique<IndexScanOp>(
+          t, key_column, std::move(join_keys), q.slot_offsets[i],
+          q.total_slots, std::move(table_filters[i]), exec, &referenced);
+    } else if (point_lookup[i]) {
+      scan = std::make_unique<IndexScanOp>(
           t, lookups[i].column, lookups[i].key, q.slot_offsets[i],
           q.total_slots, std::move(table_filters[i]), exec, &referenced);
-      scan->set_est_rows(est[i]);
-      scans[i] = std::move(scan);
     } else {
-      auto scan = std::make_unique<SeqScanOp>(t, q.slot_offsets[i],
-                                              q.total_slots,
-                                              std::move(table_filters[i]),
-                                              exec, &referenced);
-      scan->set_est_rows(est[i]);
+      scan = std::make_unique<SeqScanOp>(t, q.slot_offsets[i], q.total_slots,
+                                         std::move(table_filters[i]), exec,
+                                         &referenced);
       seq_scans[i] = scan.get();
-      scans[i] = std::move(scan);
     }
-  }
+    scan->set_est_rows(est[i]);
+    return scan;
+  };
 
   const bool push_runtime_filters = exec.enable_runtime_filters;
   // Pushes one Bloom filter per join key from `join` into the SeqScan that
@@ -437,7 +444,7 @@ Result<OperatorPtr> Planner::Plan(const BoundQuery& q,
       if (est[i] < est[first]) first = static_cast<int>(i);
     }
   }
-  OperatorPtr plan = std::move(scans[first]);
+  OperatorPtr plan = make_scan(first);
   joined.insert(first);
   joined_ranges.push_back(ranges[first]);
   double plan_est = est[first];
@@ -533,44 +540,37 @@ Result<OperatorPtr> Planner::Plan(const BoundQuery& q,
     OperatorPtr next;
     if (est[best] <= plan_est) {
       auto join = std::make_unique<HashJoinOp>(
-          std::move(scans[best]), std::move(plan), new_keys, old_keys,
+          make_scan(best), std::move(plan), new_keys, old_keys,
           std::move(new_slots), std::move(old_slots), exec);
       attach_runtime_filters(join.get(), old_keys);
       next = std::move(join);
     } else {
-      // The running plan is the (much) smaller side. When the new table is
-      // a seq-scan with an index on its single join key, probe that index
-      // per outer row instead of building a hash table over — and scanning
-      // — the big side: out of core, only chunks holding matches fault in.
-      // Double join keys stay on the hash join (their NaN bucket semantics
-      // have no sound index probe).
+      // The running plan is the (much) smaller side. When the new table's
+      // single join key is indexed, seed its scan with the build's distinct
+      // keys instead of scanning all of it: only chunks holding candidates
+      // are pinned, so out of core only those fault in, and the join
+      // re-checks every key. DOUBLE key columns keep the full scan: their
+      // NaN rows are candidates for every probe, and a NaN build key would
+      // seed every row. The keys flow whether or not Bloom filters are
+      // pushed.
+      RuntimeFilterPtr join_keys;
+      size_t key_column = 0;
       if (enable_index && !cross && new_keys.size() == 1 &&
-          seq_scans[best] != nullptr &&
-          plan_est * kInljBuildFactor <= est[best]) {
-        const size_t col =
-            static_cast<size_t>(new_keys[0]) - q.slot_offsets[best];
+          !point_lookup[best] && plan_est * kInljBuildFactor <= est[best]) {
+        key_column = static_cast<size_t>(new_keys[0]) - q.slot_offsets[best];
         const Table* t = q.tables[best];
-        if (t->GetIndex(col) != nullptr &&
-            t->schema().column(col).type != DataType::kDouble) {
-          auto join = std::make_unique<IndexNestedLoopJoinOp>(
-              std::move(plan), t, col, old_keys[0], q.slot_offsets[best],
-              q.total_slots,
-              inner_filters[best] ? inner_filters[best]->Clone() : nullptr,
-              std::move(old_slots), std::move(new_slots), exec);
-          // The replaced scan is gone: it must neither receive runtime
-          // filters nor be mistaken for a live operator below.
-          seq_scans[best] = nullptr;
-          scans[best].reset();
-          next = std::move(join);
+        if (t->GetIndex(key_column) != nullptr &&
+            t->schema().column(key_column).type != DataType::kDouble) {
+          join_keys =
+              std::make_shared<RuntimeFilter>(RuntimeFilter::Kind::kKeys);
         }
       }
-      if (!next) {
-        auto join = std::make_unique<HashJoinOp>(
-            std::move(plan), std::move(scans[best]), old_keys, new_keys,
-            std::move(old_slots), std::move(new_slots), exec);
-        attach_runtime_filters(join.get(), new_keys);
-        next = std::move(join);
-      }
+      auto join = std::make_unique<HashJoinOp>(
+          std::move(plan), make_scan(best, join_keys, key_column), old_keys,
+          new_keys, std::move(old_slots), std::move(new_slots), exec);
+      if (join_keys) join->AddRuntimeFilterTarget(std::move(join_keys), 0);
+      attach_runtime_filters(join.get(), new_keys);
+      next = std::move(join);
     }
     plan = std::move(next);
     joined.insert(best);

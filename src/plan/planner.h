@@ -28,11 +28,11 @@ struct PlannerOptions {
 /// \brief Builds a physical operator tree from a bound query.
 ///
 /// Pipeline: per-table scans with pushed-down single-table predicates
-/// (hash-index point lookups when available) -> equi-join ordering (greedy
-/// or DP per options; hash joins, cross product only when no join edge
-/// connects) -> residual filters as soon as their tables are joined ->
-/// aggregation or projection -> DISTINCT -> ORDER BY -> hidden-column strip
-/// -> LIMIT.
+/// (index point lookups when selective) -> equi-join ordering (greedy or DP
+/// per options; hash joins, whose probe scan an index seeds with a tiny
+/// build side's keys, cross product only when no join edge connects) ->
+/// residual filters as soon as their tables are joined -> aggregation or
+/// projection -> DISTINCT -> ORDER BY -> hidden-column strip -> LIMIT.
 class Planner {
  public:
   /// Plans `q`; the returned operator tree borrows expressions from `q`, so

@@ -23,16 +23,10 @@ bool IsIntegerBacked(DataType t) {
 
 ChunkIndex::ProbeSpec ChunkIndex::ResolveProbe(const Value& v,
                                                const StringDictionary* dict,
-                                               bool join_semantics,
                                                bool* unsupported) const {
   *unsupported = false;
   ProbeSpec spec;
-  if (v.is_null()) {
-    // Scan equality (`col = NULL`) matches nothing; the hash-join key
-    // equality of this engine (TotalCompare == 0) matches NULL with NULL.
-    spec.kind = join_semantics ? ProbeSpec::Kind::kNull : ProbeSpec::Kind::kNone;
-    return spec;
-  }
+  if (v.is_null()) return spec;  // `col = NULL` matches nothing: kNone
   switch (type_) {
     case DataType::kString: {
       if (v.type() != DataType::kString) return spec;  // cross-class: kNone
@@ -64,9 +58,8 @@ ChunkIndex::ProbeSpec ChunkIndex::ResolveProbe(const Value& v,
         const double d = v.double_value();
         if (std::isnan(d)) {
           // Scan equality compares NaN equal to every numeric (Compare is
-          // (a>b)-(a<b)); no key probe is sound. Hash-join equality never
-          // pairs NaN with an integer (the buckets differ), so kNone.
-          if (!join_semantics) *unsupported = true;
+          // (a>b)-(a<b)); no key probe is sound.
+          *unsupported = true;
           return spec;
         }
         if (std::trunc(d) != d) return spec;  // non-integral: kNone
@@ -81,12 +74,6 @@ ChunkIndex::ProbeSpec ChunkIndex::ResolveProbe(const Value& v,
       return spec;
     }
     case DataType::kDouble: {
-      if (join_semantics) {
-        // Join-key probes against double columns would have to replicate
-        // hash-bucket NaN pairing; the planner never requests them.
-        *unsupported = true;
-        return spec;
-      }
       double d;
       if (v.type() == DataType::kDouble) {
         d = v.double_value();
@@ -134,11 +121,9 @@ void ChunkIndex::AppendStored(size_t chunk, uint32_t local_row,
   std::lock_guard<std::mutex> lock(mu_);
   if (slices_.size() <= chunk) slices_.resize(chunk + 1);
   Slice& s = slices_[chunk];
-  if (!s.valid) return;  // the pending rebuild re-reads every row
-  if (cv.is_null(local_row)) {
-    s.nulls.push_back(local_row);
-    return;
-  }
+  // An invalid slice's pending rebuild re-reads every row; NULLs are never
+  // keyed.
+  if (!s.valid || cv.is_null(local_row)) return;
   uint64_t key;
   if (!KeyOfStored(cv, local_row, &key)) {
     s.wildcards.push_back(local_row);
@@ -155,7 +140,6 @@ void ChunkIndex::InvalidateChunk(size_t c) {
   s.valid = false;
   s.keys.clear();
   s.rows.clear();
-  s.nulls.clear();
   s.wildcards.clear();
   s.sorted_limit = 0;
   s.distinct = 0;
@@ -188,16 +172,12 @@ void ChunkIndex::SortSliceLocked(Slice* s) const {
 void ChunkIndex::RebuildSliceLocked(Slice* s, const ColumnVector& cv) const {
   s->keys.clear();
   s->rows.clear();
-  s->nulls.clear();
   s->wildcards.clear();
   const size_t n = cv.size();
   s->keys.reserve(n);
   s->rows.reserve(n);
   for (size_t r = 0; r < n; ++r) {
-    if (cv.is_null(r)) {
-      s->nulls.push_back(static_cast<uint32_t>(r));
-      continue;
-    }
+    if (cv.is_null(r)) continue;
     uint64_t key;
     if (!KeyOfStored(cv, r, &key)) {
       s->wildcards.push_back(static_cast<uint32_t>(r));
@@ -211,45 +191,45 @@ void ChunkIndex::RebuildSliceLocked(Slice* s, const ColumnVector& cv) const {
   SortSliceLocked(s);
 }
 
-void ChunkIndex::LookupSliceLocked(const Slice& s, const ProbeSpec& probe,
-                                   bool scan_semantics,
+void ChunkIndex::LookupSliceLocked(const Slice& s,
+                                   const std::vector<ProbeSpec>& probes,
                                    std::vector<uint32_t>* out) const {
-  if (probe.kind == ProbeSpec::Kind::kNull) {
-    out->insert(out->end(), s.nulls.begin(), s.nulls.end());
-    return;
-  }
-  const uint32_t* begin = nullptr;
-  const uint32_t* end = nullptr;
-  if (probe.kind == ProbeSpec::Kind::kKey && !s.keys.empty()) {
+  const size_t base = out->size();
+  size_t runs = 0;
+  for (const ProbeSpec& probe : probes) {
+    if (probe.kind != ProbeSpec::Kind::kKey) continue;
     auto lo = std::lower_bound(s.keys.begin(), s.keys.end(), probe.key);
     auto hi = std::upper_bound(lo, s.keys.end(), probe.key);
-    begin = s.rows.data() + (lo - s.keys.begin());
-    end = s.rows.data() + (hi - s.keys.begin());
+    if (lo == hi) continue;
+    out->insert(out->end(), s.rows.begin() + (lo - s.keys.begin()),
+                s.rows.begin() + (hi - s.keys.begin()));
+    ++runs;
   }
-  // NaN-valued rows compare equal to every numeric literal under scan
-  // semantics; merge them in (both streams are ascending and disjoint).
-  if (scan_semantics && !s.wildcards.empty()) {
-    const size_t base = out->size();
-    out->resize(base + (end - begin) + s.wildcards.size());
-    std::merge(begin, end, s.wildcards.begin(), s.wildcards.end(),
-               out->begin() + base);
-    return;
+  // NaN-valued rows compare equal to every numeric probe under scan
+  // equality.
+  if (!s.wildcards.empty()) {
+    out->insert(out->end(), s.wildcards.begin(), s.wildcards.end());
+    ++runs;
   }
-  out->insert(out->end(), begin, end);
+  // Each run ascends (the slice is sorted by (key, row)); several runs
+  // interleave, and a key probed twice repeats its run.
+  if (runs > 1) {
+    std::sort(out->begin() + base, out->end());
+    out->erase(std::unique(out->begin() + base, out->end()), out->end());
+  }
 }
 
-bool ChunkIndex::TryLookup(size_t c, const ProbeSpec& probe,
-                           bool scan_semantics,
+bool ChunkIndex::TryLookup(size_t c, const std::vector<ProbeSpec>& probes,
                            std::vector<uint32_t>* out) const {
   std::lock_guard<std::mutex> lock(mu_);
   if (c >= slices_.size() || !slices_[c].valid) return false;
   SortSliceLocked(&slices_[c]);
-  LookupSliceLocked(slices_[c], probe, scan_semantics, out);
+  LookupSliceLocked(slices_[c], probes, out);
   return true;
 }
 
 void ChunkIndex::RebuildAndLookup(size_t c, const ColumnVector& cv,
-                                  const ProbeSpec& probe, bool scan_semantics,
+                                  const std::vector<ProbeSpec>& probes,
                                   std::vector<uint32_t>* out) const {
   std::lock_guard<std::mutex> lock(mu_);
   if (slices_.size() <= c) slices_.resize(c + 1);
@@ -257,7 +237,7 @@ void ChunkIndex::RebuildAndLookup(size_t c, const ColumnVector& cv,
   // slice while this caller was pinning the chunk.
   if (!slices_[c].valid) RebuildSliceLocked(&slices_[c], cv);
   SortSliceLocked(&slices_[c]);
-  LookupSliceLocked(slices_[c], probe, scan_semantics, out);
+  LookupSliceLocked(slices_[c], probes, out);
 }
 
 void ChunkIndex::RebuildChunk(size_t c, const ColumnVector& cv) const {
@@ -279,7 +259,6 @@ uint64_t ChunkIndex::MemoryBytes() const {
   for (const Slice& s : slices_) {
     bytes += s.keys.capacity() * sizeof(uint64_t) +
              s.rows.capacity() * sizeof(uint32_t) +
-             s.nulls.capacity() * sizeof(uint32_t) +
              s.wildcards.capacity() * sizeof(uint32_t);
   }
   return bytes;

@@ -31,11 +31,13 @@ namespace conquer {
 ///   - Rechunk/AdoptChunks drop every slice (positions are chunk-relative).
 ///
 /// Probes return a *superset guarantee*, not exactness: every row whose
-/// stored value compares equal to the probe under the engine's scan
-/// semantics (Value::Compare; NaN handled via a wildcard list) is returned,
-/// and callers re-verify candidates against the full predicate. This keeps
-/// the normalization rules simple and makes index-on/index-off execution
-/// bit-identical.
+/// stored value compares equal to a probe under the engine's scan equality
+/// (Value::Compare; NaN handled via a wildcard list) is returned, and
+/// callers re-verify candidates — against the full predicate for a point
+/// lookup, by the hash join's own key check for an index-seeded join probe.
+/// NULL rows are never keyed: scan equality matches NULL with nothing. This
+/// keeps the normalization rules simple and makes index-on/index-off
+/// execution bit-identical.
 ///
 /// Thread-safety: probes run concurrently from parallel queries while lazy
 /// tail sorts and rebuilds mutate slice state, so every slice operation
@@ -48,7 +50,6 @@ class ChunkIndex {
   struct ProbeSpec {
     enum class Kind {
       kKey,   ///< probe the normalized key
-      kNull,  ///< probe the NULL rows (join semantics: NULL matches NULL)
       kNone,  ///< provably no stored value can compare equal
     };
     Kind kind = Kind::kNone;
@@ -62,14 +63,12 @@ class ChunkIndex {
   DataType type() const { return type_; }
 
   /// Resolves `v` (a predicate literal or a join key value) to a probe over
-  /// this index. `join_semantics` selects hash-join equality (NULL matches
-  /// NULL, NaN matches only NaN) over scan equality (NULL matches nothing,
-  /// a NaN-valued row compares equal to everything). Sets `*unsupported`
-  /// when no sound probe exists (the caller must fall back to scanning):
-  /// NaN literals under scan semantics, and doubles too large to map to a
-  /// unique int64 key.
+  /// this index under scan equality: NULL matches nothing, and a NaN-valued
+  /// row compares equal to every numeric. Sets `*unsupported` when no sound
+  /// probe exists (the caller must seed every row instead): NaN probes on
+  /// numeric columns, and doubles too large to map to a unique int64 key.
   ProbeSpec ResolveProbe(const Value& v, const StringDictionary* dict,
-                         bool join_semantics, bool* unsupported) const;
+                         bool* unsupported) const;
 
   /// Grows the slice vector to cover `n` chunks (new slices empty+valid).
   void EnsureChunks(size_t n);
@@ -86,18 +85,19 @@ class ChunkIndex {
   /// True when chunk `c`'s slice is valid (probeable without a rebuild).
   bool ChunkValid(size_t c) const;
 
-  /// Probes chunk `c`. Returns false when the slice is invalid (caller must
-  /// pin the chunk and call RebuildAndLookup); on success appends matching
-  /// chunk-local rows to `out` in ascending order. `scan_semantics` merges
-  /// the NaN wildcard rows (rows that compare equal to every probe under
-  /// Value::Compare).
-  bool TryLookup(size_t c, const ProbeSpec& probe, bool scan_semantics,
+  /// Probes chunk `c` for every probe of `probes`. Returns false when the
+  /// slice is invalid (caller must pin the chunk and call
+  /// RebuildAndLookup); on success appends the chunk-local rows matching
+  /// any probe, plus the NaN wildcard rows (rows that compare equal to
+  /// every probe under Value::Compare), to `out` in ascending order without
+  /// duplicates.
+  bool TryLookup(size_t c, const std::vector<ProbeSpec>& probes,
                  std::vector<uint32_t>* out) const;
 
   /// Rebuilds chunk `c`'s slice from the (pinned) column payload, then
   /// performs the lookup. `cv` must be this index's column of chunk `c`.
   void RebuildAndLookup(size_t c, const ColumnVector& cv,
-                        const ProbeSpec& probe, bool scan_semantics,
+                        const std::vector<ProbeSpec>& probes,
                         std::vector<uint32_t>* out) const;
 
   /// Rebuilds every invalid slice from `cv_of(c)` (used by CreateIndex and
@@ -123,11 +123,11 @@ class ChunkIndex {
 
  private:
   /// One chunk's key->rows table: parallel (key, row) arrays sorted by
-  /// (key, row), plus the rows binary search cannot serve (NULLs, NaNs).
+  /// (key, row), plus the NaN rows binary search cannot serve. NULL rows
+  /// are in neither.
   struct Slice {
     std::vector<uint64_t> keys;
     std::vector<uint32_t> rows;       ///< parallel to keys, chunk-local
-    std::vector<uint32_t> nulls;      ///< NULL rows, ascending
     std::vector<uint32_t> wildcards;  ///< NaN rows (scan-equal to anything)
     size_t sorted_limit = 0;  ///< prefix of keys/rows in sorted order
     bool valid = true;        ///< false after an in-place write
@@ -138,9 +138,10 @@ class ChunkIndex {
   void SortSliceLocked(Slice* s) const;
   /// Requires mu_ held. Repopulates `s` from the raw column payload.
   void RebuildSliceLocked(Slice* s, const ColumnVector& cv) const;
-  /// Requires mu_ held. Appends `probe`'s matches (ascending) to `out`.
-  void LookupSliceLocked(const Slice& s, const ProbeSpec& probe,
-                         bool scan_semantics, std::vector<uint32_t>* out) const;
+  /// Requires mu_ held. Appends the matches of `probes` to `out` (see
+  /// TryLookup).
+  void LookupSliceLocked(const Slice& s, const std::vector<ProbeSpec>& probes,
+                         std::vector<uint32_t>* out) const;
   /// Normalizes one stored (non-null) payload entry to its key; false when
   /// the value is a NaN (wildcard, not keyed).
   bool KeyOfStored(const ColumnVector& cv, size_t row, uint64_t* key) const;

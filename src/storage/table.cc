@@ -308,17 +308,16 @@ const ChunkIndex* Table::GetIndex(size_t column) const {
   return indexes_[column].get();
 }
 
-void Table::IndexProbeChunk(size_t column, const ChunkIndex::ProbeSpec& probe,
-                            bool scan_semantics, size_t c,
-                            std::vector<uint32_t>* out,
+void Table::IndexProbeChunk(size_t column,
+                            const std::vector<ChunkIndex::ProbeSpec>& probes,
+                            size_t c, std::vector<uint32_t>* out,
                             PinStats* stats) const {
   const ChunkIndex* idx = indexes_[column].get();
-  if (idx->TryLookup(c, probe, scan_semantics, out)) return;
+  if (idx->TryLookup(c, probes, out)) return;
   // Invalidated (or never-built) slice: fault the payload in and rebuild.
   // This is the only probe path that performs I/O.
   ChunkPin pin = PinChunk(c, stats);
-  idx->RebuildAndLookup(c, chunks_[c]->column(column), probe, scan_semantics,
-                        out);
+  idx->RebuildAndLookup(c, chunks_[c]->column(column), probes, out);
 }
 
 void Table::AnalyzeStatistics() {

@@ -198,14 +198,16 @@ class Table {
   /// Index on the given column position, or nullptr.
   const ChunkIndex* GetIndex(size_t column) const;
 
-  /// Probes chunk `c` of `column`'s index and appends the matching
-  /// chunk-local rows (ascending) to `out`. The fast path reads only the
-  /// resident slice; a slice invalidated by SetValue (or appended without
+  /// Probes chunk `c` of `column`'s index for every probe of `probes` and
+  /// appends the candidate chunk-local rows (ascending, no duplicates) to
+  /// `out` (ChunkIndex::TryLookup). The fast path reads only the resident
+  /// slice; a slice invalidated by SetValue (or appended without
   /// maintenance) pins the chunk — faulting its payload, counted in
   /// `stats` — and rebuilds first. The index must exist.
-  void IndexProbeChunk(size_t column, const ChunkIndex::ProbeSpec& probe,
-                       bool scan_semantics, size_t c,
-                       std::vector<uint32_t>* out, PinStats* stats) const;
+  void IndexProbeChunk(size_t column,
+                       const std::vector<ChunkIndex::ProbeSpec>& probes,
+                       size_t c, std::vector<uint32_t>* out,
+                       PinStats* stats) const;
 
   /// Recomputes per-column distinct/null counts, builds equi-depth
   /// histograms for numeric columns, and re-tightens every chunk's zone

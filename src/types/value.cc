@@ -49,17 +49,20 @@ int64_t CivilToDays(int year, int month, int day) {
   return static_cast<int64_t>(era) * 146097 + static_cast<int64_t>(doe) - 719468;
 }
 
-void DaysToCivil(int64_t days, int* year, int* month, int* day) {
-  int64_t z = days + 719468;
-  int64_t era = (z >= 0 ? z : z - 146096) / 146097;
-  unsigned doe = static_cast<unsigned>(z - era * 146097);
+void DaysToCivil(int64_t days, int64_t* year, int* month, int* day) {
+  // Split whole 400-year eras off before shifting the epoch to 0000-03-01:
+  // `days + 719468` would overflow near INT64_MAX. The truncated remainder
+  // lies in (-146097, 146097), so the shifted one is positive.
+  const int64_t rem = days % 146097 + 719468;
+  const int64_t era = days / 146097 + rem / 146097;
+  unsigned doe = static_cast<unsigned>(rem % 146097);
   unsigned yoe = (doe - doe / 1460 + doe / 36524 - doe / 146096) / 365;
   int64_t y = static_cast<int64_t>(yoe) + era * 400;
   unsigned doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
   unsigned mp = (5 * doy + 2) / 153;
   *day = static_cast<int>(doy - (153 * mp + 2) / 5 + 1);
   *month = static_cast<int>(mp + (mp < 10 ? 3 : -9));
-  *year = static_cast<int>(y + (*month <= 2));
+  *year = y + (*month <= 2);
 }
 
 Result<int64_t> ParseDate(std::string_view iso) {
@@ -74,9 +77,10 @@ Result<int64_t> ParseDate(std::string_view iso) {
 }
 
 std::string FormatDate(int64_t days) {
-  int y, m, d;
+  int64_t y;
+  int m, d;
   DaysToCivil(days, &y, &m, &d);
-  return StringPrintf("%04d-%02d-%02d", y, m, d);
+  return StringPrintf("%04lld-%02d-%02d", static_cast<long long>(y), m, d);
 }
 
 double Value::AsDouble() const {

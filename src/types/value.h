@@ -31,8 +31,9 @@ bool TypesComparable(DataType a, DataType b);
 /// Converts a calendar date to days since 1970-01-01 (proleptic Gregorian).
 int64_t CivilToDays(int year, int month, int day);
 
-/// Inverse of CivilToDays.
-void DaysToCivil(int64_t days, int* year, int* month, int* day);
+/// Inverse of CivilToDays, defined for every int64 day count (years beyond
+/// the int range included).
+void DaysToCivil(int64_t days, int64_t* year, int* month, int* day);
 
 /// Parses "YYYY-MM-DD" into days since epoch.
 Result<int64_t> ParseDate(std::string_view iso);

@@ -27,6 +27,15 @@ void SumIo(const PlanNodeStats& node, IoTotals* t) {
   for (const PlanNodeStats& c : node.children) SumIo(c, t);
 }
 
+/// Chunks loaded by the plan nodes whose description starts with `prefix`.
+uint64_t LoadsOf(const PlanNodeStats& node, const std::string& prefix) {
+  uint64_t loaded = node.description.rfind(prefix, 0) == 0
+                        ? node.metrics.chunks_loaded
+                        : 0;
+  for (const PlanNodeStats& c : node.children) loaded += LoadsOf(c, prefix);
+  return loaded;
+}
+
 class OutOfCoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -147,6 +156,57 @@ TEST_F(OutOfCoreTest, IndexScanPinsOnlyMatchingChunks) {
   // One matching position in chunk 1: at most that single chunk loads (zero
   // if the planner fell back to a pruned seq scan that pinned one chunk too).
   EXPECT_LE(io.loaded, 1u);
+}
+
+TEST_F(OutOfCoreTest, IndexSeededJoinLoadsOnlyChunksWithVisibleMatches) {
+  auto loaded = LoadDatabase(dir_.string());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  Database* db = loaded->get();
+  ASSERT_TRUE(db->CreateIndex("t", "a").ok());
+  // A tiny outer side whose keys fall in t's chunks 1 (100, 101), 10 (700)
+  // and 12 (800), plus one key matching nothing. Deleting t's row 800
+  // leaves chunk 12 an index candidate but no visible match.
+  ASSERT_TRUE(
+      db->CreateTable(TableSchema("o", {{"k", DataType::kInt64}})).ok());
+  for (int64_t k : {100, 101, 700, 800, 5000}) {
+    ASSERT_TRUE(db->Insert("o", {Value::Int(k)}).ok());
+  }
+  ASSERT_TRUE(db->ExecuteWrite("delete from t where a = 800").ok());
+  ASSERT_TRUE(db->AnalyzeAll().ok());
+  const std::string sql = "select o.k, t.s from o, t where t.a = o.k";
+  auto plan = db->Explain(sql);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  // The index path: t is probed through its index, never scanned in full.
+  EXPECT_EQ(plan->find("SeqScan(t"), std::string::npos) << *plan;
+
+  // Runs `sql` with every chunk evicted between pins; returns the rows and
+  // the chunks loaded on t's side of the join (the outer table spills too).
+  auto run = [&](bool index_scan, uint64_t* t_loads) {
+    db->mutable_exec_context()->enable_index_scan = index_scan;
+    db->SetMemoryBudget(1);
+    QueryStats stats;
+    auto rs = db->Query(sql, &stats);
+    db->mutable_exec_context()->enable_index_scan = true;
+    EXPECT_TRUE(rs.ok()) << rs.status().ToString();
+    IoTotals io;
+    SumIo(stats.plan, &io);
+    *t_loads = io.loaded - LoadsOf(stats.plan, "SeqScan(o");
+    return rs.ok() ? rs->rows : std::vector<Row>{};
+  };
+  uint64_t seeded_loads = 0;
+  uint64_t scanned_loads = 0;
+  std::vector<Row> seeded = run(true, &seeded_loads);
+  std::vector<Row> scanned = run(false, &scanned_loads);
+  EXPECT_EQ(seeded_loads, 2u) << "chunks 1 and 10 hold the visible matches";
+  EXPECT_EQ(scanned_loads, 16u);
+  ASSERT_EQ(seeded.size(), 3u);
+  ASSERT_EQ(scanned.size(), seeded.size());
+  for (size_t r = 0; r < seeded.size(); ++r) {
+    for (size_t c = 0; c < seeded[r].size(); ++c) {
+      EXPECT_EQ(seeded[r][c].TotalCompare(scanned[r][c]), 0)
+          << "row " << r << " col " << c;
+    }
+  }
 }
 
 TEST_F(OutOfCoreTest, SelectiveProbeUnderTightBudgetFaultsOnlyMatchingChunks) {

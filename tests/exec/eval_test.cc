@@ -178,14 +178,14 @@ TEST(EvalTest, IntegerOverflowIsOutOfRange) {
             StatusCode::kOutOfRange);
   EXPECT_EQ(code(bin(BinaryOp::kSub, Value::Int(kMin), Value::Int(1))),
             StatusCode::kOutOfRange);
-  // Dates stay where FormatDate can render them (the error message prints
-  // the expression).
-  const int64_t far = kMax - 1000000;
-  EXPECT_EQ(code(bin(BinaryOp::kAdd, Value::Date(far), Value::Int(2000000))),
+  // The error message prints the expression, near-max DATEs included.
+  EXPECT_EQ(code(bin(BinaryOp::kAdd, Value::Date(kMax), Value::Int(1))),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(code(bin(BinaryOp::kSub, Value::Date(kMin), Value::Int(1))),
             StatusCode::kOutOfRange);
   EXPECT_EQ(code(bin(BinaryOp::kSub, Value::Date(-2), Value::Int(kMax))),
             StatusCode::kOutOfRange);
-  EXPECT_EQ(code(bin(BinaryOp::kSub, Value::Date(far), Value::Date(-2000000))),
+  EXPECT_EQ(code(bin(BinaryOp::kSub, Value::Date(kMax), Value::Date(-1))),
             StatusCode::kOutOfRange);
   EXPECT_EQ(code(Expr::MakeUnary(UnaryOp::kNeg, Lit(Value::Int(kMin)))),
             StatusCode::kOutOfRange);

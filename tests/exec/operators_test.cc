@@ -113,6 +113,41 @@ TEST(IndexScanOpTest, LooksUpOnlyMatchingRows) {
   for (const Row& r : rows) EXPECT_EQ(r[1].int_value(), 1);
 }
 
+// Keys published as a hash join would, already ready for the scan.
+RuntimeFilterPtr JoinKeys(std::vector<Value> keys) {
+  auto filter = std::make_shared<RuntimeFilter>(RuntimeFilter::Kind::kKeys);
+  filter->keys = std::move(keys);
+  filter->ready.store(true);
+  return filter;
+}
+
+TEST(IndexScanOpTest, SeedsTheCandidatesOfEveryKeyInPositionOrder) {
+  auto table = MakeNumbersTable(9);
+  table->Rechunk(4);
+  ASSERT_TRUE(table->CreateIndex("b").ok());
+  // A repeated key adds nothing; candidates of both keys interleave in
+  // position order within and across chunks.
+  IndexScanOp scan(table.get(), /*column=*/1,
+                   JoinKeys({Value::Int(2), Value::Int(1), Value::Int(2)}), 0,
+                   2, nullptr, kCtx);
+  auto rows = Drain(&scan);
+  ASSERT_EQ(rows.size(), 6u);
+  const int64_t expected[] = {1, 2, 4, 5, 7, 8};
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i][0].int_value(), expected[i]);
+  }
+  EXPECT_EQ(scan.metrics().index_probes, 3u);  // one per chunk
+  EXPECT_EQ(scan.metrics().index_rows, 6u);
+
+  // A double beyond 2^52 has no sound probe on an INT64 column: the scan
+  // seeds every visible row and leaves the check to its consumer.
+  IndexScanOp wide(table.get(), /*column=*/1,
+                   JoinKeys({Value::Int(1), Value::Double(1e17)}), 0, 2,
+                   nullptr, kCtx);
+  EXPECT_EQ(Drain(&wide).size(), 9u);
+  EXPECT_EQ(wide.metrics().index_probes, 0u);
+}
+
 TEST(FilterOpTest, DropsNonMatching) {
   auto table = MakeNumbersTable(10);
   auto scan = std::make_unique<SeqScanOp>(table.get(), 0, 2, nullptr, kCtx);
@@ -171,10 +206,13 @@ TEST(HashJoinOpTest, EmptyKeysMakeCrossProduct) {
   EXPECT_EQ(Drain(&join).size(), 12u);
 }
 
-TEST(IndexNestedLoopJoinOpTest, MatchesTheHashJoinItReplaces) {
-  // Wide layout [t1.a, t1.b, t2.x, t2.y]; the outer side carries a
-  // duplicate key so runs of pairs share one inner position.
-  auto t1 = MakeNumbersTable(9);  // slots 0,1; inner, indexed on b
+TEST(HashJoinOpTest, KeySeededIndexScanProbeMatchesTheSeqScanProbe) {
+  // Wide layout [t1.a, t1.b, t2.x, t2.y]. The build side carries a
+  // duplicate key and a NULL key, the probe side a NULL key and an inner
+  // filter; both sides' NULLs must match nothing.
+  auto t1 = MakeNumbersTable(9);  // slots 0,1; probe side, indexed on b
+  ASSERT_TRUE(t1->Insert({Value::Int(9), Value::Null()}).ok());
+  t1->Rechunk(4);
   ASSERT_TRUE(t1->CreateIndex("b").ok());
   auto t2 = std::make_unique<Table>(
       TableSchema("other", {{"x", DataType::kInt64}, {"y", DataType::kString}}));
@@ -182,30 +220,37 @@ TEST(IndexNestedLoopJoinOpTest, MatchesTheHashJoinItReplaces) {
   ASSERT_TRUE(t2->Insert({Value::Int(0), Value::String("zero")}).ok());
   ASSERT_TRUE(t2->Insert({Value::Int(2), Value::String("again")}).ok());
   ASSERT_TRUE(t2->Insert({Value::Int(7), Value::String("none")}).ok());
+  ASSERT_TRUE(t2->Insert({Value::Null(), Value::String("null")}).ok());
 
   // Inner predicate a > 2, bound to the wide layout.
   auto inner_filter = [] {
     return Expr::MakeBinary(BinaryOp::kGt, Slot(0),
                             Expr::MakeLiteral(Value::Int(2)));
   };
-  HashJoinOp hash(std::make_unique<SeqScanOp>(t2.get(), 2, 4, nullptr, kCtx),
-                  std::make_unique<SeqScanOp>(t1.get(), 0, 4, inner_filter(),
-                                              kCtx),
-                  {2}, {1}, /*build_slots=*/{2, 3}, /*probe_slots=*/{0, 1},
-                  kCtx);
-  IndexNestedLoopJoinOp inlj(
-      std::make_unique<SeqScanOp>(t2.get(), 2, 4, nullptr, kCtx), t1.get(),
-      /*inner_column=*/1, /*outer_key_slot=*/2, /*inner_slot_offset=*/0,
-      /*total_slots=*/4, inner_filter(), /*outer_slots=*/{2, 3},
-      /*inner_slots=*/{0, 1}, kCtx);
+  HashJoinOp scanned(
+      std::make_unique<SeqScanOp>(t2.get(), 2, 4, nullptr, kCtx),
+      std::make_unique<SeqScanOp>(t1.get(), 0, 4, inner_filter(), kCtx), {2},
+      {1}, /*build_slots=*/{2, 3}, /*probe_slots=*/{0, 1}, kCtx);
+  auto keys = std::make_shared<RuntimeFilter>(RuntimeFilter::Kind::kKeys);
+  auto index_scan = std::make_unique<IndexScanOp>(
+      t1.get(), /*column=*/1, keys, 0, 4, inner_filter(), kCtx);
+  const IndexScanOp* probe = index_scan.get();
+  HashJoinOp seeded(std::make_unique<SeqScanOp>(t2.get(), 2, 4, nullptr, kCtx),
+                    std::move(index_scan), {2}, {1}, /*build_slots=*/{2, 3},
+                    /*probe_slots=*/{0, 1}, kCtx);
+  seeded.AddRuntimeFilterTarget(keys, 0);
 
-  auto expected = Drain(&hash);
-  auto rows = Drain(&inlj);
-  // a > 2 with b in {0, 2}: a in {3, 5, 6, 8}; b = 2 matches two outer rows.
+  auto expected = Drain(&scanned);
+  auto rows = Drain(&seeded);
+  // a > 2 with b in {0, 2}: a in {3, 5, 6, 8}; b = 2 matches two build rows.
   ASSERT_EQ(rows.size(), 6u);
-  ExpectSameRows(expected, rows, "index nested-loop vs hash join");
-  EXPECT_EQ(inlj.metrics().build_rows, 4u);
-  EXPECT_GT(inlj.metrics().index_probes, 0u);
+  ExpectSameRows(expected, rows, "seeded vs scanned probe");
+  // The join published its distinct non-NULL keys {0, 2, 7}; the seeded
+  // scan materialized only the four probe rows that can join.
+  EXPECT_EQ(keys->keys.size(), 3u);
+  EXPECT_EQ(probe->metrics().rows_produced, 4u);
+  EXPECT_EQ(seeded.metrics().probe_rows, 4u);
+  EXPECT_GT(probe->metrics().index_probes, 0u);
 }
 
 TEST(HashAggregateOpTest, SameGroupsAtEveryDegree) {

@@ -406,6 +406,56 @@ TEST_F(ParallelDeterminismTest, JoinAggregateBitIdenticalAcrossThreadCounts) {
   }
 }
 
+// A hash join whose tiny build side seeds the probe scan of an indexed table
+// with its keys: the scan's workers read the probes the join's keys
+// resolved to, so threads {1, 3} x index access on/off must all return the
+// bits of the sequential scanned plan.
+TEST_F(ParallelDeterminismTest, IndexSeededJoinBitIdenticalAcrossThreads) {
+  Database db;
+  ASSERT_TRUE(db.CreateTable(TableSchema("fact", {{"k", DataType::kInt64},
+                                                  {"v", DataType::kDouble}}))
+                  .ok());
+  ASSERT_TRUE(db.CreateTable(TableSchema("dim", {{"k", DataType::kInt64},
+                                                 {"w", DataType::kDouble}}))
+                  .ok());
+  Rng rng(13);
+  std::vector<Row> fact_rows;
+  for (int i = 0; i < 12000; ++i) {
+    fact_rows.push_back({Value::Int(rng.Uniform(0, 999)),
+                         Value::Double(rng.NextDouble())});
+  }
+  ASSERT_TRUE(db.InsertMany("fact", std::move(fact_rows)).ok());
+  (*db.GetTable("fact"))->Rechunk(1000);
+  std::vector<Row> dim_rows;
+  for (int i = 0; i < 40; ++i) {
+    dim_rows.push_back({i == 7 ? Value::Null() : Value::Int(i * 25 % 1000),
+                        Value::Double(rng.NextDouble())});
+  }
+  ASSERT_TRUE(db.InsertMany("dim", std::move(dim_rows)).ok());
+  ASSERT_TRUE(db.CreateIndex("fact", "k").ok());
+  ASSERT_TRUE(db.AnalyzeAll().ok());
+
+  const std::string sql =
+      "select dim.k, sum(fact.v), sum(dim.w) from fact, dim "
+      "where fact.k = dim.k group by dim.k";
+  auto plan = db.Explain(sql);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_NE(plan->find("IndexScan(fact"), std::string::npos) << *plan;
+
+  db.mutable_exec_context()->enable_index_scan = false;
+  std::vector<Row> baseline = Run(&db, sql, 1);
+  ASSERT_FALSE(baseline.empty());
+  for (bool index_scan : {true, false}) {
+    db.mutable_exec_context()->enable_index_scan = index_scan;
+    for (size_t threads : {1u, 3u}) {
+      ExpectBitIdentical(baseline, Run(&db, sql, threads),
+                         "index_scan=" + std::to_string(index_scan) +
+                             " threads=" + std::to_string(threads));
+    }
+  }
+  db.mutable_exec_context()->enable_index_scan = true;
+}
+
 // Out-of-core differential sweep: with only two chunks' worth of memory
 // budget the scans evict and reload constantly, including right after
 // MVCC writes dirtied chunks (forcing spill-file round-trips). Clean

@@ -84,19 +84,52 @@ TEST_F(PlannerTest, CostModelKeepsZonePrunedScanOnLowSelectivity) {
   EXPECT_NE(plan2.find("IndexScan(big"), std::string::npos) << plan2;
 }
 
-TEST_F(PlannerTest, TinyBuildSideUpgradesToIndexNestedLoopJoin) {
+TEST_F(PlannerTest, TinyBuildSideSeedsTheProbeScanFromTheIndex) {
   // small (5 rows) joins big (100 rows) on big's indexed unique key: the
-  // running plan is far below the hash-build crossover, so the planner
-  // probes big's index per outer row instead of scanning all of big.
+  // running plan is far below the crossover, so the hash join builds on
+  // small and seeds its probe scan of big with small's keys instead of
+  // scanning all of big.
   ASSERT_TRUE(db_.CreateIndex("big", "k").ok());
   std::string plan =
       Explain("select s.v, b.x from small s, big b where b.k = s.k");
-  EXPECT_NE(plan.find("IndexNestedLoopJoin(big"), std::string::npos) << plan;
-  EXPECT_EQ(plan.find("HashJoin"), std::string::npos) << plan;
-  // Without the index the same query hash-joins.
+  EXPECT_NE(plan.find("HashJoin"), std::string::npos) << plan;
+  EXPECT_NE(plan.find("IndexScan(big, k = build keys"), std::string::npos)
+      << plan;
+  EXPECT_EQ(plan.find("SeqScan(big"), std::string::npos) << plan;
+  // Without the index the same query scans big.
   std::string plan2 =
       Explain("select s.v, b.x from small s, big b where b.fk = s.k");
   EXPECT_NE(plan2.find("HashJoin"), std::string::npos) << plan2;
+  EXPECT_NE(plan2.find("SeqScan(big"), std::string::npos) << plan2;
+}
+
+TEST_F(PlannerTest, NullJoinKeysMatchNothingOnEitherAccessPath) {
+  // small.k holds 0..3 and NULL, big.k 0..98 and NULL: the two NULLs must
+  // not pair up, whether big is scanned or seeded from its index.
+  ASSERT_TRUE(db_.ExecuteWrite("update small set k = null where k = 4").ok());
+  ASSERT_TRUE(db_.ExecuteWrite("update big set k = null where k = 99").ok());
+  ASSERT_TRUE(db_.CreateIndex("big", "k").ok());
+  ASSERT_TRUE(db_.AnalyzeAll().ok());
+  const std::string sql =
+      "select s.v, b.x from small s, big b where b.k = s.k";
+  std::string plan = Explain(sql);
+  EXPECT_NE(plan.find("IndexScan(big"), std::string::npos) << plan;
+  auto indexed = db_.Query(sql);
+  db_.mutable_exec_context()->enable_index_scan = false;
+  std::string plan2 = Explain(sql);
+  EXPECT_EQ(plan2.find("IndexScan"), std::string::npos) << plan2;
+  auto scanned = db_.Query(sql);
+  db_.mutable_exec_context()->enable_index_scan = true;
+  ASSERT_TRUE(indexed.ok()) << indexed.status().ToString();
+  ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
+  ASSERT_EQ(scanned->rows.size(), 4u);
+  ASSERT_EQ(indexed->rows.size(), scanned->rows.size());
+  for (size_t r = 0; r < scanned->rows.size(); ++r) {
+    for (size_t c = 0; c < scanned->rows[r].size(); ++c) {
+      EXPECT_EQ(indexed->rows[r][c].TotalCompare(scanned->rows[r][c]), 0)
+          << "row " << r << " col " << c;
+    }
+  }
 }
 
 TEST_F(PlannerTest, NonEquiJoinBecomesResidualFilter) {

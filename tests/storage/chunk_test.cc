@@ -121,11 +121,10 @@ TEST(ChunkTest, SetValueInvalidatesOnlyTheTouchedChunkSlice) {
   // A probe through the table rebuilds the stale slice and sees the write.
   bool unsupported = false;
   const ChunkIndex::ProbeSpec probe =
-      idx->ResolveProbe(Value::Int(99), table.dictionary(0),
-                        /*join_semantics=*/false, &unsupported);
+      idx->ResolveProbe(Value::Int(99), table.dictionary(0), &unsupported);
   ASSERT_FALSE(unsupported);
   std::vector<uint32_t> hits;
-  table.IndexProbeChunk(0, probe, /*scan_semantics=*/true, 0, &hits, nullptr);
+  table.IndexProbeChunk(0, {probe}, 0, &hits, nullptr);
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0], 2u);
   EXPECT_TRUE(idx->ChunkValid(0));

@@ -23,14 +23,12 @@ std::vector<size_t> IndexLookup(const Table& table, size_t column,
   EXPECT_NE(idx, nullptr);
   bool unsupported = false;
   const ChunkIndex::ProbeSpec probe =
-      idx->ResolveProbe(key, table.dictionary(column),
-                        /*join_semantics=*/false, &unsupported);
+      idx->ResolveProbe(key, table.dictionary(column), &unsupported);
   EXPECT_FALSE(unsupported);
   std::vector<size_t> out;
   for (size_t c = 0; c < table.num_chunks(); ++c) {
     std::vector<uint32_t> local;
-    table.IndexProbeChunk(column, probe, /*scan_semantics=*/true, c, &local,
-                          nullptr);
+    table.IndexProbeChunk(column, {probe}, c, &local, nullptr);
     for (uint32_t r : local) out.push_back(c * table.chunk_capacity() + r);
   }
   return out;

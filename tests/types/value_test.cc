@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace conquer {
 namespace {
 
@@ -72,10 +74,20 @@ TEST(DateTest, EpochAnchors) {
 
 TEST(DateTest, RoundTripThroughCivil) {
   for (int64_t days : {-10000, -1, 0, 1, 10000, 20000}) {
-    int y, m, d;
+    int64_t y;
+    int m, d;
     DaysToCivil(days, &y, &m, &d);
-    EXPECT_EQ(CivilToDays(y, m, d), days);
+    EXPECT_EQ(CivilToDays(static_cast<int>(y), m, d), days);
   }
+}
+
+TEST(DateTest, FormatsEveryInt64DayCount) {
+  EXPECT_EQ(FormatDate(std::numeric_limits<int64_t>::max()),
+            "25252734927768524-07-27");
+  EXPECT_EQ(FormatDate(std::numeric_limits<int64_t>::min()),
+            "-25252734927764585-06-07");
+  EXPECT_EQ(Value::Date(std::numeric_limits<int64_t>::max()).ToSqlLiteral(),
+            "DATE '25252734927768524-07-27'");
 }
 
 TEST(DateTest, LeapYearHandling) {

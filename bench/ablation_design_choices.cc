@@ -129,38 +129,7 @@ BENCHMARK(BM_Q10WithAndWithoutIndexes)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(3);
 
-// ---- 3. join ordering: greedy vs. Selinger-style DP ----
-
-void BM_JoinOrdering(benchmark::State& state) {
-  bool dp = state.range(1) != 0;
-  TpchDirtyDatabase& db = bench::GetCachedDb(5, 3);
-  PlannerOptions options;
-  options.join_ordering = dp
-                              ? PlannerOptions::JoinOrdering::kDynamicProgramming
-                              : PlannerOptions::JoinOrdering::kGreedy;
-  db.db->set_planner_options(options);
-  CleanAnswerEngine engine(db.db.get(), &db.dirty);
-  const TpchQuery* q = FindTpchQuery(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    auto answers = engine.Query(q->sql);
-    if (!answers.ok()) state.SkipWithError(answers.status().ToString().c_str());
-    benchmark::DoNotOptimize(answers->answers.size());
-  }
-  db.db->set_planner_options(PlannerOptions{});
-}
-
-BENCHMARK(BM_JoinOrdering)
-    ->Name("Ablation/JoinOrdering")  // Args: {query, 0=greedy/1=dp}
-    ->Args({3, 0})
-    ->Args({3, 1})
-    ->Args({9, 0})
-    ->Args({9, 1})
-    ->Args({2, 0})
-    ->Args({2, 1})
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(3);
-
-// ---- 4. rewrite-only cost ----
+// ---- 3. rewrite-only cost ----
 
 void BM_RewriteOnly(benchmark::State& state) {
   TpchDirtyDatabase& db = bench::GetCachedDb(5, 3);

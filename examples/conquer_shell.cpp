@@ -305,9 +305,11 @@ int main(int argc, char** argv) {
           std::printf("NOT rewritable: %s\n", check->reason.c_str());
         }
       } else if (cmd == "explain") {
-        auto plan = db->Explain(sql);
+        auto plan = db->Query("EXPLAIN " + sql);
         if (!plan.ok()) return PrintStatus(plan.status());
-        std::printf("%s", plan->c_str());
+        for (const Row& line : plan->rows) {
+          std::printf("%s\n", line[0].string_value().c_str());
+        }
       } else if (cmd == "prepare") {
         // sql here is "<name> <select ...>".
         size_t space = sql.find(' ');

@@ -37,11 +37,6 @@ void Database::SetThreads(size_t n) {
   }
 }
 
-void Database::set_planner_options(const PlannerOptions& options) {
-  ExclusiveAdmission admission(&gate_);
-  planner_options_ = options;
-}
-
 Status Database::CreateTable(TableSchema schema) {
   ExclusiveAdmission admission(&gate_);
   Result<Table*> t = catalog_.CreateTable(std::move(schema));
@@ -144,9 +139,12 @@ Result<ResultSet> Database::Query(std::string_view sql,
     case ExplainMode::kNone:
       return Execute(slot, std::move(parsed.select), stats);
     case ExplainMode::kPlan: {
-      CONQUER_ASSIGN_OR_RETURN(std::string text,
-                               PlanText(slot, std::move(parsed.select)));
-      return TextResultSet("QUERY PLAN", text);
+      Binder binder(&catalog_);
+      CONQUER_ASSIGN_OR_RETURN(BoundQuery bound,
+                               binder.Bind(std::move(parsed.select)));
+      CONQUER_ASSIGN_OR_RETURN(OperatorPtr plan,
+                               Planner::Plan(bound, exec_ctx_));
+      return TextResultSet("QUERY PLAN", ExplainPlan(*plan));
     }
     case ExplainMode::kAnalyze: {
       QueryStats local;
@@ -188,7 +186,7 @@ Result<ResultSet> Database::ExecuteBound(const ReadSlot& slot,
         "values before executing");
   }
   Timer timer;
-  CONQUER_ASSIGN_OR_RETURN(OperatorPtr plan, Planner::Plan(bound, planner_options_, exec_ctx_));
+  CONQUER_ASSIGN_OR_RETURN(OperatorPtr plan, Planner::Plan(bound, exec_ctx_));
   if (stats != nullptr) stats->plan_seconds = timer.ElapsedSeconds();
 
   ResultSet rs;
@@ -214,32 +212,6 @@ Result<ResultSet> Database::ExecuteBound(const ReadSlot& slot,
     stats->peak_memory_bytes = EstimatePlanPeakMemory(stats->plan);
   }
   return rs;
-}
-
-Result<std::string> Database::Explain(std::string_view sql) const {
-  CONQUER_ASSIGN_OR_RETURN(auto stmt, Parser::Parse(sql));
-  const ReadSlot slot = AdmitRead();
-  return PlanText(slot, std::move(stmt));
-}
-
-Result<std::string> Database::PlanText(
-    const ReadSlot& /*slot*/, std::unique_ptr<SelectStatement> stmt) const {
-  Binder binder(&catalog_);
-  CONQUER_ASSIGN_OR_RETURN(BoundQuery bound, binder.Bind(std::move(stmt)));
-  CONQUER_ASSIGN_OR_RETURN(OperatorPtr plan,
-                           Planner::Plan(bound, planner_options_, exec_ctx_));
-  return ExplainPlan(*plan);
-}
-
-Result<std::string> Database::ExplainAnalyze(std::string_view sql,
-                                             QueryStats* stats) const {
-  QueryStats local;
-  QueryStats* out = stats != nullptr ? stats : &local;
-  Timer parse_timer;
-  CONQUER_ASSIGN_OR_RETURN(auto stmt, Parser::Parse(sql));
-  out->parse_seconds = parse_timer.ElapsedSeconds();
-  CONQUER_RETURN_NOT_OK(Execute(std::move(stmt), out).status());
-  return out->ToString();
 }
 
 Result<Table*> Database::GetTable(std::string_view name) const {

@@ -19,7 +19,6 @@
 #include "exec/query_stats.h"
 #include "exec/result_set.h"
 #include "plan/binder.h"
-#include "plan/planner.h"
 
 namespace conquer {
 
@@ -54,10 +53,10 @@ struct WriteMaintenanceHook {
 ///
 /// Every public entry is admitted through the database's one FIFO-fair
 /// AdmissionGate, so any number of threads may call it concurrently: reads
-/// (Query, Execute, Explain, ExplainAnalyze, ExecuteBound under a
+/// (Query, including EXPLAIN [ANALYZE], Execute, ExecuteBound under a
 /// ReadSlot) share up to max_concurrent_queries() slots and hold theirs
-/// across bind, plan and execute; writes, DDL, statistics, hooks, planner
-/// options and SetThreads take the exclusive slot and run alone. That is
+/// across bind, plan and execute; writes, DDL, statistics, hooks and
+/// SetThreads take the exclusive slot and run alone. That is
 /// what lets the query path read catalog and table data without per-row
 /// locks. The one unadmitted path is the raw access of GetTable() and
 /// catalog(): bulk-loading through a `Table*` must not overlap queries.
@@ -171,14 +170,6 @@ class Database {
   Result<ResultSet> ExecuteBound(const ReadSlot& slot, BoundQuery bound,
                                  QueryStats* stats = nullptr) const;
 
-  /// Physical plan of the statement, as an indented tree.
-  Result<std::string> Explain(std::string_view sql) const;
-
-  /// Executes the statement and renders the annotated plan tree (the string
-  /// form of `EXPLAIN ANALYZE <sql>`). Fills `stats` when non-null.
-  Result<std::string> ExplainAnalyze(std::string_view sql,
-                                     QueryStats* stats = nullptr) const;
-
   /// Direct table access for bulk loading and inspection. Unadmitted:
   /// mutating the table must not overlap queries or writes.
   Result<Table*> GetTable(std::string_view name) const;
@@ -197,11 +188,6 @@ class Database {
   void SetMemoryBudget(uint64_t bytes) { buffer_pool_->SetBudget(bytes); }
   uint64_t memory_budget() const { return buffer_pool_->budget(); }
   BufferPool* buffer_pool() const { return buffer_pool_.get(); }
-
-  /// Planner configuration used by Query/Execute/Explain (e.g. greedy vs.
-  /// dynamic-programming join ordering).
-  void set_planner_options(const PlannerOptions& options);
-  const PlannerOptions& planner_options() const { return planner_options_; }
 
   /// Sizes the worker pool used by morsel-driven parallel operators.
   /// `n <= 1` (the default) destroys the pool and restores strictly
@@ -245,9 +231,6 @@ class Database {
  private:
   /// Analyze for a caller holding the exclusive slot (AnalyzeAll).
   Status AnalyzeLocked(std::string_view table);
-  /// Binds and plans `stmt` and renders the plan tree (EXPLAIN).
-  Result<std::string> PlanText(const ReadSlot& slot,
-                               std::unique_ptr<SelectStatement> stmt) const;
 
   void BumpCatalogVersion() {
     catalog_version_.fetch_add(1, std::memory_order_acq_rel);
@@ -258,7 +241,6 @@ class Database {
   std::unique_ptr<BufferPool> buffer_pool_ =
       std::make_unique<BufferPool>(BufferPool::DefaultBudgetFromEnv());
   Catalog catalog_;
-  PlannerOptions planner_options_;
   /// Post-write maintenance hooks, keyed by lower-cased table name.
   std::unordered_map<std::string, WriteMaintenanceHook> write_hooks_;
   /// Guards the pool_ swap for scheduler_backlog() only; queries see a

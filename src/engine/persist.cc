@@ -2,16 +2,14 @@
 
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 
 #include "common/str_util.h"
-#include "engine/csv.h"
 #include "storage/segment.h"
 
 namespace conquer {
 
 namespace {
-
-constexpr const char* kNullSpelling = "\\N";
 
 Result<DataType> TypeFromName(std::string_view name) {
   if (EqualsIgnoreCase(name, "INT64")) return DataType::kInt64;
@@ -23,57 +21,10 @@ Result<DataType> TypeFromName(std::string_view name) {
                                  "' in manifest");
 }
 
-CsvOptions PersistCsvOptions() {
-  CsvOptions options;
-  options.null_literal = kNullSpelling;
-  return options;
-}
-
-/// Value::ToString prints doubles with %.6g — fine for display, lossy on
-/// disk. The CSV export uses %.17g, the shortest precision guaranteed to
-/// round-trip every finite double through decimal.
-std::string CsvField(const Value& v, const CsvOptions& csv) {
-  if (v.is_null()) return csv.null_literal;
-  if (v.type() == DataType::kDouble) {
-    return StringPrintf("%.17g", v.double_value());
-  }
-  return v.ToString();
-}
-
-Status SaveTableCsv(const Table& table, const std::string& path,
-                    const CsvOptions& csv) {
-  std::ofstream data(path);
-  if (!data) {
-    return Status::InvalidArgument("cannot write table file '" + path + "'");
-  }
-  std::vector<std::string> header;
-  for (const ColumnDef& col : table.schema().columns()) {
-    header.push_back(col.name);
-  }
-  data << FormatCsvLine(header, csv) << '\n';
-  std::vector<std::string> fields(header.size());
-  Row row;
-  // Export only the rows visible at the latest committed version: dead row
-  // versions must not be resurrected by a save/load cycle, and rows of
-  // uncommitted writes must not leak out.
-  RowCursor cursor(&table);
-  for (size_t r : table.VisibleRowPositions(table.committed_version())) {
-    // Materialize one row at a time: chunked tables have no contiguous
-    // row vector to iterate, and a full copy would double peak memory.
-    cursor.Touch(r);
-    table.GetRowInto(r, &row);
-    for (size_t c = 0; c < row.size(); ++c) {
-      fields[c] = CsvField(row[c], csv);
-    }
-    data << FormatCsvLine(fields, csv) << '\n';
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 Status SaveDatabase(const Database& db, const std::string& dir,
-                    const DirtySchema* dirty, SaveFormat format) {
+                    const DirtySchema* dirty) {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) {
@@ -81,35 +32,25 @@ Status SaveDatabase(const Database& db, const std::string& dir,
                                    "': " + ec.message());
   }
 
-  std::ofstream manifest(dir + "/manifest.txt");
-  if (!manifest) {
-    return Status::InvalidArgument("cannot write manifest in '" + dir + "'");
-  }
-  CsvOptions csv = PersistCsvOptions();
+  std::ostringstream manifest;
   // Writers wait until the walk is done; concurrent queries may continue.
   const Database::ReadSlot slot = db.AdmitRead();
   for (const std::string& name : db.catalog().TableNames()) {
     CONQUER_ASSIGN_OR_RETURN(Table * table, db.GetTable(name));
+    CONQUER_RETURN_NOT_OK(WriteTableSegment(table, dir + "/" + name + ".seg"));
     manifest << name;
     for (const ColumnDef& col : table->schema().columns()) {
       manifest << '|' << col.name << ':' << DataTypeToString(col.type);
     }
     manifest << '\n';
-
-    if (format == SaveFormat::kBinary) {
-      CONQUER_RETURN_NOT_OK(
-          WriteTableSegment(table, dir + "/" + name + ".seg"));
-    } else {
-      CONQUER_RETURN_NOT_OK(
-          SaveTableCsv(*table, dir + "/" + name + ".csv", csv));
-    }
   }
+  // Written only once every segment is durable, so a save failing above
+  // leaves the previous manifest whole.
+  CONQUER_RETURN_NOT_OK(
+      WriteFileAtomically(dir + "/manifest.txt", manifest.str()));
 
   if (dirty != nullptr) {
-    std::ofstream out(dir + "/dirty_schema.txt");
-    if (!out) {
-      return Status::InvalidArgument("cannot write dirty schema file");
-    }
+    std::ostringstream out;
     for (const DirtyTableInfo& info : dirty->tables()) {
       out << info.table_name << '|' << info.id_column << '|'
           << info.prob_column << '|';
@@ -120,6 +61,8 @@ Status SaveDatabase(const Database& db, const std::string& dir,
       }
       out << '\n';
     }
+    CONQUER_RETURN_NOT_OK(
+        WriteFileAtomically(dir + "/dirty_schema.txt", out.str()));
   }
   return Status::OK();
 }
@@ -131,7 +74,6 @@ Result<std::unique_ptr<Database>> LoadDatabase(const std::string& dir,
     return Status::NotFound("no manifest.txt in '" + dir + "'");
   }
   auto db = std::make_unique<Database>();
-  CsvOptions csv = PersistCsvOptions();
 
   std::string line;
   while (std::getline(manifest, line)) {
@@ -150,18 +92,9 @@ Result<std::unique_ptr<Database>> LoadDatabase(const std::string& dir,
       CONQUER_RETURN_NOT_OK(schema.AddColumn({col[0], type}));
     }
     CONQUER_RETURN_NOT_OK(db->CreateTable(schema));
-
-    const std::string seg_path = dir + "/" + parts[0] + ".seg";
-    if (std::filesystem::exists(seg_path)) {
-      CONQUER_ASSIGN_OR_RETURN(Table * table, db->GetTable(parts[0]));
-      CONQUER_RETURN_NOT_OK(LoadTableSegment(table, seg_path));
-      continue;
-    }
-    std::ifstream data(dir + "/" + parts[0] + ".csv");
-    if (!data) {
-      return Status::NotFound("missing table file for '" + parts[0] + "'");
-    }
-    CONQUER_RETURN_NOT_OK(LoadCsv(db.get(), parts[0], &data, csv).status());
+    CONQUER_ASSIGN_OR_RETURN(Table * table, db->GetTable(parts[0]));
+    CONQUER_RETURN_NOT_OK(
+        LoadTableSegment(table, dir + "/" + parts[0] + ".seg"));
   }
 
   if (dirty != nullptr) {

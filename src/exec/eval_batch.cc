@@ -58,61 +58,6 @@ BinaryOp FlipComparison(BinaryOp op) {
   }
 }
 
-/// Scalar fallback: per-row EvalPredicate over the selection.
-Status FilterScalar(const Expr& e, const std::vector<Row>& rows,
-                    SelVector* sel) {
-  size_t out = 0;
-  for (uint32_t i : *sel) {
-    CONQUER_ASSIGN_OR_RETURN(bool pass, EvalPredicate(e, rows[i]));
-    if (pass) (*sel)[out++] = i;
-  }
-  sel->resize(out);
-  return Status::OK();
-}
-
-/// Comparison of a column slot against a non-NULL literal.
-void FilterColumnConst(BinaryOp op, int slot, const Value& lit,
-                       const std::vector<Row>& rows, SelVector* sel) {
-  size_t out = 0;
-  for (uint32_t i : *sel) {
-    const Value& v = rows[i][slot];
-    if (v.is_null()) continue;
-    if (CmpMatches(op, v.Compare(lit))) (*sel)[out++] = i;
-  }
-  sel->resize(out);
-}
-
-/// Comparison between two column slots of the same row array.
-void FilterColumnColumn(BinaryOp op, int lslot, int rslot,
-                        const std::vector<Row>& rows, SelVector* sel) {
-  size_t out = 0;
-  for (uint32_t i : *sel) {
-    const Value& l = rows[i][lslot];
-    const Value& r = rows[i][rslot];
-    if (l.is_null() || r.is_null()) continue;
-    if (CmpMatches(op, l.Compare(r))) (*sel)[out++] = i;
-  }
-  sel->resize(out);
-}
-
-/// LIKE of a string column against a constant pattern.
-Status FilterColumnLike(int slot, const std::string& pattern,
-                        const std::vector<Row>& rows, SelVector* sel) {
-  size_t out = 0;
-  for (uint32_t i : *sel) {
-    const Value& v = rows[i][slot];
-    if (v.is_null()) continue;
-    if (v.type() != DataType::kString) {
-      return Status::TypeError(
-          std::string("LIKE requires string operands, got ") +
-          DataTypeToString(v.type()) + " and STRING");
-    }
-    if (LikeMatch(v.string_value(), pattern)) (*sel)[out++] = i;
-  }
-  sel->resize(out);
-  return Status::OK();
-}
-
 /// Normalizes a comparison node to column-on-the-left. Returns false when
 /// the node is not a column-vs-literal comparison (col/lit untouched).
 bool NormalizeColLit(const Expr& e, const Expr** col, const Expr** lit,
@@ -133,36 +78,6 @@ bool NormalizeColLit(const Expr& e, const Expr** col, const Expr** lit,
     return true;
   }
   return false;
-}
-
-/// Dispatches a comparison node to its vectorized shape, or falls back.
-Status FilterComparison(const Expr& e, const std::vector<Row>& rows,
-                        SelVector* sel) {
-  const Expr* col = nullptr;
-  const Expr* lit = nullptr;
-  BinaryOp op;
-  if (!NormalizeColLit(e, &col, &lit, &op)) {
-    if (e.left->kind == Expr::Kind::kColumnRef &&
-        e.right->kind == Expr::Kind::kColumnRef &&
-        IsOrderedComparison(e.bop)) {
-      FilterColumnColumn(e.bop, e.left->slot, e.right->slot, rows, sel);
-      return Status::OK();
-    }
-    return FilterScalar(e, rows, sel);
-  }
-  if (lit->literal.is_null()) {
-    // A comparison with NULL is never TRUE.
-    sel->clear();
-    return Status::OK();
-  }
-  if (op == BinaryOp::kLike) {
-    if (lit->literal.type() != DataType::kString) {
-      return FilterScalar(e, rows, sel);  // scalar path raises the TypeError
-    }
-    return FilterColumnLike(col->slot, lit->literal.string_value(), rows, sel);
-  }
-  FilterColumnConst(op, col->slot, lit->literal, rows, sel);
-  return Status::OK();
 }
 
 // ---------------------------------------------------------- chunk filtering
@@ -266,7 +181,7 @@ Status ChunkFilterStringScan(BinaryOp op, const ColumnVector& cv,
 }
 
 /// Generic column-vs-literal loop (odd type pairings): builds each stored
-/// value and defers to Value::Compare, matching FilterColumnConst exactly.
+/// value and defers to Value::Compare, as EvalPredicate compares them.
 void ChunkFilterGenericConst(BinaryOp op, const ColumnVector& cv,
                              const StringDictionary* dict, const Value& lit,
                              SelVector* sel) {
@@ -482,45 +397,6 @@ Status FilterChunkSelection(const Expr& e, const Table& table,
       return ChunkFilterScalar(e, table, chunk_index, sel);
     default:
       return ChunkFilterScalar(e, table, chunk_index, sel);
-  }
-}
-
-Status FilterSelection(const Expr& e, const std::vector<Row>& rows,
-                       SelVector* sel) {
-  if (sel->empty()) return Status::OK();
-  switch (e.kind) {
-    case Expr::Kind::kLiteral:
-      if (e.literal.is_null() || !e.literal.bool_value()) sel->clear();
-      return Status::OK();
-    case Expr::Kind::kBinary:
-      if (e.bop == BinaryOp::kAnd) {
-        // A row passes a conjunction iff both sides are TRUE: filter the
-        // survivors of the left conjunct through the right one.
-        CONQUER_RETURN_NOT_OK(FilterSelection(*e.left, rows, sel));
-        return FilterSelection(*e.right, rows, sel);
-      }
-      if (e.bop == BinaryOp::kOr) {
-        // A row passes a disjunction iff either side is TRUE. Evaluate the
-        // left side, give only the rejected rows to the right side, then
-        // merge the two (disjoint, ordered) position sets.
-        SelVector left = *sel;
-        CONQUER_RETURN_NOT_OK(FilterSelection(*e.left, rows, &left));
-        SelVector right;
-        right.reserve(sel->size() - left.size());
-        std::set_difference(sel->begin(), sel->end(), left.begin(),
-                            left.end(), std::back_inserter(right));
-        CONQUER_RETURN_NOT_OK(FilterSelection(*e.right, rows, &right));
-        sel->clear();
-        std::merge(left.begin(), left.end(), right.begin(), right.end(),
-                   std::back_inserter(*sel));
-        return Status::OK();
-      }
-      if (IsOrderedComparison(e.bop) || e.bop == BinaryOp::kLike) {
-        return FilterComparison(e, rows, sel);
-      }
-      return FilterScalar(e, rows, sel);
-    default:
-      return FilterScalar(e, rows, sel);
   }
 }
 

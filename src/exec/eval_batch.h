@@ -11,29 +11,12 @@
 
 namespace conquer {
 
-/// \brief Vectorized predicate evaluation over a selection vector.
-///
-/// Compacts `sel` (positions into `rows`) in place, keeping exactly the
-/// rows where `e` evaluates to TRUE (SQL semantics: NULL drops the row,
-/// matching EvalPredicate). Order is preserved, so output row order is
-/// identical to the per-row scalar path.
-///
-/// Fast paths, applied per predicate node:
-///   - AND: evaluate the left conjunct, then the right over the survivors;
-///   - OR: evaluate both sides over disjoint position sets and merge;
-///   - column-vs-literal and column-vs-column comparisons: one tight loop
-///     over the selection, no Value copies and no per-row Result plumbing.
-/// Anything else falls back to scalar EvalPredicate per row. `rows` are
-/// intermediate rows (FilterOp's input); base-table scans filter chunks in
-/// place with FilterChunkSelection instead.
-Status FilterSelection(const Expr& e, const std::vector<Row>& rows,
-                       SelVector* sel);
-
 /// \brief Chunk-native predicate evaluation over a selection vector.
 ///
-/// Same contract as FilterSelection — `sel` holds *chunk-local* positions
-/// into chunk `chunk_index` of `table` and is compacted in place, order
-/// preserved — but the fast paths read the chunk's typed column vectors
+/// `sel` holds *chunk-local* positions into chunk `chunk_index` of `table`
+/// and is compacted in place, order preserved, keeping exactly the rows
+/// where `e` evaluates to TRUE (SQL semantics: NULL drops the row, matching
+/// EvalPredicate). The fast paths read the chunk's typed column vectors
 /// directly, with no row materialization:
 ///   - int64/date/bool columns compare raw int64 payloads;
 ///   - double columns compare raw doubles (INT64 literals widened once);

@@ -545,12 +545,9 @@ Result<bool> FilterOp::NextBatchImpl(RowBatch* out) {
     child_batch_.capacity = out->capacity;
     CONQUER_ASSIGN_OR_RETURN(bool more, child_->NextBatch(&child_batch_));
     if (!more) return false;
-    sel_.resize(child_batch_.rows.size());
-    std::iota(sel_.begin(), sel_.end(), 0u);
-    CONQUER_RETURN_NOT_OK(
-        FilterSelection(*predicate_, child_batch_.rows, &sel_));
-    for (uint32_t i : sel_) {
-      out->rows.push_back(std::move(child_batch_.rows[i]));
+    for (Row& row : child_batch_.rows) {
+      CONQUER_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*predicate_, row));
+      if (pass) out->rows.push_back(std::move(row));
     }
   }
   return true;

@@ -179,7 +179,8 @@ class IndexScanOp : public SeqScanOp {
   bool seed_all_ = false;  ///< some key has no sound probe
 };
 
-/// \brief Filters wide rows by a bound predicate.
+/// \brief Keeps the child's wide rows whose bound predicate is TRUE
+/// (EvalPredicate, one row at a time), in child order.
 class FilterOp : public Operator {
  public:
   FilterOp(OperatorPtr child, ExprPtr predicate);
@@ -196,7 +197,6 @@ class FilterOp : public Operator {
   OperatorPtr child_;
   ExprPtr predicate_;
   RowBatch child_batch_;
-  SelVector sel_;
 };
 
 /// \brief In-memory hash equi-join of two wide-row inputs.

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <set>
 
 #include "exec/operators.h"
@@ -168,7 +167,6 @@ struct JoinEdge {
   int left_slot;
   int right_from;
   int right_slot;
-  bool used = false;
 };
 
 ExprPtr AndCombine(ExprPtr a, ExprPtr b) {
@@ -202,75 +200,9 @@ double EdgeSelectivity(const BoundQuery& q, const JoinEdge& e) {
   return 1.0 / static_cast<double>(m);
 }
 
-/// Selinger-style left-deep join ordering over bitmask subsets: minimizes
-/// the summed estimated cardinality of every intermediate result. Returns
-/// the table sequence, or empty when n exceeds the configured bound.
-std::vector<int> DpJoinOrder(const BoundQuery& q,
-                             const std::vector<double>& est,
-                             const std::vector<JoinEdge>& edges, int n,
-                             int max_dp_tables) {
-  if (n < 2 || n > max_dp_tables || n > 20) return {};
-  const uint32_t full = (1u << n) - 1;
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  struct State {
-    double cost = kInf;   // sum of intermediate result sizes
-    double rows = 0.0;    // estimated rows of this subset's join
-    int last = -1;        // table joined last
-  };
-  std::vector<State> best(full + 1);
-  for (int i = 0; i < n; ++i) {
-    best[1u << i] = {0.0, est[i], i};
-  }
-  for (uint32_t mask = 1; mask <= full; ++mask) {
-    if (best[mask].cost == kInf) continue;
-    for (int t = 0; t < n; ++t) {
-      uint32_t bit = 1u << t;
-      if (mask & bit) continue;
-      double sel = 1.0;
-      bool connected = false;
-      for (const JoinEdge& e : edges) {
-        bool joins_t = false;
-        if (e.left_from == t && (mask & (1u << e.right_from))) joins_t = true;
-        if (e.right_from == t && (mask & (1u << e.left_from))) joins_t = true;
-        if (joins_t) {
-          connected = true;
-          sel *= EdgeSelectivity(q, e);
-        }
-      }
-      // Discourage (but allow) cross products: they keep selectivity 1.
-      if (!connected && mask != full) {
-        // Only consider a cross product when nothing connects at all;
-        // skipping here keeps the DP from exploring useless orders, and the
-        // final fallback below handles fully disconnected queries.
-        bool t_connects_anything = false;
-        for (const JoinEdge& e : edges) {
-          t_connects_anything = t_connects_anything || e.left_from == t ||
-                                e.right_from == t;
-        }
-        if (t_connects_anything) continue;
-      }
-      double rows = std::max(1.0, best[mask].rows * est[t] * sel);
-      double cost = best[mask].cost + rows;
-      uint32_t next = mask | bit;
-      if (cost < best[next].cost) {
-        best[next] = {cost, rows, t};
-      }
-    }
-  }
-  if (best[full].cost == kInf) return {};  // disconnected beyond repair
-  std::vector<int> order(n);
-  uint32_t mask = full;
-  for (int i = n - 1; i >= 0; --i) {
-    order[i] = best[mask].last;
-    mask &= ~(1u << best[mask].last);
-  }
-  return order;
-}
-
 }  // namespace
 
 Result<OperatorPtr> Planner::Plan(const BoundQuery& q,
-                                  const PlannerOptions& options,
                                   const ExecContext& exec) {
   const SelectStatement& stmt = *q.stmt;
   size_t n = stmt.from.size();
@@ -343,7 +275,7 @@ Result<OperatorPtr> Planner::Plan(const BoundQuery& q,
         c->left->kind == Expr::Kind::kColumnRef &&
         c->right->kind == Expr::Kind::kColumnRef) {
       edges.push_back({c->left->from_index, c->left->slot,
-                       c->right->from_index, c->right->slot, false});
+                       c->right->from_index, c->right->slot});
       continue;
     }
     residuals.push_back({c, refs, false});
@@ -423,26 +355,13 @@ Result<OperatorPtr> Planner::Plan(const BoundQuery& q,
     }
   };
 
-  // ---- Join ordering. ----
-  // When dynamic programming is selected (and feasible), the full table
-  // sequence is fixed up front; otherwise each step picks greedily.
-  std::vector<int> fixed_order;
-  if (options.join_ordering == PlannerOptions::JoinOrdering::kDynamicProgramming) {
-    fixed_order = DpJoinOrder(q, est, edges, static_cast<int>(n),
-                              options.max_dp_tables);
-  }
-  size_t order_step = 0;
-
+  // ---- Join ordering (greedy). ----
   std::set<int> joined;
   std::vector<std::pair<size_t, size_t>> joined_ranges;
-  // Start from the DP choice or the smallest estimated table.
+  // Start from the smallest estimated table.
   int first = 0;
-  if (!fixed_order.empty()) {
-    first = fixed_order[order_step++];
-  } else {
-    for (size_t i = 1; i < n; ++i) {
-      if (est[i] < est[first]) first = static_cast<int>(i);
-    }
+  for (size_t i = 1; i < n; ++i) {
+    if (est[i] < est[first]) first = static_cast<int>(i);
   }
   OperatorPtr plan = make_scan(first);
   joined.insert(first);
@@ -464,20 +383,16 @@ Result<OperatorPtr> Planner::Plan(const BoundQuery& q,
   plan = apply_ready_residuals(std::move(plan));
 
   while (joined.size() < n) {
+    // The smallest table connected to the joined set by an edge.
     int best = -1;
-    if (!fixed_order.empty()) {
-      best = fixed_order[order_step++];
-    } else {
-      // Greedy: the smallest table connected to the joined set by an edge.
-      for (const JoinEdge& e : edges) {
-        int other = -1;
-        if (joined.count(e.left_from) && !joined.count(e.right_from)) {
-          other = e.right_from;
-        } else if (joined.count(e.right_from) && !joined.count(e.left_from)) {
-          other = e.left_from;
-        }
-        if (other >= 0 && (best < 0 || est[other] < est[best])) best = other;
+    for (const JoinEdge& e : edges) {
+      int other = -1;
+      if (joined.count(e.left_from) && !joined.count(e.right_from)) {
+        other = e.right_from;
+      } else if (joined.count(e.right_from) && !joined.count(e.left_from)) {
+        other = e.left_from;
       }
+      if (other >= 0 && (best < 0 || est[other] < est[best])) best = other;
     }
     bool cross = false;
     if (best < 0) {
@@ -487,32 +402,22 @@ Result<OperatorPtr> Planner::Plan(const BoundQuery& q,
         if (joined.count(static_cast<int>(i))) continue;
         if (best < 0 || est[i] < est[best]) best = static_cast<int>(i);
       }
-    } else if (!fixed_order.empty()) {
-      // The DP order may join a table with no edge into the current set
-      // (cross product by decision); detect that for key gathering.
-      bool connected = false;
-      for (const JoinEdge& e : edges) {
-        connected = connected ||
-                    (e.left_from == best && joined.count(e.right_from)) ||
-                    (e.right_from == best && joined.count(e.left_from));
-      }
-      cross = !connected;
     }
 
+    // Every edge between `best` and the joined set becomes a key of this
+    // join (an equality cycle's closing edge included), so no edge is ever
+    // left over to filter on later.
     std::vector<int> new_keys, old_keys;
     double step_sel = 1.0;  // product of the consumed edges' selectivities
     if (!cross) {
-      for (JoinEdge& e : edges) {
-        if (e.used) continue;
+      for (const JoinEdge& e : edges) {
         if (e.left_from == best && joined.count(e.right_from)) {
           new_keys.push_back(e.left_slot);
           old_keys.push_back(e.right_slot);
-          e.used = true;
           step_sel *= EdgeSelectivity(q, e);
         } else if (e.right_from == best && joined.count(e.left_from)) {
           new_keys.push_back(e.right_slot);
           old_keys.push_back(e.left_slot);
-          e.used = true;
           step_sel *= EdgeSelectivity(q, e);
         }
       }
@@ -575,29 +480,13 @@ Result<OperatorPtr> Planner::Plan(const BoundQuery& q,
     plan = std::move(next);
     joined.insert(best);
     joined_ranges.push_back(ranges[best]);
-    // NDV-based rolling estimate (the DP cost model's EdgeSelectivity): the
+    // NDV-based rolling estimate (EdgeSelectivity per consumed edge): the
     // old 1/max(rows) formula collapsed every join to min(inputs), which on
     // duplicate-heavy data underestimated the running plan by orders of
     // magnitude and made later joins build on the (huge) plan side.
     plan_est = std::max(1.0, plan_est * est[best] * (cross ? 1.0 : step_sel));
     plan->set_est_rows(plan_est);
 
-    // Edges that became internal to the joined set turn into filters.
-    for (JoinEdge& e : edges) {
-      if (e.used) continue;
-      if (joined.count(e.left_from) && joined.count(e.right_from)) {
-        ExprPtr lhs = std::make_unique<Expr>();
-        lhs->kind = Expr::Kind::kColumnRef;
-        lhs->slot = e.left_slot;
-        ExprPtr rhs = std::make_unique<Expr>();
-        rhs->kind = Expr::Kind::kColumnRef;
-        rhs->slot = e.right_slot;
-        plan = std::make_unique<FilterOp>(
-            std::move(plan),
-            Expr::MakeBinary(BinaryOp::kEq, std::move(lhs), std::move(rhs)));
-        e.used = true;
-      }
-    }
     plan = apply_ready_residuals(std::move(plan));
   }
 

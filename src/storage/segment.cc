@@ -449,7 +449,31 @@ Status WriteSegmentBody(const Table& table, SegmentFile* file,
   return file->Sync();
 }
 
+/// Renames `tmp` over `path` when `written` is OK; removes `tmp` otherwise.
+Status CommitTempFile(const std::string& tmp, const std::string& path,
+                      Status written) {
+  if (written.ok() && ::rename(tmp.c_str(), path.c_str()) != 0) {
+    written = Status::Internal(StringPrintf("cannot rename '%s' over '%s': %s",
+                                            tmp.c_str(), path.c_str(),
+                                            std::strerror(errno)));
+  }
+  if (!written.ok()) ::unlink(tmp.c_str());
+  return written;
+}
+
 }  // namespace
+
+Status WriteFileAtomically(const std::string& path, std::string_view bytes) {
+  const std::string tmp = path + ".tmp";
+  Status st;
+  {
+    CONQUER_ASSIGN_OR_RETURN(std::shared_ptr<SegmentFile> file,
+                             SegmentFile::Create(tmp));
+    st = file->Append(bytes.data(), bytes.size(), nullptr);
+    if (st.ok()) st = file->Sync();
+  }
+  return CommitTempFile(tmp, path, std::move(st));
+}
 
 Status WriteTableSegment(Table* table, const std::string& path) {
   // Never open `path` itself for writing: after LoadDatabase the table's
@@ -467,15 +491,7 @@ Status WriteTableSegment(Table* table, const std::string& path) {
                              SegmentFile::Create(tmp));
     st = WriteSegmentBody(*table, file.get(), &extents);
   }
-  if (st.ok() && ::rename(tmp.c_str(), path.c_str()) != 0) {
-    st = Status::Internal(StringPrintf("cannot rename '%s' over '%s': %s",
-                                       tmp.c_str(), path.c_str(),
-                                       std::strerror(errno)));
-  }
-  if (!st.ok()) {
-    ::unlink(tmp.c_str());
-    return st;
-  }
+  CONQUER_RETURN_NOT_OK(CommitTempFile(tmp, path, std::move(st)));
 
   // Checkpoint: every chunk's payload was just written verbatim, so re-point
   // the backings at the new file and mark everything clean. This releases

@@ -15,8 +15,7 @@ namespace conquer {
 ///
 /// Reads use pread so concurrent faults never share a file position;
 /// appends serialize through an atomic end offset. Byte order is the
-/// host's — segment files are a local store, not an interchange format
-/// (the CSV export is; see engine/persist.h).
+/// host's — segment files are a local store, not an interchange format.
 class SegmentFile {
  public:
   /// Creates (truncating) a writable segment file. With
@@ -127,6 +126,11 @@ class SegmentCodec {
 /// are fine), the same exclusivity the metadata walk already assumes;
 /// SaveDatabase enforces it by holding a Database read slot.
 Status WriteTableSegment(Table* table, const std::string& path);
+
+/// Writes `bytes` to `path` the way WriteTableSegment writes a segment: to
+/// a sibling temp file, fsync'd, then rename()d over `path`, so a failure
+/// leaves the previous file in place.
+Status WriteFileAtomically(const std::string& path, std::string_view bytes);
 
 /// Replaces `table`'s storage with the segment's contents. Dictionaries,
 /// zone maps, stamps and the committed-version watermark load eagerly;

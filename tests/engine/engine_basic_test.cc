@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 
+#include "tests/engine/explain_text.h"
 #include "types/value.h"
 
 namespace conquer {
@@ -199,7 +200,8 @@ TEST_F(EngineBasicTest, IndexScanEquivalentToSeqScan) {
   ResultSet rs = Query("select name from customer where id = 'c1'");
   EXPECT_EQ(rs.num_rows(), 2u);
   // Explain should mention the index scan.
-  auto plan = db_.Explain("select name from customer where id = 'c1'");
+  auto plan =
+      ExplainText(db_, "explain select name from customer where id = 'c1'");
   ASSERT_TRUE(plan.ok());
   EXPECT_NE(plan->find("IndexScan"), std::string::npos) << *plan;
 }

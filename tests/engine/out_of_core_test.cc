@@ -12,6 +12,7 @@
 #include "engine/persist.h"
 #include "exec/query_stats.h"
 #include "storage/table.h"
+#include "tests/engine/explain_text.h"
 
 namespace conquer {
 namespace {
@@ -128,7 +129,8 @@ TEST_F(OutOfCoreTest, ExplainAnalyzeRendersIoCounters) {
   Database* db = loaded->get();
   db->SetMemoryBudget(1);
 
-  auto plan = db->ExplainAnalyze("select sum(a) from t where a >= 960");
+  auto plan = ExplainText(
+      *db, "explain analyze select sum(a) from t where a >= 960");
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   EXPECT_NE(plan->find("chunks_loaded=1"), std::string::npos) << *plan;
   EXPECT_NE(plan->find("chunks_skipped=15"), std::string::npos) << *plan;
@@ -174,7 +176,7 @@ TEST_F(OutOfCoreTest, IndexSeededJoinLoadsOnlyChunksWithVisibleMatches) {
   ASSERT_TRUE(db->ExecuteWrite("delete from t where a = 800").ok());
   ASSERT_TRUE(db->AnalyzeAll().ok());
   const std::string sql = "select o.k, t.s from o, t where t.a = o.k";
-  auto plan = db->Explain(sql);
+  auto plan = ExplainText(*db, "explain " + sql);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   // The index path: t is probed through its index, never scanned in full.
   EXPECT_EQ(plan->find("SeqScan(t"), std::string::npos) << *plan;
@@ -241,7 +243,7 @@ TEST_F(OutOfCoreTest, SelectiveProbeUnderTightBudgetFaultsOnlyMatchingChunks) {
   db->SetMemoryBudget(2 * 1024);
 
   // Key 440 = (617*100) mod 1021 occurs exactly once, at row 100 (chunk 1).
-  auto plan = db->Explain("select v from s where k = 440");
+  auto plan = ExplainText(*db, "explain select v from s where k = 440");
   ASSERT_TRUE(plan.ok());
   EXPECT_NE(plan->find("IndexScan"), std::string::npos) << *plan;
 

@@ -108,55 +108,60 @@ TEST_F(PersistTest, NullsSurviveRoundTrip) {
   EXPECT_EQ((*t)->row(2)[1].string_value(), "");
 }
 
-TEST_F(PersistTest, CsvExportCollapsesNullSpelling) {
-  Database db;
-  ASSERT_TRUE(db.CreateTable(TableSchema("t", {{"a", DataType::kInt64},
-                                               {"b", DataType::kString}}))
-                  .ok());
-  ASSERT_TRUE(db.Insert("t", {Value::Null(), Value::String("\\N")}).ok());
-  ASSERT_TRUE(
-      SaveDatabase(db, dir_.string(), nullptr, SaveFormat::kCsv).ok());
-  EXPECT_TRUE(std::filesystem::exists(dir_ / "t.csv"));
-  EXPECT_FALSE(std::filesystem::exists(dir_ / "t.seg"));
-  auto loaded = LoadDatabase(dir_.string());
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  auto t = (*loaded)->GetTable("t");
-  ASSERT_TRUE(t.ok());
-  EXPECT_TRUE((*t)->row(0)[0].is_null());
-  // Documented caveat of the text format: a literal string equal to the
-  // NULL spelling reads back as NULL.
-  EXPECT_TRUE((*t)->row(0)[1].is_null());
-}
-
 uint64_t DoubleBits(double d) {
   uint64_t u;
   std::memcpy(&u, &d, sizeof u);
   return u;
 }
 
-TEST_F(PersistTest, DoublesAreBitExactInBothFormats) {
+TEST_F(PersistTest, DoublesAreBitExact) {
   // Values chosen to break lossy %.6g printing: a non-terminating binary
   // expansion, a denormal, signed zero, and the classic 0.1 + 0.2.
   const double values[] = {0.1 + 0.2, 1.0 / 3.0, 5e-324, -0.0,
                            6.02214076e23, -1.7976931348623157e308};
-  for (SaveFormat format : {SaveFormat::kBinary, SaveFormat::kCsv}) {
-    Database db;
+  Database db;
+  ASSERT_TRUE(
+      db.CreateTable(TableSchema("t", {{"x", DataType::kDouble}})).ok());
+  for (double d : values) {
+    ASSERT_TRUE(db.Insert("t", {Value::Double(d)}).ok());
+  }
+  ASSERT_TRUE(SaveDatabase(db, dir_.string()).ok());
+  auto loaded = LoadDatabase(dir_.string());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  auto t = (*loaded)->GetTable("t");
+  ASSERT_TRUE(t.ok());
+  for (size_t r = 0; r < std::size(values); ++r) {
+    EXPECT_EQ(DoubleBits((*t)->row(r)[0].double_value()),
+              DoubleBits(values[r]))
+        << "row " << r;
+  }
+}
+
+TEST_F(PersistTest, FailedSaveLeavesEveryTableLoadable) {
+  Database db;
+  for (const char* name : {"a", "b", "c"}) {
     ASSERT_TRUE(
-        db.CreateTable(TableSchema("t", {{"x", DataType::kDouble}})).ok());
-    for (double d : values) {
-      ASSERT_TRUE(db.Insert("t", {Value::Double(d)}).ok());
-    }
-    std::filesystem::remove_all(dir_);
-    ASSERT_TRUE(SaveDatabase(db, dir_.string(), nullptr, format).ok());
-    auto loaded = LoadDatabase(dir_.string());
-    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    auto t = (*loaded)->GetTable("t");
-    ASSERT_TRUE(t.ok());
-    for (size_t r = 0; r < std::size(values); ++r) {
-      EXPECT_EQ(DoubleBits((*t)->row(r)[0].double_value()),
-                DoubleBits(values[r]))
-          << "row " << r << " format " << static_cast<int>(format);
-    }
+        db.CreateTable(TableSchema(name, {{"x", DataType::kInt64}})).ok());
+    ASSERT_TRUE(db.Insert(name, {Value::Int(1)}).ok());
+  }
+  ASSERT_TRUE(SaveDatabase(db, dir_.string()).ok());
+  // A directory in the way of b's temp segment fails b's write, after a's
+  // segment was already replaced.
+  ASSERT_TRUE(std::filesystem::create_directory(dir_ / "b.seg.tmp"));
+  Status failed = SaveDatabase(db, dir_.string());
+  ASSERT_FALSE(failed.ok());
+  EXPECT_NE(failed.message().find("b.seg.tmp"), std::string::npos)
+      << failed.ToString();
+
+  // The previous manifest survives and still names all three tables.
+  auto loaded = LoadDatabase(dir_.string());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ((*loaded)->catalog().TableNames().size(), 3u);
+  for (const char* name : {"a", "b", "c"}) {
+    auto rs = (*loaded)->Query(std::string("select x from ") + name);
+    ASSERT_TRUE(rs.ok()) << name << ": " << rs.status().ToString();
+    ASSERT_EQ(rs->num_rows(), 1u) << name;
+    EXPECT_EQ(rs->rows[0][0].int_value(), 1) << name;
   }
 }
 

@@ -17,6 +17,7 @@
 #include "core/clean_engine.h"
 #include "engine/service.h"
 #include "sql/parser.h"
+#include "tests/engine/explain_text.h"
 #include "types/value.h"
 
 namespace conquer {
@@ -416,12 +417,12 @@ ResultSet CleanRows(const CleanAnswerSet& answers) {
 }
 
 // The embedded contract, with no service in front: readers call every
-// admitted read entry of a raw Database (Query, Execute, Explain and a
-// CleanAnswerEngine over it) while one thread runs a seeded write script
-// mixed with CreateIndex, Analyze and SetThreads. The Database admits
-// every call itself, so each read must equal, bit for bit and SUM(prob)
-// included, what a serialized replay answers after some prefix of the
-// script, and the prefixes a reader observes never go backwards.
+// admitted read entry of a raw Database (Query, including EXPLAIN,
+// Execute and a CleanAnswerEngine over it) while one thread runs a seeded
+// write script mixed with CreateIndex, Analyze and SetThreads. The Database
+// admits every call itself, so each read must equal, bit for bit and
+// SUM(prob) included, what a serialized replay answers after some prefix of
+// the script, and the prefixes a reader observes never go backwards.
 TEST_F(ServiceStressTest, EmbeddedCallsMatchSerializedReplay) {
   const std::string grouped =
       "select g, sum(prob), count(*) from fact group by g order by g";
@@ -445,7 +446,7 @@ TEST_F(ServiceStressTest, EmbeddedCallsMatchSerializedReplay) {
     auto a = db->Query(grouped);
     auto b = db->Query(stripe);
     auto c = CleanAnswerEngine(db, &dirty).Query(clean);
-    auto d = db->Explain(lookup);
+    auto d = ExplainText(*db, "explain " + lookup);
     EXPECT_TRUE(a.ok() && b.ok() && c.ok() && d.ok());
     if (a.ok()) st.grouped = std::move(a).value();
     if (b.ok()) st.stripe = std::move(b).value();
@@ -517,7 +518,7 @@ TEST_F(ServiceStressTest, EmbeddedCallsMatchSerializedReplay) {
             continue;
           }
           default: {
-            auto plan = db_.Explain(lookup);
+            auto plan = ExplainText(db_, "explain " + lookup);
             if (!plan.ok()) break;
             match(3, [&](const State& st) { return *plan == st.plan; });
             continue;

@@ -7,6 +7,7 @@
 
 #include "engine/plan_cache.h"
 #include "sql/parser.h"
+#include "tests/engine/explain_text.h"
 #include "types/value.h"
 
 namespace conquer {
@@ -118,7 +119,7 @@ TEST_F(ServiceTest, CreateIndexInvalidatesCachedPlans) {
   EXPECT_EQ(rs->rows[0][0].int_value(), 2);
 
   // And the replanned query must actually take the index.
-  auto plan = db_.Explain("select id from t where id = 2");
+  auto plan = ExplainText(db_, "explain select id from t where id = 2");
   ASSERT_TRUE(plan.ok());
   EXPECT_NE(plan->find("IndexScan"), std::string::npos) << *plan;
 }

@@ -1,7 +1,6 @@
 // Batch-at-a-time execution: results must be identical (bit-identical for
 // doubles) for every batch size, including the degenerate size 1 and a
-// size straddling the default capacity; and the vectorized predicate path
-// must handle the all-pass / all-drop extremes of a selection vector.
+// size straddling the default capacity.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +11,6 @@
 #include "common/rng.h"
 #include "engine/database.h"
 #include "exec/batch.h"
-#include "exec/eval_batch.h"
 
 namespace conquer {
 namespace {
@@ -107,73 +105,6 @@ TEST_F(BatchSizeInvarianceTest, DistinctAndLimit) {
 
 TEST_F(BatchSizeInvarianceTest, EmptyResult) {
   ExpectInvariant("select k from fact where v > 99.0");
-}
-
-// ---------------------------------------------------------------------------
-// FilterSelection edge cases: the selection-vector extremes.
-
-ExprPtr ColRef(int slot) {
-  auto e = std::make_unique<Expr>();
-  e->kind = Expr::Kind::kColumnRef;
-  e->slot = slot;
-  e->resolved_type = DataType::kInt64;
-  return e;
-}
-
-std::vector<Row> MakeIntRows(int n) {
-  std::vector<Row> rows;
-  for (int i = 0; i < n; ++i) rows.push_back({Value::Int(i)});
-  return rows;
-}
-
-SelVector FullSelection(size_t n) {
-  SelVector sel(n);
-  for (size_t i = 0; i < n; ++i) sel[i] = static_cast<uint32_t>(i);
-  return sel;
-}
-
-TEST(FilterSelectionTest, AllTrueKeepsEveryPosition) {
-  std::vector<Row> rows = MakeIntRows(100);
-  SelVector sel = FullSelection(rows.size());
-  ExprPtr pred = Expr::MakeBinary(BinaryOp::kGe, ColRef(0),
-                                  Expr::MakeLiteral(Value::Int(0)));
-  ASSERT_TRUE(FilterSelection(*pred, rows, &sel).ok());
-  ASSERT_EQ(sel.size(), rows.size());
-  for (size_t i = 0; i < sel.size(); ++i) {
-    EXPECT_EQ(sel[i], static_cast<uint32_t>(i));  // order preserved
-  }
-}
-
-TEST(FilterSelectionTest, AllFalseEmptiesTheSelection) {
-  std::vector<Row> rows = MakeIntRows(100);
-  SelVector sel = FullSelection(rows.size());
-  ExprPtr pred = Expr::MakeBinary(BinaryOp::kLt, ColRef(0),
-                                  Expr::MakeLiteral(Value::Int(0)));
-  ASSERT_TRUE(FilterSelection(*pred, rows, &sel).ok());
-  EXPECT_TRUE(sel.empty());
-}
-
-TEST(FilterSelectionTest, EmptySelectionStaysEmpty) {
-  std::vector<Row> rows = MakeIntRows(10);
-  SelVector sel;  // nothing selected to begin with
-  ExprPtr pred = Expr::MakeBinary(BinaryOp::kGe, ColRef(0),
-                                  Expr::MakeLiteral(Value::Int(0)));
-  ASSERT_TRUE(FilterSelection(*pred, rows, &sel).ok());
-  EXPECT_TRUE(sel.empty());
-}
-
-TEST(FilterSelectionTest, NullComparisonsDropRows) {
-  // SQL semantics: a NULL comparison is not TRUE, so the row drops.
-  std::vector<Row> rows = MakeIntRows(4);
-  rows[1][0] = Value::Null();
-  rows[3][0] = Value::Null();
-  SelVector sel = FullSelection(rows.size());
-  ExprPtr pred = Expr::MakeBinary(BinaryOp::kGe, ColRef(0),
-                                  Expr::MakeLiteral(Value::Int(0)));
-  ASSERT_TRUE(FilterSelection(*pred, rows, &sel).ok());
-  ASSERT_EQ(sel.size(), 2u);
-  EXPECT_EQ(sel[0], 0u);
-  EXPECT_EQ(sel[1], 2u);
 }
 
 }  // namespace

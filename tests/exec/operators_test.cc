@@ -157,6 +157,50 @@ TEST(FilterOpTest, DropsNonMatching) {
   EXPECT_EQ(Drain(&filter).size(), 3u);  // 7, 8, 9
 }
 
+// `a <op> 0` over a scan of `table` (Drain covers capacities 1, 7, 1024).
+std::vector<Row> FilterA(const Table& table, BinaryOp op) {
+  auto scan = std::make_unique<SeqScanOp>(&table, 0, 2, nullptr, kCtx);
+  ExprPtr pred =
+      Expr::MakeBinary(op, Slot(0), Expr::MakeLiteral(Value::Int(0)));
+  FilterOp filter(std::move(scan), std::move(pred));
+  return Drain(&filter);
+}
+
+TEST(FilterOpTest, AllTrueKeepsEveryRowInOrder) {
+  auto table = MakeNumbersTable(100);
+  auto rows = FilterA(*table, BinaryOp::kGe);
+  ASSERT_EQ(rows.size(), 100u);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i][0].int_value(), static_cast<int64_t>(i));
+  }
+}
+
+TEST(FilterOpTest, AllFalseEmitsNothing) {
+  auto table = MakeNumbersTable(100);
+  EXPECT_TRUE(FilterA(*table, BinaryOp::kLt).empty());
+}
+
+TEST(FilterOpTest, EmptyInputEmitsNothing) {
+  auto table = MakeNumbersTable(0);
+  EXPECT_TRUE(FilterA(*table, BinaryOp::kGe).empty());
+}
+
+TEST(FilterOpTest, NullComparisonsDropRows) {
+  // SQL semantics: a NULL comparison is not TRUE, so the row drops.
+  Table table(
+      TableSchema("nums", {{"a", DataType::kInt64}, {"b", DataType::kInt64}}));
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(table
+                    .Insert({i % 2 == 0 ? Value::Int(i) : Value::Null(),
+                             Value::Int(i)})
+                    .ok());
+  }
+  auto rows = FilterA(table, BinaryOp::kGe);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0][1].int_value(), 0);  // b of rows 0 and 2
+  EXPECT_EQ(rows[1][1].int_value(), 2);
+}
+
 TEST(HashJoinOpTest, JoinsOnSlots) {
   // Two tables sharing the wide layout [t1.a, t1.b, t2.x, t2.y].
   auto t1 = MakeNumbersTable(6);  // slots 0,1

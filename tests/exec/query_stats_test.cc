@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "engine/database.h"
+#include "tests/engine/explain_text.h"
 
 namespace conquer {
 namespace {
@@ -163,7 +164,8 @@ TEST_F(QueryStatsTest, ExplainAnalyzeExecutesAndAnnotates) {
 }
 
 TEST_F(QueryStatsTest, ExplainAnalyzeStringHelper) {
-  auto text = db_.ExplainAnalyze("select id from item where grp = 1");
+  auto text =
+      ExplainText(db_, "explain analyze select id from item where grp = 1");
   ASSERT_TRUE(text.ok()) << text.status().ToString();
   EXPECT_NE(text->find("rows=5"), std::string::npos) << *text;
 }

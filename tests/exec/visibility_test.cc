@@ -13,6 +13,7 @@
 #include "engine/database.h"
 #include "exec/exec_context.h"
 #include "storage/table.h"
+#include "tests/engine/explain_text.h"
 #include "types/value.h"
 
 namespace conquer {
@@ -135,7 +136,7 @@ TEST_F(VisibilityTest, IndexScansHonorSnapshotVisibility) {
   // visibility is applied to the candidate positions it returns, exactly
   // as the sequential scan applies it to every position.
   ASSERT_TRUE(db_.CreateIndex("items", "k").ok());
-  auto plan = db_.Explain("select name from items where k = 3");
+  auto plan = ExplainText(db_, "explain select name from items where k = 3");
   ASSERT_TRUE(plan.ok());
   ASSERT_NE(plan->find("IndexScan"), std::string::npos) << *plan;
 

@@ -19,6 +19,7 @@
 #include "common/str_util.h"
 #include "core/clean_engine.h"
 #include "core/naive_eval.h"
+#include "tests/engine/explain_text.h"
 
 namespace conquer {
 namespace {
@@ -428,8 +429,9 @@ TEST_F(ParallelDeterminismTest, IndexSeededJoinBitIdenticalAcrossThreads) {
   (*db.GetTable("fact"))->Rechunk(1000);
   std::vector<Row> dim_rows;
   for (int i = 0; i < 40; ++i) {
-    dim_rows.push_back({i == 7 ? Value::Null() : Value::Int(i * 25 % 1000),
-                        Value::Double(rng.NextDouble())});
+    Value key = Value::Null();
+    if (i != 7) key = Value::Int(i * 25 % 1000);
+    dim_rows.push_back({std::move(key), Value::Double(rng.NextDouble())});
   }
   ASSERT_TRUE(db.InsertMany("dim", std::move(dim_rows)).ok());
   ASSERT_TRUE(db.CreateIndex("fact", "k").ok());
@@ -438,7 +440,7 @@ TEST_F(ParallelDeterminismTest, IndexSeededJoinBitIdenticalAcrossThreads) {
   const std::string sql =
       "select dim.k, sum(fact.v), sum(dim.w) from fact, dim "
       "where fact.k = dim.k group by dim.k";
-  auto plan = db.Explain(sql);
+  auto plan = ExplainText(db, "explain " + sql);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   EXPECT_NE(plan->find("IndexScan(fact"), std::string::npos) << *plan;
 
@@ -541,7 +543,7 @@ TEST_F(ParallelDeterminismTest, ExplainAnalyzeReportsWorkers) {
 
   db.SetThreads(3);
   auto analyzed =
-      db.ExplainAnalyze("select g, sum(v) from t group by g");
+      ExplainText(db, "explain analyze select g, sum(v) from t group by g");
   ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
   EXPECT_NE(analyzed->find("workers=3"), std::string::npos) << *analyzed;
   EXPECT_NE(analyzed->find("worker_rows=["), std::string::npos) << *analyzed;
@@ -549,7 +551,7 @@ TEST_F(ParallelDeterminismTest, ExplainAnalyzeReportsWorkers) {
   // Sequential runs must not claim any parallelism.
   db.SetThreads(1);
   auto sequential =
-      db.ExplainAnalyze("select g, sum(v) from t group by g");
+      ExplainText(db, "explain analyze select g, sum(v) from t group by g");
   ASSERT_TRUE(sequential.ok());
   EXPECT_EQ(sequential->find("workers="), std::string::npos) << *sequential;
 }

@@ -3,9 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "engine/database.h"
 #include "plan/binder.h"
 #include "sql/parser.h"
+#include "tests/engine/explain_text.h"
 
 namespace conquer {
 namespace {
@@ -34,7 +40,7 @@ class PlannerTest : public ::testing::Test {
   }
 
   std::string Explain(const std::string& sql) {
-    auto plan = db_.Explain(sql);
+    auto plan = ExplainText(db_, "explain " + sql);
     EXPECT_TRUE(plan.ok()) << plan.status().ToString() << " for: " << sql;
     return plan.ok() ? *plan : "";
   }
@@ -136,6 +142,104 @@ TEST_F(PlannerTest, NonEquiJoinBecomesResidualFilter) {
   std::string plan =
       Explain("select s.v from small s, big b where b.x > s.k");
   EXPECT_NE(plan.find("Filter("), std::string::npos) << plan;
+}
+
+// Cross-table predicates that are not join edges, over NULLs: a row whose
+// predicate is NULL drops, and every degree returns the same rows.
+class ResidualPredicateTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    // Table a has column x, b has y, c has z; row i is named <table><i>.
+    const std::vector<std::pair<std::string, std::vector<Value>>> tables = {
+        {"a", {Value::Int(10), Value::Null(), Value::Int(30), Value::Int(5),
+               Value::Int(20)}},
+        {"b", {Value::Int(20), Value::Int(5), Value::Null(), Value::Int(40)}},
+        {"c", {Value::Int(5), Value::Null(), Value::Int(20)}},
+    };
+    for (const auto& [name, values] : tables) {
+      const std::string column = name == "a" ? "x" : name == "b" ? "y" : "z";
+      ASSERT_TRUE(db_.CreateTable(TableSchema(name,
+                                              {{"name", DataType::kString},
+                                               {column, DataType::kInt64}}))
+                      .ok());
+      for (size_t i = 0; i < values.size(); ++i) {
+        const std::string row_name = name + std::to_string(i + 1);
+        ASSERT_TRUE(
+            db_.Insert(name, {Value::String(row_name), values[i]}).ok());
+      }
+    }
+    ASSERT_TRUE(db_.AnalyzeAll().ok());
+  }
+
+  // Runs `sql` sequentially and at 3 threads (one-row morsels) and checks
+  // that each run returns exactly `expected`, compared as sorted rows of
+  // names.
+  void ExpectRows(const std::string& sql,
+                  std::vector<std::vector<std::string>> expected) {
+    std::sort(expected.begin(), expected.end());
+    db_.mutable_exec_context()->morsel_size = 1;
+    for (size_t threads : {size_t{1}, size_t{3}}) {
+      db_.SetThreads(threads);
+      auto rs = db_.Query(sql);
+      ASSERT_TRUE(rs.ok()) << rs.status().ToString() << " for: " << sql;
+      std::vector<std::vector<std::string>> got;
+      for (const Row& row : rs->rows) {
+        std::vector<std::string> names;
+        for (const Value& v : row) names.push_back(v.string_value());
+        got.push_back(std::move(names));
+      }
+      std::sort(got.begin(), got.end());
+      EXPECT_EQ(got, expected) << sql << " at " << threads << " threads";
+    }
+    db_.SetThreads(1);
+  }
+
+  Database db_;
+};
+
+TEST_F(ResidualPredicateTest, NonEquiJoinDropsNullComparisons) {
+  const std::string sql = "select a.name, b.name from a, b where a.x < b.y";
+  auto plan = ExplainText(db_, "explain " + sql);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_NE(plan->find("Filter("), std::string::npos) << *plan;
+  ExpectRows(sql, {{"a1", "b1"},
+                   {"a1", "b4"},
+                   {"a3", "b4"},
+                   {"a4", "b1"},
+                   {"a4", "b4"},
+                   {"a5", "b4"}});
+}
+
+TEST_F(ResidualPredicateTest, OrSpanningTwoTablesKeepsRowsWithOneTrueSide) {
+  // NULL OR TRUE is TRUE; NULL OR FALSE and NULL OR NULL drop the row.
+  const std::string sql =
+      "select a.name, b.name from a, b where a.x > 20 or b.y < 10";
+  auto plan = ExplainText(db_, "explain " + sql);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_NE(plan->find("Filter("), std::string::npos) << *plan;
+  ExpectRows(sql, {{"a1", "b2"},
+                   {"a2", "b2"},
+                   {"a3", "b1"},
+                   {"a3", "b2"},
+                   {"a3", "b3"},
+                   {"a3", "b4"},
+                   {"a4", "b2"},
+                   {"a5", "b2"}});
+}
+
+TEST_F(ResidualPredicateTest, ThreeTableEqualityCycle) {
+  // The last table joins on both of its edges (a two-key hash join), so
+  // the cycle's closing edge needs no Filter.
+  const std::string sql =
+      "select a.name, b.name, c.name from a, b, c "
+      "where a.x = b.y and b.y = c.z and c.z = a.x";
+  auto plan = ExplainText(db_, "explain " + sql);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_EQ(plan->find("Filter("), std::string::npos) << *plan;
+  EXPECT_NE(plan->find("HashJoin(build slots: 3,5 = probe slots: 1,1)"),
+            std::string::npos)
+      << *plan;
+  ExpectRows(sql, {{"a4", "b2", "c1"}, {"a5", "b1", "c3"}});
 }
 
 TEST_F(PlannerTest, AggregatePlansHashAggregate) {

@@ -1,7 +1,8 @@
 // Micro-benchmarks of the core primitives: SQL parsing, binding, the
-// RewriteClean transformation, DCF operations, the information-loss
-// distance and the clean-answer GROUP BY. These bound the constant factors
-// behind the offline (Fig. 7) and online (Fig. 8) costs.
+// RewriteClean transformation, DCF operations, value interning, the
+// information-loss distance, NULL-identifier matching and the clean-answer
+// GROUP BY. These bound the constant factors behind the offline (Fig. 7)
+// and online (Fig. 8) costs, and the cost of a write's maintenance.
 
 #include <benchmark/benchmark.h>
 
@@ -14,7 +15,10 @@
 #include "gen/tpch_queries.h"
 #include "plan/binder.h"
 #include "prob/dcf.h"
+#include "prob/incremental.h"
 #include "sql/parser.h"
+#include "storage/dictionary.h"
+#include "storage/table.h"
 
 namespace conquer {
 namespace {
@@ -83,6 +87,109 @@ void BM_InformationLossDistance(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_InformationLossDistance)->Name("Micro/InfoLossDistance");
+
+/// Interning lineitem-shaped rows (keys, a quantity, three doubles, two
+/// dates, interned flag and comment strings), 1024 rows of 11 attributes
+/// per iteration: Arg(0) into a fresh space, where most values are new;
+/// Arg(1) into a warm space that already holds them all, as when a pass
+/// meets values again.
+void BM_ValueSpaceIntern(benchmark::State& state) {
+  StringDictionary dict;
+  Rng rng(13);
+  const char* kFlags[] = {"A", "N", "R"};
+  const char* kModes[] = {"AIR", "MAIL", "RAIL", "SHIP", "TRUCK"};
+  std::vector<Row> rows;
+  for (int i = 0; i < 1024; ++i) {
+    rows.push_back({Value::Int(i / 4), Value::Int(rng.Uniform(1, 2000)),
+                    Value::Int(rng.Uniform(1, 50)),
+                    Value::Double(900.0 + static_cast<double>(
+                                              rng.Uniform(0, 10000000)) /
+                                              100.0),
+                    Value::Double(static_cast<double>(rng.Uniform(0, 10)) /
+                                  100.0),
+                    Value::Double(static_cast<double>(rng.Uniform(0, 8)) /
+                                  100.0),
+                    dict.InternValue(kFlags[rng.Uniform(0, 2)]),
+                    dict.InternValue(kModes[rng.Uniform(0, 4)]),
+                    Value::Date(8000 + rng.Uniform(0, 2500)),
+                    Value::Date(8000 + rng.Uniform(0, 2500)),
+                    dict.InternValue("carefully final deposits " +
+                                     std::to_string(rng.Uniform(0, 100000)))});
+  }
+  const bool warm = state.range(0) == 1;
+  ValueSpace warm_space;
+  for (const Row& row : rows) {
+    for (size_t a = 0; a < row.size(); ++a) warm_space.Intern(a, row[a]);
+  }
+  for (auto _ : state) {
+    ValueSpace fresh;
+    ValueSpace* space = warm ? &warm_space : &fresh;
+    uint64_t sum = 0;
+    for (const Row& row : rows) {
+      for (size_t a = 0; a < row.size(); ++a) sum += space->Intern(a, row[a]);
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(rows.size() * rows[0].size()));
+}
+BENCHMARK(BM_ValueSpaceIntern)->Name("Micro/ValueSpaceIntern")->Arg(0)->Arg(1);
+
+/// Incremental maintenance of one NULL-identifier insert against Arg
+/// orders-shaped clusters of three near-duplicate rows: one walk of the id
+/// column, the table interned once, a lower bound per cluster and the
+/// exact distances it cannot rule out, then the joined cluster's
+/// renormalization. The row's identifier is reset to NULL before every
+/// run, so each iteration matches the same row against the same clusters.
+void BM_NullIdMatch(benchmark::State& state) {
+  Table table(TableSchema("orders", {{"id", DataType::kString},
+                                     {"o_custkey", DataType::kInt64},
+                                     {"o_orderstatus", DataType::kString},
+                                     {"o_totalprice", DataType::kDouble},
+                                     {"o_orderdate", DataType::kDate},
+                                     {"o_comment", DataType::kString},
+                                     {"prob", DataType::kDouble}}));
+  Rng rng(17);
+  const char* kStatus[] = {"F", "O", "P"};
+  Row null_row;
+  for (int64_t c = 0; c < state.range(0); ++c) {
+    const Row base = {
+        Value::String("o" + std::to_string(c)),
+        Value::Int(rng.Uniform(1, 1500)),
+        Value::String(kStatus[rng.Uniform(0, 2)]),
+        Value::Double(100.0 + static_cast<double>(rng.Uniform(0, 40000000)) /
+                                  100.0),
+        Value::Date(8000 + rng.Uniform(0, 2400)),
+        Value::String("pending requests " + std::to_string(c)),
+        Value::Double(1.0 / 3.0)};
+    for (int d = 0; d < 3; ++d) {
+      Row row = base;
+      // A duplicate changes one attribute half of the time.
+      if (d > 0 && rng.Chance(0.5)) row[1] = Value::Int(rng.Uniform(1, 1500));
+      if (c == 0 && d == 0) {
+        null_row = row;
+        null_row[0] = Value::Null();
+        null_row[3] = Value::Double(row[3].AsDouble() + 7.0);
+      }
+      table.InsertUnchecked(row);
+    }
+  }
+  const size_t pos = table.num_rows();
+  table.InsertUnchecked(null_row);
+  const DirtyTableInfo info{"orders", "id", "prob", {}};
+  const std::vector<Value> touched = {Value::Null()};
+  for (auto _ : state) {
+    table.SetValue(pos, 0, Value::Null());
+    auto n = ReassignClusters(&table, info, touched, table.committed_version());
+    if (!n.ok()) state.SkipWithError("maintenance failed");
+    benchmark::DoNotOptimize(n);
+  }
+}
+BENCHMARK(BM_NullIdMatch)
+    ->Name("Micro/NullIdMatch")
+    ->Arg(500)
+    ->Arg(5000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_LikeMatch(benchmark::State& state) {
   std::string text = "the quick brown fox jumps over the lazy dog";

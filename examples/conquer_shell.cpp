@@ -19,6 +19,7 @@
 //   .tables                list tables
 //   .save <dir>            persist the database
 //   .quit
+// A dot-command's argument may end in ';', as statements do.
 //
 // Plain SQL runs through a QueryService session, so repeated statements hit
 // the plan cache (visible in .sessions / .stats output).
@@ -28,6 +29,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/str_util.h"
@@ -106,6 +108,17 @@ Result<std::vector<Value>> ParseParams(const std::string& text) {
     }
   }
   return params;
+}
+
+/// The argument of a dot-command: the text after `prefix_len` characters,
+/// without surrounding whitespace and without one trailing ';' (the shell
+/// ends statements with ';', so users type one after dot-commands too).
+std::string DotArgument(const std::string& buffer, size_t prefix_len) {
+  std::string_view arg = Trim(std::string_view(buffer).substr(prefix_len));
+  if (!arg.empty() && arg.back() == ';') {
+    arg = Trim(arg.substr(0, arg.size() - 1));
+  }
+  return std::string(arg);
 }
 
 }  // namespace
@@ -234,7 +247,7 @@ int main(int argc, char** argv) {
       continue;
     }
     if (buffer.rfind(".threads ", 0) == 0) {
-      int n = std::atoi(buffer.substr(9).c_str());
+      int n = std::atoi(DotArgument(buffer, 9).c_str());
       if (n < 1) {
         std::printf("usage: .threads <n>  (n >= 1)\n");
       } else {
@@ -246,7 +259,7 @@ int main(int argc, char** argv) {
       continue;
     }
     if (buffer.rfind(".memory_budget ", 0) == 0) {
-      const std::string arg = buffer.substr(15);
+      const std::string arg = DotArgument(buffer, 15);
       uint64_t bytes = 0;
       if (!ParseByteSize(arg, &bytes)) {
         std::printf("usage: .memory_budget <bytes|Nk|Nm|Ng|unlimited>\n");
@@ -268,10 +281,14 @@ int main(int argc, char** argv) {
       continue;
     }
     if (buffer.rfind(".save ", 0) == 0) {
-      std::string dir = buffer.substr(6);
-      Status s = SaveDatabase(*db, dir, &dirty);
-      if (!s.ok()) PrintStatus(s);
-      else std::printf("saved to %s\n", dir.c_str());
+      const std::string dir = DotArgument(buffer, 6);
+      if (dir.empty()) {
+        std::printf("usage: .save <dir>\n");
+      } else if (Status s = SaveDatabase(*db, dir, &dirty); !s.ok()) {
+        PrintStatus(s);
+      } else {
+        std::printf("saved to %s\n", dir.c_str());
+      }
       buffer.clear();
       continue;
     }

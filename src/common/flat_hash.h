@@ -107,6 +107,11 @@ class FlatHashMap {
   const V* FindHashed(uint64_t raw_hash, const K& key) const {
     return const_cast<FlatHashMap*>(this)->FindHashed(raw_hash, key);
   }
+  template <typename Probe, typename ProbeEq>
+  const V* FindHashedAs(uint64_t raw_hash, const Probe& probe,
+                        const ProbeEq& eq) const {
+    return const_cast<FlatHashMap*>(this)->FindHashedAs(raw_hash, probe, eq);
+  }
 
   /// Inserts a default-constructed value under `key` unless present.
   /// Returns {value pointer, inserted}. The pointer is invalidated by the

@@ -308,6 +308,15 @@ bool ZoneComparable(DataType lit, DataType col) {
 
 }  // namespace
 
+void KeepVisible(const Chunk& chunk, uint64_t snapshot, SelVector* sel) {
+  if (!chunk.has_versions()) return;
+  size_t out = 0;
+  for (uint32_t i : *sel) {
+    if (chunk.RowVisible(i, snapshot)) (*sel)[out++] = i;
+  }
+  sel->resize(out);
+}
+
 bool ZoneMapCanSkip(const Expr& e, const Table& table, const Chunk& chunk) {
   switch (e.kind) {
     case Expr::Kind::kLiteral:

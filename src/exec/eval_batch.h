@@ -31,6 +31,11 @@ Status FilterChunkSelection(const Expr& e, const Table& table,
                             size_t chunk_index, SelVector* sel,
                             uint64_t* dict_hits);
 
+/// \brief Keeps the positions of `sel` (chunk-local, order preserved) that
+/// are visible at `snapshot`. Version stamps are resident metadata, so this
+/// never faults the chunk payload.
+void KeepVisible(const Chunk& chunk, uint64_t snapshot, SelVector* sel);
+
 /// \brief True when the chunk's zone maps prove no row can satisfy `e`.
 ///
 /// Conservative: comparisons of a column against a literal are tested

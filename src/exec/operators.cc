@@ -104,17 +104,6 @@ uint64_t ScanSnapshot(const ExecContext& exec, const Table& table) {
              : table.committed_version();
 }
 
-/// Keeps only the positions of `sel` visible at `snapshot`. Version stamps
-/// are resident metadata, so this never faults the chunk payload.
-void KeepVisible(const Chunk& ch, uint64_t snapshot, SelVector* sel) {
-  if (!ch.has_versions()) return;
-  size_t out = 0;
-  for (uint32_t i : *sel) {
-    if (ch.RowVisible(i, snapshot)) (*sel)[out++] = i;
-  }
-  sel->resize(out);
-}
-
 /// Folds faulting I/O counters into an operator's metrics.
 void AddPinStats(const PinStats& ps, OperatorMetrics* m) {
   m->chunks_loaded += ps.chunks_loaded;

@@ -1,27 +1,39 @@
 #include "exec/write_exec.h"
 
+#include <numeric>
+
 #include "exec/eval.h"
+#include "exec/eval_batch.h"
 
 namespace conquer {
 
 namespace {
 
-/// Row positions visible at `snapshot` whose materialized row passes
-/// `where` (nullptr = all visible rows). Collected fully before any
-/// mutation so appends made by the caller cannot re-enter the scan.
+/// Row positions visible at `snapshot` where `where` is TRUE (nullptr = all
+/// visible rows), ascending. Walks chunks as a scan does: a chunk the zone
+/// maps rule out is never pinned, visibility comes from the resident
+/// stamps, and FilterChunkSelection evaluates the predicate over the pinned
+/// chunk's columns. Collected fully before any mutation so appends made by
+/// the caller cannot re-enter the walk.
 Result<std::vector<size_t>> MatchingRows(const Table& table, const Expr* where,
                                          uint64_t snapshot) {
   std::vector<size_t> matches;
-  Row scratch;
-  RowCursor cursor(&table);
-  for (size_t pos : table.VisibleRowPositions(snapshot)) {
+  SelVector sel;
+  uint64_t dict_hits = 0;
+  for (size_t c = 0; c < table.num_chunks(); ++c) {
+    const Chunk& chunk = table.chunk(c);
+    if (where != nullptr && ZoneMapCanSkip(*where, table, chunk)) continue;
+    sel.resize(chunk.num_rows());
+    std::iota(sel.begin(), sel.end(), 0u);
+    KeepVisible(chunk, snapshot, &sel);
+    if (sel.empty()) continue;
     if (where != nullptr) {
-      cursor.Touch(pos);
-      table.GetRowInto(pos, &scratch);
-      CONQUER_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*where, scratch));
-      if (!pass) continue;
+      const ChunkPin pin = table.PinChunk(c);
+      CONQUER_RETURN_NOT_OK(
+          FilterChunkSelection(*where, table, c, &sel, &dict_hits));
     }
-    matches.push_back(pos);
+    const size_t base = c * table.chunk_capacity();
+    for (uint32_t i : sel) matches.push_back(base + i);
   }
   return matches;
 }

@@ -34,8 +34,8 @@ constexpr char kUsage[] =
     "directory,\n"
     "                     instead of generating cases\n"
     "  --inject_bug=NAME  none|prob_bias|drop_answer|parallel_skew|\n"
-    "                     renorm_skip (self-test: the injected bug must be\n"
-    "                     caught by an oracle)\n"
+    "                     renorm_skip|match_skip (self-test: the injected\n"
+    "                     bug must be caught by an oracle)\n"
     "  --max_candidates=N naive-oracle candidate cap (default 4096)\n"
     "  --dump             print every generated case on stdout\n"
     "  --fail-fast        stop at the first violation\n"

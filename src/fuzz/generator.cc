@@ -141,7 +141,10 @@ std::string ApplyMutation(Rng* rng, const FuzzCase& c, FuzzQuery* q) {
 /// One random mutation-stage write against table `ti`. The write targets
 /// existing entities so UPDATE/DELETE predicates are satisfiable, and
 /// INSERTs carry probability 0.5 — any value that breaks the cluster sum
-/// unless incremental maintenance renormalizes it away.
+/// unless incremental maintenance renormalizes it away. Some INSERTs leave
+/// the identifier (and probability) NULL, one to three rows at a time, for
+/// maintenance to match against the existing clusters: most copy a stored
+/// row with duplicate-style noise, so they have a cluster to join.
 FuzzWrite MakeWrite(Rng* rng, const FuzzCase& c, size_t ti,
                     const std::vector<DataType>& attr_types, size_t entities,
                     int write_index, const FuzzConfig& cfg) {
@@ -151,37 +154,64 @@ FuzzWrite MakeWrite(Rng* rng, const FuzzCase& c, size_t ti,
                     static_cast<size_t>(rng->Uniform(
                         0, static_cast<int64_t>(entities) - 1)));
   };
+  // One VALUES tuple; `base` (a stored row) seeds the attributes.
+  auto tuple = [&](const std::string& id_literal,
+                   const std::string& prob_literal, const Row* base) {
+    std::vector<std::string> values;
+    for (size_t ci = 0; ci < t.columns.size(); ++ci) {
+      const FuzzColumn& col = t.columns[ci];
+      if (EqualsIgnoreCase(col.name, t.id_column)) {
+        values.push_back(id_literal);
+      } else if (EqualsIgnoreCase(col.name, t.prob_column)) {
+        values.push_back(prob_literal);
+      } else if (base != nullptr && col.name.rfind("fk", 0) == 0) {
+        values.push_back((*base)[ci].ToSqlLiteral());
+      } else if (base != nullptr) {
+        values.push_back(
+            DuplicateAttrValue(rng, col.type, (*base)[ci], cfg).ToSqlLiteral());
+      } else if (col.name.rfind("fk", 0) == 0) {
+        // Point the foreign key at some entity of the referenced table.
+        int child = std::atoi(col.name.c_str() + 2);
+        const FuzzTable* ct = c.FindTable(StringPrintf("t%d", child));
+        size_t n = ct != nullptr && !ct->rows.empty()
+                       ? static_cast<size_t>(rng->Uniform(
+                             0, static_cast<int64_t>(ct->rows.size()) - 1))
+                       : 0;
+        values.push_back(
+            ct != nullptr && !ct->rows.empty()
+                ? ct->rows[n][0].ToSqlLiteral()
+                : Value::String(EntityId(child, 0)).ToSqlLiteral());
+      } else {
+        Value v = RandomAttrValue(rng, col.type, cfg);
+        values.push_back(v.ToSqlLiteral());
+      }
+    }
+    return "(" + Join(values, ", ") + ")";
+  };
   FuzzWrite w;
   w.table = t.name;
   switch (rng->Uniform(0, 2)) {
     case 0: {  // INSERT: a new duplicate of an existing entity, or a fresh one
+      if (rng->Chance(0.35)) {
+        const int num_rows =
+            rng->Chance(0.5) ? 1 : static_cast<int>(rng->Uniform(2, 3));
+        std::vector<std::string> tuples;
+        for (int i = 0; i < num_rows; ++i) {
+          const Row* base = nullptr;
+          if (!t.rows.empty() && rng->Chance(0.75)) {
+            base = &t.rows[static_cast<size_t>(rng->Uniform(
+                0, static_cast<int64_t>(t.rows.size()) - 1))];
+          }
+          tuples.push_back(tuple("null", "null", base));
+        }
+        w.sql = "insert into " + t.name + " values " + Join(tuples, ", ");
+        break;
+      }
       std::string id = rng->Chance(0.7)
                            ? entity()
                            : StringPrintf("t%zu_new%d", ti, write_index);
-      std::vector<std::string> values;
-      for (const FuzzColumn& col : t.columns) {
-        if (EqualsIgnoreCase(col.name, t.id_column)) {
-          values.push_back(Value::String(id).ToSqlLiteral());
-        } else if (EqualsIgnoreCase(col.name, t.prob_column)) {
-          values.push_back("0.5");
-        } else if (col.name.rfind("fk", 0) == 0) {
-          // Point the foreign key at some entity of the referenced table.
-          int child = std::atoi(col.name.c_str() + 2);
-          const FuzzTable* ct = c.FindTable(StringPrintf("t%d", child));
-          size_t n = ct != nullptr && !ct->rows.empty()
-                         ? static_cast<size_t>(rng->Uniform(
-                               0, static_cast<int64_t>(ct->rows.size()) - 1))
-                         : 0;
-          values.push_back(
-              ct != nullptr && !ct->rows.empty()
-                  ? ct->rows[n][0].ToSqlLiteral()
-                  : Value::String(EntityId(child, 0)).ToSqlLiteral());
-        } else {
-          Value v = RandomAttrValue(rng, col.type, cfg);
-          values.push_back(v.ToSqlLiteral());
-        }
-      }
-      w.sql = "insert into " + t.name + " values (" + Join(values, ", ") + ")";
+      w.sql = "insert into " + t.name + " values " +
+              tuple(Value::String(id).ToSqlLiteral(), "0.5", nullptr);
       break;
     }
     case 1: {  // UPDATE: rewrite one attribute (rarely the identifier)

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <unordered_set>
 
@@ -53,6 +54,7 @@ void ApplyInjection(BugInjection inject, size_t threads, CleanAnswerSet* set) {
       }
       break;
     case BugInjection::kRenormSkip:
+    case BugInjection::kMatchSkip:
       // Injected into the prob layer itself (SetIncrementalFaultInjection),
       // not into the answer sets.
       break;
@@ -318,11 +320,8 @@ Result<std::map<std::string, ClusterState>> VisibleClusters(
   return out;
 }
 
-/// Independent recomputation of one cluster's Figure-5 probabilities from
-/// the batch assigner's primitives (not the incremental path under test).
-Result<std::vector<double>> RecomputeClusterProbs(
-    const Table& table, const FuzzTable& ft, const std::vector<size_t>& rows,
-    double total_weight) {
+/// The columns maintenance reads: all but the identifier and probability.
+std::vector<size_t> AttributeColumns(const Table& table, const FuzzTable& ft) {
   std::vector<size_t> attrs;
   for (size_t c = 0; c < table.schema().num_columns(); ++c) {
     const std::string& name = table.schema().column(c).name;
@@ -332,6 +331,15 @@ Result<std::vector<double>> RecomputeClusterProbs(
     }
     attrs.push_back(c);
   }
+  return attrs;
+}
+
+/// Independent recomputation of one cluster's Figure-5 probabilities from
+/// the batch assigner's primitives (not the incremental path under test).
+Result<std::vector<double>> RecomputeClusterProbs(
+    const Table& table, const FuzzTable& ft, const std::vector<size_t>& rows,
+    double total_weight) {
+  const std::vector<size_t> attrs = AttributeColumns(table, ft);
   if (rows.size() == 1) return std::vector<double>{1.0};
   ValueSpace space;
   CONQUER_ASSIGN_OR_RETURN(
@@ -359,6 +367,94 @@ Result<std::vector<double>> RecomputeClusterProbs(
   return probs;
 }
 
+/// Positions of the rows a write appended with a NULL identifier. The write
+/// appended the versions from `rows_before` on, and `touched_ids` lists the
+/// identifiers of every touched version in touch order, an appended version
+/// last in its group: one entry per INSERTed row, (old, new) per UPDATEd
+/// row.
+std::vector<size_t> AppendedNullIdRows(const Table& table, size_t rows_before,
+                                       const std::vector<Value>& touched_ids) {
+  std::vector<size_t> out;
+  const size_t appended = table.num_rows() - rows_before;
+  if (appended == 0 || touched_ids.size() < appended ||
+      touched_ids.size() % appended != 0) {
+    return out;
+  }
+  const size_t stride = touched_ids.size() / appended;
+  for (size_t k = 0; k < appended; ++k) {
+    if (touched_ids[k * stride + stride - 1].is_null()) {
+      out.push_back(rows_before + k);
+    }
+  }
+  return out;
+}
+
+/// (e) NULL-identifier matching, recomputed naively: in position order,
+/// each row of `null_rows` must hold an identifier, either of a cluster
+/// whose information-loss distance to the row is the smallest over all
+/// clusters (within 1e-9) and within the merge threshold, or a fresh one
+/// when no cluster is within the threshold. Clusters are the other visible
+/// rows grouped by identifier plus the rows matched before. Adds each
+/// row's identifier to `joined` (maintenance renormalized that cluster);
+/// returns the violation, or "" when every row checks out.
+Result<std::string> CheckNullIdMatches(
+    const Table& table, const FuzzTable& ft,
+    const std::vector<size_t>& null_rows, uint64_t snapshot,
+    std::unordered_set<std::string>* joined) {
+  CONQUER_ASSIGN_OR_RETURN(size_t id_col,
+                           table.schema().GetColumnIndex(ft.id_column));
+  const std::vector<size_t> attrs = AttributeColumns(table, ft);
+  const double threshold = IncrementalOptions().merge_threshold;
+  const std::unordered_set<size_t> pending(null_rows.begin(), null_rows.end());
+  std::map<std::string, std::vector<size_t>> clusters;
+  for (size_t pos : table.VisibleRowPositions(snapshot)) {
+    if (pending.count(pos) > 0) continue;
+    const Value id = table.ValueAt(pos, id_col);
+    if (!id.is_null()) clusters[id.ToString()].push_back(pos);
+  }
+  ValueSpace space;
+  for (size_t pos : null_rows) {
+    const Value id = table.ValueAt(pos, id_col);
+    if (id.is_null()) {
+      return StringPrintf("NULL-id row %zu was left without an identifier",
+                          pos);
+    }
+    RowCursor cursor(&table);
+    const Dcf tuple = TupleDcf(&cursor, pos, attrs, &space);
+    const std::string name = id.ToString();
+    double best = std::numeric_limits<double>::infinity();
+    double own = best;
+    std::string best_id;
+    for (const auto& [cid, rows] : clusters) {
+      CONQUER_ASSIGN_OR_RETURN(
+          Dcf rep, BuildClusterRepresentative(table, rows, attrs, &space));
+      const double d =
+          InformationLossDistance(tuple, rep, tuple.weight + rep.weight);
+      if (d < best) {
+        best = d;
+        best_id = cid;
+      }
+      if (cid == name) own = d;
+    }
+    if (clusters.count(name) > 0) {
+      if (own > best + 1e-9 || own > threshold + 1e-9) {
+        return StringPrintf(
+            "NULL-id row %zu joined cluster %s at distance %.17g, but the "
+            "nearest cluster %s is at %.17g (threshold %g)",
+            pos, name.c_str(), own, best_id.c_str(), best, threshold);
+      }
+    } else if (best <= threshold - 1e-9) {
+      return StringPrintf(
+          "NULL-id row %zu founded cluster %s, but cluster %s is within the "
+          "threshold %g at distance %.17g",
+          pos, name.c_str(), best_id.c_str(), threshold, best);
+    }
+    clusters[name].push_back(pos);
+    joined->insert(name);
+  }
+  return std::string();
+}
+
 /// The mutation stage: replays the case's writes one by one through the
 /// engine write path, checking after every step that incremental
 /// maintenance kept the visible state coherent and the live query still
@@ -378,6 +474,10 @@ void RunMutationStage(OracleRun* r, const CleanAnswerEngine& engine) {
 
   for (size_t step = 0; step < r->c.writes.size(); ++step) {
     const FuzzWrite& w = r->c.writes[step];
+    size_t rows_before = 0;
+    if (auto t = r->built.db->GetTable(w.table); t.ok()) {
+      rows_before = (*t)->num_rows();
+    }
     std::vector<Value> touched_ids;
     auto written = r->built.db->ExecuteWrite(w.sql, &touched_ids);
     if (!written.ok()) {
@@ -397,6 +497,23 @@ void RunMutationStage(OracleRun* r, const CleanAnswerEngine& engine) {
       auto table = r->built.db->GetTable(w.table);
       if (!table.ok()) return;
       const uint64_t snapshot = (*table)->committed_version();
+      // (e) first: the clusters NULL-id rows joined were renormalized, so
+      // they count as touched in (b) and (c).
+      const std::vector<size_t> null_rows =
+          AppendedNullIdRows(**table, rows_before, touched_ids);
+      auto null_check = CheckNullIdMatches(**table, *written_table, null_rows,
+                                           snapshot, &touched);
+      if (!null_check.ok()) {
+        r->Fail(ViolationKind::kEngineError,
+                "mutation oracle: " + null_check.status().ToString());
+        return;
+      }
+      if (!null_check->empty()) {
+        r->Fail(ViolationKind::kMaintenance,
+                StringPrintf("after write step %zu (%s), %s", step,
+                             w.sql.c_str(), null_check->c_str()));
+        return;
+      }
       auto clusters = VisibleClusters(**table, *written_table, snapshot);
       if (!clusters.ok()) {
         r->Fail(ViolationKind::kEngineError,
@@ -545,10 +662,11 @@ Result<BugInjection> ParseBugInjection(std::string_view name) {
   if (lower == "drop_answer") return BugInjection::kDropAnswer;
   if (lower == "parallel_skew") return BugInjection::kParallelSkew;
   if (lower == "renorm_skip") return BugInjection::kRenormSkip;
+  if (lower == "match_skip") return BugInjection::kMatchSkip;
   return Status::InvalidArgument(
       "unknown bug injection '" + std::string(name) +
-      "' (expected none, prob_bias, drop_answer, parallel_skew or "
-      "renorm_skip)");
+      "' (expected none, prob_bias, drop_answer, parallel_skew, "
+      "renorm_skip or match_skip)");
 }
 
 const char* ViolationKindToString(ViolationKind kind) {
@@ -615,6 +733,8 @@ Result<OracleReport> RunOracles(const FuzzCase& c, const OracleOptions& opts) {
   if (r.report.ok() && !c.writes.empty()) {
     if (opts.inject == BugInjection::kRenormSkip) {
       SetIncrementalFaultInjection(IncrementalFault::kSkipFirstCluster);
+    } else if (opts.inject == BugInjection::kMatchSkip) {
+      SetIncrementalFaultInjection(IncrementalFault::kSkipMatch);
     }
     RunMutationStage(&r, engine);
     SetIncrementalFaultInjection(IncrementalFault::kNone);

@@ -27,10 +27,14 @@ enum class BugInjection {
   /// path (the first touched cluster is left stale after a write): caught
   /// by the mutation stage's cluster-sum and naive-snapshot oracles.
   kRenormSkip,
+  /// Skips NULL-identifier matching in incremental maintenance (every
+  /// NULL-id insert founds a fresh cluster): caught by the mutation stage's
+  /// NULL-id matching oracle.
+  kMatchSkip,
 };
 
-/// Parses "none", "prob_bias", "drop_answer", "parallel_skew" or
-/// "renorm_skip".
+/// Parses "none", "prob_bias", "drop_answer", "parallel_skew",
+/// "renorm_skip" or "match_skip".
 Result<BugInjection> ParseBugInjection(std::string_view name);
 
 /// \brief The failure category of a violated oracle. The shrinker uses the
@@ -87,6 +91,11 @@ struct OracleReport {
 /// the visible rows, (c) untouched clusters must be bitwise unchanged, and
 /// (d) the live query must stay bit-identical across thread counts and
 /// agree with the naive oracle evaluated on the extracted visible snapshot.
+/// Checked before (a)-(c), (e) every row the write added with a NULL
+/// identifier must hold the identifier of the nearest cluster within the
+/// merge threshold (naive information-loss distances, ties within 1e-9),
+/// or a fresh one when none is within it; the cluster it joined counts as
+/// touched in (b) and (c).
 /// Status errors are infrastructure failures (the case itself could not be
 /// built); semantic failures come back inside the report.
 Result<OracleReport> RunOracles(const FuzzCase& c, const OracleOptions& opts);

@@ -43,13 +43,12 @@ Result<Dcf> BuildClusterRepresentative(const Table& table,
     return Status::InvalidArgument("cluster has no rows");
   }
   RowCursor cursor(&table);
-  cursor.Touch(rows[0]);
-  Dcf rep = TupleDcf(table, rows[0], attr_columns, space);
-  for (size_t i = 1; i < rows.size(); ++i) {
-    cursor.Touch(rows[i]);
-    rep = Dcf::Merge(rep, TupleDcf(table, rows[i], attr_columns, space));
+  std::vector<Dcf> tuples;
+  tuples.reserve(rows.size());
+  for (size_t r : rows) {
+    tuples.push_back(TupleDcf(&cursor, r, attr_columns, space));
   }
-  return rep;
+  return Dcf::MergeAll(tuples);
 }
 
 void NormalizeCluster(std::vector<TupleProbability>* cluster) {
@@ -76,13 +75,9 @@ std::vector<TupleProbability> InformationLossProbabilities(
     tuples.reserve(members.size());
     RowCursor cursor(&table);
     for (size_t r : members) {
-      cursor.Touch(r);
-      tuples.push_back(TupleDcf(table, r, attr_columns, space));
+      tuples.push_back(TupleDcf(&cursor, r, attr_columns, space));
     }
-    Dcf rep = Dcf::Merge(tuples[0], tuples[1]);
-    for (size_t i = 2; i < tuples.size(); ++i) {
-      rep = Dcf::Merge(rep, tuples[i]);
-    }
+    const Dcf rep = Dcf::MergeAll(tuples);
     // Step 2: every member's information-loss distance to it.
     for (size_t i = 0; i < tuples.size(); ++i) {
       out[i].distance = InformationLossDistance(tuples[i], rep, total_weight);

@@ -1,7 +1,9 @@
 #include "prob/dcf.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <functional>
 
 namespace conquer {
 
@@ -9,26 +11,114 @@ namespace {
 constexpr double kLog2 = 0.6931471805599453;  // ln(2)
 
 double Log2(double x) { return std::log(x) / kLog2; }
+
+/// Adds pi_x * KL(p_x || m) to `js` term by term in the order of `xs`'
+/// entries. `ys` is the other side, walked alongside (both lists are sorted
+/// by index), and m(v) = pi_x p_x(v) + pi_y p_y(v) is formed from the same
+/// products SparseDist::Mix forms; IEEE addition commutes, so the sum has
+/// Mix's bits whichever side `xs` is.
+double AddWeightedKl(const std::vector<std::pair<uint32_t, double>>& xs,
+                     double pi_x,
+                     const std::vector<std::pair<uint32_t, double>>& ys,
+                     double pi_y, double js) {
+  size_t j = 0;
+  for (const auto& [v, p] : xs) {
+    if (p <= 0.0) continue;
+    while (j < ys.size() && ys[j].first < v) ++j;
+    const double m = j < ys.size() && ys[j].first == v
+                         ? pi_x * p + pi_y * ys[j].second
+                         : pi_x * p;
+    js += pi_x * p * Log2(p / m);
+  }
+  return js;
+}
+
 }  // namespace
 
-std::string ValueSpace::Key(size_t attribute, const Value& v) {
-  return std::to_string(attribute) + ":" + v.ToString();
+uint64_t ValueSpace::RawHash(size_t attribute, Kind kind, uint64_t payload) {
+  return payload ^ ((static_cast<uint64_t>(attribute) << 2 |
+                     static_cast<uint64_t>(kind)) *
+                    0x9e3779b97f4a7c15ull);
+}
+
+ValueSpace::Probe ValueSpace::MakeProbe(size_t attribute, const Value& v,
+                                        char (&buf)[32]) {
+  Probe p{attribute, Kind::kText, 0, {}, nullptr, 0};
+  switch (v.type()) {
+    case DataType::kNull:
+      p.text = "NULL";
+      break;
+    case DataType::kString:
+      p.text = v.string_value();
+      p.interned = v.interned_ptr();
+      break;
+    case DataType::kDouble: {
+      // to_chars with a precision spells as printf("%.6g") does, which is
+      // Value::ToString's spelling.
+      const auto r = std::to_chars(buf, buf + sizeof(buf), v.double_value(),
+                                   std::chars_format::general, 6);
+      p.text = std::string_view(buf, static_cast<size_t>(r.ptr - buf));
+      break;
+    }
+    case DataType::kInt64:
+      p.kind = Kind::kInt64;
+      p.payload = v.int_value();
+      break;
+    case DataType::kDate:
+      p.kind = Kind::kDate;
+      p.payload = v.date_value();
+      break;
+    case DataType::kBool:
+      p.kind = Kind::kBool;
+      p.payload = v.bool_value() ? 1 : 0;
+      break;
+  }
+  // An interned string carries std::hash of its text, the same hash the
+  // string_view of any other text key gets.
+  const uint64_t h =
+      p.kind != Kind::kText ? static_cast<uint64_t>(p.payload)
+      : p.interned != nullptr ? v.Hash()
+                              : std::hash<std::string_view>()(p.text);
+  p.hash = RawHash(attribute, p.kind, h);
+  return p;
+}
+
+uint64_t ValueSpace::KeyHash::operator()(const Key& k) const {
+  return RawHash(k.attribute, k.kind,
+                 k.kind != Kind::kText
+                     ? static_cast<uint64_t>(k.payload)
+                     : std::hash<std::string_view>()(k.text));
+}
+
+bool ValueSpace::KeyEq::operator()(const Key& stored, const Key& k) const {
+  return stored.attribute == k.attribute && stored.kind == k.kind &&
+         stored.payload == k.payload && stored.text == k.text;
+}
+
+bool ValueSpace::KeyEq::operator()(const Key& stored, const Probe& p) const {
+  if (stored.attribute != p.attribute || stored.kind != p.kind) return false;
+  if (p.kind != Kind::kText) return stored.payload == p.payload;
+  return (p.interned != nullptr && p.interned == stored.interned) ||
+         stored.text == p.text;
 }
 
 uint32_t ValueSpace::Intern(size_t attribute, const Value& v) {
-  std::string key = Key(attribute, v);
-  auto it = index_.find(key);
-  if (it != index_.end()) return it->second;
-  uint32_t idx = static_cast<uint32_t>(names_.size());
-  index_.emplace(std::move(key), idx);
-  names_.push_back(std::to_string(attribute) + ":" + v.ToString());
-  return idx;
+  char buf[32];
+  const Probe p = MakeProbe(attribute, v, buf);
+  const auto [index, inserted] =
+      index_.FindOrInsertHashedAs(p.hash, p, KeyEq(), [&p] {
+        return Key{p.attribute, p.kind, p.payload, std::string(p.text),
+                   p.interned};
+      });
+  if (inserted) index_.mutable_entries()[index].value = index;
+  return index;
 }
 
 int64_t ValueSpace::Find(size_t attribute, const Value& v) const {
-  auto it = index_.find(Key(attribute, v));
-  if (it == index_.end()) return -1;
-  return it->second;
+  char buf[32];
+  const Probe p = MakeProbe(attribute, v, buf);
+  const uint32_t* index = index_.FindHashedAs(p.hash, p, KeyEq());
+  return index == nullptr ? -1 : static_cast<int64_t>(*index);
 }
 
 SparseDist SparseDist::FromIndices(std::vector<uint32_t> indices) {
@@ -112,13 +202,27 @@ Dcf Dcf::Merge(const Dcf& a, const Dcf& b) {
   return out;
 }
 
-Dcf TupleDcf(const Table& table, size_t row,
+Dcf Dcf::MergeAll(const std::vector<Dcf>& tuples) {
+  if (tuples.size() == 1) return tuples[0];
+  Dcf rep = Merge(tuples[0], tuples[1]);
+  for (size_t i = 2; i < tuples.size(); ++i) rep = Merge(rep, tuples[i]);
+  return rep;
+}
+
+void InternRow(RowCursor* cursor, size_t row,
+               const std::vector<size_t>& attr_columns, ValueSpace* space,
+               std::vector<uint32_t>* out) {
+  cursor->Touch(row);
+  for (size_t a = 0; a < attr_columns.size(); ++a) {
+    out->push_back(space->Intern(a, cursor->ValueAt(row, attr_columns[a])));
+  }
+}
+
+Dcf TupleDcf(RowCursor* cursor, size_t row,
              const std::vector<size_t>& attr_columns, ValueSpace* space) {
   std::vector<uint32_t> indices;
   indices.reserve(attr_columns.size());
-  for (size_t a = 0; a < attr_columns.size(); ++a) {
-    indices.push_back(space->Intern(a, table.ValueAt(row, attr_columns[a])));
-  }
+  InternRow(cursor, row, attr_columns, space, &indices);
   return Dcf::ForTuple(std::move(indices));
 }
 
@@ -128,17 +232,11 @@ double InformationLossDistance(const Dcf& a, const Dcf& b,
   if (n <= 0.0 || total_weight <= 0.0) return 0.0;
   double pi1 = a.weight / n;
   double pi2 = b.weight / n;
-  SparseDist mix = SparseDist::Mix(a.dist, pi1, b.dist, pi2);
-  // JS = pi1 * KL(p1 || m) + pi2 * KL(p2 || m).
-  double js = 0.0;
-  for (const auto& [v, p] : a.dist.entries()) {
-    if (p <= 0.0) continue;
-    js += pi1 * p * Log2(p / mix.At(v));
-  }
-  for (const auto& [v, p] : b.dist.entries()) {
-    if (p <= 0.0) continue;
-    js += pi2 * p * Log2(p / mix.At(v));
-  }
+  // JS = pi1 * KL(p1 || m) + pi2 * KL(p2 || m), a's terms first.
+  const auto& ea = a.dist.entries();
+  const auto& eb = b.dist.entries();
+  double js = AddWeightedKl(ea, pi1, eb, pi2, 0.0);
+  js = AddWeightedKl(eb, pi2, ea, pi1, js);
   if (js < 0.0) js = 0.0;  // guard against rounding
   return (n / total_weight) * js;
 }

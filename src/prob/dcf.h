@@ -3,9 +3,10 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
+#include "common/flat_hash.h"
 #include "common/result.h"
 #include "storage/table.h"
 
@@ -14,9 +15,34 @@ namespace conquer {
 /// \brief The attribute-qualified categorical value space V of a relation
 /// (paper Section 4.1.1).
 ///
-/// Values from different attributes are distinct even when their spellings
-/// coincide (the paper's convention): value index is assigned per
-/// (attribute, spelling) pair.
+/// Two values of one attribute are one element of V exactly when their
+/// Value::ToString() spellings are equal; values of different attributes
+/// are always distinct, even when their spellings coincide (the paper's
+/// convention). What follows from the spelling rule:
+///   - DOUBLE values are spelled "%.6g": 123456.78 and 123457.2 (both
+///     "123457") are one value, while -0.0 ("-0") and 0.0 ("0") are two;
+///   - NULL is spelled "NULL", so it is the same value as the string 'NULL'
+///     in the same attribute;
+///   - an owned and an interned string with the same text are one value.
+///
+/// Indices are dense and assigned in first-intern order. SparseDist entries
+/// are sorted by index, so the order in which a pass interns its rows fixes
+/// the summation order, and thus the bits, of every later distance.
+///
+/// Interning builds no string per call: INT64, DATE and BOOL values are
+/// keyed by their payload (their spellings are one-to-one), strings by
+/// their text (an interned string reuses its dictionary hash, and a repeat
+/// of the same dictionary entry skips the text compare), DOUBLE values by
+/// their spelling formatted on the stack, and NULL as the text "NULL".
+/// Strings, doubles and NULL share one text key space, so any two of them
+/// that spell alike are one value. The payload keys keep apart only values
+/// of different types that spell alike (INT64 5 and STRING '5'); a table
+/// column holds one type besides NULL, so no pass over a table meets such
+/// a pair.
+///
+/// Interned strings are recognised by address, so a space must not outlive
+/// the dictionaries of the values interned into it (passes keep one space
+/// per call).
 class ValueSpace {
  public:
   /// Interns (attribute, value) and returns its index in V.
@@ -25,16 +51,48 @@ class ValueSpace {
   /// Index of (attribute, value), or -1 when never interned.
   int64_t Find(size_t attribute, const Value& v) const;
 
-  size_t size() const { return names_.size(); }
-
-  /// Display name "attr<i>:<value>" for diagnostics.
-  const std::string& name(uint32_t index) const { return names_[index]; }
+  size_t size() const { return index_.size(); }
 
  private:
-  static std::string Key(size_t attribute, const Value& v);
+  enum class Kind : uint8_t { kText, kInt64, kDate, kBool };
 
-  std::unordered_map<std::string, uint32_t> index_;
-  std::vector<std::string> names_;
+  /// A lookup key. `text` views the value's storage or a caller's buffer.
+  struct Probe {
+    size_t attribute;
+    Kind kind;
+    int64_t payload;  ///< INT64 / DATE / BOOL
+    std::string_view text;  ///< kText
+    const std::string* interned;  ///< dictionary storage of `text`, or null
+    uint64_t hash;  ///< raw hash of the whole key
+  };
+
+  /// The stored form of a Probe; owns its text.
+  struct Key {
+    size_t attribute = 0;
+    Kind kind = Kind::kText;
+    int64_t payload = 0;
+    std::string text;
+    /// Dictionary storage the text was first interned from (compared by
+    /// address only, never dereferenced), or null.
+    const std::string* interned = nullptr;
+  };
+
+  /// The probe for (attribute, v); a DOUBLE is spelled into `buf`.
+  static Probe MakeProbe(size_t attribute, const Value& v, char (&buf)[32]);
+  /// `payload` is the INT64/DATE/BOOL payload or the text's hash.
+  static uint64_t RawHash(size_t attribute, Kind kind, uint64_t payload);
+
+  struct KeyHash {
+    uint64_t operator()(const Key& k) const;
+  };
+  struct KeyEq {
+    bool operator()(const Key& stored, const Key& k) const;
+    bool operator()(const Key& stored, const Probe& p) const;
+  };
+
+  /// Keyed by Key; the mapped value is the element's index (its entry's
+  /// insertion rank).
+  FlatHashMap<Key, uint32_t, KeyHash, KeyEq> index_;
 };
 
 /// \brief A sparse probability distribution p(v | .) over a ValueSpace.
@@ -82,13 +140,23 @@ struct Dcf {
   /// Recursive merge (paper's equations): |c*| = |c1| + |c2|,
   /// p(v|c*) = |c1|/|c*| p(v|c1) + |c2|/|c*| p(v|c2).
   static Dcf Merge(const Dcf& a, const Dcf& b);
+
+  /// A cluster representative: `tuples` (non-empty) merged in order, each
+  /// into the running merge.
+  static Dcf MergeAll(const std::vector<Dcf>& tuples);
 };
+
+/// \brief Interns row `row`'s values of `attr_columns` into `space`, in
+/// attribute order, and appends their indices to `out`. Moves `cursor` to
+/// the row and reads through its pin.
+void InternRow(RowCursor* cursor, size_t row,
+               const std::vector<size_t>& attr_columns, ValueSpace* space,
+               std::vector<uint32_t>* out);
 
 /// \brief The DCF of one table row over `attr_columns`: weight 1 and
 /// p(v|t) = 1/m for each of its m attribute values (paper Section 4.1.1).
-/// Interns the values into `space` in attribute order. Callers walking many
-/// rows keep the row's chunk pinned with a RowCursor.
-Dcf TupleDcf(const Table& table, size_t row,
+/// Interns the values as InternRow does.
+Dcf TupleDcf(RowCursor* cursor, size_t row,
              const std::vector<size_t>& attr_columns, ValueSpace* space);
 
 /// \brief Information-loss distance between two summaries (paper
@@ -96,7 +164,10 @@ Dcf TupleDcf(const Table& table, size_t row,
 ///
 /// For summaries drawn from an ensemble of `total_weight` tuples this
 /// equals ((n1+n2)/N) * JS_{pi1,pi2}(p1, p2) — the weighted Jensen-Shannon
-/// divergence — which is how it is computed here (logs base 2).
+/// divergence — which is how it is computed here (logs base 2): one walk
+/// over a's entries and then one over b's, each beside the other sorted
+/// list, forming the mixture m(v) term by term as SparseDist::Mix would
+/// (no mixture is built).
 double InformationLossDistance(const Dcf& a, const Dcf& b,
                                double total_weight);
 

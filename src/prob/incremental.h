@@ -15,12 +15,15 @@ class Database;
 
 /// \brief Fault injection for the incremental maintenance path, used by the
 /// differential fuzzer's self-test to prove the mutation-stage oracle can
-/// catch renormalization bugs.
+/// catch renormalization and matching bugs.
 enum class IncrementalFault {
   kNone,
   /// Off-by-one: skips the first touched cluster, leaving its probabilities
   /// stale after a write.
   kSkipFirstCluster,
+  /// Skips NULL-identifier matching: every NULL-id row founds a fresh
+  /// singleton cluster, even one within the threshold of an existing one.
+  kSkipMatch,
 };
 
 /// Sets the process-wide injected fault (tests only; not thread-safe
@@ -56,6 +59,11 @@ struct IncrementalOptions {
 /// fresh identifier. Either way the identifier cell is filled in and the
 /// affected cluster is renormalized. All identifier and probability writes
 /// are staged and applied once every cluster is done.
+///
+/// Cost: one walk over the identifier column of the visible rows, plus the
+/// touched clusters' rows. Only NULL-identifier matching reads every visible
+/// row's attributes: it interns them once per call, and builds exact
+/// distances only for clusters a lower bound cannot rule out.
 ///
 /// Returns the number of clusters renormalized.
 Result<size_t> ReassignClusters(Table* table, const DirtyTableInfo& info,

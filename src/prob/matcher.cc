@@ -49,8 +49,7 @@ Result<MatchResult> MatchTuples(const Table& table,
 
   RowCursor cursor(&table);
   for (size_t r = 0; r < table.num_rows(); ++r) {
-    cursor.Touch(r);
-    Dcf tuple = TupleDcf(table, r, cols, &space);
+    Dcf tuple = TupleDcf(&cursor, r, cols, &space);
 
     // Nearest representative by (pure) Jensen-Shannon divergence: pass the
     // summed weight as the ensemble size so the n/N prefactor is 1.

@@ -278,6 +278,13 @@ class RowCursor {
     chunk_ = static_cast<size_t>(-1);
   }
 
+  /// The value at (row, col), read through the pinned chunk without a pin
+  /// of its own: `row` must lie in the chunk the last Touch pinned.
+  Value ValueAt(size_t row, size_t col) const {
+    return pin_->GetValue(row % table_->chunk_capacity(), col,
+                          table_->dictionary(col));
+  }
+
  private:
   const Table* table_;
   ChunkPin pin_;

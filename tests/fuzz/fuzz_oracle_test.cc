@@ -261,12 +261,40 @@ TEST(FuzzOracleTest, MutationStageRunsCleanOnManySeeds) {
   EXPECT_GT(with_writes, 0u);
 }
 
+// NULL-identifier matching is fuzzed: generated writes insert NULL-id rows,
+// and an injected matching bug (every such row founds a fresh cluster) is
+// caught by the maintenance oracle while the clean engine passes.
+TEST(FuzzOracleTest, MatchSkipIsCaught) {
+  FuzzConfig cfg;
+  cfg.mutant_rate = 0.0;
+  cfg.write_rate = 1.0;
+  OracleOptions opts = FastOracleOptions();
+  opts.inject = BugInjection::kMatchSkip;
+  bool found = false;
+  for (uint64_t seed = 1; seed < 64 && !found; ++seed) {
+    FuzzCase c = GenerateCase(seed, cfg);
+    if (c.writes.empty()) continue;
+    auto report = RunOracles(c, opts);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    if (report->ok()) continue;
+    EXPECT_EQ(report->kind, ViolationKind::kMaintenance) << report->violation;
+    EXPECT_NE(report->violation.find("NULL-id row"), std::string::npos)
+        << report->violation;
+    auto clean = RunOracles(c, FastOracleOptions());
+    ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+    EXPECT_TRUE(clean->ok()) << clean->violation;
+    found = true;
+  }
+  EXPECT_TRUE(found) << "no seed in [1, 64) trips the injected match bug";
+}
+
 TEST(FuzzOracleTest, ParseBugInjectionNames) {
   EXPECT_TRUE(ParseBugInjection("none").ok());
   EXPECT_TRUE(ParseBugInjection("prob_bias").ok());
   EXPECT_TRUE(ParseBugInjection("drop_answer").ok());
   EXPECT_TRUE(ParseBugInjection("parallel_skew").ok());
   EXPECT_TRUE(ParseBugInjection("renorm_skip").ok());
+  EXPECT_TRUE(ParseBugInjection("match_skip").ok());
   EXPECT_FALSE(ParseBugInjection("nonsense").ok());
 }
 

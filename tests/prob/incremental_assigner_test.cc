@@ -3,14 +3,19 @@
 // cluster's probabilities sum to 1 (within 1e-12) and clusters a write did
 // not touch keep bit-identical probabilities. The direct ReassignClusters
 // tests cover NULL-identifier matching, fully-deleted clusters, and the
-// injected off-by-one fault the fuzzer's self-test relies on; the last
-// section pins that batch and incremental assignment are one computation.
+// injected off-by-one fault the fuzzer's self-test relies on; later
+// sections pin that batch and incremental assignment are one computation
+// and that NULL-identifier matching leaves what a per-row rebuild of every
+// representative leaves, bit for bit.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <map>
+#include <memory>
 #include <string>
+#include <tuple>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -18,6 +23,7 @@
 #include "engine/database.h"
 #include "gen/tpch_dirty.h"
 #include "prob/assigner.h"
+#include "prob/dcf.h"
 #include "prob/incremental.h"
 #include "storage/table.h"
 #include "types/value.h"
@@ -483,6 +489,289 @@ TEST(BatchIncrementalEquivalenceTest, TpchDirtyTables) {
     ++dirty_tables;
   }
   EXPECT_GE(dirty_tables, 6u);
+}
+
+// ---------------------------------------------------------------------------
+// NULL-identifier matching against a reference: the loop as the engine ran it
+// before it pruned and cached, where every NULL-id row rebuilds every
+// cluster's representative from the table and interns all visible rows
+// again. Pruning by the lower bound and interning once per call must leave
+// the same identifiers and the same probability bits.
+// ---------------------------------------------------------------------------
+
+using ReferenceMembers =
+    std::unordered_map<Value, std::vector<size_t>, ValueHash>;
+
+Value ReferenceFreshIdentifier(const Table& table, size_t id_col,
+                               const std::vector<size_t>& visible,
+                               const ReferenceMembers& members,
+                               size_t* counter) {
+  if (table.schema().column(id_col).type == DataType::kString) {
+    while (true) {
+      Value cand =
+          Value::String("m" + std::to_string(visible.size() + (*counter)++));
+      if (members.find(cand) == members.end()) return cand;
+    }
+  }
+  int64_t max_id = 0;
+  for (size_t pos : visible) {
+    Value v = table.ValueAt(pos, id_col);
+    if (!v.is_null()) max_id = std::max(max_id, v.int_value());
+  }
+  while (true) {
+    Value cand = Value::Int(max_id + 1 + static_cast<int64_t>((*counter)++));
+    if (members.find(cand) == members.end()) return cand;
+  }
+}
+
+Result<size_t> ReferenceReassignClusters(Table* table,
+                                         const DirtyTableInfo& info,
+                                         const std::vector<Value>& touched_ids,
+                                         uint64_t snapshot) {
+  const double merge_threshold = IncrementalOptions().merge_threshold;
+  CONQUER_ASSIGN_OR_RETURN(size_t id_col,
+                           table->schema().GetColumnIndex(info.id_column));
+  CONQUER_ASSIGN_OR_RETURN(size_t prob_col,
+                           table->schema().GetColumnIndex(info.prob_column));
+  CONQUER_ASSIGN_OR_RETURN(std::vector<size_t> attrs,
+                           ResolveAttributeColumns(*table, info));
+  const std::vector<size_t> visible = table->VisibleRowPositions(snapshot);
+  const double total_weight = static_cast<double>(visible.size());
+  std::vector<Value> touched;
+  std::unordered_set<Value, ValueHash> touched_set;
+  bool touched_null = false;
+  for (const Value& id : touched_ids) {
+    if (id.is_null()) {
+      touched_null = true;
+      continue;
+    }
+    if (touched_set.insert(id).second) touched.push_back(id);
+  }
+  ReferenceMembers members;
+  std::vector<size_t> null_rows;
+  for (size_t pos : visible) {
+    Value id = table->ValueAt(pos, id_col);
+    if (id.is_null()) {
+      null_rows.push_back(pos);
+    } else {
+      members[std::move(id)].push_back(pos);
+    }
+  }
+  ValueSpace space;
+  std::vector<StagedWrite> staged;
+  if (touched_null && !null_rows.empty()) {
+    size_t fresh_counter = 0;
+    for (size_t pos : null_rows) {
+      RowCursor cursor(table);
+      Dcf tuple = TupleDcf(&cursor, pos, attrs, &space);
+      const Value* best_id = nullptr;
+      double best_dist = merge_threshold;
+      for (const auto& [id, rows] : members) {
+        CONQUER_ASSIGN_OR_RETURN(
+            Dcf rep, BuildClusterRepresentative(*table, rows, attrs, &space));
+        double d =
+            InformationLossDistance(tuple, rep, tuple.weight + rep.weight);
+        if (d <= best_dist) {
+          best_dist = d;
+          best_id = &id;
+        }
+      }
+      Value assigned = best_id != nullptr
+                           ? *best_id
+                           : ReferenceFreshIdentifier(*table, id_col, visible,
+                                                      members, &fresh_counter);
+      staged.push_back({pos, id_col, assigned});
+      members[assigned].push_back(pos);
+      if (touched_set.insert(assigned).second) touched.push_back(assigned);
+    }
+  }
+  size_t renormalized = 0;
+  for (const Value& id : touched) {
+    auto it = members.find(id);
+    if (it == members.end()) continue;
+    for (const TupleProbability& t : InformationLossProbabilities(
+             *table, it->second, attrs, total_weight, &space)) {
+      staged.push_back({t.row, prob_col, Value::Double(t.probability)});
+    }
+    ++renormalized;
+  }
+  ApplyStagedWrites(table, staged);
+  return renormalized;
+}
+
+const DirtyTableInfo kRandomInfo{"r", "id", "prob", {}};
+
+/// One row of the random table below under identifier `id`.
+Row RandomRow(Rng* rng, const Value& id) {
+  auto maybe_null = [&](Value v) {
+    return rng->Chance(0.1) ? Value::Null() : std::move(v);
+  };
+  return {id,
+          maybe_null(Value::String(kWords[rng->Uniform(0, 5)])),
+          maybe_null(Value::Int(rng->Uniform(0, 4))),
+          maybe_null(Value::Double(123456.0 + rng->Uniform(0, 3) * 0.4)),
+          maybe_null(Value::Date(9000 + rng->Uniform(0, 2))),
+          Value::Double(0.0)};
+}
+
+/// A random clustered table: clusters of 1-7 rows whose members share
+/// attribute values drawn from small domains (strings, integers, doubles
+/// that collide at six digits, dates, NULLs), probabilities assigned by the
+/// batch pass.
+std::unique_ptr<Table> RandomClusteredTable(Rng* rng, DataType id_type,
+                                            size_t chunk_capacity) {
+  auto table = std::make_unique<Table>(
+      TableSchema("r", {{"id", id_type},
+                        {"s", DataType::kString},
+                        {"n", DataType::kInt64},
+                        {"x", DataType::kDouble},
+                        {"d", DataType::kDate},
+                        {"prob", DataType::kDouble}}),
+      chunk_capacity);
+  const int64_t clusters = rng->Uniform(3, 40);
+  for (int64_t c = 0; c < clusters; ++c) {
+    const Value id = id_type == DataType::kString
+                         ? Value::String("c" + std::to_string(c))
+                         : Value::Int(c * 3 + 1);
+    const int64_t members = rng->Uniform(1, 7);
+    for (int64_t m = 0; m < members; ++m) {
+      EXPECT_TRUE(table->Insert(RandomRow(rng, id)).ok());
+    }
+  }
+  EXPECT_TRUE(AssignProbabilities(table.get(), kRandomInfo).ok());
+  return table;
+}
+
+/// Inserts `rows` (identifier NULL) as one write into both tables, runs
+/// ReassignClusters on `got` and the reference on `want`, and compares
+/// every cell of the identifier and probability columns.
+void InsertAndCompare(Table* got, Table* want, const std::vector<Row>& rows) {
+  std::vector<Value> touched;
+  for (Table* t : {got, want}) {
+    const uint64_t v = t->BeginWrite();
+    for (const Row& row : rows) {
+      ASSERT_TRUE(t->InsertVersioned(row, v).ok());
+    }
+    t->CommitWrite(v);
+  }
+  for (const Row& row : rows) touched.push_back(row[0]);
+  auto n =
+      ReassignClusters(got, kRandomInfo, touched, got->committed_version());
+  auto m = ReferenceReassignClusters(want, kRandomInfo, touched,
+                                     want->committed_version());
+  ASSERT_TRUE(n.ok() && m.ok());
+  EXPECT_EQ(*n, *m);
+  ASSERT_EQ(got->num_rows(), want->num_rows());
+  for (size_t r = 0; r < got->num_rows(); ++r) {
+    const Value a = got->ValueAt(r, 0);
+    const Value b = want->ValueAt(r, 0);
+    ASSERT_EQ(a.type(), b.type()) << "row " << r;
+    ASSERT_TRUE(a.is_null() || a == b)
+        << "row " << r << ": " << a.ToString() << " vs " << b.ToString();
+    const Value pa = got->ValueAt(r, 5);
+    const Value pb = want->ValueAt(r, 5);
+    ASSERT_EQ(pa.is_null(), pb.is_null()) << "row " << r;
+    if (!pa.is_null()) {
+      ASSERT_TRUE(SameBits(pa.AsDouble(), pb.AsDouble()))
+          << "row " << r << ": " << pa.AsDouble() << " vs " << pb.AsDouble();
+    }
+  }
+}
+
+class NullIdMatchReferenceTest
+    : public ::testing::TestWithParam<std::tuple<DataType, uint64_t>> {};
+
+TEST_P(NullIdMatchReferenceTest, SameIdentifiersAndProbabilityBits) {
+  const auto [id_type, seed] = GetParam();
+  Rng rng(seed);
+  const size_t capacity = seed % 2 == 0 ? 7 : Table::kDefaultChunkCapacity;
+  Rng twin = rng;
+  auto got = RandomClusteredTable(&rng, id_type, capacity);
+  auto want = RandomClusteredTable(&twin, id_type, capacity);
+  for (int write = 0; write < 8; ++write) {
+    SCOPED_TRACE("write " + std::to_string(write));
+    // One to three NULL-id rows: copies of stored rows (which join their
+    // cluster or tie between identical ones) or fresh random rows.
+    std::vector<Row> rows;
+    const int64_t k = rng.Uniform(1, 3);
+    for (int64_t i = 0; i < k; ++i) {
+      if (rng.Chance(0.6)) {
+        Row copy = got->row(static_cast<size_t>(
+            rng.Uniform(0, static_cast<int64_t>(got->num_rows()) - 1)));
+        copy[0] = Value::Null();
+        if (rng.Chance(0.5)) copy[2] = Value::Int(rng.Uniform(0, 4));
+        rows.push_back(std::move(copy));
+      } else {
+        rows.push_back(RandomRow(&rng, Value::Null()));
+      }
+    }
+    InsertAndCompare(got.get(), want.get(), rows);
+    if (HasFatalFailure()) return;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, NullIdMatchReferenceTest,
+    ::testing::Combine(::testing::Values(DataType::kString, DataType::kInt64),
+                       ::testing::Range<uint64_t>(1, 9)));
+
+// Two clusters with identical members are at exactly the same distance from
+// a copy of their rows: the tie goes to the one the membership map visits
+// last, in both implementations.
+TEST(NullIdMatchReferenceTest, ExactTieBetweenTwoClusters) {
+  for (DataType id_type : {DataType::kString, DataType::kInt64}) {
+    auto make = [&] {
+      auto t = std::make_unique<Table>(TableSchema(
+          "r", {{"id", id_type},
+                {"s", DataType::kString},
+                {"n", DataType::kInt64},
+                {"x", DataType::kDouble},
+                {"d", DataType::kDate},
+                {"prob", DataType::kDouble}}));
+      for (int c = 0; c < 2; ++c) {
+        const Value id = id_type == DataType::kString
+                             ? Value::String("c" + std::to_string(c))
+                             : Value::Int(c + 10);
+        for (int m = 0; m < 2; ++m) {
+          EXPECT_TRUE(t->Insert({id, Value::String(kWords[m]), Value::Int(m),
+                                 Value::Double(1.5), Value::Date(9000),
+                                 Value::Double(0.5)})
+                          .ok());
+        }
+      }
+      return t;
+    };
+    auto got = make();
+    auto want = make();
+    const Row dup = {Value::Null(), Value::String(kWords[0]), Value::Int(1),
+                     Value::Double(1.5), Value::Date(9000), Value::Null()};
+    InsertAndCompare(got.get(), want.get(), {dup});
+    if (HasFatalFailure()) return;
+    const Value joined = got->ValueAt(4, 0);
+    EXPECT_TRUE(joined == got->ValueAt(0, 0) || joined == got->ValueAt(2, 0))
+        << joined.ToString();
+  }
+}
+
+// A multi-row INSERT whose first NULL row is an outlier: it founds a fresh
+// cluster, and the second row, its copy, joins that cluster.
+TEST(NullIdMatchReferenceTest, FirstRowFoundsTheClusterTheSecondJoins) {
+  for (DataType id_type : {DataType::kString, DataType::kInt64}) {
+    Rng rng(3);
+    Rng twin = rng;
+    auto got = RandomClusteredTable(&rng, id_type, 7);
+    auto want = RandomClusteredTable(&twin, id_type, 7);
+    const Row outlier = {Value::Null(), Value::String("zephyr"),
+                         Value::Int(99), Value::Double(-1.0),
+                         Value::Date(1), Value::Null()};
+    InsertAndCompare(got.get(), want.get(), {outlier, outlier});
+    if (HasFatalFailure()) return;
+    const size_t first = got->num_rows() - 2;
+    const Value fresh = got->ValueAt(first, 0);
+    ASSERT_FALSE(fresh.is_null());
+    EXPECT_TRUE(fresh == got->ValueAt(first + 1, 0));
+    EXPECT_EQ(got->ValueAt(first, 5).AsDouble(), 0.5);
+  }
 }
 
 }  // namespace

@@ -1,12 +1,16 @@
 // Micro-benchmarks of the core primitives: SQL parsing, binding, the
 // RewriteClean transformation, DCF operations, value interning, the
 // information-loss distance, NULL-identifier matching and the clean-answer
-// GROUP BY. These bound the constant factors behind the offline (Fig. 7)
-// and online (Fig. 8) costs, and the cost of a write's maintenance.
+// GROUP BY, and the buffer pool's chunk fault. These bound the constant
+// factors behind the offline (Fig. 7) and online (Fig. 8) costs, the cost
+// of a write's maintenance and the out-of-core (Fig. 10) lookup.
 
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
+#include <filesystem>
 #include <memory>
+#include <numeric>
 
 #include "common/rng.h"
 #include "common/str_util.h"
@@ -18,6 +22,7 @@
 #include "prob/incremental.h"
 #include "sql/parser.h"
 #include "storage/dictionary.h"
+#include "storage/segment.h"
 #include "storage/table.h"
 
 namespace conquer {
@@ -315,6 +320,115 @@ BENCHMARK(BM_HashAggregate)
     ->Arg(4)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
+
+/// A lineitem-shaped segment (the generator's 24 columns) holding one
+/// 65,536-row chunk, written once to a temp file removed at exit.
+struct LineitemSegment {
+  TableSchema schema{
+      "lineitem", {{"id", DataType::kString},
+                   {"l_linekey", DataType::kInt64},
+                   {"l_orderkey", DataType::kInt64},
+                   {"l_order_id", DataType::kString},
+                   {"l_partkey", DataType::kInt64},
+                   {"l_part_id", DataType::kString},
+                   {"l_suppkey", DataType::kInt64},
+                   {"l_supp_id", DataType::kString},
+                   {"l_pskey", DataType::kInt64},
+                   {"l_partsupp_id", DataType::kString},
+                   {"l_linenumber", DataType::kInt64},
+                   {"l_quantity", DataType::kInt64},
+                   {"l_extendedprice", DataType::kDouble},
+                   {"l_discount", DataType::kDouble},
+                   {"l_tax", DataType::kDouble},
+                   {"l_returnflag", DataType::kString},
+                   {"l_linestatus", DataType::kString},
+                   {"l_shipdate", DataType::kDate},
+                   {"l_commitdate", DataType::kDate},
+                   {"l_receiptdate", DataType::kDate},
+                   {"l_shipinstruct", DataType::kString},
+                   {"l_shipmode", DataType::kString},
+                   {"l_comment", DataType::kString},
+                   {"prob", DataType::kDouble}}};
+  std::string path;
+  Status status;
+
+  LineitemSegment() {
+    path = (std::filesystem::temp_directory_path() /
+            StringPrintf("conquer-micro-fault-%ld.seg",
+                         static_cast<long>(::getpid())))
+               .string();
+    Table table(schema);
+    Rng rng(23);
+    for (int64_t i = 0; i < 65536; ++i) {
+      Row row;
+      for (size_t c = 0; c < schema.num_columns(); ++c) {
+        switch (schema.column(c).type) {
+          case DataType::kString:
+            row.push_back(Value::String(
+                "s" + std::to_string(c) + "_" +
+                std::to_string(rng.Uniform(0, c == 0 ? 20000 : 500))));
+            break;
+          case DataType::kDouble:
+            row.push_back(Value::Double(rng.NextDouble() * 1000.0));
+            break;
+          case DataType::kDate:
+            row.push_back(Value::Date(8000 + rng.Uniform(0, 2500)));
+            break;
+          default:
+            row.push_back(Value::Int(i * 7 + static_cast<int64_t>(c)));
+            break;
+        }
+      }
+      table.InsertUnchecked(row);
+    }
+    status = WriteTableSegment(&table, path);
+  }
+  ~LineitemSegment() { std::filesystem::remove(path); }
+};
+
+/// One chunk fault plus decode: pins the rewritten clean lookup's 5 columns
+/// (id, l_orderkey, l_quantity, l_extendedprice, prob), or all 24, of an
+/// evicted lineitem chunk whose segment sits in the page cache. The pool's
+/// one-byte budget evicts the chunk again at every unpin.
+void BM_ChunkFault(benchmark::State& state) {
+  static const LineitemSegment segment;
+  if (!segment.status.ok()) {
+    state.SkipWithError(segment.status.ToString().c_str());
+    return;
+  }
+  BufferPool pool(1);
+  Table table(segment.schema);
+  table.AttachBufferPool(&pool);
+  const Status loaded = LoadTableSegment(&table, segment.path);
+  if (!loaded.ok()) {
+    state.SkipWithError(loaded.ToString().c_str());
+    return;
+  }
+  ColumnSet cols = {0, 2, 11, 12, 23};
+  if (state.range(0) == 24) {
+    cols.resize(24);
+    std::iota(cols.begin(), cols.end(), 0u);
+  }
+  const BufferPool::Stats before = pool.stats();
+  for (auto _ : state) {
+    ChunkPin pin = table.PinChunk(0, cols);
+    benchmark::DoNotOptimize(pin->column(cols.back()).null_data());
+  }
+  const BufferPool::Stats after = pool.stats();
+  const double faults =
+      static_cast<double>(after.chunks_loaded - before.chunks_loaded);
+  state.counters["mb_per_fault"] =
+      faults > 0 ? static_cast<double>(after.bytes_read - before.bytes_read) /
+                       faults / (1 << 20)
+                 : 0.0;
+  state.SetBytesProcessed(
+      static_cast<int64_t>(after.bytes_read - before.bytes_read));
+}
+BENCHMARK(BM_ChunkFault)
+    ->Name("Micro/ChunkFault")
+    ->Arg(5)
+    ->Arg(24)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace conquer

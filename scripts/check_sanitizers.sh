@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
 # Sanitizer gate, suitable for CI:
-#   asan  ASan + UBSan build, fast tier-1 suite  (memory / UB bugs)
+#   asan  ASan + UBSan build, fast tier-1 suite, run twice: unbudgeted
+#         and under CONQUER_MEMORY_BUDGET=256k (memory / UB bugs; under the
+#         budget, a read of a column its pin did not fault in touches an
+#         empty column vector, which ASan reports)
 #   tsan  TSan build, concurrency-labeled suite  (data races in the
 #         morsel-driven parallel executor and the task pool)
 #
@@ -25,8 +28,10 @@ case "$CONFIG" in
     ;;
 esac
 
+# run_suite <dir> <sanitizer> <label> [budget]: with a budget, the suite
+# runs a second time with CONQUER_MEMORY_BUDGET set to it.
 run_suite() {
-  local dir="$1" sanitize="$2" label="$3"
+  local dir="$1" sanitize="$2" label="$3" budget="${4:-}"
   echo "=== ${sanitize}: configuring ${dir} ===" &&
   # Instrumented trees only need the tests (examples included), not benches.
   cmake -B "${dir}" -S . -DCONQUER_SANITIZE="${sanitize}" \
@@ -34,13 +39,18 @@ run_suite() {
   echo "=== ${sanitize}: building ===" &&
   cmake --build "${dir}" -j "${JOBS}" &&
   echo "=== ${sanitize}: ctest -L ${label} ===" &&
-  ctest --test-dir "${dir}" -L "${label}" --output-on-failure -j "${JOBS}"
+  ctest --test-dir "${dir}" -L "${label}" --output-on-failure -j "${JOBS}" &&
+  if [[ -n "${budget}" ]]; then
+    echo "=== ${sanitize}: ctest -L ${label}, CONQUER_MEMORY_BUDGET=${budget} ===" &&
+    CONQUER_MEMORY_BUDGET="${budget}" \
+      ctest --test-dir "${dir}" -L "${label}" --output-on-failure -j "${JOBS}"
+  fi
 }
 
 status=0
 
 if [[ "$CONFIG" == "asan" || "$CONFIG" == "all" ]]; then
-  if ! run_suite build-asan address tier1; then
+  if ! run_suite build-asan address tier1 256k; then
     echo "=== address: FAILED ===" >&2
     status=1
   fi

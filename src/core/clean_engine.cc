@@ -67,7 +67,7 @@ OfflineCleaningBaseline::BuildCleanedDatabase() const {
     if (info == nullptr || info->prob_column.empty()) {
       for (size_t r : src->VisibleRowPositions(snapshot)) {
         cursor.Touch(r);
-        src->GetRowInto(r, &row);
+        cursor.GetRowInto(r, &row);
         dst->InsertUnchecked(row);
       }
       continue;
@@ -80,18 +80,18 @@ OfflineCleaningBaseline::BuildCleanedDatabase() const {
     for (const std::vector<size_t>& members : clusters.members) {
       size_t best = members[0];
       cursor.Touch(best);
-      double best_prob = ProbabilityValue(src->ValueAt(best, prob_col));
+      double best_prob = ProbabilityValue(cursor.ValueAt(best, prob_col));
       for (size_t i = 1; i < members.size(); ++i) {
         cursor.Touch(members[i]);
         const double prob =
-            ProbabilityValue(src->ValueAt(members[i], prob_col));
+            ProbabilityValue(cursor.ValueAt(members[i], prob_col));
         if (prob > best_prob) {
           best = members[i];
           best_prob = prob;
         }
       }
       cursor.Touch(best);
-      src->GetRowInto(best, &row);
+      cursor.GetRowInto(best, &row);
       dst->InsertUnchecked(row);
     }
   }

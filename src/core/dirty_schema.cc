@@ -49,7 +49,7 @@ Result<VisibleClusters> CollectVisibleClusters(const Table& table,
     if (!table.RowVisibleAt(pos, snapshot)) continue;
     cursor.Touch(pos);
     auto [it, inserted] =
-        cluster_of.try_emplace(table.ValueAt(pos, id_col), out.members.size());
+        cluster_of.try_emplace(cursor.ValueAt(pos, id_col), out.members.size());
     if (inserted) out.members.emplace_back();
     out.members[it->second].push_back(pos);
     ++out.num_rows;

@@ -101,11 +101,13 @@ Result<std::vector<double>> NaiveCandidateEvaluator::CandidateProbabilities(
           size_t idx, table->schema().GetColumnIndex(info->prob_column));
       prob_col = static_cast<int>(idx);
     }
+    RowCursor cursor(table);
     for (size_t m : clusters[i].members) {
+      cursor.Touch(m);
       double p = prob_col < 0
                      ? 1.0
                      : ProbabilityValue(
-                           table->ValueAt(m, static_cast<size_t>(prob_col)));
+                           cursor.ValueAt(m, static_cast<size_t>(prob_col)));
       probs[i].push_back(p);
     }
     // Divide-before-multiply so the running product cannot wrap uint64_t.

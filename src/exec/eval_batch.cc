@@ -82,15 +82,21 @@ bool NormalizeColLit(const Expr& e, const Expr** col, const Expr** lit,
 
 // ---------------------------------------------------------- chunk filtering
 
-/// Scalar fallback over a chunk: materializes each candidate row (table-
-/// local layout, matching the rebased predicate's slots) and evaluates.
+/// Scalar fallback over a chunk: reads the predicate's columns of each
+/// candidate row through the caller's pin into a table-local scratch row
+/// (matching the rebased predicate's slots; the other slots stay NULL) and
+/// evaluates.
 Status ChunkFilterScalar(const Expr& e, const Table& table, size_t chunk_index,
                          SelVector* sel) {
-  const size_t base = chunk_index * table.chunk_capacity();
-  Row scratch;
+  const Chunk& chunk = table.chunk(chunk_index);
+  ColumnSet cols;
+  AddExprColumns(e, chunk.num_columns(), &cols);
+  Row scratch(chunk.num_columns());
   size_t out = 0;
   for (uint32_t i : *sel) {
-    table.GetRowInto(base + i, &scratch);
+    for (uint32_t c : cols) {
+      scratch[c] = chunk.column(c).GetValue(i, table.dictionary(c));
+    }
     CONQUER_ASSIGN_OR_RETURN(bool pass, EvalPredicate(e, scratch));
     if (pass) (*sel)[out++] = i;
   }
@@ -307,6 +313,15 @@ bool ZoneComparable(DataType lit, DataType col) {
 }
 
 }  // namespace
+
+void AddExprColumns(const Expr& e, size_t num_columns, ColumnSet* cols) {
+  if (e.kind == Expr::Kind::kColumnRef && e.slot >= 0 &&
+      static_cast<size_t>(e.slot) < num_columns) {
+    AddColumn(static_cast<uint32_t>(e.slot), cols);
+  }
+  if (e.left) AddExprColumns(*e.left, num_columns, cols);
+  if (e.right) AddExprColumns(*e.right, num_columns, cols);
+}
 
 void KeepVisible(const Chunk& chunk, uint64_t snapshot, SelVector* sel) {
   if (!chunk.has_versions()) return;

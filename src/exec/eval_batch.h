@@ -26,10 +26,17 @@ namespace conquer {
 ///   - an equality on a chunk whose zone map proves all-distinct values
 ///     stops after the first match.
 /// Rows are materialized only for predicate shapes outside these paths
-/// (scalar EvalPredicate fallback, one row at a time).
+/// (scalar EvalPredicate fallback, one row at a time, reading just the
+/// predicate's columns). The caller holds a pin of chunk `chunk_index`
+/// naming every column `e` reads.
 Status FilterChunkSelection(const Expr& e, const Table& table,
                             size_t chunk_index, SelVector* sel,
                             uint64_t* dict_hits);
+
+/// \brief Adds the table-local columns below `num_columns` that `e` reads to
+/// `*cols`, keeping it ascending and without duplicates (a pin's column
+/// set).
+void AddExprColumns(const Expr& e, size_t num_columns, ColumnSet* cols);
 
 /// \brief Keeps the positions of `sel` (chunk-local, order preserved) that
 /// are visible at `snapshot`. Version stamps are resident metadata, so this

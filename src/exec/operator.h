@@ -31,14 +31,18 @@ struct OperatorMetrics {
   /// Rows a scan dropped through a pushed-down join Bloom filter (runtime
   /// semi-join filtering) before wide materialization.
   uint64_t bloom_filtered = 0;
-  /// Evicted chunk payloads this operator faulted in from disk (buffer
-  /// pool; zero when the whole table is resident). Zone-map-skipped chunks
-  /// are checked before pinning, so they never count here.
+  /// Pins of this operator that faulted evicted columns in from disk
+  /// (buffer pool; zero when the whole table is resident), one per pin
+  /// however many columns it read. Zone-map-skipped chunks are checked
+  /// before pinning, so they never count here.
   uint64_t chunks_loaded = 0;
+  /// Columns those pins read, and their payload bytes.
+  uint64_t columns_loaded = 0;
+  uint64_t bytes_read = 0;
   /// Chunk payloads the buffer pool evicted to make room for this
   /// operator's faults (budget pressure indicator).
   uint64_t chunks_evicted = 0;
-  /// Wall time spent reading and decoding faulted chunk payloads.
+  /// Wall time spent reading faulted columns.
   double io_read_seconds = 0.0;
   /// Per-chunk index probes issued (IndexScanOp).
   uint64_t index_probes = 0;

@@ -107,6 +107,8 @@ uint64_t ScanSnapshot(const ExecContext& exec, const Table& table) {
 /// Folds faulting I/O counters into an operator's metrics.
 void AddPinStats(const PinStats& ps, OperatorMetrics* m) {
   m->chunks_loaded += ps.chunks_loaded;
+  m->columns_loaded += ps.columns_loaded;
+  m->bytes_read += ps.bytes_read;
   m->chunks_evicted += ps.chunks_evicted;
   m->io_read_seconds += ps.io_read_seconds;
 }
@@ -280,14 +282,25 @@ SeqScanOp::SeqScanOp(const Table* table, size_t slot_offset,
       slot_offset_(slot_offset),
       total_slots_(total_slots),
       local_filter_(RebaseFilter(filter_.get(), slot_offset)) {
+  const size_t num_columns = table_->schema().num_columns();
   if (referenced_slots != nullptr) {
     prune_ = true;
-    for (size_t c = 0; c < table_->schema().num_columns(); ++c) {
+    for (size_t c = 0; c < num_columns; ++c) {
       if ((*referenced_slots)[slot_offset_ + c]) {
         materialize_cols_.push_back(static_cast<uint32_t>(c));
       }
     }
+    pin_cols_ = materialize_cols_;
+  } else {
+    pin_cols_.resize(num_columns);
+    std::iota(pin_cols_.begin(), pin_cols_.end(), 0u);
   }
+  if (local_filter_) AddExprColumns(*local_filter_, num_columns, &pin_cols_);
+}
+
+void SeqScanOp::AddRuntimeFilter(RuntimeFilterPtr filter, size_t column) {
+  runtime_filters_.push_back({std::move(filter), column});
+  AddColumn(static_cast<uint32_t>(column), &pin_cols_);
 }
 
 void SeqScanOp::MaterializeWide(size_t chunk_index, uint32_t row,
@@ -334,7 +347,7 @@ Status SeqScanOp::FilterChunk(size_t chunk_index, SelVector* sel,
   SeedChunk(chunk_index, sel, counters);
   counters->rows += sel->size();
   if (sel->empty()) return Status::OK();
-  *pin = table_->PinChunk(chunk_index, &counters->pins);
+  *pin = table_->PinChunk(chunk_index, pin_cols_, &counters->pins);
   if (local_filter_) {
     CONQUER_RETURN_NOT_OK(FilterChunkSelection(
         *local_filter_, *table_, chunk_index, sel, &counters->dict_hits));

@@ -28,7 +28,8 @@ namespace conquer {
 /// chunk is the scan's morsel). Per chunk it first consults the zone maps:
 /// when they prove no row can match the pushed-down predicate the whole
 /// chunk is skipped (metrics: chunks_skipped). Surviving chunks are seeded
-/// with their visible rows, pinned, filtered column-at-a-time
+/// with their visible rows, pinned (only the columns the scan reads),
+/// filtered column-at-a-time
 /// (FilterChunkSelection) and then through any runtime Bloom filters pushed
 /// down from ancestor hash joins (metrics: bloom_filtered). The chunks of a
 /// window are filtered by one worker task each (inline when the window has
@@ -47,9 +48,7 @@ class SeqScanOp : public Operator {
 
   /// Registers a runtime semi-join filter over table-local column `column`
   /// (planner wiring; the producing join fills it before this scan opens).
-  void AddRuntimeFilter(RuntimeFilterPtr filter, size_t column) {
-    runtime_filters_.push_back({std::move(filter), column});
-  }
+  void AddRuntimeFilter(RuntimeFilterPtr filter, size_t column);
 
   std::string Describe() const override;
 
@@ -118,6 +117,9 @@ class SeqScanOp : public Operator {
   bool prune_ = false;  ///< true when materialize_cols_ limits the copy
   /// Table-local column indices to materialize (column pruning).
   std::vector<uint32_t> materialize_cols_;
+  /// The columns each chunk pin names: the materialized ones (every column
+  /// without pruning), the pushed filter's and each runtime filter's key.
+  ColumnSet pin_cols_;
   std::vector<ScanFilter> runtime_filters_;
   std::vector<WindowChunk> window_;
   size_t next_chunk_ = 0;     ///< first chunk of the next window

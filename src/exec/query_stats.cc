@@ -69,8 +69,11 @@ void RenderNode(const PlanNodeStats& node, int depth, std::string* out) {
                              (unsigned long long)m.bloom_filtered));
   }
   if (m.chunks_loaded > 0) {
-    out->append(StringPrintf(" chunks_loaded=%llu",
-                             (unsigned long long)m.chunks_loaded));
+    out->append(StringPrintf(" chunks_loaded=%llu columns_loaded=%llu "
+                             "bytes_read=%llu",
+                             (unsigned long long)m.chunks_loaded,
+                             (unsigned long long)m.columns_loaded,
+                             (unsigned long long)m.bytes_read));
   }
   if (m.chunks_evicted > 0) {
     out->append(StringPrintf(" chunks_evicted=%llu",

@@ -38,10 +38,11 @@ Result<std::vector<size_t>> MatchingRows(const Table& table, const Expr* where,
   return matches;
 }
 
-void CollectId(const Table& table, size_t pos, int id_column,
+void CollectId(RowCursor* cursor, size_t pos, int id_column,
                std::vector<Value>* out) {
   if (id_column >= 0) {
-    out->push_back(table.ValueAt(pos, static_cast<size_t>(id_column)));
+    cursor->Touch(pos);
+    out->push_back(cursor->ValueAt(pos, static_cast<size_t>(id_column)));
   }
 }
 
@@ -51,6 +52,7 @@ Result<WriteResult> ExecuteInsert(Table* table, const BoundInsert& ins,
                                   uint64_t version, int id_column) {
   WriteResult result;
   static const Row kNoRow;
+  RowCursor cursor(table);
   for (const auto& exprs : ins.rows) {
     Row full(table->schema().num_columns(), Value::Null());
     for (size_t i = 0; i < exprs.size(); ++i) {
@@ -59,7 +61,7 @@ Result<WriteResult> ExecuteInsert(Table* table, const BoundInsert& ins,
     }
     const size_t pos = table->num_rows();
     CONQUER_RETURN_NOT_OK(table->InsertVersioned(std::move(full), version));
-    CollectId(*table, pos, id_column, &result.touched_ids);
+    CollectId(&cursor, pos, id_column, &result.touched_ids);
     ++result.rows_changed;
   }
   result.rows_matched = result.rows_changed;
@@ -74,8 +76,13 @@ Result<WriteResult> ExecuteUpdate(Table* table, const BoundUpdate& upd,
   WriteResult result;
   result.rows_matched = static_cast<int64_t>(matches.size());
   Row old_row;
+  // Matches ascend through the old chunks while new versions land in the
+  // tail: one cursor each, so neither re-pins per row.
+  RowCursor old_rows(table);
+  RowCursor new_rows(table);
   for (size_t pos : matches) {
-    table->GetRowInto(pos, &old_row);
+    old_rows.Touch(pos);
+    old_rows.GetRowInto(pos, &old_row);
     // All assignment values evaluate against the OLD row (SQL semantics:
     // `SET a = b, b = a` swaps).
     Row new_row = old_row;
@@ -83,11 +90,11 @@ Result<WriteResult> ExecuteUpdate(Table* table, const BoundUpdate& upd,
       CONQUER_ASSIGN_OR_RETURN(Value v, EvalExpr(*expr, old_row));
       new_row[col] = std::move(v);
     }
-    CollectId(*table, pos, id_column, &result.touched_ids);
+    CollectId(&old_rows, pos, id_column, &result.touched_ids);
     table->MarkRowDead(pos, version);
     const size_t new_pos = table->num_rows();
     CONQUER_RETURN_NOT_OK(table->InsertVersioned(std::move(new_row), version));
-    CollectId(*table, new_pos, id_column, &result.touched_ids);
+    CollectId(&new_rows, new_pos, id_column, &result.touched_ids);
     ++result.rows_changed;
   }
   return result;
@@ -100,8 +107,9 @@ Result<WriteResult> ExecuteDelete(Table* table, const BoundDelete& del,
       MatchingRows(*table, del.where.get(), version - 1));
   WriteResult result;
   result.rows_matched = static_cast<int64_t>(matches.size());
+  RowCursor cursor(table);
   for (size_t pos : matches) {
-    CollectId(*table, pos, id_column, &result.touched_ids);
+    CollectId(&cursor, pos, id_column, &result.touched_ids);
     table->MarkRowDead(pos, version);
     ++result.rows_changed;
   }

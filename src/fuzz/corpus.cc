@@ -141,7 +141,7 @@ Result<std::vector<Row>> RowsFromCsv(const FuzzTable& t,
   for (size_t r : table->VisibleRowPositions(table->committed_version())) {
     cursor.Touch(r);
     rows.emplace_back();
-    table->GetRowInto(r, &rows.back());
+    cursor.GetRowInto(r, &rows.back());
     DecodeRowInPlace(&rows.back());
   }
   return rows;

@@ -136,8 +136,10 @@ Result<FuzzCase> ExtractVisibleSnapshot(const FuzzCase& c,
     const uint64_t snapshot = table->committed_version();
     t.rows.clear();
     Row row;
+    RowCursor cursor(table);
     for (size_t pos : table->VisibleRowPositions(snapshot)) {
-      table->GetRowInto(pos, &row);
+      cursor.Touch(pos);
+      cursor.GetRowInto(pos, &row);
       DecodeRowInPlace(&row);
       t.rows.push_back(row);
     }

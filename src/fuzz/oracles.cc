@@ -311,8 +311,8 @@ Result<std::map<std::string, ClusterState>> VisibleClusters(
   RowCursor cursor(&table);
   for (size_t pos : table.VisibleRowPositions(snapshot)) {
     cursor.Touch(pos);
-    Value id = table.ValueAt(pos, id_col);
-    Value prob = table.ValueAt(pos, prob_col);
+    Value id = cursor.ValueAt(pos, id_col);
+    Value prob = cursor.ValueAt(pos, prob_col);
     ClusterState& cluster = out[id.is_null() ? "<null>" : id.ToString()];
     cluster.rows.push_back(pos);
     cluster.probs.push_back(prob.is_null() ? 0.0 : prob.AsDouble());
@@ -351,7 +351,7 @@ Result<std::vector<double>> RecomputeClusterProbs(
     cursor.Touch(rows[i]);
     std::vector<uint32_t> indices;
     for (size_t a = 0; a < attrs.size(); ++a) {
-      indices.push_back(space.Intern(a, table.ValueAt(rows[i], attrs[a])));
+      indices.push_back(space.Intern(a, cursor.ValueAt(rows[i], attrs[a])));
     }
     dist[i] = InformationLossDistance(Dcf::ForTuple(indices), rep,
                                       total_weight);
@@ -407,19 +407,21 @@ Result<std::string> CheckNullIdMatches(
   const double threshold = IncrementalOptions().merge_threshold;
   const std::unordered_set<size_t> pending(null_rows.begin(), null_rows.end());
   std::map<std::string, std::vector<size_t>> clusters;
+  RowCursor cursor(&table);
   for (size_t pos : table.VisibleRowPositions(snapshot)) {
     if (pending.count(pos) > 0) continue;
-    const Value id = table.ValueAt(pos, id_col);
+    cursor.Touch(pos);
+    const Value id = cursor.ValueAt(pos, id_col);
     if (!id.is_null()) clusters[id.ToString()].push_back(pos);
   }
   ValueSpace space;
   for (size_t pos : null_rows) {
-    const Value id = table.ValueAt(pos, id_col);
+    cursor.Touch(pos);
+    const Value id = cursor.ValueAt(pos, id_col);
     if (id.is_null()) {
       return StringPrintf("NULL-id row %zu was left without an identifier",
                           pos);
     }
-    RowCursor cursor(&table);
     const Dcf tuple = TupleDcf(&cursor, pos, attrs, &space);
     const std::string name = id.ToString();
     double best = std::numeric_limits<double>::infinity();

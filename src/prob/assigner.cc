@@ -2,6 +2,10 @@
 
 #include <algorithm>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 namespace conquer {
 
 namespace {
@@ -91,7 +95,7 @@ void ApplyStagedWrites(Table* table, const std::vector<StagedWrite>& writes) {
   RowCursor cursor(table);
   for (const StagedWrite& w : writes) {
     cursor.Touch(w.row);
-    table->SetValue(w.row, w.col, w.value);
+    cursor.SetValue(w.row, w.col, w.value);
   }
 }
 
@@ -132,12 +136,22 @@ Result<std::vector<TupleProbability>> AssignProbabilities(
     Table* table, const DirtyTableInfo& info, const AssignerOptions& options) {
   CONQUER_ASSIGN_OR_RETURN(std::vector<size_t> attrs,
                            ResolveAttributeColumns(*table, info, options));
-  ValueSpace space;
-  return AssignClusterProbabilities(
-      table, info, [&](const std::vector<size_t>& members, size_t num_rows) {
-        return InformationLossProbabilities(
-            *table, members, attrs, static_cast<double>(num_rows), &space);
-      });
+  Result<std::vector<TupleProbability>> out = [&] {
+    ValueSpace space;
+    return AssignClusterProbabilities(
+        table, info, [&](const std::vector<size_t>& members, size_t num_rows) {
+          return InformationLossProbabilities(
+              *table, members, attrs, static_cast<double>(num_rows), &space);
+        });
+  }();
+  // The pass's value space and per-cluster DCFs are freed by now, but the
+  // allocator keeps that heap (one large free top chunk on a big table)
+  // resident; hand it back so the process footprint after set-up is its
+  // live data, not this pass's transient peak.
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
+  return out;
 }
 
 }  // namespace conquer

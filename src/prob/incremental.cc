@@ -197,20 +197,24 @@ Result<size_t> ReassignClusters(Table* table, const DirtyTableInfo& info,
   size_t num_visible = 0;
   ClusterMembers members;
   std::vector<size_t> null_rows;
+  const ColumnSet id_cols = {static_cast<uint32_t>(id_col)};
   for (size_t c = 0; c < table->num_chunks(); ++c) {
     const Chunk& chunk = table->chunk(c);
-    const ColumnVector& ids = chunk.column(id_col);
     const size_t base = c * table->chunk_capacity();
     ChunkPin pin;  // taken at the first visible row: stamps are resident
+    const ColumnVector* ids = nullptr;
     for (uint32_t i = 0; i < chunk.num_rows(); ++i) {
       if (!chunk.RowVisible(i, snapshot)) continue;
-      if (!pin) pin = table->PinChunk(c);
+      if (!pin) {
+        pin = table->PinChunk(c, id_cols);
+        ids = &chunk.column(id_col);
+      }
       ++num_visible;
-      if (ids.is_null(i)) {
+      if (ids->is_null(i)) {
         null_rows.push_back(base + i);
       } else if (touched_null) {
-        members[ids.GetValue(i, id_dict)].rows.push_back(base + i);
-      } else if (const int k = touched_keys.Find(ids, i); k >= 0) {
+        members[ids->GetValue(i, id_dict)].rows.push_back(base + i);
+      } else if (const int k = touched_keys.Find(*ids, i); k >= 0) {
         members[touched[static_cast<size_t>(k)]].rows.push_back(base + i);
       }
     }

@@ -92,7 +92,7 @@ Result<MatchResult> AssignClusterIdentifiers(Table* table,
     cursor.Touch(r);
     // SetValue re-interns the string through the column dictionary, so the
     // rewritten identifiers stay on the interned-compare fast path.
-    table->SetValue(r, id_col,
+    cursor.SetValue(r, id_col,
                     Value::String(std::string(prefix) +
                                   std::to_string(result.cluster_of_row[r])));
   }

@@ -34,8 +34,8 @@ Result<PropagationStats> PropagateIdentifiers(
     for (size_t r = 0; r < ref->num_rows(); ++r) {
       if (!ref->RowVisibleAt(r, ref_snapshot)) continue;
       ref_cursor.Touch(r);
-      crossref.emplace(ref->ValueAt(r, ref_key_col),
-                       ref->ValueAt(r, ref_id_col));
+      crossref.emplace(ref_cursor.ValueAt(r, ref_key_col),
+                       ref_cursor.ValueAt(r, ref_id_col));
     }
 
     const uint64_t snapshot = table->committed_version();
@@ -43,12 +43,12 @@ Result<PropagationStats> PropagateIdentifiers(
     for (size_t r = 0; r < table->num_rows(); ++r) {
       if (!table->RowVisibleAt(r, snapshot)) continue;
       cursor.Touch(r);
-      auto it = crossref.find(table->ValueAt(r, fk_col));
+      auto it = crossref.find(cursor.ValueAt(r, fk_col));
       if (it == crossref.end()) {
-        table->SetValue(r, target_col, Value::Null());
+        cursor.SetValue(r, target_col, Value::Null());
         ++stats.dangling_references;
       } else {
-        table->SetValue(r, target_col, it->second);
+        cursor.SetValue(r, target_col, it->second);
         ++stats.rows_updated;
       }
     }

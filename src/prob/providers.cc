@@ -40,7 +40,7 @@ Status AssignSourceReliabilityProbabilities(
   RowCursor cursor(table);
   auto weight_of = [&](size_t row) {
     cursor.Touch(row);
-    Value v = table->ValueAt(row, source_col);
+    Value v = cursor.ValueAt(row, source_col);
     if (v.is_null()) return default_reliability;
     auto it = reliability.find(v.ToString());
     return it == reliability.end() ? default_reliability : it->second;

@@ -86,7 +86,7 @@ void BufferPool::Register(Chunk* chunk) {
   assert(chunk->pool_ == nullptr);
   chunk->pool_ = this;
   ++registered_chunks_;
-  if (chunk->payload_resident_) {
+  if (chunk->resident_columns_ > 0) {
     RefreshAccountingLocked(chunk);
     lru_.push_back(chunk);
     chunk->lru_it_ = std::prev(lru_.end());
@@ -110,30 +110,53 @@ void BufferPool::Unregister(Chunk* chunk) {
   --registered_chunks_;
 }
 
-ChunkPin BufferPool::Pin(Chunk* chunk, PinStats* stats) {
+ChunkPin BufferPool::Pin(Chunk* chunk, const ColumnSet& cols,
+                         PinStats* stats) {
+  return PinColumns(chunk, &cols, stats);
+}
+
+ChunkPin BufferPool::PinColumns(Chunk* chunk, const ColumnSet* cols,
+                                PinStats* stats) {
   std::unique_lock<std::mutex> lock(mu_);
   assert(chunk->pool_ == this);
-  bool faulted = false;
-  for (;;) {
-    // An in-flight fault or spill owns the chunk's payload; wait it out
-    // rather than observing half-written state.
-    if (chunk->io_busy_) {
-      io_cv_.wait(lock);
-      continue;
-    }
-    if (chunk->payload_resident_) break;
-    LoadChunk(lock, chunk, stats);
-    faulted = true;
-    break;
-  }
+  ++stats_.pins;
+  // A spill (the only I/O on an unpinned chunk) owns the whole payload and
+  // is about to drop it: wait it out before counting ourselves.
+  while (chunk->io_busy_ && chunk->pin_count_ == 0) io_cv_.wait(lock);
+  // Pin before faulting: off the LRU list and counted, the chunk keeps its
+  // resident columns — which other pins may be reading — while the read
+  // below runs unlocked.
   if (chunk->in_lru_) {
     lru_.erase(chunk->lru_it_);
     chunk->in_lru_ = false;
   }
   ++chunk->pin_count_;
+  ColumnSet missing;
+  bool faulted = false;
+  for (;;) {
+    missing.clear();
+    if (cols == nullptr) {
+      for (uint32_t c = 0; c < chunk->num_columns(); ++c) {
+        if (chunk->column_resident_[c] == 0) missing.push_back(c);
+      }
+    } else {
+      for (uint32_t c : *cols) {
+        if (chunk->column_resident_[c] == 0) missing.push_back(c);
+      }
+    }
+    if (missing.empty()) break;
+    // Another pin is faulting columns of this chunk (perhaps ours too):
+    // faults of one chunk serialize.
+    if (chunk->io_busy_) {
+      io_cv_.wait(lock);
+      continue;
+    }
+    LoadColumns(lock, chunk, missing, stats);
+    faulted = true;
+  }
   if (faulted) {
-    // Make room for what the fault brought in — but never for the chunk
-    // itself: it is pinned and off the LRU list.
+    // Make room for what the fault brought in — but never by evicting the
+    // chunk itself: it is pinned and off the LRU list.
     EnforceBudget(lock, stats);
   }
   return ChunkPin(this, chunk);
@@ -144,8 +167,10 @@ void BufferPool::Unpin(Chunk* chunk) {
   assert(chunk->pin_count_ > 0);
   if (--chunk->pin_count_ > 0) return;
   // Appends may have grown the payload while pinned; re-measure now that no
-  // writer can be touching it, then recheck the budget.
+  // writer can be touching it (and no fault: faults hold a pin), then
+  // recheck the budget.
   RefreshAccountingLocked(chunk);
+  if (chunk->resident_columns_ == 0) return;  // nothing to evict
   lru_.push_back(chunk);
   chunk->lru_it_ = std::prev(lru_.end());
   chunk->in_lru_ = true;
@@ -154,6 +179,7 @@ void BufferPool::Unpin(Chunk* chunk) {
 
 void BufferPool::MarkDirty(Chunk* chunk) {
   std::lock_guard<std::mutex> lock(mu_);
+  assert(chunk->payload_resident() && chunk->pin_count_ > 0);
   chunk->payload_dirty_ = true;
 }
 
@@ -168,28 +194,34 @@ void BufferPool::RebindBacking(Chunk* chunk, ChunkBacking backing) {
   chunk->payload_dirty_ = false;
 }
 
-void BufferPool::LoadChunk(std::unique_lock<std::mutex>& lk, Chunk* chunk,
-                           PinStats* stats) {
-  assert(!chunk->payload_resident_ && chunk->backing_.valid());
-  assert(!chunk->io_busy_);
+void BufferPool::LoadColumns(std::unique_lock<std::mutex>& lk, Chunk* chunk,
+                             const ColumnSet& cols, PinStats* stats) {
+  assert(chunk->backing_.valid() && !chunk->io_busy_);
+  assert(chunk->pin_count_ > 0 && !chunk->in_lru_);
   chunk->io_busy_ = true;
   // Copy the backing: RebindBacking may re-point it while we read, and the
   // copy keeps the (possibly replaced) file alive and readable.
   const ChunkBacking backing = chunk->backing_;
   lk.unlock();
   const auto t0 = std::chrono::steady_clock::now();
-  std::string buf(backing.length, '\0');
-  DieOnIoError(backing.file->ReadAt(backing.offset, buf.data(), buf.size()),
+  uint64_t bytes_read = 0;
+  DieOnIoError(SegmentCodec::ReadColumns(backing, cols, chunk, &bytes_read),
                "read");
-  DieOnIoError(SegmentCodec::DeserializePayload(buf, chunk), "decode");
   const double secs = SecondsSince(t0);
+  uint64_t bytes = 0;
+  for (uint32_t c : cols) bytes += chunk->columns_[c].MemoryBytes();
   lk.lock();
   chunk->io_busy_ = false;
-  RefreshAccountingLocked(chunk);
+  chunk->MarkResident(cols);
+  ChargeLocked(chunk, bytes);
   ++stats_.chunks_loaded;
+  stats_.columns_loaded += cols.size();
+  stats_.bytes_read += bytes_read;
   stats_.io_read_seconds += secs;
   if (stats != nullptr) {
     ++stats->chunks_loaded;
+    stats->columns_loaded += cols.size();
+    stats->bytes_read += bytes_read;
     stats->io_read_seconds += secs;
   }
   io_cv_.notify_all();
@@ -210,7 +242,7 @@ void BufferPool::EnforceBudget(std::unique_lock<std::mutex>& lk,
       }
     }
     if (victim == nullptr) victim = lru_.front();
-    assert(victim->payload_resident_ && victim->pin_count_ == 0);
+    assert(victim->resident_columns_ > 0 && victim->pin_count_ == 0);
     lru_.erase(victim->lru_it_);
     victim->in_lru_ = false;
     if (victim->payload_dirty_) SpillChunk(lk, victim);
@@ -223,7 +255,8 @@ void BufferPool::EnforceBudget(std::unique_lock<std::mutex>& lk,
 }
 
 void BufferPool::SpillChunk(std::unique_lock<std::mutex>& lk, Chunk* chunk) {
-  assert(!chunk->io_busy_);
+  // Writes pin every column, so a dirty chunk is always fully resident.
+  assert(!chunk->io_busy_ && chunk->payload_resident());
   // The busy flag makes us the payload's exclusive owner (the chunk is off
   // the LRU list, so no other evictor picks it; pinners wait): serialize
   // and write without holding the pool lock.
@@ -263,9 +296,15 @@ void BufferPool::SpillChunk(std::unique_lock<std::mutex>& lk, Chunk* chunk) {
 }
 
 void BufferPool::RefreshAccountingLocked(Chunk* chunk) {
-  const uint64_t bytes = chunk->payload_resident_ ? chunk->PayloadBytes() : 0;
-  resident_bytes_ = resident_bytes_ - chunk->accounted_bytes_ + bytes;
-  chunk->accounted_bytes_ = bytes;
+  assert(!chunk->io_busy_);
+  resident_bytes_ -= chunk->accounted_bytes_;
+  chunk->accounted_bytes_ = 0;
+  ChargeLocked(chunk, chunk->PayloadBytes());
+}
+
+void BufferPool::ChargeLocked(Chunk* chunk, uint64_t bytes) {
+  chunk->accounted_bytes_ += bytes;
+  resident_bytes_ += bytes;
   // The high-water mark is the budget proof benchmarks record: RSS is
   // noisy (allocator retention), pool accounting is exact.
   stats_.peak_resident_bytes =

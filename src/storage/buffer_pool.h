@@ -20,25 +20,23 @@ class Table;
 /// \brief I/O work one pin (or the evictions it forced) performed.
 ///
 /// Accumulated into caller-owned counters so scans can surface
-/// `chunks_loaded=` / `chunks_evicted=` / `io_read_ms=` in EXPLAIN ANALYZE.
+/// `chunks_loaded=` / `columns_loaded=` / `bytes_read=` / `chunks_evicted=`
+/// / `io_read_ms=` in EXPLAIN ANALYZE.
 struct PinStats {
-  uint64_t chunks_loaded = 0;
+  uint64_t chunks_loaded = 0;   ///< pins that read from a backing file
+  uint64_t columns_loaded = 0;  ///< columns those pins read
+  uint64_t bytes_read = 0;      ///< payload bytes those pins read
   uint64_t chunks_evicted = 0;
   double io_read_seconds = 0;
-
-  void Add(const PinStats& o) {
-    chunks_loaded += o.chunks_loaded;
-    chunks_evicted += o.chunks_evicted;
-    io_read_seconds += o.io_read_seconds;
-  }
 };
 
-/// \brief RAII pin keeping one chunk's column payload resident.
+/// \brief RAII pin keeping the columns it named of one chunk resident.
 ///
 /// While any pin on a chunk is alive the buffer pool will not evict it, so
-/// raw column pointers (`fixed_data()` etc.) stay valid. Obtained through
-/// `Table::PinChunk` (or `BufferPool::Pin`); destruction unpins. A pin from
-/// a table with no pool attached is a no-op wrapper around the chunk.
+/// raw column pointers (`fixed_data()` etc.) of the named columns stay
+/// valid. Obtained through `Table::PinChunk` (or `BufferPool::Pin`);
+/// destruction unpins. A pin from a table with no pool attached is a no-op
+/// wrapper around the chunk.
 class ChunkPin {
  public:
   ChunkPin() = default;
@@ -72,12 +70,16 @@ class ChunkPin {
 /// \brief Pin/evict buffer manager enforcing a hard byte budget over the
 /// column payloads of every registered chunk.
 ///
-/// Chunks live in three states: resident, evicted-clean (payload re-readable
-/// from its backing segment block) and evicted-dirty (never: dirty chunks
-/// are spilled to the pool's anonymous spill file *at eviction time*, so an
-/// evicted chunk is always clean). Eviction scans the LRU list of unpinned
-/// resident chunks and prefers chunks with a still-valid backing (drop, no
-/// write) over dirty ones (serialize + spill, then drop).
+/// The unit of residency is one column of one chunk: a pin names the
+/// columns its holder reads and faults in only those that are missing,
+/// reading each from the chunk's payload extent straight into the column's
+/// vectors. The unit of eviction stays the chunk: the LRU list holds
+/// unpinned chunks with any resident column, and evicting one drops every
+/// resident column. Evicted columns are always clean (re-readable from the
+/// backing extent): a dirty chunk is fully resident — writes pin every
+/// column — and is spilled whole to the pool's anonymous spill file at
+/// eviction time. Eviction prefers chunks with a still-valid backing (drop,
+/// no write) over dirty ones (serialize + spill, then drop).
 ///
 /// What the budget covers: column payloads only. Zone maps, MVCC stamps,
 /// dictionaries and per-chunk secondary index slices (ChunkIndex) stay
@@ -89,18 +91,26 @@ class ChunkPin {
 /// state but allows transient overshoot equal to the pinned working set.
 ///
 /// Thread-safety: pool state (LRU list, accounting, residency flags) lives
-/// behind a single mutex, but chunk loads and dirty spills run their file
+/// behind a single mutex, but column loads and dirty spills run their file
 /// I/O *outside* it: the operation marks its chunk io-busy under the lock,
-/// releases the lock for the read/decode (or serialize/write), and
-/// re-acquires it to publish the result. Concurrent pins of distinct chunks
-/// therefore fault in parallel; only operations on the same chunk serialize
-/// (waiters block on a pool condvar until the busy flag clears). The pin
+/// releases the lock for the read (or serialize/write), and re-acquires it
+/// to publish the result. A pin takes its chunk off the LRU list and counts
+/// itself *before* it faults, so no evictor can drop the chunk's resident
+/// columns — which other pins may be reading — during the unlocked read; a
+/// load touches only columns that were not resident, and charges the budget
+/// for exactly those when it publishes. Concurrent pins of distinct chunks
+/// therefore fault in parallel; faults of the same chunk serialize (waiters
+/// block on a pool condvar until the busy flag clears), while a pin whose
+/// columns are all resident proceeds past a fault of other columns. The pin
 /// count is what makes concurrently scanning morsels safe: column data is
 /// only read between Pin and Reset.
 class BufferPool {
  public:
   struct Stats {
-    uint64_t chunks_loaded = 0;   ///< payload faults from backing files
+    uint64_t pins = 0;            ///< Pin calls
+    uint64_t chunks_loaded = 0;   ///< pins that read from backing files
+    uint64_t columns_loaded = 0;  ///< columns those pins read
+    uint64_t bytes_read = 0;      ///< payload bytes those pins read
     uint64_t chunks_evicted = 0;  ///< payload drops (clean + spilled)
     uint64_t chunks_spilled = 0;  ///< dirty evictions that wrote the spill file
     uint64_t spill_file_bytes = 0;  ///< bytes allocated in the spill file
@@ -133,15 +143,21 @@ class BufferPool {
   /// Severs the pool link (called by ~Chunk). The chunk must be unpinned.
   void Unregister(Chunk* chunk);
 
-  /// Ensures the chunk's payload is resident (faulting it in from its
-  /// backing block if evicted) and pins it. Deltas of any load/eviction this
-  /// call performed are added to `*stats` when non-null. I/O failure on the
+  /// Pins the chunk after making the columns of `cols` resident (faulting
+  /// each missing one in from the chunk's backing extent). The holder may
+  /// read only those columns. Deltas of any load/eviction this call
+  /// performed are added to `*stats` when non-null. I/O failure on the
   /// pool's own files is unrecoverable and aborts with a diagnostic.
-  ChunkPin Pin(Chunk* chunk, PinStats* stats = nullptr);
+  ChunkPin Pin(Chunk* chunk, const ColumnSet& cols, PinStats* stats = nullptr);
+
+  /// Pins every column of the chunk (writes, saves, row-at-a-time readers).
+  ChunkPin Pin(Chunk* chunk, PinStats* stats = nullptr) {
+    return PinColumns(chunk, nullptr, stats);
+  }
 
   /// Marks the chunk's payload as diverged from its backing block; the next
   /// eviction must spill it again. Call after any column mutation (append or
-  /// in-place write) of a registered chunk.
+  /// in-place write) of a registered chunk, under a pin of every column.
   void MarkDirty(Chunk* chunk);
 
   /// Re-points `chunk`'s backing at `backing` — an extent the caller
@@ -165,12 +181,15 @@ class BufferPool {
     uint64_t alloc;
   };
 
+  /// Pin with `cols` == nullptr meaning every column.
+  ChunkPin PinColumns(Chunk* chunk, const ColumnSet* cols, PinStats* stats);
   void Unpin(Chunk* chunk);
 
-  /// Faults `chunk`'s payload in from backing_. Enters with `lk` held,
-  /// drops it for the read/decode, exits with it re-acquired.
-  void LoadChunk(std::unique_lock<std::mutex>& lk, Chunk* chunk,
-                 PinStats* stats);
+  /// Faults the non-resident columns `cols` of the pinned `chunk` in from
+  /// backing_. Enters with `lk` held, drops it for the read, exits with it
+  /// re-acquired after publishing the columns and charging their bytes.
+  void LoadColumns(std::unique_lock<std::mutex>& lk, Chunk* chunk,
+                   const ColumnSet& cols, PinStats* stats);
   /// Evicts LRU victims (clean first) until the charged bytes fit the
   /// budget or nothing evictable remains. `lk` must be held; dirty spills
   /// release it for their file I/O.
@@ -179,8 +198,11 @@ class BufferPool {
   /// previous spill extent (or a freed one) when the payload fits. Enters
   /// and exits with `lk` held, drops it for the serialize/write.
   void SpillChunk(std::unique_lock<std::mutex>& lk, Chunk* chunk);
-  /// Requires mu_ held. Re-measures `chunk`'s payload bytes.
+  /// Requires mu_ held and no fault in flight on `chunk`. Re-measures the
+  /// bytes of its resident columns.
   void RefreshAccountingLocked(Chunk* chunk);
+  /// Requires mu_ held. Adds `bytes` to the charge and the high-water mark.
+  void ChargeLocked(Chunk* chunk, uint64_t bytes);
   /// Requires mu_ held. Lazily creates the anonymous spill file.
   std::shared_ptr<SegmentFile> SpillFileLocked();
   /// Requires mu_ held. Returns `backing`'s extent to the spill free list
@@ -199,7 +221,7 @@ class BufferPool {
   uint64_t resident_bytes_ = 0;
   uint64_t registered_chunks_ = 0;
   Stats stats_{};
-  /// Unpinned resident chunks, least-recently-unpinned first.
+  /// Unpinned chunks with a resident column, least-recently-unpinned first.
   std::list<Chunk*> lru_;
   std::shared_ptr<SegmentFile> spill_;
   /// Spill extents no longer referenced by any chunk (their owner died,

@@ -140,6 +140,8 @@ Chunk::Chunk(const TableSchema* schema, size_t capacity) : capacity_(capacity) {
     columns_.emplace_back(schema->column(c).type);
   }
   zones_.resize(schema->num_columns());
+  column_resident_.assign(schema->num_columns(), 1);
+  resident_columns_ = schema->num_columns();
 }
 
 Chunk::~Chunk() {
@@ -212,37 +214,34 @@ void Chunk::MaterializeRow(
     const std::vector<std::unique_ptr<StringDictionary>>& dicts) const {
   out->resize(columns_.size());
   for (size_t c = 0; c < columns_.size(); ++c) {
-    (*out)[c] = columns_[c].GetValue(row, dicts[c].get());
+    (*out)[c] = column(c).GetValue(row, dicts[c].get());
   }
 }
 
-void Chunk::RecomputeZones(
-    const std::vector<std::unique_ptr<StringDictionary>>& dicts) {
+void Chunk::RecomputeZone(size_t c, const StringDictionary* dict) {
   std::unordered_set<Value, ValueHash> distinct;
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    ZoneMap z;
-    distinct.clear();
-    for (size_t r = 0; r < num_rows_; ++r) {
-      Value v = columns_[c].GetValue(r, dicts[c].get());
-      if (v.is_null()) {
-        ++z.null_count;
-      } else {
-        z.Widen(v);
-        distinct.insert(v);
-      }
+  const ColumnVector& cv = column(c);
+  ZoneMap z;
+  for (size_t r = 0; r < num_rows_; ++r) {
+    Value v = cv.GetValue(r, dict);
+    if (v.is_null()) {
+      ++z.null_count;
+    } else {
+      z.Widen(v);
+      distinct.insert(v);
     }
-    z.all_distinct = distinct.size() == num_rows_ - z.null_count &&
-                     z.null_count < num_rows_;
-    zones_[c] = z;
   }
+  z.all_distinct = distinct.size() == num_rows_ - z.null_count &&
+                   z.null_count < num_rows_;
+  zones_[c] = z;
 }
 
-uint64_t Chunk::MemoryBytes() const {
-  uint64_t bytes = 0;
-  for (const ColumnVector& cv : columns_) bytes += cv.MemoryBytes();
-  bytes += (begin_versions_.capacity() + end_versions_.capacity()) *
-           sizeof(uint64_t);
-  return bytes;
+void Chunk::MarkResident(const ColumnSet& cols) {
+  for (uint32_t c : cols) {
+    assert(column_resident_[c] == 0);
+    column_resident_[c] = 1;
+  }
+  resident_columns_ += cols.size();
 }
 
 }  // namespace conquer

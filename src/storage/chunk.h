@@ -1,6 +1,8 @@
 #ifndef CONQUER_STORAGE_CHUNK_H_
 #define CONQUER_STORAGE_CHUNK_H_
 
+#include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -36,6 +38,16 @@ struct ChunkBacking {
 
 /// \brief One tuple: a vector of values aligned with a schema.
 using Row = std::vector<Value>;
+
+/// \brief Table-local column positions, ascending and without duplicates:
+/// the columns a pin makes resident, and the only ones its holder reads.
+using ColumnSet = std::vector<uint32_t>;
+
+/// Adds column `c` to `*cols`, keeping it ascending and without duplicates.
+inline void AddColumn(uint32_t c, ColumnSet* cols) {
+  auto it = std::lower_bound(cols->begin(), cols->end(), c);
+  if (it == cols->end() || *it != c) cols->insert(it, c);
+}
 
 /// \brief End-version stamp of a row version that has not been deleted.
 inline constexpr uint64_t kVersionMax = UINT64_MAX;
@@ -128,7 +140,13 @@ class Chunk {
   bool full() const { return num_rows_ >= capacity_; }
   size_t num_columns() const { return columns_.size(); }
 
-  const ColumnVector& column(size_t c) const { return columns_[c]; }
+  /// Column `c`'s payload. Of a pool-managed chunk only the columns the
+  /// caller's pin named may be read; reading any other is a bug the
+  /// assertion catches whenever that column is not resident.
+  const ColumnVector& column(size_t c) const {
+    assert(column_resident_[c] != 0);
+    return columns_[c];
+  }
   const ZoneMap& zone(size_t c) const { return zones_[c]; }
 
   void Reserve(size_t rows);
@@ -143,7 +161,7 @@ class Chunk {
   void SetValue(size_t row, size_t col, const Value& v, StringDictionary* dict);
 
   Value GetValue(size_t row, size_t col, const StringDictionary* dict) const {
-    return columns_[col].GetValue(row, dict);
+    return column(col).GetValue(row, dict);
   }
 
   /// Materializes one row in table-local layout into `*out` (resized to the
@@ -152,10 +170,9 @@ class Chunk {
       size_t row, Row* out,
       const std::vector<std::unique_ptr<StringDictionary>>& dicts) const;
 
-  /// Recomputes every zone map exactly from the stored values (min/max,
-  /// null_count, all_distinct). Called by Table::AnalyzeStatistics.
-  void RecomputeZones(
-      const std::vector<std::unique_ptr<StringDictionary>>& dicts);
+  /// Recomputes column `c`'s zone map exactly from the stored values
+  /// (min/max, null_count, all_distinct). Called by Table::AnalyzeStatistics.
+  void RecomputeZone(size_t c, const StringDictionary* dict);
 
   // ---- MVCC row-version stamps. ----
   //
@@ -187,25 +204,32 @@ class Chunk {
     return begin_version(row) <= snapshot && snapshot < end_version(row);
   }
 
-  uint64_t MemoryBytes() const;
-
   // ---- Out-of-core residency (see storage/buffer_pool.h). ----
   //
-  // Only the column payloads (typed arrays + null bytes) are evictable;
-  // num_rows, capacity, zone maps and MVCC stamps always stay resident so
-  // pruning and visibility checks never fault I/O. All residency fields are
-  // guarded by the owning pool's mutex; a chunk with no pool is permanently
-  // resident. Callers must hold a ChunkPin before touching column data of a
-  // pool-managed chunk.
+  // Only the column payloads (typed arrays + null bytes) are evictable, and
+  // each column of a chunk is resident or not on its own: a pin faults in
+  // just the columns it names. num_rows, capacity, zone maps and MVCC stamps
+  // always stay resident so pruning and visibility checks never fault I/O.
+  // All residency fields are guarded by the owning pool's mutex; a chunk
+  // with no pool is permanently resident. Callers must hold a ChunkPin
+  // naming a column before touching that column's data in a pool-managed
+  // chunk.
 
-  /// True when the column payloads are in memory (pool mutex required for an
+  /// True when every column is in memory (pool mutex required for an
   /// authoritative answer; lock-free reads are for tests/diagnostics only).
-  bool payload_resident() const { return payload_resident_; }
+  bool payload_resident() const {
+    return resident_columns_ == columns_.size();
+  }
+  /// True when column `c` is in memory (same locking caveat).
+  bool column_resident(size_t c) const { return column_resident_[c] != 0; }
 
-  /// Bytes of column payload (what eviction frees and the budget charges).
+  /// Bytes of the resident columns' payloads (what eviction frees and the
+  /// budget charges).
   uint64_t PayloadBytes() const {
     uint64_t bytes = 0;
-    for (const ColumnVector& cv : columns_) bytes += cv.MemoryBytes();
+    for (size_t c = 0; c < columns_.size(); ++c) {
+      if (column_resident_[c] != 0) bytes += columns_[c].MemoryBytes();
+    }
     return bytes;
   }
 
@@ -220,13 +244,22 @@ class Chunk {
   std::vector<uint64_t> begin_versions_;  ///< empty = all rows begin at 0
   std::vector<uint64_t> end_versions_;    ///< empty = all rows end at kVersionMax
 
+  /// Flags the columns of `cols` resident (their vectors were just filled).
+  void MarkResident(const ColumnSet& cols);
+
   // Residency bookkeeping (owned by the BufferPool; inert without one).
   BufferPool* pool_ = nullptr;
-  bool payload_resident_ = true;
-  bool payload_dirty_ = true;  ///< payload diverged from backing_ (or none)
-  /// A fault or spill is running its file I/O outside the pool mutex; the
-  /// chunk's payload and residency flags are owned by that operation until
-  /// it clears the flag (waiters block on the pool's io condvar).
+  /// 1 = column resident. Bytes, not vector<bool>: a loader flips one
+  /// column's flag while pinned readers test others.
+  std::vector<uint8_t> column_resident_;
+  size_t resident_columns_ = 0;
+  /// Payload diverged from backing_ (or there is none). A dirty chunk is
+  /// always fully resident: writes pin every column.
+  bool payload_dirty_ = true;
+  /// A fault or spill is running its file I/O outside the pool mutex. A
+  /// fault owns the non-resident columns it reads, a spill the whole
+  /// payload, until it clears the flag (waiters block on the pool's io
+  /// condvar).
   bool io_busy_ = false;
   uint32_t pin_count_ = 0;
   uint64_t accounted_bytes_ = 0;  ///< bytes currently charged to the budget

@@ -3,10 +3,12 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cassert>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <numeric>
 #include <vector>
 
 #include "common/str_util.h"
@@ -31,6 +33,14 @@ Phys PhysOf(DataType t) {
       return Phys::kFixed;
   }
 }
+
+/// Bytes per stored value of a physical class.
+uint64_t PhysWidth(Phys p) {
+  return p == Phys::kCode ? sizeof(uint32_t) : sizeof(int64_t);
+}
+
+/// Bytes one column of `n` rows occupies in a payload: tag, values, nulls.
+uint64_t ColumnSpan(Phys p, uint64_t n) { return 1 + n * (PhysWidth(p) + 1); }
 
 void PutRaw(std::string* out, const void* data, size_t n) {
   out->append(static_cast<const char*>(data), n);
@@ -170,11 +180,6 @@ Status GetValue(ByteReader* r, StringDictionary* dict, Value* out) {
       StringPrintf("unknown segment value tag %u", tag));
 }
 
-Status ReadBackingPayload(const ChunkBacking& backing, std::string* buf) {
-  buf->resize(backing.length);
-  return backing.file->ReadAt(backing.offset, buf->data(), backing.length);
-}
-
 }  // namespace
 
 // ------------------------------------------------------------- SegmentFile
@@ -230,6 +235,39 @@ Status SegmentFile::ReadAt(uint64_t offset, void* buf, size_t n) const {
     done += static_cast<size_t>(got);
   }
   return Status::OK();
+}
+
+Status SegmentFile::ReadVAt(uint64_t offset, struct iovec* iov,
+                            int count) const {
+  for (;;) {
+    // Drop the buffers already filled (and empty ones).
+    while (count > 0 && iov->iov_len == 0) {
+      ++iov;
+      --count;
+    }
+    if (count == 0) return Status::OK();
+    ssize_t got = ::preadv(fd_, iov, count, static_cast<off_t>(offset));
+    if (got < 0) {
+      if (errno == EINTR) continue;
+      return Status::Internal(
+          StringPrintf("preadv of '%s' failed: %s", path_.c_str(),
+                       std::strerror(errno)));
+    }
+    if (got == 0) {
+      return Status::Internal("short read from segment file '" + path_ + "'");
+    }
+    offset += static_cast<uint64_t>(got);
+    for (size_t left = static_cast<size_t>(got); left > 0;) {
+      const size_t take = std::min(left, iov->iov_len);
+      iov->iov_base = static_cast<char*>(iov->iov_base) + take;
+      iov->iov_len -= take;
+      left -= take;
+      if (iov->iov_len == 0) {
+        ++iov;
+        --count;
+      }
+    }
+  }
 }
 
 Status SegmentFile::WriteAt(uint64_t offset, const void* data, size_t n) {
@@ -292,41 +330,72 @@ void SegmentCodec::SerializePayload(const Chunk& chunk, std::string* out) {
   }
 }
 
-Status SegmentCodec::DeserializePayload(std::string_view data, Chunk* chunk) {
-  ByteReader r(data);
-  uint32_t n = 0;
-  CONQUER_RETURN_NOT_OK(r.ReadU32(&n));
-  if (n != chunk->num_rows_) {
-    return Status::InvalidArgument(
-        StringPrintf("chunk payload row count %u does not match resident "
-                     "metadata (%zu rows)",
-                     n, chunk->num_rows_));
+Status SegmentCodec::ReadColumns(const ChunkBacking& backing,
+                                 const ColumnSet& cols, Chunk* chunk,
+                                 uint64_t* bytes_read) {
+  const uint64_t n = chunk->num_rows_;
+  uint64_t total = sizeof(uint32_t);  // the row count
+  for (const ColumnVector& cv : chunk->columns_) {
+    total += ColumnSpan(PhysOf(cv.type_), n);
   }
-  for (ColumnVector& cv : chunk->columns_) {
-    const Phys expected = PhysOf(cv.type_);
-    uint8_t phys = 0;
-    CONQUER_RETURN_NOT_OK(r.ReadU8(&phys));
-    if (phys != static_cast<uint8_t>(expected)) {
-      return Status::InvalidArgument("chunk payload column layout mismatch");
+  if (total != backing.length) {
+    return Status::InvalidArgument(StringPrintf(
+        "chunk payload of %llu bytes does not match the %llu-byte layout of "
+        "its %llu resident rows",
+        static_cast<unsigned long long>(backing.length),
+        static_cast<unsigned long long>(total),
+        static_cast<unsigned long long>(n)));
+  }
+  uint64_t offset = sizeof(uint32_t);
+  size_t next = 0;  // index into cols (ascending)
+  for (size_t c = 0; c < chunk->columns_.size() && next < cols.size(); ++c) {
+    ColumnVector& cv = chunk->columns_[c];
+    const Phys phys = PhysOf(cv.type_);
+    const uint64_t span = ColumnSpan(phys, n);
+    if (cols[next] != c) {
+      offset += span;
+      continue;
     }
-    switch (expected) {
+    ++next;
+    assert(chunk->column_resident_[c] == 0);
+    void* data = nullptr;
+    switch (phys) {
       case Phys::kFixed:
         cv.fixed_.resize(n);
-        CONQUER_RETURN_NOT_OK(r.Read(cv.fixed_.data(), n * sizeof(int64_t)));
+        data = cv.fixed_.data();
         break;
       case Phys::kDouble:
         cv.dbl_.resize(n);
-        CONQUER_RETURN_NOT_OK(r.Read(cv.dbl_.data(), n * sizeof(double)));
+        data = cv.dbl_.data();
         break;
       case Phys::kCode:
         cv.codes_.resize(n);
-        CONQUER_RETURN_NOT_OK(r.Read(cv.codes_.data(), n * sizeof(uint32_t)));
+        data = cv.codes_.data();
         break;
     }
     cv.nulls_.resize(n);
-    CONQUER_RETURN_NOT_OK(r.Read(cv.nulls_.data(), n));
+    uint8_t tag = 0;
+    struct iovec iov[3] = {{&tag, 1},
+                           {data, static_cast<size_t>(n * PhysWidth(phys))},
+                           {cv.nulls_.data(), static_cast<size_t>(n)}};
+    CONQUER_RETURN_NOT_OK(
+        backing.file->ReadVAt(backing.offset + offset, iov, 3));
+    if (tag != static_cast<uint8_t>(phys)) {
+      return Status::InvalidArgument("chunk payload column layout mismatch");
+    }
+    *bytes_read += span;
+    offset += span;
   }
-  chunk->payload_resident_ = true;
+  return Status::OK();
+}
+
+Status SegmentCodec::FaultInAll(Chunk* chunk) {
+  assert(chunk->pool_ == nullptr && chunk->resident_columns_ == 0);
+  ColumnSet all(chunk->columns_.size());
+  std::iota(all.begin(), all.end(), 0u);
+  uint64_t bytes = 0;
+  CONQUER_RETURN_NOT_OK(ReadColumns(chunk->backing_, all, chunk, &bytes));
+  chunk->MarkResident(all);
   chunk->payload_dirty_ = false;
   return Status::OK();
 }
@@ -338,7 +407,8 @@ void SegmentCodec::ReleasePayload(Chunk* chunk) {
     std::vector<uint32_t>().swap(cv.codes_);
     std::vector<uint8_t>().swap(cv.nulls_);
   }
-  chunk->payload_resident_ = false;
+  std::fill(chunk->column_resident_.begin(), chunk->column_resident_.end(), 0);
+  chunk->resident_columns_ = 0;
 }
 
 void SegmentCodec::InitEvicted(Chunk* chunk, size_t num_rows,
@@ -346,7 +416,8 @@ void SegmentCodec::InitEvicted(Chunk* chunk, size_t num_rows,
   assert(chunk->num_rows_ == 0);
   chunk->num_rows_ = num_rows;
   chunk->backing_ = std::move(backing);
-  chunk->payload_resident_ = false;
+  std::fill(chunk->column_resident_.begin(), chunk->column_resident_.end(), 0);
+  chunk->resident_columns_ = 0;
   chunk->payload_dirty_ = false;
 }
 
@@ -617,10 +688,7 @@ Status LoadTableSegment(Table* table, const std::string& path) {
     // Without a buffer pool there is nothing to fault payloads in later;
     // load them eagerly (the all-resident case).
     if (table->buffer_pool() == nullptr) {
-      std::string buf;
-      CONQUER_RETURN_NOT_OK(
-          ReadBackingPayload({file, payload_offset, payload_length}, &buf));
-      CONQUER_RETURN_NOT_OK(SegmentCodec::DeserializePayload(buf, ch.get()));
+      CONQUER_RETURN_NOT_OK(SegmentCodec::FaultInAll(ch.get()));
     }
     chunks.push_back(std::move(ch));
   }

@@ -1,6 +1,8 @@
 #ifndef CONQUER_STORAGE_SEGMENT_H_
 #define CONQUER_STORAGE_SEGMENT_H_
 
+#include <sys/uio.h>
+
 #include <atomic>
 #include <memory>
 #include <string>
@@ -34,6 +36,11 @@ class SegmentFile {
 
   /// Reads exactly `n` bytes at `offset` (short reads are errors).
   Status ReadAt(uint64_t offset, void* buf, size_t n) const;
+
+  /// Reads the contiguous bytes at `offset` into the `count` buffers of
+  /// `iov` in order, with one preadv (more only after a short read, which
+  /// advances `iov` in place). Reaching the end of the file is an error.
+  Status ReadVAt(uint64_t offset, struct iovec* iov, int count) const;
 
   /// Writes exactly `n` bytes at `offset` (existing or reserved space).
   Status WriteAt(uint64_t offset, const void* data, size_t n);
@@ -70,14 +77,29 @@ class SegmentFile {
 /// exactly one friend. Payload bytes cover the typed arrays and null bytes
 /// only — zone maps and MVCC stamps are resident metadata and travel in the
 /// segment's meta section instead.
+///
+/// Payload layout: u32 row count n, then per column a u8 physical tag, n
+/// typed values (8-byte int64/double or 4-byte dictionary code) and n null
+/// bytes. Every column's offset follows from n and the column types, so one
+/// column reads without touching the others.
 class SegmentCodec {
  public:
   /// Serializes the column payloads of `chunk` (appends to `*out`).
   static void SerializePayload(const Chunk& chunk, std::string* out);
 
-  /// Restores payloads produced by SerializePayload into `chunk`, which
-  /// must have the same schema and row count.
-  static Status DeserializePayload(std::string_view data, Chunk* chunk);
+  /// Reads the columns `cols` of `chunk` from its payload extent `backing`
+  /// straight into their vectors: one preadv per column covers its tag, data
+  /// and null bytes. Checks that the extent length equals the layout's total
+  /// for the resident row count (which pins the row count too) and each
+  /// column's tag. Every listed column must be non-resident and owned by the
+  /// caller; residency flags are left to the caller to publish. Adds the
+  /// bytes read to `*bytes_read`.
+  static Status ReadColumns(const ChunkBacking& backing, const ColumnSet& cols,
+                            Chunk* chunk, uint64_t* bytes_read);
+
+  /// Reads every column of a pool-less chunk from its backing and marks
+  /// the chunk resident and clean (the eager load without a buffer pool).
+  static Status FaultInAll(Chunk* chunk);
 
   /// Frees the column payloads; num_rows, zones and stamps survive.
   static void ReleasePayload(Chunk* chunk);

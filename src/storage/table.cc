@@ -134,8 +134,12 @@ Value Table::ValueAt(size_t row, size_t col) const {
 }
 
 void Table::SetValue(size_t row, size_t col, const Value& v) {
+  ChunkPin pin = PinChunk(row / chunk_capacity_);
+  SetPinnedValue(row, col, v);
+}
+
+void Table::SetPinnedValue(size_t row, size_t col, const Value& v) {
   const size_t c = row / chunk_capacity_;
-  ChunkPin pin = PinChunk(c);
   chunks_[c]->SetValue(row % chunk_capacity_, col, v, dicts_[col].get());
   if (pool_ != nullptr) pool_->MarkDirty(chunks_[c].get());
   // Only the touched chunk's index slice is stale; invalidate it and let
@@ -280,8 +284,9 @@ void Table::Rechunk(size_t capacity) {
     auto rebuilt =
         std::make_unique<ChunkIndex>(idx->column(), idx->type());
     rebuilt->EnsureChunks(chunks_.size());
+    const ColumnSet cols = {static_cast<uint32_t>(idx->column())};
     for (size_t c = 0; c < chunks_.size(); ++c) {
-      ChunkPin pin = PinChunk(c);
+      ChunkPin pin = PinChunk(c, cols);
       rebuilt->RebuildChunk(c, chunks_[c]->column(rebuilt->column()));
     }
     idx = std::move(rebuilt);
@@ -295,8 +300,9 @@ Status Table::CreateIndex(std::string_view column_name) {
   }
   auto idx = std::make_unique<ChunkIndex>(col, schema_.column(col).type);
   idx->EnsureChunks(chunks_.size());
+  const ColumnSet cols = {static_cast<uint32_t>(col)};
   for (size_t c = 0; c < chunks_.size(); ++c) {
-    ChunkPin pin = PinChunk(c);
+    ChunkPin pin = PinChunk(c, cols);
     idx->RebuildChunk(c, chunks_[c]->column(col));
   }
   indexes_[col] = std::move(idx);
@@ -314,35 +320,34 @@ void Table::IndexProbeChunk(size_t column,
                             PinStats* stats) const {
   const ChunkIndex* idx = indexes_[column].get();
   if (idx->TryLookup(c, probes, out)) return;
-  // Invalidated (or never-built) slice: fault the payload in and rebuild.
-  // This is the only probe path that performs I/O.
-  ChunkPin pin = PinChunk(c, stats);
+  // Invalidated (or never-built) slice: fault the indexed column in and
+  // rebuild. This is the only probe path that performs I/O.
+  ChunkPin pin = PinChunk(c, {static_cast<uint32_t>(column)}, stats);
   idx->RebuildAndLookup(c, chunks_[c]->column(column), probes, out);
 }
 
 void Table::AnalyzeStatistics() {
-  // Re-tighten zone maps first: in-place writes only widen min/max and
-  // clear all-distinct flags; this restores exact per-chunk statistics.
-  for (size_t i = 0; i < chunks_.size(); ++i) {
-    ChunkPin pin = PinChunk(i);
-    chunks_[i]->RecomputeZones(dicts_);
-  }
   stats_.assign(schema_.num_columns(), ColumnStats{});
   std::unordered_set<Value, ValueHash> distinct;
   std::vector<double> numeric;  // histogram input, reused across columns
   for (size_t c = 0; c < schema_.num_columns(); ++c) {
     const bool is_numeric = schema_.column(c).type != DataType::kString;
+    const StringDictionary* dict = dicts_[c].get();
+    const ColumnSet cols = {static_cast<uint32_t>(c)};
     distinct.clear();
     numeric.clear();
     if (is_numeric) numeric.reserve(num_rows_);
     for (size_t i = 0; i < chunks_.size(); ++i) {
-      ChunkPin pin = PinChunk(i);
-      const Chunk& ch = *chunks_[i];
+      ChunkPin pin = PinChunk(i, cols);
+      Chunk& ch = *chunks_[i];
+      // Re-tighten the zone map first: in-place writes only widen min/max
+      // and clear all-distinct flags; this restores exact statistics.
+      ch.RecomputeZone(c, dict);
       const ColumnVector& cv = ch.column(c);
       stats_[c].num_nulls += ch.zone(c).null_count;
       for (size_t r = 0; r < ch.num_rows(); ++r) {
         if (cv.is_null(r)) continue;
-        Value v = cv.GetValue(r, dicts_[c].get());
+        Value v = cv.GetValue(r, dict);
         if (is_numeric) numeric.push_back(v.AsDouble());
         distinct.insert(std::move(v));
       }

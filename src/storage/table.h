@@ -2,6 +2,7 @@
 #define CONQUER_STORAGE_TABLE_H_
 
 #include <atomic>
+#include <cassert>
 #include <memory>
 #include <string>
 #include <vector>
@@ -81,10 +82,19 @@ class Table {
   void AttachBufferPool(BufferPool* pool);
   BufferPool* buffer_pool() const { return pool_; }
 
-  /// Pins chunk `i`'s column payload into memory (faulting it in if
-  /// evicted) for the lifetime of the returned pin. Without an attached
-  /// pool this is a cheap no-op wrapper. `stats`, when non-null, receives
-  /// the I/O this pin performed (scan counters).
+  /// Pins the columns `cols` of chunk `i` into memory (faulting in the
+  /// evicted ones) for the lifetime of the returned pin; its holder reads
+  /// only those columns. Without an attached pool this is a cheap no-op
+  /// wrapper. `stats`, when non-null, receives the I/O this pin performed
+  /// (scan counters).
+  ChunkPin PinChunk(size_t i, const ColumnSet& cols,
+                    PinStats* stats = nullptr) const {
+    Chunk* ch = chunks_[i].get();
+    return pool_ != nullptr ? pool_->Pin(ch, cols, stats)
+                            : ChunkPin(nullptr, ch);
+  }
+
+  /// Pins every column of chunk `i` (writes, saves, whole-row readers).
   ChunkPin PinChunk(size_t i, PinStats* stats = nullptr) const {
     Chunk* ch = chunks_[i].get();
     return pool_ != nullptr ? pool_->Pin(ch, stats) : ChunkPin(nullptr, ch);
@@ -105,7 +115,11 @@ class Table {
     return dicts_[column].get();
   }
 
-  // ---- Row-level access (maintenance passes, persistence, tests). ----
+  // ---- Row-level access (one-off readers and writers, tests). ----
+  //
+  // Each call pins the row's chunk for itself; loops over rows go through
+  // a RowCursor instead, which pins each chunk once.
+
   /// Materializes row `i` BY VALUE (the storage is columnar; there is no
   /// resident Row to reference). Strings come back interned.
   Row row(size_t i) const;
@@ -226,6 +240,10 @@ class Table {
   }
 
  private:
+  friend class RowCursor;
+
+  /// SetValue's write into a chunk the caller has pinned whole.
+  void SetPinnedValue(size_t row, size_t col, const Value& v);
   /// The chunk accepting the next append (created on demand).
   Chunk* AppendChunk();
   /// Appends one schema-conforming row to storage (no index maintenance).
@@ -255,15 +273,19 @@ class Table {
 /// \brief Keeps the chunk containing the most recently touched row pinned.
 ///
 /// Row-sequential loops (maintenance passes, persistence, oracles) call
-/// `Touch(row)` before `ValueAt`/`SetValue`/`GetRowInto`. Without it each
-/// per-row call pins and immediately unpins, so a budget smaller than one
-/// chunk evicts (spilling if dirty) and refaults the whole payload per row
-/// — quadratic I/O. The cursor holds the current chunk's pin until the loop
-/// crosses a chunk boundary; the per-call pins inside the Table methods
-/// then always hit a resident chunk. Stack-local, single-threaded use only.
+/// `Touch(row)` and then read and write that row through the cursor's own
+/// `ValueAt`/`GetRowInto`/`SetValue`, which use the cursor's pin instead of
+/// taking one per call. The cursor pins every column of the current chunk
+/// and holds the pin until the loop crosses a chunk boundary, so a loop
+/// takes one pin per chunk: without it each per-row call pins and unpins,
+/// and a budget smaller than one chunk evicts (spilling if dirty) and
+/// refaults the whole payload per row — quadratic I/O. Stack-local,
+/// single-threaded use only.
 class RowCursor {
  public:
   explicit RowCursor(const Table* table) : table_(table) {}
+  /// A cursor that may also write (SetValue).
+  explicit RowCursor(Table* table) : table_(table), writable_(table) {}
 
   void Touch(size_t row) {
     const size_t c = row / table_->chunk_capacity();
@@ -278,15 +300,32 @@ class RowCursor {
     chunk_ = static_cast<size_t>(-1);
   }
 
-  /// The value at (row, col), read through the pinned chunk without a pin
-  /// of its own: `row` must lie in the chunk the last Touch pinned.
+  // The accessors below read or write through the pinned chunk: `row` must
+  // lie in the chunk the last Touch pinned.
+
+  /// The value at (row, col).
   Value ValueAt(size_t row, size_t col) const {
+    assert(row / table_->chunk_capacity() == chunk_);
     return pin_->GetValue(row % table_->chunk_capacity(), col,
                           table_->dictionary(col));
   }
 
+  /// Materializes the row into `*out`, as Table::GetRowInto does.
+  void GetRowInto(size_t row, Row* out) const {
+    assert(row / table_->chunk_capacity() == chunk_);
+    pin_->MaterializeRow(row % table_->chunk_capacity(), out, table_->dicts_);
+  }
+
+  /// Overwrites one cell, as Table::SetValue does (the cursor must have
+  /// been made from a mutable table).
+  void SetValue(size_t row, size_t col, const Value& v) {
+    assert(writable_ != nullptr && row / table_->chunk_capacity() == chunk_);
+    writable_->SetPinnedValue(row, col, v);
+  }
+
  private:
   const Table* table_;
+  Table* writable_ = nullptr;
   ChunkPin pin_;
   size_t chunk_ = static_cast<size_t>(-1);
 };

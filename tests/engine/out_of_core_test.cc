@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "core/dirty_schema.h"
 #include "engine/database.h"
 #include "engine/persist.h"
 #include "exec/query_stats.h"
@@ -20,11 +21,15 @@ namespace {
 struct IoTotals {
   uint64_t loaded = 0;
   uint64_t skipped = 0;
+  uint64_t columns = 0;
+  uint64_t bytes = 0;
 };
 
 void SumIo(const PlanNodeStats& node, IoTotals* t) {
   t->loaded += node.metrics.chunks_loaded;
   t->skipped += node.metrics.chunks_skipped;
+  t->columns += node.metrics.columns_loaded;
+  t->bytes += node.metrics.bytes_read;
   for (const PlanNodeStats& c : node.children) SumIo(c, t);
 }
 
@@ -269,6 +274,135 @@ TEST_F(OutOfCoreTest, SelectiveProbeUnderTightBudgetFaultsOnlyMatchingChunks) {
   SumIo(scan_stats.plan, &scan_io);
   EXPECT_GE(scan_io.loaded + scan_io.skipped, 14u);
   std::filesystem::remove_all(dir);
+}
+
+// A scalar-fallback predicate (`a + 1 = ...` has no column-vs-literal
+// kernel) reads its column through the scan's pin: each chunk loads the
+// predicate's column and the materialized one, never the third.
+TEST_F(OutOfCoreTest, ScalarFilterLoadsOnlyPredicateAndOutputColumns) {
+  auto loaded = LoadDatabase(dir_.string());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  Database* db = loaded->get();
+  db->SetMemoryBudget(1);
+
+  QueryStats stats;
+  auto rs = db->Query("select p from t where a + 1 = 701", &stats);
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  ASSERT_EQ(rs->rows.size(), 1u);
+  EXPECT_EQ(rs->rows[0][0].double_value(), 700.0);
+
+  IoTotals io;
+  SumIo(stats.plan, &io);
+  EXPECT_EQ(io.loaded, 16u);
+  EXPECT_EQ(io.columns, 2 * 16u) << "the scan read a column it never uses";
+  EXPECT_EQ(io.bytes, 2 * 16 * (1 + 64 * (8 + 1)));
+}
+
+// A lineitem-shaped table (24 columns, string id, probability column): a
+// point lookup faults only the columns it reads, and returns the rows the
+// in-memory database returned.
+TEST_F(OutOfCoreTest, PointLookupOnWideTableLoadsOnlyItsColumns) {
+  const std::string dir = dir_.string() + "_wide";
+  std::filesystem::remove_all(dir);
+  const std::string sql = "select id, c1, c6, prob from w where id = 'k100'";
+  std::vector<Row> expect;
+  {
+    Database db;
+    std::vector<ColumnDef> cols = {{"id", DataType::kString}};
+    const DataType kinds[] = {DataType::kInt64, DataType::kDouble,
+                              DataType::kString, DataType::kDate};
+    for (int c = 0; c < 22; ++c) {
+      cols.push_back({"c" + std::to_string(c), kinds[c % 4]});
+    }
+    cols.push_back({"prob", DataType::kDouble});
+    ASSERT_TRUE(db.CreateTable(TableSchema("w", cols)).ok());
+    std::vector<Row> rows;
+    for (int64_t i = 0; i < 4 * 64; ++i) {
+      Row row = {Value::String("k" + std::to_string(i))};
+      for (int c = 0; c < 22; ++c) {
+        switch (kinds[c % 4]) {
+          case DataType::kInt64:
+            row.push_back(Value::Int(i * 31 + c));
+            break;
+          case DataType::kDouble:
+            row.push_back(Value::Double(static_cast<double>(i) / (c + 1)));
+            break;
+          case DataType::kString:
+            row.push_back(Value::String("v" + std::to_string((i + c) % 13)));
+            break;
+          default:
+            row.push_back(Value::Date(9000 + i + c));
+            break;
+        }
+      }
+      row.push_back(Value::Double(1.0 / static_cast<double>(1 + i % 3)));
+      rows.push_back(std::move(row));
+    }
+    ASSERT_TRUE(db.InsertMany("w", std::move(rows)).ok());
+    (*db.GetTable("w"))->Rechunk(64);
+    auto rs = db.Query(sql);
+    ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+    expect = rs->rows;
+    ASSERT_TRUE(SaveDatabase(db, dir).ok());
+  }
+  ASSERT_EQ(expect.size(), 1u);
+  auto loaded = LoadDatabase(dir);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  Database* db = loaded->get();
+  db->SetMemoryBudget(1);
+  // The index build and the statistics read one column per pin.
+  const BufferPool::Stats before_index = db->buffer_pool()->stats();
+  ASSERT_TRUE(db->CreateIndex("w", "id").ok());
+  const BufferPool::Stats after_index = db->buffer_pool()->stats();
+  EXPECT_EQ(after_index.columns_loaded - before_index.columns_loaded, 4u);
+  ASSERT_TRUE(db->Analyze("w").ok());
+  EXPECT_EQ(db->buffer_pool()->stats().columns_loaded -
+                after_index.columns_loaded,
+            24u * 4u);
+  db->SetMemoryBudget(1);
+
+  QueryStats stats;
+  auto plan = ExplainText(*db, "explain analyze " + sql, &stats);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_NE(plan->find("IndexScan(w"), std::string::npos) << *plan;
+  EXPECT_NE(plan->find("chunks_loaded=1 columns_loaded=4 "), std::string::npos)
+      << *plan;
+  IoTotals io;
+  SumIo(stats.plan, &io);
+  // id (string), c1 (double), c6 (string), prob (double).
+  EXPECT_EQ(io.bytes, 2 * (1 + 64 * (4 + 1)) + 2 * (1 + 64 * (8 + 1)));
+
+  auto rs = db->Query(sql);
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  ASSERT_EQ(rs->rows.size(), expect.size());
+  for (size_t c = 0; c < expect[0].size(); ++c) {
+    EXPECT_EQ(rs->rows[0][c].TotalCompare(expect[0][c]), 0) << "col " << c;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// Row loops read through their RowCursor's pin: walking the clusters of a
+// 3-chunk table takes one pin per chunk, not one per row.
+TEST_F(OutOfCoreTest, ClusterWalkPinsOncePerChunk) {
+  Database db;
+  ASSERT_TRUE(db.CreateTable(TableSchema("d", {{"id", DataType::kString},
+                                               {"prob", DataType::kDouble}}))
+                  .ok());
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 3 * 64; ++i) {
+    rows.push_back({Value::String("c" + std::to_string(i / 4)),
+                    Value::Double(0.25)});
+  }
+  ASSERT_TRUE(db.InsertMany("d", std::move(rows)).ok());
+  Table* t = *db.GetTable("d");
+  t->Rechunk(64);
+  const DirtyTableInfo info{"d", "id", "prob", {}};
+
+  const uint64_t pins = db.buffer_pool()->stats().pins;
+  auto clusters = CollectVisibleClusters(*t, info, t->committed_version());
+  ASSERT_TRUE(clusters.ok()) << clusters.status().ToString();
+  EXPECT_EQ(clusters->members.size(), 48u);
+  EXPECT_EQ(db.buffer_pool()->stats().pins - pins, 3u);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 
 #include "core/clean_engine.h"
 #include "prob/incremental.h"
+#include "storage/segment.h"
 #include "tests/core/paper_fixtures.h"
 
 namespace conquer {
@@ -360,6 +361,58 @@ TEST_F(PersistTest, CorruptFooterBoundsRejectedWithoutCrash) {
   auto loaded = LoadDatabase(dir_.string());
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(PersistTest, CorruptColumnPayloadIsAnError) {
+  Table t(TableSchema("t", {{"a", DataType::kInt64},
+                            {"s", DataType::kString},
+                            {"p", DataType::kDouble}}),
+          64);
+  for (int64_t i = 0; i < 64; ++i) {
+    ASSERT_TRUE(t.Insert({Value::Int(i),
+                          Value::String("s" + std::to_string(i % 7)),
+                          Value::Double(static_cast<double>(i) * 0.25)})
+                    .ok());
+  }
+  std::filesystem::create_directories(dir_);
+  const std::string path = (dir_ / "t.seg").string();
+  ASSERT_TRUE(WriteTableSegment(&t, path).ok());
+
+  // The one chunk's payload follows the 8-byte magic: the row count, then
+  // per column a tag, 64 values and 64 null bytes.
+  constexpr uint64_t kOffset = 8;
+  constexpr uint64_t kLength = 4 + (1 + 64 * 9) + (1 + 64 * 5) + (1 + 64 * 9);
+  auto fault = [&](size_t rows, uint64_t length) {
+    auto file = SegmentFile::OpenReadOnly(path);
+    EXPECT_TRUE(file.ok());
+    Chunk ch(&t.schema(), 64);
+    SegmentCodec::InitEvicted(&ch, rows, {*file, kOffset, length});
+    Status st = SegmentCodec::FaultInAll(&ch);
+    if (st.ok()) {
+      EXPECT_TRUE(ch.payload_resident());
+      EXPECT_EQ(ch.column(0).fixed_data()[9], 9);
+      EXPECT_EQ(ch.column(2).double_data()[9], 9 * 0.25);
+    }
+    return st;
+  };
+  ASSERT_TRUE(fault(64, kLength).ok());
+  // A truncated extent, or one whose length does not fit the row count.
+  EXPECT_EQ(fault(64, kLength - 1).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(fault(63, kLength).code(), StatusCode::kInvalidArgument);
+
+  // A wrong column tag: column s's tag sits after the row count and a's
+  // values and nulls.
+  {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.is_open());
+    const char bogus = 7;
+    f.seekp(static_cast<std::streamoff>(kOffset + 4 + (1 + 64 * 9)));
+    f.write(&bogus, 1);
+  }
+  EXPECT_EQ(fault(64, kLength).code(), StatusCode::kInvalidArgument);
+  Table reloaded(t.schema(), 64);
+  const Status load = LoadTableSegment(&reloaded, path);
+  EXPECT_EQ(load.code(), StatusCode::kInvalidArgument) << load.ToString();
 }
 
 TEST_F(PersistTest, MissingDirectoryReportsNotFound) {

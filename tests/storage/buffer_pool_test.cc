@@ -297,5 +297,185 @@ TEST(BufferPoolTest, ConcurrentPinsUnderTinyBudgetAreSafe) {
   EXPECT_EQ(failures.load(), 0);
 }
 
+// ---- Column-granular residency --------------------------------------------
+
+/// Payload bytes of one column of a 64-row chunk: tag, values, null bytes.
+constexpr uint64_t kFixedColumnBytes = 1 + 64 * (8 + 1);  // a, p
+constexpr uint64_t kCodeColumnBytes = 1 + 64 * (4 + 1);   // s
+
+/// What the pool should charge: the bytes of every resident column.
+uint64_t ResidentColumnBytes(const Table& t) {
+  uint64_t bytes = 0;
+  for (size_t c = 0; c < t.num_chunks(); ++c) {
+    bytes += t.chunk(c).PayloadBytes();
+  }
+  return bytes;
+}
+
+TEST(BufferPoolTest, ColumnPinsFaultOnlyTheNamedColumns) {
+  Database db;
+  db.SetMemoryBudget(0);
+  FillTable(&db, 4);
+  Table* t = *db.GetTable("t");
+  BufferPool* pool = db.buffer_pool();
+  db.SetMemoryBudget(1);  // every chunk spilled whole, then evicted
+  const Chunk& ch1 = t->chunk(1);
+  const Chunk& ch2 = t->chunk(2);
+  ASSERT_FALSE(ch1.column_resident(0));
+
+  // {a, s} of chunk 1: one load of exactly those two columns.
+  BufferPool::Stats before = pool->stats();
+  ChunkPin as = t->PinChunk(1, ColumnSet{0, 1});
+  BufferPool::Stats after = pool->stats();
+  EXPECT_EQ(after.chunks_loaded - before.chunks_loaded, 1u);
+  EXPECT_EQ(after.columns_loaded - before.columns_loaded, 2u);
+  EXPECT_EQ(after.bytes_read - before.bytes_read,
+            kFixedColumnBytes + kCodeColumnBytes);
+  EXPECT_TRUE(ch1.column_resident(0));
+  EXPECT_TRUE(ch1.column_resident(1));
+  EXPECT_FALSE(ch1.column_resident(2));
+  EXPECT_FALSE(ch1.payload_resident());
+  EXPECT_EQ(after.resident_bytes, ResidentColumnBytes(*t));
+  EXPECT_EQ(as->column(0).fixed_data()[3], 64 + 3);
+
+  // A later pin of {p} reads p only; a pin of every column then reads
+  // nothing.
+  before = after;
+  ChunkPin p = t->PinChunk(1, ColumnSet{2});
+  after = pool->stats();
+  EXPECT_EQ(after.columns_loaded - before.columns_loaded, 1u);
+  EXPECT_EQ(after.bytes_read - before.bytes_read, kFixedColumnBytes);
+  EXPECT_EQ(p->column(2).double_data()[3], (64 + 3) * 0.5);
+  before = after;
+  ChunkPin all1 = t->PinChunk(1);
+  after = pool->stats();
+  EXPECT_EQ(after.chunks_loaded, before.chunks_loaded);
+  EXPECT_TRUE(ch1.payload_resident());
+
+  // {s} of chunk 2, then every column: the second pin reads the rest.
+  ChunkPin s2 = t->PinChunk(2, ColumnSet{1});
+  before = pool->stats();
+  ChunkPin all2 = t->PinChunk(2);
+  after = pool->stats();
+  EXPECT_EQ(after.chunks_loaded - before.chunks_loaded, 1u);
+  EXPECT_EQ(after.columns_loaded - before.columns_loaded, 2u);
+  EXPECT_EQ(after.bytes_read - before.bytes_read, 2 * kFixedColumnBytes);
+  EXPECT_TRUE(ch2.payload_resident());
+  EXPECT_EQ(after.resident_bytes, ResidentColumnBytes(*t));
+  EXPECT_GT(after.resident_bytes, 0u);
+
+  // The last unpin of each chunk evicts every resident column together and
+  // releases exactly what was charged.
+  as.Reset();
+  p.Reset();
+  all1.Reset();
+  s2.Reset();
+  all2.Reset();
+  after = pool->stats();
+  EXPECT_EQ(after.resident_bytes, 0u);
+  EXPECT_EQ(ResidentColumnBytes(*t), 0u);
+  for (size_t c = 0; c < 3; ++c) {
+    EXPECT_FALSE(ch1.column_resident(c));
+    EXPECT_FALSE(ch2.column_resident(c));
+  }
+}
+
+TEST(BufferPoolTest, WriteToPartialChunkFaultsTheRestAndSpillsWhole) {
+  Database db;
+  db.SetMemoryBudget(0);
+  FillTable(&db, 4);
+  Table* t = *db.GetTable("t");
+  BufferPool* pool = db.buffer_pool();
+  db.SetMemoryBudget(1);
+
+  const BufferPool::Stats start = pool->stats();
+  {
+    ChunkPin a = t->PinChunk(2, ColumnSet{0});
+    const BufferPool::Stats before = pool->stats();
+    // Writes pin every column: the write faults s and p in first.
+    t->SetValue(2 * 64 + 5, 2, Value::Double(-1.25));
+    const BufferPool::Stats after = pool->stats();
+    EXPECT_EQ(after.columns_loaded - before.columns_loaded, 2u);
+    EXPECT_TRUE(t->chunk(2).payload_resident());
+  }
+  // The last unpin evicted the dirty chunk, spilling its full payload.
+  const BufferPool::Stats spilled = pool->stats();
+  EXPECT_EQ(spilled.chunks_spilled - start.chunks_spilled, 1u);
+  EXPECT_FALSE(t->chunk(2).column_resident(1));
+  EXPECT_EQ(spilled.resident_bytes, 0u);
+
+  // Every column reloads from the spill extent bit-exactly.
+  ChunkPin all = t->PinChunk(2);
+  EXPECT_EQ(pool->stats().columns_loaded - spilled.columns_loaded, 3u);
+  const StringDictionary* dict = t->dictionary(1);
+  for (size_t r = 0; r < 64; ++r) {
+    const int64_t i = static_cast<int64_t>(2 * 64 + r);
+    EXPECT_EQ(all->column(0).fixed_data()[r], i);
+    EXPECT_EQ(all->column(1).GetValue(r, dict).string_value(),
+              "name_" + std::to_string(i % 97));
+    EXPECT_EQ(all->column(2).double_data()[r],
+              r == 5 ? -1.25 : static_cast<double>(i) * 0.5);
+  }
+}
+
+// Two readers fault disjoint columns of one evicted chunk while a third
+// thread drops its own pin: the unlocked column reads must not race the
+// accounting, and the pool must end charging exactly the resident columns.
+TEST(BufferPoolTest, ConcurrentDisjointColumnPinsKeepAccountingExact) {
+  Database db;
+  db.SetMemoryBudget(0);
+  FillTable(&db, 2);
+  Table* t = *db.GetTable("t");
+  BufferPool* pool = db.buffer_pool();
+  const StringDictionary* dict = t->dictionary(1);
+
+  for (uint64_t budget : {uint64_t{1}, uint64_t{0}}) {
+    for (int round = 0; round < 40; ++round) {
+      db.SetMemoryBudget(1);  // chunk 0 starts evicted
+      db.SetMemoryBudget(budget);
+      ChunkPin held = t->PinChunk(0, ColumnSet{});
+      std::atomic<int> ready{0};
+      auto wait_all = [&ready] {
+        ready.fetch_add(1);
+        while (ready.load() < 3) std::this_thread::yield();
+      };
+      int64_t sum_a = 0;
+      double sum_p = 0;
+      size_t named = 0;
+      std::thread reader_a([&] {
+        wait_all();
+        ChunkPin pin = t->PinChunk(0, ColumnSet{0});
+        for (size_t r = 0; r < 64; ++r) sum_a += pin->column(0).fixed_data()[r];
+      });
+      std::thread reader_sp([&] {
+        wait_all();
+        ChunkPin pin = t->PinChunk(0, ColumnSet{1, 2});
+        for (size_t r = 0; r < 64; ++r) {
+          sum_p += pin->column(2).double_data()[r];
+          named += pin->column(1).GetValue(r, dict).string_value().size();
+        }
+      });
+      std::thread unpinner([&] {
+        wait_all();
+        held.Reset();
+      });
+      reader_a.join();
+      reader_sp.join();
+      unpinner.join();
+      EXPECT_EQ(sum_a, 63 * 64 / 2);
+      EXPECT_EQ(sum_p, 63 * 64 / 2 * 0.5);
+      EXPECT_GT(named, 0u);
+      const BufferPool::Stats st = pool->stats();
+      EXPECT_EQ(st.resident_bytes, ResidentColumnBytes(*t))
+          << "budget " << budget << " round " << round;
+      if (budget == 1) {
+        EXPECT_EQ(st.resident_bytes, 0u);
+      } else {
+        EXPECT_TRUE(t->chunk(0).payload_resident());
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace conquer

@@ -386,10 +386,11 @@ struct LineitemSegment {
   ~LineitemSegment() { std::filesystem::remove(path); }
 };
 
-/// One chunk fault plus decode: pins the rewritten clean lookup's 5 columns
-/// (id, l_orderkey, l_quantity, l_extendedprice, prob), or all 24, of an
-/// evicted lineitem chunk whose segment sits in the page cache. The pool's
-/// one-byte budget evicts the chunk again at every unpin.
+/// One chunk fault plus decode: pins every row of the rewritten clean
+/// lookup's 5 columns (id, l_orderkey, l_quantity, l_extendedprice, prob),
+/// or of all 24, of an evicted lineitem chunk whose segment sits in the
+/// page cache. The pool's one-byte budget evicts the chunk again at every
+/// unpin.
 void BM_ChunkFault(benchmark::State& state) {
   static const LineitemSegment segment;
   if (!segment.status.ok()) {
@@ -428,6 +429,43 @@ BENCHMARK(BM_ChunkFault)
     ->Name("Micro/ChunkFault")
     ->Arg(5)
     ->Arg(24)
+    ->Unit(benchmark::kMicrosecond);
+
+/// One point-lookup fault: the same 5 columns of the evicted chunk, but
+/// only at one row, so the pin reads one block (1,024 rows) of each.
+void BM_ChunkFaultLookup(benchmark::State& state) {
+  static const LineitemSegment segment;
+  if (!segment.status.ok()) {
+    state.SkipWithError(segment.status.ToString().c_str());
+    return;
+  }
+  BufferPool pool(1);
+  Table table(segment.schema);
+  table.AttachBufferPool(&pool);
+  const Status loaded = LoadTableSegment(&table, segment.path);
+  if (!loaded.ok()) {
+    state.SkipWithError(loaded.ToString().c_str());
+    return;
+  }
+  const ColumnSet cols = {0, 2, 11, 12, 23};
+  const uint32_t row = 40000;
+  const BufferPool::Stats before = pool.stats();
+  for (auto _ : state) {
+    ChunkPin pin = table.PinChunk(0, cols, RowSpan(&row, 1));
+    benchmark::DoNotOptimize(pin->column(cols.back()).double_data()[row]);
+  }
+  const BufferPool::Stats after = pool.stats();
+  const double faults =
+      static_cast<double>(after.chunks_loaded - before.chunks_loaded);
+  state.counters["mb_per_fault"] =
+      faults > 0 ? static_cast<double>(after.bytes_read - before.bytes_read) /
+                       faults / (1 << 20)
+                 : 0.0;
+  state.SetBytesProcessed(
+      static_cast<int64_t>(after.bytes_read - before.bytes_read));
+}
+BENCHMARK(BM_ChunkFaultLookup)
+    ->Name("Micro/ChunkFault/lookup")
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -2,8 +2,9 @@
 # Sanitizer gate, suitable for CI:
 #   asan  ASan + UBSan build, fast tier-1 suite, run twice: unbudgeted
 #         and under CONQUER_MEMORY_BUDGET=256k (memory / UB bugs; under the
-#         budget, a read of a column its pin did not fault in touches an
-#         empty column vector, which ASan reports)
+#         budget, a read outside the blocks a pin faulted in touches either
+#         an empty column vector or a block the fault left poisoned, which
+#         ASan reports)
 #   tsan  TSan build, concurrency-labeled suite  (data races in the
 #         morsel-driven parallel executor and the task pool)
 #

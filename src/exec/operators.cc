@@ -312,13 +312,12 @@ void SeqScanOp::MaterializeWide(size_t chunk_index, uint32_t row,
   if (out->size() != total_slots_) out->assign(total_slots_, Value::Null());
   if (prune_) {
     for (uint32_t c : materialize_cols_) {
-      (*out)[slot_offset_ + c] =
-          ch.column(c).GetValue(row, table_->dictionary(c));
+      (*out)[slot_offset_ + c] = ch.GetValue(row, c, table_->dictionary(c));
     }
     return;
   }
   for (size_t c = 0; c < ch.num_columns(); ++c) {
-    (*out)[slot_offset_ + c] = ch.column(c).GetValue(row, table_->dictionary(c));
+    (*out)[slot_offset_ + c] = ch.GetValue(row, c, table_->dictionary(c));
   }
 }
 
@@ -347,7 +346,13 @@ Status SeqScanOp::FilterChunk(size_t chunk_index, SelVector* sel,
   SeedChunk(chunk_index, sel, counters);
   counters->rows += sel->size();
   if (sel->empty()) return Status::OK();
-  *pin = table_->PinChunk(chunk_index, pin_cols_, &counters->pins);
+  // The seeded rows (visible, or an index's candidates) are the only ones
+  // the filters and the emission below read: pin just their blocks.
+  *pin = table_->PinChunk(chunk_index, pin_cols_, *sel, &counters->pins);
+  assert(std::all_of(pin_cols_.begin(), pin_cols_.end(), [&](uint32_t c) {
+    return std::all_of(sel->begin(), sel->end(),
+                       [&](uint32_t r) { return ch.row_resident(c, r); });
+  }));
   if (local_filter_) {
     CONQUER_RETURN_NOT_OK(FilterChunkSelection(
         *local_filter_, *table_, chunk_index, sel, &counters->dict_hits));

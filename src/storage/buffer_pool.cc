@@ -86,7 +86,7 @@ void BufferPool::Register(Chunk* chunk) {
   assert(chunk->pool_ == nullptr);
   chunk->pool_ = this;
   ++registered_chunks_;
-  if (chunk->resident_columns_ > 0) {
+  if (chunk->any_resident()) {
     RefreshAccountingLocked(chunk);
     lru_.push_back(chunk);
     chunk->lru_it_ = std::prev(lru_.end());
@@ -110,13 +110,8 @@ void BufferPool::Unregister(Chunk* chunk) {
   --registered_chunks_;
 }
 
-ChunkPin BufferPool::Pin(Chunk* chunk, const ColumnSet& cols,
-                         PinStats* stats) {
-  return PinColumns(chunk, &cols, stats);
-}
-
-ChunkPin BufferPool::PinColumns(Chunk* chunk, const ColumnSet* cols,
-                                PinStats* stats) {
+ChunkPin BufferPool::PinBlocks(Chunk* chunk, const ColumnSet* cols,
+                               const RowSpan* rows, PinStats* stats) {
   std::unique_lock<std::mutex> lock(mu_);
   assert(chunk->pool_ == this);
   ++stats_.pins;
@@ -124,34 +119,45 @@ ChunkPin BufferPool::PinColumns(Chunk* chunk, const ColumnSet* cols,
   // is about to drop it: wait it out before counting ourselves.
   while (chunk->io_busy_ && chunk->pin_count_ == 0) io_cv_.wait(lock);
   // Pin before faulting: off the LRU list and counted, the chunk keeps its
-  // resident columns — which other pins may be reading — while the read
+  // resident blocks — which other pins may be reading — while the read
   // below runs unlocked.
   if (chunk->in_lru_) {
     lru_.erase(chunk->lru_it_);
     chunk->in_lru_ = false;
   }
   ++chunk->pin_count_;
-  ColumnSet missing;
+  // The blocks the holder reads are computed only once a named column
+  // turns out not to be fully resident: a pin of resident columns (every
+  // pin of an in-memory database) never looks at its rows.
+  uint64_t want = 0;
+  bool want_known = false;
+  std::vector<ColumnBlocks> missing;
+  auto add_missing = [&](uint32_t c) {
+    const uint64_t have = chunk->block_mask(c);
+    if (have == kAllBlocks) return;
+    if (!want_known) {
+      want = rows != nullptr ? chunk->BlocksOf(*rows)
+                             : chunk->BlocksOfAllRows();
+      want_known = true;
+    }
+    if ((want & ~have) != 0) missing.push_back({c, want & ~have});
+  };
   bool faulted = false;
   for (;;) {
     missing.clear();
     if (cols == nullptr) {
-      for (uint32_t c = 0; c < chunk->num_columns(); ++c) {
-        if (chunk->column_resident_[c] == 0) missing.push_back(c);
-      }
+      for (uint32_t c = 0; c < chunk->num_columns(); ++c) add_missing(c);
     } else {
-      for (uint32_t c : *cols) {
-        if (chunk->column_resident_[c] == 0) missing.push_back(c);
-      }
+      for (uint32_t c : *cols) add_missing(c);
     }
     if (missing.empty()) break;
-    // Another pin is faulting columns of this chunk (perhaps ours too):
+    // Another pin is faulting blocks of this chunk (perhaps ours too):
     // faults of one chunk serialize.
     if (chunk->io_busy_) {
       io_cv_.wait(lock);
       continue;
     }
-    LoadColumns(lock, chunk, missing, stats);
+    LoadBlocks(lock, chunk, missing, stats);
     faulted = true;
   }
   if (faulted) {
@@ -170,7 +176,7 @@ void BufferPool::Unpin(Chunk* chunk) {
   // writer can be touching it (and no fault: faults hold a pin), then
   // recheck the budget.
   RefreshAccountingLocked(chunk);
-  if (chunk->resident_columns_ == 0) return;  // nothing to evict
+  if (!chunk->any_resident()) return;  // nothing to evict
   lru_.push_back(chunk);
   chunk->lru_it_ = std::prev(lru_.end());
   chunk->in_lru_ = true;
@@ -194,8 +200,9 @@ void BufferPool::RebindBacking(Chunk* chunk, ChunkBacking backing) {
   chunk->payload_dirty_ = false;
 }
 
-void BufferPool::LoadColumns(std::unique_lock<std::mutex>& lk, Chunk* chunk,
-                             const ColumnSet& cols, PinStats* stats) {
+void BufferPool::LoadBlocks(std::unique_lock<std::mutex>& lk, Chunk* chunk,
+                            const std::vector<ColumnBlocks>& blocks,
+                            PinStats* stats) {
   assert(chunk->backing_.valid() && !chunk->io_busy_);
   assert(chunk->pin_count_ > 0 && !chunk->in_lru_);
   chunk->io_busy_ = true;
@@ -205,22 +212,26 @@ void BufferPool::LoadColumns(std::unique_lock<std::mutex>& lk, Chunk* chunk,
   lk.unlock();
   const auto t0 = std::chrono::steady_clock::now();
   uint64_t bytes_read = 0;
-  DieOnIoError(SegmentCodec::ReadColumns(backing, cols, chunk, &bytes_read),
+  DieOnIoError(SegmentCodec::ReadBlocks(backing, blocks, chunk, &bytes_read),
                "read");
   const double secs = SecondsSince(t0);
   uint64_t bytes = 0;
-  for (uint32_t c : cols) bytes += chunk->columns_[c].MemoryBytes();
+  for (const ColumnBlocks& cb : blocks) {
+    bytes += chunk->BlockBytes(cb.column, cb.blocks);
+  }
   lk.lock();
   chunk->io_busy_ = false;
-  chunk->MarkResident(cols);
+  for (const ColumnBlocks& cb : blocks) {
+    chunk->PublishBlocks(cb.column, cb.blocks);
+  }
   ChargeLocked(chunk, bytes);
   ++stats_.chunks_loaded;
-  stats_.columns_loaded += cols.size();
+  stats_.columns_loaded += blocks.size();
   stats_.bytes_read += bytes_read;
   stats_.io_read_seconds += secs;
   if (stats != nullptr) {
     ++stats->chunks_loaded;
-    stats->columns_loaded += cols.size();
+    stats->columns_loaded += blocks.size();
     stats->bytes_read += bytes_read;
     stats->io_read_seconds += secs;
   }
@@ -242,7 +253,7 @@ void BufferPool::EnforceBudget(std::unique_lock<std::mutex>& lk,
       }
     }
     if (victim == nullptr) victim = lru_.front();
-    assert(victim->resident_columns_ > 0 && victim->pin_count_ == 0);
+    assert(victim->any_resident() && victim->pin_count_ == 0);
     lru_.erase(victim->lru_it_);
     victim->in_lru_ = false;
     if (victim->payload_dirty_) SpillChunk(lk, victim);
@@ -255,7 +266,8 @@ void BufferPool::EnforceBudget(std::unique_lock<std::mutex>& lk,
 }
 
 void BufferPool::SpillChunk(std::unique_lock<std::mutex>& lk, Chunk* chunk) {
-  // Writes pin every column, so a dirty chunk is always fully resident.
+  // Writes pin every block of every column, so a dirty chunk is always
+  // fully resident.
   assert(!chunk->io_busy_ && chunk->payload_resident());
   // The busy flag makes us the payload's exclusive owner (the chunk is off
   // the LRU list, so no other evictor picks it; pinners wait): serialize

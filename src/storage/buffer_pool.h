@@ -24,19 +24,23 @@ class Table;
 /// / `io_read_ms=` in EXPLAIN ANALYZE.
 struct PinStats {
   uint64_t chunks_loaded = 0;   ///< pins that read from a backing file
-  uint64_t columns_loaded = 0;  ///< columns those pins read
+  uint64_t columns_loaded = 0;  ///< columns those pins read blocks of
   uint64_t bytes_read = 0;      ///< payload bytes those pins read
   uint64_t chunks_evicted = 0;
   double io_read_seconds = 0;
 };
 
-/// \brief RAII pin keeping the columns it named of one chunk resident.
+/// \brief RAII pin keeping the blocks it named of one chunk resident.
 ///
-/// While any pin on a chunk is alive the buffer pool will not evict it, so
-/// raw column pointers (`fixed_data()` etc.) of the named columns stay
-/// valid. Obtained through `Table::PinChunk` (or `BufferPool::Pin`);
-/// destruction unpins. A pin from a table with no pool attached is a no-op
-/// wrapper around the chunk.
+/// A pin names columns and rows — every column when it is given no column
+/// set, every row when it is given no rows — and makes resident the blocks
+/// that hold those rows of those columns; its holder reads only those rows
+/// of those columns. While any pin on a
+/// chunk is alive the buffer pool will not evict it, so raw column
+/// pointers (`fixed_data()` etc.) of the named columns stay valid.
+/// Obtained through `Table::PinChunk` (or `BufferPool::Pin`); destruction
+/// unpins. A pin from a table with no pool attached is a no-op wrapper
+/// around the chunk.
 class ChunkPin {
  public:
   ChunkPin() = default;
@@ -70,18 +74,22 @@ class ChunkPin {
 /// \brief Pin/evict buffer manager enforcing a hard byte budget over the
 /// column payloads of every registered chunk.
 ///
-/// The unit of residency is one column of one chunk: a pin names the
-/// columns its holder reads and faults in only those that are missing,
-/// reading each from the chunk's payload extent straight into the column's
-/// vectors. The unit of eviction stays the chunk: the LRU list holds
-/// unpinned chunks with any resident column, and evicting one drops every
-/// resident column. Evicted columns are always clean (re-readable from the
-/// backing extent): a dirty chunk is fully resident — writes pin every
-/// column — and is spilled whole to the pool's anonymous spill file at
-/// eviction time. Eviction prefers chunks with a still-valid backing (drop,
-/// no write) over dirty ones (serialize + spill, then drop).
+/// The unit of residency is one block of one column of one chunk — 1/64 of
+/// the chunk's capacity, 1,024 rows at the default — so a point lookup
+/// reads one block per column it names, not the column's every row. A pin
+/// names the columns and rows its holder reads and faults in only the
+/// missing blocks, reading each run of them from the chunk's payload extent
+/// straight into the column's vectors; a pin given no rows takes every
+/// block. The unit of eviction stays the chunk: the LRU list holds unpinned
+/// chunks with any resident block, and evicting one drops every resident
+/// block. Evicted blocks are always clean (re-readable from the backing
+/// extent): a dirty chunk is fully resident — writes pin every block of
+/// every column — and is spilled whole to the pool's anonymous spill file
+/// at eviction time. Eviction prefers chunks with a still-valid backing
+/// (drop, no write) over dirty ones (serialize + spill, then drop).
 ///
-/// What the budget covers: column payloads only. Zone maps, MVCC stamps,
+/// What the budget covers: column payloads only, charged per resident
+/// block (its rows' values and null bytes). Zone maps, MVCC stamps,
 /// dictionaries and per-chunk secondary index slices (ChunkIndex) stay
 /// resident by design — pruning, visibility checks and index probes must
 /// never fault I/O (the one exception is rebuilding a slice invalidated by
@@ -90,18 +98,18 @@ class ChunkPin {
 /// budget are exempt while needed, so the budget is hard for the steady
 /// state but allows transient overshoot equal to the pinned working set.
 ///
-/// Thread-safety: pool state (LRU list, accounting, residency flags) lives
-/// behind a single mutex, but column loads and dirty spills run their file
+/// Thread-safety: pool state (LRU list, accounting, block masks) lives
+/// behind a single mutex, but block loads and dirty spills run their file
 /// I/O *outside* it: the operation marks its chunk io-busy under the lock,
 /// releases the lock for the read (or serialize/write), and re-acquires it
 /// to publish the result. A pin takes its chunk off the LRU list and counts
 /// itself *before* it faults, so no evictor can drop the chunk's resident
-/// columns — which other pins may be reading — during the unlocked read; a
-/// load touches only columns that were not resident, and charges the budget
+/// blocks — which other pins may be reading — during the unlocked read; a
+/// load touches only blocks that were not resident, and charges the budget
 /// for exactly those when it publishes. Concurrent pins of distinct chunks
 /// therefore fault in parallel; faults of the same chunk serialize (waiters
 /// block on a pool condvar until the busy flag clears), while a pin whose
-/// columns are all resident proceeds past a fault of other columns. The pin
+/// blocks are all resident proceeds past a fault of other blocks. The pin
 /// count is what makes concurrently scanning morsels safe: column data is
 /// only read between Pin and Reset.
 class BufferPool {
@@ -143,21 +151,37 @@ class BufferPool {
   /// Severs the pool link (called by ~Chunk). The chunk must be unpinned.
   void Unregister(Chunk* chunk);
 
-  /// Pins the chunk after making the columns of `cols` resident (faulting
-  /// each missing one in from the chunk's backing extent). The holder may
-  /// read only those columns. Deltas of any load/eviction this call
-  /// performed are added to `*stats` when non-null. I/O failure on the
-  /// pool's own files is unrecoverable and aborts with a diagnostic.
-  ChunkPin Pin(Chunk* chunk, const ColumnSet& cols, PinStats* stats = nullptr);
+  /// Pins the chunk after making resident the blocks that hold `rows`
+  /// (chunk-local positions, ascending) of the columns `cols` (faulting
+  /// each missing run in from the chunk's backing extent). The holder may
+  /// read only those rows of those columns. Deltas of any load/eviction
+  /// this call performed are added to `*stats` when non-null. I/O failure
+  /// on the pool's own files is unrecoverable and aborts with a diagnostic.
+  ChunkPin Pin(Chunk* chunk, const ColumnSet& cols, RowSpan rows,
+               PinStats* stats = nullptr) {
+    return PinBlocks(chunk, &cols, &rows, stats);
+  }
 
-  /// Pins every column of the chunk (writes, saves, row-at-a-time readers).
+  /// Pins every block of the columns `cols` (index, slice and statistics
+  /// builds, the maintenance id walk).
+  ChunkPin Pin(Chunk* chunk, const ColumnSet& cols, PinStats* stats = nullptr) {
+    return PinBlocks(chunk, &cols, nullptr, stats);
+  }
+
+  /// Pins the blocks that hold `rows` of every column (one-row readers).
+  ChunkPin PinRows(Chunk* chunk, RowSpan rows, PinStats* stats = nullptr) {
+    return PinBlocks(chunk, nullptr, &rows, stats);
+  }
+
+  /// Pins every block of every column (writes, saves, spills, RowCursor).
   ChunkPin Pin(Chunk* chunk, PinStats* stats = nullptr) {
-    return PinColumns(chunk, nullptr, stats);
+    return PinBlocks(chunk, nullptr, nullptr, stats);
   }
 
   /// Marks the chunk's payload as diverged from its backing block; the next
   /// eviction must spill it again. Call after any column mutation (append or
-  /// in-place write) of a registered chunk, under a pin of every column.
+  /// in-place write) of a registered chunk, under a pin of every block of
+  /// every column.
   void MarkDirty(Chunk* chunk);
 
   /// Re-points `chunk`'s backing at `backing` — an extent the caller
@@ -181,15 +205,17 @@ class BufferPool {
     uint64_t alloc;
   };
 
-  /// Pin with `cols` == nullptr meaning every column.
-  ChunkPin PinColumns(Chunk* chunk, const ColumnSet* cols, PinStats* stats);
+  /// Pin with `cols` == nullptr meaning every column and `rows` ==
+  /// nullptr every block.
+  ChunkPin PinBlocks(Chunk* chunk, const ColumnSet* cols, const RowSpan* rows,
+                     PinStats* stats);
   void Unpin(Chunk* chunk);
 
-  /// Faults the non-resident columns `cols` of the pinned `chunk` in from
+  /// Faults the non-resident blocks `blocks` of the pinned `chunk` in from
   /// backing_. Enters with `lk` held, drops it for the read, exits with it
-  /// re-acquired after publishing the columns and charging their bytes.
-  void LoadColumns(std::unique_lock<std::mutex>& lk, Chunk* chunk,
-                   const ColumnSet& cols, PinStats* stats);
+  /// re-acquired after publishing the blocks and charging their bytes.
+  void LoadBlocks(std::unique_lock<std::mutex>& lk, Chunk* chunk,
+                  const std::vector<ColumnBlocks>& blocks, PinStats* stats);
   /// Evicts LRU victims (clean first) until the charged bytes fit the
   /// budget or nothing evictable remains. `lk` must be held; dirty spills
   /// release it for their file I/O.
@@ -199,7 +225,7 @@ class BufferPool {
   /// and exits with `lk` held, drops it for the serialize/write.
   void SpillChunk(std::unique_lock<std::mutex>& lk, Chunk* chunk);
   /// Requires mu_ held and no fault in flight on `chunk`. Re-measures the
-  /// bytes of its resident columns.
+  /// bytes of its resident blocks.
   void RefreshAccountingLocked(Chunk* chunk);
   /// Requires mu_ held. Adds `bytes` to the charge and the high-water mark.
   void ChargeLocked(Chunk* chunk, uint64_t bytes);
@@ -221,7 +247,7 @@ class BufferPool {
   uint64_t resident_bytes_ = 0;
   uint64_t registered_chunks_ = 0;
   Stats stats_{};
-  /// Unpinned chunks with a resident column, least-recently-unpinned first.
+  /// Unpinned chunks with a resident block, least-recently-unpinned first.
   std::list<Chunk*> lru_;
   std::shared_ptr<SegmentFile> spill_;
   /// Spill extents no longer referenced by any chunk (their owner died,

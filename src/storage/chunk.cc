@@ -1,5 +1,6 @@
 #include "storage/chunk.h"
 
+#include <bit>
 #include <cassert>
 #include <unordered_set>
 
@@ -134,14 +135,17 @@ Value ColumnVector::GetValue(size_t i, const StringDictionary* dict) const {
   }
 }
 
-Chunk::Chunk(const TableSchema* schema, size_t capacity) : capacity_(capacity) {
+Chunk::Chunk(const TableSchema* schema, size_t capacity)
+    : capacity_(capacity),
+      block_rows_(std::max<size_t>(
+          1, (capacity + kBlocksPerChunk - 1) / kBlocksPerChunk)),
+      block_masks_(schema->num_columns()) {
   columns_.reserve(schema->num_columns());
   for (size_t c = 0; c < schema->num_columns(); ++c) {
     columns_.emplace_back(schema->column(c).type);
   }
   zones_.resize(schema->num_columns());
-  column_resident_.assign(schema->num_columns(), 1);
-  resident_columns_ = schema->num_columns();
+  SetAllMasks(kAllBlocks);
 }
 
 Chunk::~Chunk() {
@@ -214,7 +218,7 @@ void Chunk::MaterializeRow(
     const std::vector<std::unique_ptr<StringDictionary>>& dicts) const {
   out->resize(columns_.size());
   for (size_t c = 0; c < columns_.size(); ++c) {
-    (*out)[c] = column(c).GetValue(row, dicts[c].get());
+    (*out)[c] = GetValue(row, c, dicts[c].get());
   }
 }
 
@@ -236,12 +240,67 @@ void Chunk::RecomputeZone(size_t c, const StringDictionary* dict) {
   zones_[c] = z;
 }
 
-void Chunk::MarkResident(const ColumnSet& cols) {
-  for (uint32_t c : cols) {
-    assert(column_resident_[c] == 0);
-    column_resident_[c] = 1;
+uint64_t Chunk::BlocksOf(RowSpan rows) const {
+  assert(std::is_sorted(rows.begin(), rows.end()));
+  uint64_t blocks = 0;
+  // One binary search per block: a whole chunk's selection costs at most
+  // 64 of them, not one step per row.
+  for (auto it = rows.begin(); it != rows.end();) {
+    const size_t b = *it / block_rows_;
+    blocks |= uint64_t{1} << b;
+    it = std::lower_bound(it + 1, rows.end(), (b + 1) * block_rows_);
   }
-  resident_columns_ += cols.size();
+  return blocks;
+}
+
+bool Chunk::payload_resident() const {
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    if (block_mask(c) != kAllBlocks) return false;
+  }
+  return true;
+}
+
+bool Chunk::any_resident() const {
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    if (block_mask(c) != 0) return true;
+  }
+  return false;
+}
+
+uint64_t Chunk::BlockBytes(size_t c, uint64_t blocks) const {
+  const uint64_t all = BlocksOfAllRows();
+  blocks &= all;
+  uint64_t rows = static_cast<uint64_t>(std::popcount(blocks)) * block_rows_;
+  // The last block holds only the rows up to num_rows.
+  const int last = 63 - std::countl_zero(all);
+  if (((blocks >> last) & 1) != 0) {
+    rows -= (static_cast<uint64_t>(last) + 1) * block_rows_ - num_rows_;
+  }
+  return rows * (columns_[c].value_width() + 1);
+}
+
+uint64_t Chunk::PayloadBytes() const {
+  uint64_t bytes = 0;
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    const uint64_t mask = block_mask(c);
+    bytes += mask == kAllBlocks ? columns_[c].MemoryBytes()
+                                : BlockBytes(c, mask);
+  }
+  return bytes;
+}
+
+void Chunk::PublishBlocks(size_t c, uint64_t blocks) {
+  assert((block_mask(c) & blocks) == 0);
+  uint64_t mask = block_mask(c) | blocks;
+  const uint64_t all = BlocksOfAllRows();
+  if ((mask & all) == all) mask = kAllBlocks;
+  block_masks_[c].store(mask);
+}
+
+void Chunk::SetAllMasks(uint64_t mask) {
+  for (std::atomic<uint64_t>& m : block_masks_) {
+    m.store(mask);
+  }
 }
 
 }  // namespace conquer

@@ -2,10 +2,15 @@
 #define CONQUER_STORAGE_CHUNK_H_
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <list>
 #include <memory>
+#include <new>
+#include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "catalog/schema.h"
@@ -48,6 +53,45 @@ inline void AddColumn(uint32_t c, ColumnSet* cols) {
   auto it = std::lower_bound(cols->begin(), cols->end(), c);
   if (it == cols->end() || *it != c) cols->insert(it, c);
 }
+
+/// \brief Chunk-local row positions, ascending: the rows a pin's holder
+/// reads. A pin makes resident only the blocks that hold them.
+using RowSpan = std::span<const uint32_t>;
+
+/// Residency blocks per chunk column: a block holds 1/64 of the chunk's
+/// capacity (1,024 rows at the default 65,536), so one bit per block fits a
+/// 64-bit mask.
+inline constexpr size_t kBlocksPerChunk = 64;
+
+/// The block mask of a column whose every block, for the rows it holds now
+/// and any appended later, is resident.
+inline constexpr uint64_t kAllBlocks = ~uint64_t{0};
+
+/// \brief One column of a fault: the blocks it reads.
+struct ColumnBlocks {
+  uint32_t column;
+  uint64_t blocks;
+};
+
+/// \brief Allocator whose value-less construct default-initializes, so
+/// `resize` leaves trivial elements uninitialized: a fault sizes a column's
+/// vectors and reads straight into them without zero-filling bytes the read
+/// overwrites.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  DefaultInitAllocator() noexcept = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
 
 /// \brief End-version stamp of a row version that has not been deleted.
 inline constexpr uint64_t kVersionMax = UINT64_MAX;
@@ -112,14 +156,23 @@ class ColumnVector {
            codes_.capacity() * sizeof(uint32_t) + nulls_.capacity();
   }
 
+  /// Bytes one stored value takes (8, or 4 for a dictionary code); a row
+  /// of the column takes one more, its null byte.
+  uint64_t value_width() const {
+    return type_ == DataType::kString ? sizeof(uint32_t) : sizeof(int64_t);
+  }
+
  private:
   friend class SegmentCodec;  ///< raw (de)serialization and payload release
 
+  template <typename T>
+  using Array = std::vector<T, DefaultInitAllocator<T>>;
+
   DataType type_;
-  std::vector<int64_t> fixed_;   ///< kInt64 / kDate / kBool payloads
-  std::vector<double> dbl_;      ///< kDouble payloads
-  std::vector<uint32_t> codes_;  ///< kString dictionary codes
-  std::vector<uint8_t> nulls_;   ///< 1 = NULL (payload slot is a placeholder)
+  Array<int64_t> fixed_;   ///< kInt64 / kDate / kBool payloads
+  Array<double> dbl_;      ///< kDouble payloads
+  Array<uint32_t> codes_;  ///< kString dictionary codes
+  Array<uint8_t> nulls_;   ///< 1 = NULL (payload slot is a placeholder)
 };
 
 /// \brief A fixed-capacity horizontal partition of a table.
@@ -141,10 +194,11 @@ class Chunk {
   size_t num_columns() const { return columns_.size(); }
 
   /// Column `c`'s payload. Of a pool-managed chunk only the columns the
-  /// caller's pin named may be read; reading any other is a bug the
-  /// assertion catches whenever that column is not resident.
+  /// caller's pin named may be read, and only at the rows it named;
+  /// the assertion catches a column with no resident block, and
+  /// `row_resident` a row outside them.
   const ColumnVector& column(size_t c) const {
-    assert(column_resident_[c] != 0);
+    assert(block_mask(c) != 0);
     return columns_[c];
   }
   const ZoneMap& zone(size_t c) const { return zones_[c]; }
@@ -161,6 +215,7 @@ class Chunk {
   void SetValue(size_t row, size_t col, const Value& v, StringDictionary* dict);
 
   Value GetValue(size_t row, size_t col, const StringDictionary* dict) const {
+    assert(row_resident(col, row));
     return column(col).GetValue(row, dict);
   }
 
@@ -207,31 +262,58 @@ class Chunk {
   // ---- Out-of-core residency (see storage/buffer_pool.h). ----
   //
   // Only the column payloads (typed arrays + null bytes) are evictable, and
-  // each column of a chunk is resident or not on its own: a pin faults in
-  // just the columns it names. num_rows, capacity, zone maps and MVCC stamps
-  // always stay resident so pruning and visibility checks never fault I/O.
-  // All residency fields are guarded by the owning pool's mutex; a chunk
-  // with no pool is permanently resident. Callers must hold a ChunkPin
-  // naming a column before touching that column's data in a pool-managed
-  // chunk.
+  // the unit of residency is one block of one column: block b holds the
+  // rows [b * block_rows(), (b + 1) * block_rows()), and a 64-bit mask per
+  // column records the resident ones. A pin faults in just the blocks of
+  // the columns and rows it names. num_rows, capacity, zone maps and MVCC
+  // stamps always stay resident so pruning and visibility checks never
+  // fault I/O. Masks change only under the owning pool's mutex but are
+  // atomic, so a pinned reader may test its own blocks while a loader
+  // publishes others; a chunk with no pool is permanently resident. Callers
+  // must hold a ChunkPin naming a column and row before touching that
+  // row's data in a pool-managed chunk.
 
-  /// True when every column is in memory (pool mutex required for an
-  /// authoritative answer; lock-free reads are for tests/diagnostics only).
-  bool payload_resident() const {
-    return resident_columns_ == columns_.size();
-  }
-  /// True when column `c` is in memory (same locking caveat).
-  bool column_resident(size_t c) const { return column_resident_[c] != 0; }
+  /// Rows per residency block: ceil(capacity / 64), at least 1.
+  size_t block_rows() const { return block_rows_; }
 
-  /// Bytes of the resident columns' payloads (what eviction frees and the
-  /// budget charges).
-  uint64_t PayloadBytes() const {
-    uint64_t bytes = 0;
-    for (size_t c = 0; c < columns_.size(); ++c) {
-      if (column_resident_[c] != 0) bytes += columns_[c].MemoryBytes();
-    }
-    return bytes;
+  /// The blocks of the rows [0, num_rows), block 0 at least: the blocks a
+  /// pin of every row needs.
+  uint64_t BlocksOfAllRows() const {
+    const size_t n = std::max<size_t>(
+        1, (num_rows_ + block_rows_ - 1) / block_rows_);
+    return n >= kBlocksPerChunk ? kAllBlocks : (uint64_t{1} << n) - 1;
   }
+
+  /// The blocks holding `rows` (ascending chunk-local positions).
+  uint64_t BlocksOf(RowSpan rows) const;
+
+  /// Column `c`'s resident blocks (kAllBlocks once every block is).
+  uint64_t block_mask(size_t c) const {
+    return block_masks_[c].load();
+  }
+  /// True when row `row` of column `c` lies in a resident block.
+  bool row_resident(size_t c, size_t row) const {
+    return ((block_mask(c) >> (row / block_rows_)) & 1) != 0;
+  }
+  /// True when every block of column `c` is resident.
+  bool column_resident(size_t c) const {
+    return block_mask(c) == kAllBlocks;
+  }
+  /// True when every block of every column is resident (pool mutex
+  /// required for an authoritative answer; lock-free reads are for
+  /// assertions and tests).
+  bool payload_resident() const;
+  /// True when any block of any column is resident (same caveat).
+  bool any_resident() const;
+
+  /// Memory bytes of the blocks `blocks` of column `c`: their rows'
+  /// values and null bytes.
+  uint64_t BlockBytes(size_t c, uint64_t blocks) const;
+
+  /// Bytes of the resident blocks' payloads (what eviction frees and the
+  /// budget charges): a fully resident column counts its vectors'
+  /// capacity, which appends may have grown.
+  uint64_t PayloadBytes() const;
 
  private:
   friend class BufferPool;    ///< pin counts, LRU hooks, residency flips
@@ -244,20 +326,24 @@ class Chunk {
   std::vector<uint64_t> begin_versions_;  ///< empty = all rows begin at 0
   std::vector<uint64_t> end_versions_;    ///< empty = all rows end at kVersionMax
 
-  /// Flags the columns of `cols` resident (their vectors were just filled).
-  void MarkResident(const ColumnSet& cols);
+  /// Flags the blocks `blocks` of column `c` resident (a fault just filled
+  /// them); a column holding every block of its rows becomes kAllBlocks.
+  void PublishBlocks(size_t c, uint64_t blocks);
+  /// Sets every column's mask to `mask` (0 = evicted, kAllBlocks =
+  /// resident).
+  void SetAllMasks(uint64_t mask);
+
+  size_t block_rows_;  ///< rows per residency block
 
   // Residency bookkeeping (owned by the BufferPool; inert without one).
   BufferPool* pool_ = nullptr;
-  /// 1 = column resident. Bytes, not vector<bool>: a loader flips one
-  /// column's flag while pinned readers test others.
-  std::vector<uint8_t> column_resident_;
-  size_t resident_columns_ = 0;
+  /// Per column, bit b set = block b resident.
+  std::vector<std::atomic<uint64_t>> block_masks_;
   /// Payload diverged from backing_ (or there is none). A dirty chunk is
-  /// always fully resident: writes pin every column.
+  /// always fully resident: writes pin every block of every column.
   bool payload_dirty_ = true;
   /// A fault or spill is running its file I/O outside the pool mutex. A
-  /// fault owns the non-resident columns it reads, a spill the whole
+  /// fault owns the non-resident blocks it reads, a spill the whole
   /// payload, until it clears the flag (waiters block on the pool's io
   /// condvar).
   bool io_busy_ = false;

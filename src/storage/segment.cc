@@ -4,12 +4,22 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <numeric>
 #include <vector>
+
+#if defined(__has_include)
+#if __has_include(<sanitizer/asan_interface.h>)
+#include <sanitizer/asan_interface.h>
+#endif
+#endif
+#ifndef ASAN_POISON_MEMORY_REGION
+#define ASAN_POISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#define ASAN_UNPOISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#endif
 
 #include "common/str_util.h"
 
@@ -306,6 +316,7 @@ Status SegmentFile::Sync() {
 // ------------------------------------------------------------ SegmentCodec
 
 void SegmentCodec::SerializePayload(const Chunk& chunk, std::string* out) {
+  assert(chunk.payload_resident());
   PutU32(out, static_cast<uint32_t>(chunk.num_rows_));
   for (const ColumnVector& cv : chunk.columns_) {
     const Phys phys = PhysOf(cv.type_);
@@ -330,9 +341,9 @@ void SegmentCodec::SerializePayload(const Chunk& chunk, std::string* out) {
   }
 }
 
-Status SegmentCodec::ReadColumns(const ChunkBacking& backing,
-                                 const ColumnSet& cols, Chunk* chunk,
-                                 uint64_t* bytes_read) {
+Status SegmentCodec::ReadBlocks(const ChunkBacking& backing,
+                                const std::vector<ColumnBlocks>& cols,
+                                Chunk* chunk, uint64_t* bytes_read) {
   const uint64_t n = chunk->num_rows_;
   uint64_t total = sizeof(uint32_t);  // the row count
   for (const ColumnVector& cv : chunk->columns_) {
@@ -346,69 +357,118 @@ Status SegmentCodec::ReadColumns(const ChunkBacking& backing,
         static_cast<unsigned long long>(total),
         static_cast<unsigned long long>(n)));
   }
-  uint64_t offset = sizeof(uint32_t);
+  const uint64_t block_rows = chunk->block_rows_;
+  uint64_t offset = backing.offset + sizeof(uint32_t);
   size_t next = 0;  // index into cols (ascending)
   for (size_t c = 0; c < chunk->columns_.size() && next < cols.size(); ++c) {
     ColumnVector& cv = chunk->columns_[c];
     const Phys phys = PhysOf(cv.type_);
+    const uint64_t width = PhysWidth(phys);
     const uint64_t span = ColumnSpan(phys, n);
-    if (cols[next] != c) {
+    if (cols[next].column != c) {
       offset += span;
       continue;
     }
-    ++next;
-    assert(chunk->column_resident_[c] == 0);
-    void* data = nullptr;
+    const uint64_t blocks = cols[next++].blocks;
+    assert(blocks != 0 && (chunk->block_mask(c) & blocks) == 0);
+    // The column's first fault sizes its vectors (leaving them
+    // uninitialized) and checks its tag; ASan builds poison the bytes no
+    // fault has filled yet, so a read outside the pinned blocks is
+    // reported.
+    const bool first = chunk->block_mask(c) == 0;
+    char* data = nullptr;
     switch (phys) {
       case Phys::kFixed:
-        cv.fixed_.resize(n);
-        data = cv.fixed_.data();
+        if (first) cv.fixed_.resize(n);
+        data = reinterpret_cast<char*>(cv.fixed_.data());
         break;
       case Phys::kDouble:
-        cv.dbl_.resize(n);
-        data = cv.dbl_.data();
+        if (first) cv.dbl_.resize(n);
+        data = reinterpret_cast<char*>(cv.dbl_.data());
         break;
       case Phys::kCode:
-        cv.codes_.resize(n);
-        data = cv.codes_.data();
+        if (first) cv.codes_.resize(n);
+        data = reinterpret_cast<char*>(cv.codes_.data());
         break;
     }
-    cv.nulls_.resize(n);
-    uint8_t tag = 0;
-    struct iovec iov[3] = {{&tag, 1},
-                           {data, static_cast<size_t>(n * PhysWidth(phys))},
-                           {cv.nulls_.data(), static_cast<size_t>(n)}};
-    CONQUER_RETURN_NOT_OK(
-        backing.file->ReadVAt(backing.offset + offset, iov, 3));
+    if (first) cv.nulls_.resize(n);
+    uint8_t* nulls = cv.nulls_.data();
+    if (first) {
+      ASAN_POISON_MEMORY_REGION(data, n * width);
+      ASAN_POISON_MEMORY_REGION(nulls, n);
+    }
+    uint8_t tag = static_cast<uint8_t>(phys);
+    bool tag_pending = first;
+    if (tag_pending && (blocks & 1) == 0) {
+      // The first fault starts past row 0: the tag is not next to any
+      // block read below.
+      CONQUER_RETURN_NOT_OK(backing.file->ReadAt(offset, &tag, 1));
+      *bytes_read += 1;
+      tag_pending = false;
+    }
+    // One run of consecutive blocks at a time: its values, then its null
+    // bytes; a run covering every row reads both with the tag in one
+    // preadv, as the whole column sits contiguously in the extent.
+    for (uint64_t rest = blocks; rest != 0;) {
+      const int b0 = std::countr_zero(rest);
+      const uint64_t ones = ~(rest >> b0);
+      const int len = ones == 0 ? 64 - b0 : std::countr_zero(ones);
+      rest = b0 + len >= 64 ? 0 : rest & (kAllBlocks << (b0 + len));
+      const uint64_t r0 = std::min<uint64_t>(b0 * block_rows, n);
+      const uint64_t r1 = std::min<uint64_t>((b0 + len) * block_rows, n);
+      ASAN_UNPOISON_MEMORY_REGION(data + r0 * width, (r1 - r0) * width);
+      ASAN_UNPOISON_MEMORY_REGION(nulls + r0, r1 - r0);
+      struct iovec iov[3];
+      int k = 0;
+      uint64_t at = offset + 1 + r0 * width;
+      if (tag_pending) {  // r0 == 0
+        iov[k++] = {&tag, 1};
+        at = offset;
+        *bytes_read += 1;
+        tag_pending = false;
+      }
+      iov[k++] = {data + r0 * width, static_cast<size_t>((r1 - r0) * width)};
+      if (r0 == 0 && r1 == n) {
+        iov[k++] = {nulls, static_cast<size_t>(n)};
+        CONQUER_RETURN_NOT_OK(backing.file->ReadVAt(at, iov, k));
+      } else {
+        CONQUER_RETURN_NOT_OK(backing.file->ReadVAt(at, iov, k));
+        struct iovec null_iov = {nulls + r0, static_cast<size_t>(r1 - r0)};
+        CONQUER_RETURN_NOT_OK(
+            backing.file->ReadVAt(offset + 1 + n * width + r0, &null_iov, 1));
+      }
+      *bytes_read += (r1 - r0) * (width + 1);
+    }
     if (tag != static_cast<uint8_t>(phys)) {
       return Status::InvalidArgument("chunk payload column layout mismatch");
     }
-    *bytes_read += span;
     offset += span;
   }
   return Status::OK();
 }
 
 Status SegmentCodec::FaultInAll(Chunk* chunk) {
-  assert(chunk->pool_ == nullptr && chunk->resident_columns_ == 0);
-  ColumnSet all(chunk->columns_.size());
-  std::iota(all.begin(), all.end(), 0u);
+  assert(chunk->pool_ == nullptr && !chunk->any_resident());
+  const uint64_t blocks = chunk->BlocksOfAllRows();
+  std::vector<ColumnBlocks> all;
+  for (uint32_t c = 0; c < chunk->columns_.size(); ++c) {
+    all.push_back({c, blocks});
+  }
   uint64_t bytes = 0;
-  CONQUER_RETURN_NOT_OK(ReadColumns(chunk->backing_, all, chunk, &bytes));
-  chunk->MarkResident(all);
+  CONQUER_RETURN_NOT_OK(ReadBlocks(chunk->backing_, all, chunk, &bytes));
+  for (const ColumnBlocks& cb : all) chunk->PublishBlocks(cb.column, cb.blocks);
   chunk->payload_dirty_ = false;
   return Status::OK();
 }
 
 void SegmentCodec::ReleasePayload(Chunk* chunk) {
   for (ColumnVector& cv : chunk->columns_) {
-    std::vector<int64_t>().swap(cv.fixed_);
-    std::vector<double>().swap(cv.dbl_);
-    std::vector<uint32_t>().swap(cv.codes_);
-    std::vector<uint8_t>().swap(cv.nulls_);
+    decltype(cv.fixed_)().swap(cv.fixed_);
+    decltype(cv.dbl_)().swap(cv.dbl_);
+    decltype(cv.codes_)().swap(cv.codes_);
+    decltype(cv.nulls_)().swap(cv.nulls_);
   }
-  std::fill(chunk->column_resident_.begin(), chunk->column_resident_.end(), 0);
-  chunk->resident_columns_ = 0;
+  chunk->SetAllMasks(0);
 }
 
 void SegmentCodec::InitEvicted(Chunk* chunk, size_t num_rows,
@@ -416,8 +476,7 @@ void SegmentCodec::InitEvicted(Chunk* chunk, size_t num_rows,
   assert(chunk->num_rows_ == 0);
   chunk->num_rows_ = num_rows;
   chunk->backing_ = std::move(backing);
-  std::fill(chunk->column_resident_.begin(), chunk->column_resident_.end(), 0);
-  chunk->resident_columns_ = 0;
+  chunk->SetAllMasks(0);
   chunk->payload_dirty_ = false;
 }
 

@@ -80,22 +80,26 @@ class SegmentFile {
 ///
 /// Payload layout: u32 row count n, then per column a u8 physical tag, n
 /// typed values (8-byte int64/double or 4-byte dictionary code) and n null
-/// bytes. Every column's offset follows from n and the column types, so one
-/// column reads without touching the others.
+/// bytes. Every column's offset, and every row's value and null byte within
+/// it, follows from n and the column types, so one block of one column
+/// reads without touching anything else.
 class SegmentCodec {
  public:
   /// Serializes the column payloads of `chunk` (appends to `*out`).
   static void SerializePayload(const Chunk& chunk, std::string* out);
 
-  /// Reads the columns `cols` of `chunk` from its payload extent `backing`
-  /// straight into their vectors: one preadv per column covers its tag, data
-  /// and null bytes. Checks that the extent length equals the layout's total
-  /// for the resident row count (which pins the row count too) and each
-  /// column's tag. Every listed column must be non-resident and owned by the
-  /// caller; residency flags are left to the caller to publish. Adds the
-  /// bytes read to `*bytes_read`.
-  static Status ReadColumns(const ChunkBacking& backing, const ColumnSet& cols,
-                            Chunk* chunk, uint64_t* bytes_read);
+  /// Reads the blocks `cols` names of each listed column (ascending,
+  /// non-resident blocks the caller owns) of `chunk` from its payload
+  /// extent `backing` straight into the column's vectors: per run of
+  /// consecutive blocks, its values and its null bytes (one preadv with the
+  /// tag when the run covers every row). A column's first fault sizes its
+  /// vectors without initializing them and checks its tag. Checks first
+  /// that the extent length equals the layout's total for the resident row
+  /// count (which pins the row count too). Residency masks are left to the
+  /// caller to publish. Adds the bytes read to `*bytes_read`.
+  static Status ReadBlocks(const ChunkBacking& backing,
+                           const std::vector<ColumnBlocks>& cols, Chunk* chunk,
+                           uint64_t* bytes_read);
 
   /// Reads every column of a pool-less chunk from its backing and marks
   /// the chunk resident and clean (the eager load without a buffer pool).

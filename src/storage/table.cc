@@ -122,18 +122,23 @@ Row Table::row(size_t i) const {
 }
 
 void Table::GetRowInto(size_t i, Row* out) const {
-  const size_t c = i / chunk_capacity_;
-  ChunkPin pin = PinChunk(c);
-  chunks_[c]->MaterializeRow(i % chunk_capacity_, out, dicts_);
+  Chunk* ch = chunks_[i / chunk_capacity_].get();
+  const uint32_t local = static_cast<uint32_t>(i % chunk_capacity_);
+  ChunkPin pin = pool_ != nullptr ? pool_->PinRows(ch, RowSpan(&local, 1))
+                                  : ChunkPin(nullptr, ch);
+  ch->MaterializeRow(local, out, dicts_);
 }
 
 Value Table::ValueAt(size_t row, size_t col) const {
   const size_t c = row / chunk_capacity_;
-  ChunkPin pin = PinChunk(c);
-  return chunks_[c]->GetValue(row % chunk_capacity_, col, dicts_[col].get());
+  const uint32_t local = static_cast<uint32_t>(row % chunk_capacity_);
+  ChunkPin pin =
+      PinChunk(c, ColumnSet{static_cast<uint32_t>(col)}, RowSpan(&local, 1));
+  return chunks_[c]->GetValue(local, col, dicts_[col].get());
 }
 
 void Table::SetValue(size_t row, size_t col, const Value& v) {
+  // A write dirties the chunk, and a dirty chunk stays fully resident.
   ChunkPin pin = PinChunk(row / chunk_capacity_);
   SetPinnedValue(row, col, v);
 }

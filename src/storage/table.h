@@ -82,11 +82,21 @@ class Table {
   void AttachBufferPool(BufferPool* pool);
   BufferPool* buffer_pool() const { return pool_; }
 
-  /// Pins the columns `cols` of chunk `i` into memory (faulting in the
+  /// Pins the blocks that hold `rows` (chunk-local positions, ascending)
+  /// of the columns `cols` of chunk `i` into memory (faulting in the
   /// evicted ones) for the lifetime of the returned pin; its holder reads
-  /// only those columns. Without an attached pool this is a cheap no-op
-  /// wrapper. `stats`, when non-null, receives the I/O this pin performed
-  /// (scan counters).
+  /// only those rows of those columns. Without an attached pool this is a
+  /// cheap no-op wrapper. `stats`, when non-null, receives the I/O this pin
+  /// performed (scan counters).
+  ChunkPin PinChunk(size_t i, const ColumnSet& cols, RowSpan rows,
+                    PinStats* stats = nullptr) const {
+    Chunk* ch = chunks_[i].get();
+    return pool_ != nullptr ? pool_->Pin(ch, cols, rows, stats)
+                            : ChunkPin(nullptr, ch);
+  }
+
+  /// Pins every block of the columns `cols` of chunk `i` (index, slice and
+  /// statistics builds, the maintenance id walk).
   ChunkPin PinChunk(size_t i, const ColumnSet& cols,
                     PinStats* stats = nullptr) const {
     Chunk* ch = chunks_[i].get();
@@ -94,7 +104,8 @@ class Table {
                             : ChunkPin(nullptr, ch);
   }
 
-  /// Pins every column of chunk `i` (writes, saves, whole-row readers).
+  /// Pins every block of every column of chunk `i` (writes, saves,
+  /// whole-row loops).
   ChunkPin PinChunk(size_t i, PinStats* stats = nullptr) const {
     Chunk* ch = chunks_[i].get();
     return pool_ != nullptr ? pool_->Pin(ch, stats) : ChunkPin(nullptr, ch);
@@ -117,8 +128,9 @@ class Table {
 
   // ---- Row-level access (one-off readers and writers, tests). ----
   //
-  // Each call pins the row's chunk for itself; loops over rows go through
-  // a RowCursor instead, which pins each chunk once.
+  // Each call pins the row's chunk for itself — readers only the row's
+  // block, of the columns they read; loops over rows go through a
+  // RowCursor instead, which pins each chunk once.
 
   /// Materializes row `i` BY VALUE (the storage is columnar; there is no
   /// resident Row to reference). Strings come back interned.

@@ -369,8 +369,10 @@ TEST_F(OutOfCoreTest, PointLookupOnWideTableLoadsOnlyItsColumns) {
       << *plan;
   IoTotals io;
   SumIo(stats.plan, &io);
-  // id (string), c1 (double), c6 (string), prob (double).
-  EXPECT_EQ(io.bytes, 2 * (1 + 64 * (4 + 1)) + 2 * (1 + 64 * (8 + 1)));
+  // id (string), c1 (double), c6 (string), prob (double): each column's
+  // tag and the one block that holds k100 (a 64-row chunk's blocks are
+  // one row each).
+  EXPECT_EQ(io.bytes, 2 * (1 + 1 * (4 + 1)) + 2 * (1 + 1 * (8 + 1)));
 
   auto rs = db->Query(sql);
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();
@@ -403,6 +405,135 @@ TEST_F(OutOfCoreTest, ClusterWalkPinsOncePerChunk) {
   ASSERT_TRUE(clusters.ok()) << clusters.status().ToString();
   EXPECT_EQ(clusters->members.size(), 48u);
   EXPECT_EQ(db.buffer_pool()->stats().pins - pins, 3u);
+}
+
+
+// A table of two 4,096-row chunks, whose blocks are 64 rows: an indexed
+// string id, an int, two doubles and a probability column. Saved to `dir`
+// after recording the in-memory answers of `queries`.
+void SaveBlockTable(const std::string& dir,
+                    const std::vector<std::string>& queries,
+                    std::vector<std::vector<Row>>* answers) {
+  std::filesystem::remove_all(dir);
+  Database db;
+  ASSERT_TRUE(db.CreateTable(TableSchema("w", {{"id", DataType::kString},
+                                               {"a", DataType::kInt64},
+                                               {"q", DataType::kDouble},
+                                               {"x", DataType::kDouble},
+                                               {"prob", DataType::kDouble}}))
+                  .ok());
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 2 * 4096; ++i) {
+    rows.push_back({Value::String("k" + std::to_string(i)), Value::Int(i * 3),
+                    Value::Double(static_cast<double>(i) / 7),
+                    Value::Double(static_cast<double>(i % 11)),
+                    Value::Double(1.0 / static_cast<double>(1 + i % 4))});
+  }
+  ASSERT_TRUE(db.InsertMany("w", std::move(rows)).ok());
+  (*db.GetTable("w"))->Rechunk(4096);
+  for (const std::string& sql : queries) {
+    auto rs = db.Query(sql);
+    ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+    answers->push_back(rs->rows);
+  }
+  ASSERT_TRUE(SaveDatabase(db, dir).ok());
+}
+
+void ExpectSameRows(const std::vector<Row>& got, const std::vector<Row>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t r = 0; r < got.size(); ++r) {
+    ASSERT_EQ(got[r].size(), want[r].size());
+    for (size_t c = 0; c < got[r].size(); ++c) {
+      EXPECT_EQ(got[r][c].TotalCompare(want[r][c]), 0)
+          << "row " << r << " col " << c;
+    }
+  }
+}
+
+/// Loads `dir`, builds the id index and statistics, and leaves every chunk
+/// evicted under an unlimited budget, so each fault stays resident.
+Result<std::unique_ptr<Database>> LoadColdBlockTable(const std::string& dir) {
+  CONQUER_ASSIGN_OR_RETURN(std::unique_ptr<Database> db, LoadDatabase(dir));
+  CONQUER_RETURN_NOT_OK(db->CreateIndex("w", "id"));
+  CONQUER_RETURN_NOT_OK(db->Analyze("w"));
+  db->SetMemoryBudget(1);
+  db->SetMemoryBudget(0);
+  return db;
+}
+
+/// Bytes of one column's tag and one 64-row block: id (dictionary codes),
+/// and a, q, prob (8-byte values), each with its null bytes.
+constexpr uint64_t kIdBlockRead = 1 + 64 * (4 + 1);
+constexpr uint64_t kFixedBlockRead = 1 + 64 * (8 + 1);
+
+// A cold IndexScan point lookup reads one block of each column it names,
+// not every row of the chunk, and returns the in-memory answer.
+TEST_F(OutOfCoreTest, ColdPointLookupReadsOneBlockPerColumn) {
+  const std::string dir = dir_.string() + "_blocks";
+  const std::string sql = "select id, a, q, prob from w where id = 'k5000'";
+  std::vector<std::vector<Row>> expect;
+  SaveBlockTable(dir, {sql}, &expect);
+  ASSERT_EQ(expect[0].size(), 1u);
+  auto loaded = LoadColdBlockTable(dir);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  Database* db = loaded->get();
+
+  QueryStats stats;
+  auto plan = ExplainText(*db, "explain analyze " + sql, &stats);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_NE(plan->find("IndexScan(w"), std::string::npos) << *plan;
+  EXPECT_NE(plan->find("chunks_loaded=1 columns_loaded=4 "), std::string::npos)
+      << *plan;
+  IoTotals io;
+  SumIo(stats.plan, &io);
+  EXPECT_EQ(io.bytes, kIdBlockRead + 3 * kFixedBlockRead);
+
+  auto rs = db->Query(sql);
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  ExpectSameRows(rs->rows, expect[0]);
+  std::filesystem::remove_all(dir);
+}
+
+// A full scan after a lookup into the same chunk reads only the blocks the
+// lookup left behind, and both answer as the in-memory database did.
+TEST_F(OutOfCoreTest, LookupThenFullScanReadsOnlyTheRemainder) {
+  const std::string dir = dir_.string() + "_blocks";
+  const std::string lookup = "select id, a, q, prob from w where id = 'k5000'";
+  const std::string scan = "select a, q from w";
+  std::vector<std::vector<Row>> expect;
+  SaveBlockTable(dir, {lookup, scan}, &expect);
+  auto loaded = LoadColdBlockTable(dir);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  Database* db = loaded->get();
+
+  QueryStats lookup_stats;
+  auto rs = db->Query(lookup, &lookup_stats);
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  ExpectSameRows(rs->rows, expect[0]);
+  IoTotals io;
+  SumIo(lookup_stats.plan, &io);
+  EXPECT_EQ(io.bytes, kIdBlockRead + 3 * kFixedBlockRead);
+
+  // a and q: every row of chunk 0 with its tags, and the 63 blocks of
+  // chunk 1 the lookup did not read.
+  QueryStats scan_stats;
+  rs = db->Query(scan, &scan_stats);
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  ExpectSameRows(rs->rows, expect[1]);
+  IoTotals scan_io;
+  SumIo(scan_stats.plan, &scan_io);
+  EXPECT_EQ(scan_io.loaded, 2u);
+  EXPECT_EQ(scan_io.bytes, 2 * (1 + 4096 * (8 + 1)) + 2 * (63 * 64 * (8 + 1)));
+
+  // Everything the lookup reads is resident now.
+  QueryStats again;
+  rs = db->Query(lookup, &again);
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  ExpectSameRows(rs->rows, expect[0]);
+  IoTotals again_io;
+  SumIo(again.plan, &again_io);
+  EXPECT_EQ(again_io.loaded, 0u);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -7,11 +7,14 @@
 
 #include <atomic>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "engine/database.h"
+#include "storage/segment.h"
 #include "storage/table.h"
 
 namespace conquer {
@@ -73,14 +76,16 @@ TEST(ParseByteSize, RejectsOverflowInsteadOfWrapping) {
 
 // ---- Pool behaviour through a Database -------------------------------------
 
-/// A table with `chunks` chunks of 64 rows each: an int, a string (so the
-/// payload carries dictionary codes) and a double column.
-void FillTable(Database* db, size_t chunks) {
+/// A table with `chunks` chunks of `chunk_rows` rows each (64 by default,
+/// whose blocks are one row each): an int, a string (so the payload
+/// carries dictionary codes) and a double column. Row i holds a = i,
+/// s = "name_<i % 97>" and p = i / 2.
+void FillTable(Database* db, size_t chunks, size_t chunk_rows = 64) {
   ASSERT_TRUE(db->CreateTable(TableSchema("t", {{"a", DataType::kInt64},
                                                 {"s", DataType::kString},
                                                 {"p", DataType::kDouble}}))
                   .ok());
-  const size_t rows = chunks * 64;
+  const size_t rows = chunks * chunk_rows;
   std::vector<Row> batch;
   for (size_t i = 0; i < rows; ++i) {
     batch.push_back({Value::Int(static_cast<int64_t>(i)),
@@ -89,7 +94,7 @@ void FillTable(Database* db, size_t chunks) {
   }
   ASSERT_TRUE(db->InsertMany("t", std::move(batch)).ok());
   Table* t = *db->GetTable("t");
-  t->Rechunk(64);
+  t->Rechunk(chunk_rows);
   ASSERT_EQ(t->num_chunks(), chunks);
 }
 
@@ -472,6 +477,279 @@ TEST(BufferPoolTest, ConcurrentDisjointColumnPinsKeepAccountingExact) {
         EXPECT_EQ(st.resident_bytes, 0u);
       } else {
         EXPECT_TRUE(t->chunk(0).payload_resident());
+      }
+    }
+  }
+}
+
+
+// ---- Block-granular residency ---------------------------------------------
+
+// 640-row chunks: 64 blocks of 10 rows.
+constexpr size_t kBlockChunkRows = 640;
+constexpr uint64_t kBlockRows = 10;
+constexpr uint64_t kFixedBlockBytes = kBlockRows * (8 + 1);  // a, p
+constexpr uint64_t kCodeBlockBytes = kBlockRows * (4 + 1);   // s
+
+TEST(BufferPoolTest, RowPinsFaultOnlyTheirBlocks) {
+  Database db;
+  db.SetMemoryBudget(0);
+  FillTable(&db, 3, kBlockChunkRows);
+  Table* t = *db.GetTable("t");
+  BufferPool* pool = db.buffer_pool();
+  db.SetMemoryBudget(1);  // every chunk spilled whole, then evicted
+  db.SetMemoryBudget(0);  // nothing evicts from here on
+  const Chunk& ch = t->chunk(1);
+  ASSERT_EQ(ch.block_rows(), kBlockRows);
+
+  // Rows 15 and 17 share block 1; row 300 is in block 30. Each column's
+  // first fault also reads its tag.
+  const std::vector<uint32_t> rows = {15, 17, 300};
+  BufferPool::Stats before = pool->stats();
+  ChunkPin ap = t->PinChunk(1, ColumnSet{0, 2}, rows);
+  BufferPool::Stats after = pool->stats();
+  EXPECT_EQ(after.chunks_loaded - before.chunks_loaded, 1u);
+  EXPECT_EQ(after.columns_loaded - before.columns_loaded, 2u);
+  EXPECT_EQ(after.bytes_read - before.bytes_read, 2 * (1 + 2 * kFixedBlockBytes));
+  EXPECT_EQ(after.resident_bytes - before.resident_bytes,
+            2 * 2 * kFixedBlockBytes);
+  EXPECT_EQ(after.resident_bytes, ResidentColumnBytes(*t));
+  EXPECT_EQ(ch.block_mask(0), (uint64_t{1} << 1) | (uint64_t{1} << 30));
+  EXPECT_EQ(ch.block_mask(1), 0u);
+  for (uint32_t r : rows) {
+    const int64_t i = static_cast<int64_t>(kBlockChunkRows + r);
+    EXPECT_EQ(ap->column(0).fixed_data()[r], i);
+    EXPECT_EQ(ap->column(2).double_data()[r], static_cast<double>(i) * 0.5);
+  }
+
+  // A pin of every block reads only the missing ones: 62 blocks of a and
+  // p, and all of s with its tag; the columns then equal the in-memory
+  // ones.
+  before = after;
+  ChunkPin all = t->PinChunk(1);
+  after = pool->stats();
+  EXPECT_EQ(after.chunks_loaded - before.chunks_loaded, 1u);
+  EXPECT_EQ(after.columns_loaded - before.columns_loaded, 3u);
+  EXPECT_EQ(after.bytes_read - before.bytes_read,
+            2 * 62 * kFixedBlockBytes + 1 + 64 * kCodeBlockBytes);
+  EXPECT_TRUE(ch.payload_resident());
+  EXPECT_EQ(after.resident_bytes, ResidentColumnBytes(*t));
+  const StringDictionary* dict = t->dictionary(1);
+  for (size_t r = 0; r < kBlockChunkRows; ++r) {
+    const int64_t i = static_cast<int64_t>(kBlockChunkRows + r);
+    ASSERT_EQ(all->column(0).fixed_data()[r], i) << r;
+    ASSERT_EQ(all->column(1).GetValue(r, dict).string_value(),
+              "name_" + std::to_string(i % 97))
+        << r;
+    ASSERT_EQ(all->column(2).double_data()[r], static_cast<double>(i) * 0.5)
+        << r;
+  }
+}
+
+TEST(BufferPoolTest, ShortLastBlockIsChargedItsRows) {
+  Database db;
+  db.SetMemoryBudget(0);
+  FillTable(&db, 1, kBlockChunkRows);
+  Table* t = *db.GetTable("t");
+  // 25 more rows: chunk 1 holds blocks 0 and 1 whole and 5 rows of block 2.
+  std::vector<Row> batch;
+  for (int64_t i = 640; i < 665; ++i) {
+    batch.push_back({Value::Int(i), Value::String("x"), Value::Double(0.5)});
+  }
+  ASSERT_TRUE(db.InsertMany("t", std::move(batch)).ok());
+  t->Rechunk(kBlockChunkRows);  // drops the tail's append pin
+  ASSERT_EQ(t->num_chunks(), 2u);
+  db.SetMemoryBudget(1);
+  db.SetMemoryBudget(0);
+  BufferPool* pool = db.buffer_pool();
+
+  const std::vector<uint32_t> last = {22};
+  const BufferPool::Stats before = pool->stats();
+  ChunkPin pin = t->PinChunk(1, ColumnSet{0}, last);
+  const BufferPool::Stats after = pool->stats();
+  EXPECT_EQ(after.bytes_read - before.bytes_read, 1 + 5 * (8 + 1));
+  EXPECT_EQ(after.resident_bytes - before.resident_bytes, 5 * (8 + 1));
+  EXPECT_EQ(pin->column(0).fixed_data()[22], 662);
+  EXPECT_FALSE(t->chunk(1).column_resident(0));
+}
+
+TEST(BufferPoolTest, EvictingAPartlyResidentChunkReturnsItsWholeCharge) {
+  Database db;
+  db.SetMemoryBudget(0);
+  FillTable(&db, 2, kBlockChunkRows);
+  Table* t = *db.GetTable("t");
+  BufferPool* pool = db.buffer_pool();
+  db.SetMemoryBudget(1);
+  db.SetMemoryBudget(0);
+  ASSERT_EQ(pool->stats().resident_bytes, 0u);
+
+  {
+    const std::vector<uint32_t> rows = {0, 639};
+    ChunkPin a = t->PinChunk(0, ColumnSet{0, 1}, rows);
+    const std::vector<uint32_t> mid = {320};
+    ChunkPin p = t->PinChunk(0, ColumnSet{2}, mid);
+  }
+  const BufferPool::Stats partial = pool->stats();
+  EXPECT_EQ(partial.resident_bytes,
+            2 * kFixedBlockBytes + 2 * kCodeBlockBytes + kFixedBlockBytes);
+  EXPECT_EQ(partial.resident_bytes, ResidentColumnBytes(*t));
+  EXPECT_FALSE(t->chunk(0).payload_resident());
+
+  db.SetMemoryBudget(1);
+  const BufferPool::Stats evicted = pool->stats();
+  EXPECT_EQ(evicted.chunks_evicted - partial.chunks_evicted, 1u);
+  EXPECT_EQ(evicted.chunks_spilled, partial.chunks_spilled);  // clean: dropped
+  EXPECT_EQ(evicted.resident_bytes, 0u);
+  EXPECT_FALSE(t->chunk(0).any_resident());
+}
+
+// Table::ValueAt pins one column at the row's block, GetRowInto every
+// column at the row's block: under a budget each faults one block per
+// column it reads.
+TEST(BufferPoolTest, RowReadersFaultOneBlock) {
+  Database db;
+  db.SetMemoryBudget(0);
+  FillTable(&db, 2, kBlockChunkRows);
+  Table* t = *db.GetTable("t");
+  BufferPool* pool = db.buffer_pool();
+  db.SetMemoryBudget(1);
+
+  BufferPool::Stats before = pool->stats();
+  EXPECT_EQ(t->ValueAt(kBlockChunkRows + 333, 2).double_value(),
+            (kBlockChunkRows + 333) * 0.5);
+  BufferPool::Stats after = pool->stats();
+  EXPECT_EQ(after.columns_loaded - before.columns_loaded, 1u);
+  EXPECT_EQ(after.bytes_read - before.bytes_read, 1 + kFixedBlockBytes);
+
+  before = after;
+  Row row;
+  t->GetRowInto(77, &row);
+  after = pool->stats();
+  EXPECT_EQ(row[0].int_value(), 77);
+  EXPECT_EQ(row[1].string_value(), "name_77");
+  EXPECT_EQ(after.columns_loaded - before.columns_loaded, 3u);
+  EXPECT_EQ(after.bytes_read - before.bytes_read,
+            3 + 2 * kFixedBlockBytes + kCodeBlockBytes);
+  EXPECT_EQ(after.resident_bytes, 0u);
+}
+
+// A column's first fault that starts past row 0 reads its tag on its own:
+// a corrupt tag is still an error there.
+TEST(BufferPoolTest, CorruptTagIsReportedWhenTheFirstFaultSkipsRowZero) {
+  const TableSchema schema("t", {{"a", DataType::kInt64},
+                                 {"s", DataType::kString},
+                                 {"p", DataType::kDouble}});
+  Table t(schema, kBlockChunkRows);
+  for (int64_t i = 0; i < static_cast<int64_t>(kBlockChunkRows); ++i) {
+    ASSERT_TRUE(t.Insert({Value::Int(i), Value::String("s"),
+                          Value::Double(static_cast<double>(i))})
+                    .ok());
+  }
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            "conquer_buffer_pool_test_corrupt_tag.seg")
+                               .string();
+  ASSERT_TRUE(WriteTableSegment(&t, path).ok());
+  // The payload follows the 8-byte magic: the row count, then column a
+  // (tag, 640 values, 640 null bytes), then column s's tag.
+  constexpr uint64_t kOffset = 8;
+  constexpr uint64_t kLength = 4 + 2 * (1 + 640 * 9) + (1 + 640 * 5);
+  {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.is_open());
+    const char bogus = 7;
+    f.seekp(static_cast<std::streamoff>(kOffset + 4 + (1 + 640 * 9)));
+    f.write(&bogus, 1);
+  }
+  auto file = SegmentFile::OpenReadOnly(path);
+  ASSERT_TRUE(file.ok());
+  const ChunkBacking backing{*file, kOffset, kLength};
+  const uint64_t block5 = uint64_t{1} << 5;
+  {
+    Chunk ch(&schema, kBlockChunkRows);
+    SegmentCodec::InitEvicted(&ch, kBlockChunkRows, backing);
+    uint64_t bytes = 0;
+    const Status st = SegmentCodec::ReadBlocks(backing, {{1, block5}}, &ch,
+                                               &bytes);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  }
+  {
+    // Column a's tag is intact: block 5 alone reads its tag and 10 rows.
+    Chunk ch(&schema, kBlockChunkRows);
+    SegmentCodec::InitEvicted(&ch, kBlockChunkRows, backing);
+    uint64_t bytes = 0;
+    ASSERT_TRUE(
+        SegmentCodec::ReadBlocks(backing, {{0, block5}}, &ch, &bytes).ok());
+    EXPECT_EQ(bytes, 1 + kFixedBlockBytes);
+  }
+  std::filesystem::remove(path);
+}
+
+// Readers of disjoint and of overlapping blocks of one column of an
+// evicted chunk fault concurrently while a third thread drops its own pin:
+// the unlocked block reads must not race the masks or the accounting, and
+// the pool must end charging exactly the resident blocks.
+TEST(BufferPoolTest, ConcurrentBlockPinsKeepAccountingExact) {
+  Database db;
+  db.SetMemoryBudget(0);
+  FillTable(&db, 1, kBlockChunkRows);
+  Table* t = *db.GetTable("t");
+  BufferPool* pool = db.buffer_pool();
+  // Every row of blocks [first, last), and the sum of column a over them.
+  auto rows_of = [](uint32_t first, uint32_t last) {
+    std::vector<uint32_t> rows;
+    for (uint32_t r = first * kBlockRows; r < last * kBlockRows; ++r) {
+      rows.push_back(r);
+    }
+    return rows;
+  };
+  auto sum_of = [](const std::vector<uint32_t>& rows) {
+    int64_t sum = 0;
+    for (uint32_t r : rows) sum += r;
+    return sum;
+  };
+  const std::vector<std::vector<uint32_t>> ranges = {
+      rows_of(0, 32), rows_of(32, 64), rows_of(16, 48)};
+
+  for (uint64_t budget : {uint64_t{1}, uint64_t{0}}) {
+    for (int round = 0; round < 40; ++round) {
+      db.SetMemoryBudget(1);  // chunk 0 starts evicted
+      db.SetMemoryBudget(budget);
+      ChunkPin held = t->PinChunk(0, ColumnSet{});
+      std::atomic<int> ready{0};
+      auto wait_all = [&ready] {
+        ready.fetch_add(1);
+        while (ready.load() < 4) std::this_thread::yield();
+      };
+      std::vector<int64_t> sums(ranges.size(), 0);
+      std::vector<std::thread> readers;
+      for (size_t k = 0; k < ranges.size(); ++k) {
+        readers.emplace_back([&, k] {
+          wait_all();
+          ChunkPin pin = t->PinChunk(0, ColumnSet{0, 2}, ranges[k]);
+          for (uint32_t r : ranges[k]) {
+            sums[k] += pin->column(0).fixed_data()[r];
+            EXPECT_EQ(pin->column(2).double_data()[r], r * 0.5);
+          }
+        });
+      }
+      std::thread unpinner([&] {
+        wait_all();
+        held.Reset();
+      });
+      for (std::thread& r : readers) r.join();
+      unpinner.join();
+      for (size_t k = 0; k < ranges.size(); ++k) {
+        EXPECT_EQ(sums[k], sum_of(ranges[k])) << "range " << k;
+      }
+      const BufferPool::Stats st = pool->stats();
+      EXPECT_EQ(st.resident_bytes, ResidentColumnBytes(*t))
+          << "budget " << budget << " round " << round;
+      if (budget == 1) {
+        EXPECT_EQ(st.resident_bytes, 0u);
+      } else {
+        EXPECT_TRUE(t->chunk(0).column_resident(0));
+        EXPECT_TRUE(t->chunk(0).column_resident(2));
+        EXPECT_EQ(t->chunk(0).block_mask(1), 0u);
       }
     }
   }

@@ -66,29 +66,51 @@ void NormalizeCluster(std::vector<TupleProbability>* cluster) {
   }
 }
 
-std::vector<TupleProbability> InformationLossProbabilities(
-    const Table& table, const std::vector<size_t>& members,
-    const std::vector<size_t>& attr_columns, double total_weight,
-    ValueSpace* space) {
+namespace {
+
+/// Fig. 5 steps 1-3 from the members' tuple DCFs, in member order (none
+/// for a singleton): each serves both the representative merge and the
+/// member's distance, measured against `total_weight` tuples.
+std::vector<TupleProbability> ClusterProbabilities(
+    const std::vector<size_t>& members, const std::vector<Dcf>& tuples,
+    double total_weight) {
   std::vector<TupleProbability> out(members.size());
   for (size_t i = 0; i < members.size(); ++i) out[i].row = members[i];
   if (members.size() > 1) {
-    // Step 1: each member's tuple DCF, merged in member order into the
-    // representative.
-    std::vector<Dcf> tuples;
-    tuples.reserve(members.size());
-    RowCursor cursor(&table);
-    for (size_t r : members) {
-      tuples.push_back(TupleDcf(&cursor, r, attr_columns, space));
-    }
     const Dcf rep = Dcf::MergeAll(tuples);
-    // Step 2: every member's information-loss distance to it.
     for (size_t i = 0; i < tuples.size(); ++i) {
       out[i].distance = InformationLossDistance(tuples[i], rep, total_weight);
     }
   }
   NormalizeCluster(&out);
   return out;
+}
+
+}  // namespace
+
+std::vector<TupleProbability> InformationLossProbabilities(
+    const std::vector<size_t>& members, const std::vector<uint32_t>& indices,
+    double total_weight) {
+  return ClusterProbabilities(
+      members,
+      members.size() > 1 ? TupleDcfs(indices, members.size())
+                         : std::vector<Dcf>{},
+      total_weight);
+}
+
+std::vector<TupleProbability> InformationLossProbabilities(
+    const Table& table, const std::vector<size_t>& members,
+    const std::vector<size_t>& attr_columns, double total_weight,
+    ValueSpace* space) {
+  std::vector<Dcf> tuples;
+  if (members.size() > 1) {
+    tuples.reserve(members.size());
+    RowCursor cursor(&table);
+    for (size_t r : members) {
+      tuples.push_back(TupleDcf(&cursor, r, attr_columns, space));
+    }
+  }
+  return ClusterProbabilities(members, tuples, total_weight);
 }
 
 void ApplyStagedWrites(Table* table, const std::vector<StagedWrite>& writes) {

@@ -77,12 +77,19 @@ Result<std::vector<size_t>> ResolveAttributeColumns(
 /// distribution (1 for a singleton).
 void NormalizeCluster(std::vector<TupleProbability>* cluster);
 
-/// Fig. 5 steps 1-3 for one non-empty cluster, members in the order given:
-/// each member's tuple DCF is built once and serves both the representative
-/// merge and the member's distance (measured against `total_weight`
-/// tuples). Values are interned into `space` member by member — singletons
-/// intern nothing — so a pass sharing one space across clusters fixes the
-/// summation order of every later distance.
+/// Fig. 5 steps 1-3 for one non-empty cluster, members in the order given,
+/// from the members' value indices (the same number per member, row-major;
+/// ignored for a singleton): each member's tuple DCF is built once and
+/// serves both the representative merge and the member's distance
+/// (measured against `total_weight` tuples).
+std::vector<TupleProbability> InformationLossProbabilities(
+    const std::vector<size_t>& members, const std::vector<uint32_t>& indices,
+    double total_weight);
+
+/// The same for members read from `table`: their values are interned into
+/// `space` member by member — singletons intern nothing — so a pass sharing
+/// one space across clusters fixes the summation order of every later
+/// distance.
 std::vector<TupleProbability> InformationLossProbabilities(
     const Table& table, const std::vector<size_t>& members,
     const std::vector<size_t>& attr_columns, double total_weight,

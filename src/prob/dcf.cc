@@ -5,6 +5,8 @@
 #include <cmath>
 #include <functional>
 
+#include "storage/dictionary.h"
+
 namespace conquer {
 
 namespace {
@@ -35,6 +37,14 @@ double AddWeightedKl(const std::vector<std::pair<uint32_t, double>>& xs,
 
 }  // namespace
 
+std::string_view SpellDouble(double d, char (&buf)[32]) {
+  // to_chars with a precision spells as printf("%.6g") does, which is
+  // Value::ToString's spelling.
+  const auto r =
+      std::to_chars(buf, buf + sizeof(buf), d, std::chars_format::general, 6);
+  return std::string_view(buf, static_cast<size_t>(r.ptr - buf));
+}
+
 uint64_t ValueSpace::RawHash(size_t attribute, Kind kind, uint64_t payload) {
   return payload ^ ((static_cast<uint64_t>(attribute) << 2 |
                      static_cast<uint64_t>(kind)) *
@@ -52,14 +62,9 @@ ValueSpace::Probe ValueSpace::MakeProbe(size_t attribute, const Value& v,
       p.text = v.string_value();
       p.interned = v.interned_ptr();
       break;
-    case DataType::kDouble: {
-      // to_chars with a precision spells as printf("%.6g") does, which is
-      // Value::ToString's spelling.
-      const auto r = std::to_chars(buf, buf + sizeof(buf), v.double_value(),
-                                   std::chars_format::general, 6);
-      p.text = std::string_view(buf, static_cast<size_t>(r.ptr - buf));
+    case DataType::kDouble:
+      p.text = SpellDouble(v.double_value(), buf);
       break;
-    }
     case DataType::kInt64:
       p.kind = Kind::kInt64;
       p.payload = v.int_value();
@@ -119,6 +124,50 @@ int64_t ValueSpace::Find(size_t attribute, const Value& v) const {
   const Probe p = MakeProbe(attribute, v, buf);
   const uint32_t* index = index_.FindHashedAs(p.hash, p, KeyEq());
   return index == nullptr ? -1 : static_cast<int64_t>(*index);
+}
+
+CellElement::CellElement(const ColumnVector& col, size_t i,
+                         const StringDictionary* dict)
+    : type_(col.type()) {
+  null_ = col.is_null(i);
+  switch (type_) {
+    case DataType::kString: {
+      if (null_) {
+        const uint32_t code = dict->Find("NULL");
+        key_ = code == StringDictionary::kInvalidCode ? -1 : code;
+      } else {
+        key_ = col.code_data()[i];
+        null_ = *dict->StringAt(col.code_data()[i]) == "NULL";
+      }
+      break;
+    }
+    case DataType::kDouble: {
+      if (null_) break;
+      value_ = col.double_data()[i];
+      // Twice the rounding bound, so rounding in the prefilter's own
+      // arithmetic (denormals included) never drops a cell.
+      tolerance_ = 2e-5 * std::fabs(value_);
+      char buf[32];
+      const std::string_view text = SpellDouble(value_, buf);
+      spelling_size_ = static_cast<uint8_t>(text.size());
+      std::copy(text.begin(), text.end(), spelling_);
+      break;
+    }
+    default:
+      if (!null_) key_ = col.fixed_data()[i];
+      break;
+  }
+}
+
+bool CellElement::SameSpelling(double x) const {
+  char buf[32];
+  return SpellDouble(x, buf) == spelling();
+}
+
+bool CellElement::operator==(const CellElement& other) const {
+  if (null_ != other.null_ || key_ != other.key_) return false;
+  return type_ != DataType::kDouble || null_ ||
+         spelling() == other.spelling();
 }
 
 SparseDist SparseDist::FromIndices(std::vector<uint32_t> indices) {
@@ -207,6 +256,18 @@ Dcf Dcf::MergeAll(const std::vector<Dcf>& tuples) {
   Dcf rep = Merge(tuples[0], tuples[1]);
   for (size_t i = 2; i < tuples.size(); ++i) rep = Merge(rep, tuples[i]);
   return rep;
+}
+
+std::vector<Dcf> TupleDcfs(const std::vector<uint32_t>& indices,
+                           size_t rows) {
+  const size_t m = indices.size() / rows;
+  std::vector<Dcf> out;
+  out.reserve(rows);
+  for (size_t r = 0; r < rows; ++r) {
+    const auto first = indices.begin() + static_cast<ptrdiff_t>(r * m);
+    out.push_back(Dcf::ForTuple(std::vector<uint32_t>(first, first + m)));
+  }
+  return out;
 }
 
 void InternRow(RowCursor* cursor, size_t row,

@@ -1,6 +1,7 @@
 #ifndef CONQUER_PROB_DCF_H_
 #define CONQUER_PROB_DCF_H_
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -43,6 +44,10 @@ namespace conquer {
 /// Interned strings are recognised by address, so a space must not outlive
 /// the dictionaries of the values interned into it (passes keep one space
 /// per call).
+///
+/// CellElement below is a second reader of this identity rule: it decides
+/// the same equality from raw column cells without interning, for
+/// NULL-identifier matching. The two must change together.
 class ValueSpace {
  public:
   /// Interns (attribute, value) and returns its index in V.
@@ -95,6 +100,98 @@ class ValueSpace {
   FlatHashMap<Key, uint32_t, KeyHash, KeyEq> index_;
 };
 
+/// ValueSpace's spelling of a DOUBLE, "%.6g" (Value::ToString's), written
+/// into `buf`.
+std::string_view SpellDouble(double d, char (&buf)[32]);
+
+/// \brief One element of V read off a raw column cell, matched against
+/// other cells of the same table column by ValueSpace's identity rule
+/// without building a Value or interning anything.
+///
+/// A cell holds the element exactly when ValueSpace would give the two
+/// cells one index in one attribute:
+///   - STRING cells by dictionary code (one code per text); NULL is the
+///     text "NULL", so it matches the code of 'NULL' when the column has
+///     one;
+///   - INT64, DATE and BOOL cells by payload; NULL matches only NULL;
+///   - DOUBLE cells by spelling (SpellDouble). A cell is formatted only
+///     when it lies within 2e-5 relative of a finite element's value,
+///     a superset of the spelling's rounding interval (two values that
+///     round to one six-digit decimal differ by at most 1e-5 of the
+///     larger), or when both are non-finite; NULL matches only NULL.
+///
+/// NULL-identifier matching (prob/incremental.cc) marks an element's
+/// holders with it in one typed pass over a column.
+class CellElement {
+ public:
+  /// The element at row `i` of `col`, a vector of a column whose
+  /// dictionary is `dict` (null for non-string columns).
+  CellElement(const ColumnVector& col, size_t i, const StringDictionary* dict);
+
+  /// Calls `fn(i)` for every row i in [begin, end) of `col`, a vector of
+  /// the same column, that holds this element, in ascending order.
+  template <typename Fn>
+  void ForEachMatch(const ColumnVector& col, size_t begin, size_t end,
+                    Fn&& fn) const;
+
+  /// The same element (both read from one column).
+  bool operator==(const CellElement& other) const;
+
+ private:
+  bool SameSpelling(double x) const;
+  std::string_view spelling() const { return {spelling_, spelling_size_}; }
+
+  DataType type_;
+  bool null_ = false;  ///< matches NULL cells
+  /// STRING: the code of the element's text (-1 when the dictionary has
+  /// none); INT64, DATE, BOOL: the payload.
+  int64_t key_ = 0;
+  double value_ = 0.0;      ///< DOUBLE value
+  double tolerance_ = 0.0;  ///< DOUBLE prefilter half-width
+  uint8_t spelling_size_ = 0;
+  char spelling_[32] = {};  ///< DOUBLE spelling
+};
+
+template <typename Fn>
+void CellElement::ForEachMatch(const ColumnVector& col, size_t begin,
+                               size_t end, Fn&& fn) const {
+  const uint8_t* nulls = col.null_data();
+  switch (type_) {
+    case DataType::kString: {
+      const uint32_t* codes = col.code_data();
+      for (size_t i = begin; i < end; ++i) {
+        if (nulls[i] != 0 ? null_ : static_cast<int64_t>(codes[i]) == key_) {
+          fn(i);
+        }
+      }
+      return;
+    }
+    case DataType::kDouble: {
+      if (null_) break;
+      const double* xs = col.double_data();
+      const bool finite = std::isfinite(value_);
+      for (size_t i = begin; i < end; ++i) {
+        const double x = xs[i];
+        const bool near = finite ? std::fabs(x - value_) <= tolerance_
+                                 : !std::isfinite(x);
+        if (nulls[i] == 0 && near && SameSpelling(x)) fn(i);
+      }
+      return;
+    }
+    default: {
+      if (null_) break;
+      const int64_t* payloads = col.fixed_data();
+      for (size_t i = begin; i < end; ++i) {
+        if (nulls[i] == 0 && payloads[i] == key_) fn(i);
+      }
+      return;
+    }
+  }
+  for (size_t i = begin; i < end; ++i) {  // NULL of a non-string column
+    if (nulls[i] != 0) fn(i);
+  }
+}
+
 /// \brief A sparse probability distribution p(v | .) over a ValueSpace.
 ///
 /// Entries are kept sorted by value index; absent indices have probability
@@ -145,6 +242,10 @@ struct Dcf {
   /// into the running merge.
   static Dcf MergeAll(const std::vector<Dcf>& tuples);
 };
+
+/// \brief The tuple DCFs of `rows` rows (>= 1) whose value indices are
+/// `indices`, the same number per row, row-major.
+std::vector<Dcf> TupleDcfs(const std::vector<uint32_t>& indices, size_t rows);
 
 /// \brief Interns row `row`'s values of `attr_columns` into `space`, in
 /// attribute order, and appends their indices to `out`. Moves `cursor` to

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -23,14 +24,19 @@ IncrementalFault g_fault = IncrementalFault::kNone;
 constexpr double kPruneSlack = 1e-9;
 
 /// One cluster's visible rows (ascending, joined NULL-id rows appended)
-/// and, during NULL-id matching, their interned attribute values: m per
-/// row, row-major.
+/// and, once NULL-identifier matching has needed them, the first-meet
+/// positions of their attribute values (FirstMeetPositions): m per row,
+/// row-major, complete or empty.
 struct ClusterRows {
   std::vector<size_t> rows;
-  std::vector<uint32_t> values;
+  std::vector<uint64_t> positions;
 };
 
-using ClusterMembers = std::unordered_map<Value, ClusterRows, ValueHash>;
+/// Identifier -> index of the cluster's rows. The map's visit order decides
+/// ties between equidistant clusters and the sequence S of
+/// FirstMeetPositions, so it is filled in first-visible-row order and never
+/// reserved.
+using ClusterMembers = std::unordered_map<Value, uint32_t, ValueHash>;
 
 /// The touched identifiers in the id column's stored form (dictionary code
 /// or int64 payload), so the id walk compares raw payloads instead of
@@ -79,29 +85,15 @@ class TouchedIds {
   std::vector<int64_t> keys_;
 };
 
-/// Lower bound on the distance from a tuple (interned values `tuple`) to
-/// the representative of `cluster` (k members), the matcher's pure
-/// information-loss distance. With m attributes, pi1 = 1/(k+1) and
-/// pi2 = k/(k+1), a value on one side only adds pi * p * log2(1/pi) to the
-/// Jensen-Shannon sum and a shared value adds >= 0 (log-sum inequality):
-/// the u tuple values no member has carry p = 1/m each, and the members'
-/// values outside the tuple carry 1 - s/(k*m), s being the number of
-/// (member, tuple value) matches.
-double DistanceLowerBound(const std::vector<uint32_t>& tuple,
-                          const ClusterRows& cluster) {
-  const size_t m = tuple.size();
-  const size_t k = cluster.rows.size();
+/// Lower bound on the distance from a tuple of m attribute values to the
+/// representative of a cluster of k members, the matcher's pure
+/// information-loss distance. With pi1 = 1/(k+1) and pi2 = k/(k+1), a value
+/// on one side only adds pi * p * log2(1/pi) to the Jensen-Shannon sum and
+/// a shared value adds >= 0 (log-sum inequality): the u tuple values no
+/// member has carry p = 1/m each, and the members' values outside the tuple
+/// carry 1 - s/(k*m), s being the number of (member, tuple value) matches.
+double DistanceLowerBound(size_t m, size_t k, size_t s, size_t u) {
   if (m == 0) return 0.0;
-  size_t s = 0;
-  size_t u = 0;
-  for (size_t a = 0; a < m; ++a) {
-    size_t hits = 0;
-    for (size_t r = 0; r < k; ++r) {
-      if (cluster.values[r * m + a] == tuple[a]) ++hits;
-    }
-    s += hits;
-    if (hits == 0) ++u;
-  }
   const double kd = static_cast<double>(k);
   const double md = static_cast<double>(m);
   const double pi1 = 1.0 / (kd + 1.0);
@@ -111,46 +103,310 @@ double DistanceLowerBound(const std::vector<uint32_t>& tuple,
              std::log2(1.0 / pi2);
 }
 
-/// The cluster representative BuildClusterRepresentative would build, from
-/// the cached value indices: the members' tuple DCFs merged in row order.
-Dcf Representative(const ClusterRows& cluster, size_t m) {
-  std::vector<Dcf> tuples;
-  tuples.reserve(cluster.rows.size());
-  for (size_t r = 0; r < cluster.rows.size(); ++r) {
-    const auto first = cluster.values.begin() + static_cast<ptrdiff_t>(r * m);
-    tuples.push_back(Dcf::ForTuple(std::vector<uint32_t>(first, first + m)));
+/// Dense ranks of `positions` in sorted order: equal positions share a
+/// rank, so the ranks order and equate values exactly as the positions do.
+std::vector<uint32_t> DenseRanks(const std::vector<uint64_t>& positions) {
+  std::vector<uint64_t> sorted = positions;
+  std::sort(sorted.begin(), sorted.end());
+  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  std::vector<uint32_t> out;
+  out.reserve(positions.size());
+  for (uint64_t p : positions) {
+    out.push_back(static_cast<uint32_t>(
+        std::lower_bound(sorted.begin(), sorted.end(), p) - sorted.begin()));
   }
-  return Dcf::MergeAll(tuples);
+  return out;
 }
 
+/// NULL-identifier matching's value order, without a value space.
+///
+/// A per-row rebuild of every representative interns rows in a fixed
+/// sequence S: the first NULL-id row, every cluster's rows in the
+/// membership map's visit order, then each later NULL-id row in its turn.
+/// An element's index in V is then the rank of its first occurrence in S.
+/// With seq(r) the place of row r in S and m attributes, the element's
+/// *first-meet position* m*seq(r) + a, r the first row of S holding it at
+/// attribute a, orders elements exactly as those indices do, and equal
+/// positions are equal elements. A distance's bits depend on nothing else
+/// (SparseDist sorts its entries by index; Mix and the distance only
+/// compare indices), so positions relabelled densely per distance
+/// (DenseRanks; 64-bit, so m*seq cannot wrap) leave the rebuild's bits.
+///
+/// A position costs one typed pass over the attribute's raw column
+/// (CellElement, ValueSpace's identity rule) that marks the rows of S
+/// holding the element; each pass pins one column of one chunk at a time.
+class FirstMeetPositions {
+ public:
+  /// A NULL-id row's elements: their positions and, per attribute, the
+  /// rows of S holding the same element (ascending).
+  struct Tuple {
+    std::vector<uint64_t> positions;
+    std::vector<std::vector<size_t>> holders;
+  };
+
+  /// Places the walk's rows in S.
+  FirstMeetPositions(const Table& table, const std::vector<size_t>& attrs,
+                     const ClusterMembers& members,
+                     const std::vector<ClusterRows>& clusters,
+                     const std::vector<size_t>& null_rows)
+      : table_(table),
+        attrs_(attrs),
+        m_(attrs.size()),
+        seq_(table.num_rows(), kNotInS),
+        cluster_of_(table.num_rows(), kNoCluster) {
+    uint64_t next = 0;
+    seq_[null_rows[0]] = next++;
+    for (const auto& [id, c] : members) {
+      for (size_t r : clusters[c].rows) {
+        seq_[r] = next++;
+        cluster_of_[r] = c;
+      }
+    }
+    for (size_t n = 1; n < null_rows.size(); ++n) seq_[null_rows[n]] = next++;
+    for (size_t a = 0; a < m_; ++a) {
+      columns_.push_back({static_cast<uint32_t>(attrs[a])});
+    }
+    GrowCounts(clusters.size());
+  }
+
+  /// The NULL-id row `row`'s positions and holders, one pass per attribute.
+  /// The holders that are cluster members also give each cluster the lower
+  /// bound's inputs: s, its (member, tuple value) matches, and the number
+  /// of attributes at which some member matches (m - u).
+  void MatchTuple(size_t row, Tuple* t) {
+    t->positions.resize(m_);
+    t->holders.resize(m_);
+    for (size_t a = 0; a < m_; ++a) {
+      const CellElement e = ElementAt(a, row);
+      std::vector<size_t>& holders = t->holders[a];
+      holders.clear();
+      uint64_t first = kNotInS;
+      ForEachHolder(a, {&e, 1}, [&](size_t, size_t r) {
+        holders.push_back(r);
+        first = std::min(first, seq_[r]);
+        const uint32_t c = cluster_of_[r];
+        if (c == kNoCluster) return;
+        if (matches_[c]++ == 0) counted_.push_back(c);
+        if (last_attr_[c] != a + 1) {
+          last_attr_[c] = a + 1;
+          ++matched_attrs_[c];
+        }
+      });
+      t->positions[a] = m_ * first + a;
+    }
+  }
+
+  /// Cluster `c`'s s and u from the last MatchTuple.
+  size_t matches(uint32_t c) const { return matches_[c]; }
+  size_t unmatched(uint32_t c) const { return m_ - matched_attrs_[c]; }
+
+  /// Zeroes the counts the last MatchTuple left.
+  void ClearCounts() {
+    for (uint32_t c : counted_) {
+      matches_[c] = 0;
+      matched_attrs_[c] = 0;
+      last_attr_[c] = 0;
+    }
+    counted_.clear();
+  }
+
+  /// The exact distance from the tuple to the cluster's representative,
+  /// as the rebuild computed it.
+  double Distance(const Tuple& t, ClusterRows* cluster) {
+    EnsurePositions(cluster, &t);
+    std::vector<uint64_t> positions = t.positions;
+    positions.insert(positions.end(), cluster->positions.begin(),
+                     cluster->positions.end());
+    const std::vector<uint32_t> ranks = DenseRanks(positions);
+    const auto split = ranks.begin() + static_cast<ptrdiff_t>(m_);
+    const Dcf tuple =
+        Dcf::ForTuple(std::vector<uint32_t>(ranks.begin(), split));
+    const Dcf rep = Dcf::MergeAll(TupleDcfs(
+        std::vector<uint32_t>(split, ranks.end()), cluster->rows.size()));
+    // Passing the summed weights as the total makes the n/N prefactor 1,
+    // the same pure-information-loss distance the matcher thresholds.
+    return InformationLossDistance(tuple, rep, tuple.weight + rep.weight);
+  }
+
+  /// Appends NULL-id row `row`, described by `t`, to cluster `c`; its
+  /// positions extend the cluster's when those are complete.
+  void Join(size_t row, const Tuple& t, uint32_t c, ClusterRows* cluster) {
+    if (cluster->positions.size() == cluster->rows.size() * m_) {
+      cluster->positions.insert(cluster->positions.end(), t.positions.begin(),
+                                t.positions.end());
+    }
+    cluster->rows.push_back(row);
+    cluster_of_[row] = c;
+    GrowCounts(c + 1);
+  }
+
+  /// The cluster's value indices for renormalization: its positions,
+  /// relabelled densely (none for a singleton, which needs no values).
+  std::vector<uint32_t> Indices(ClusterRows* cluster) {
+    if (cluster->rows.size() <= 1) return {};
+    EnsurePositions(cluster, nullptr);
+    return DenseRanks(cluster->positions);
+  }
+
+ private:
+  static constexpr uint64_t kNotInS = UINT64_MAX;
+  static constexpr uint32_t kNoCluster = UINT32_MAX;
+
+  /// The element at attribute `a` of `row`, read under a pin of its block.
+  CellElement ElementAt(size_t a, size_t row) const {
+    const size_t c = row / table_.chunk_capacity();
+    const uint32_t local = static_cast<uint32_t>(row % table_.chunk_capacity());
+    const ChunkPin pin = table_.PinChunk(c, columns_[a], RowSpan(&local, 1));
+    return CellElement(table_.chunk(c).column(attrs_[a]), local,
+                       table_.dictionary(attrs_[a]));
+  }
+
+  /// Calls `fn(k, r)` for every row r of S whose attribute `a` holds
+  /// `elements[k]`: one pass over the column, chunk by chunk.
+  template <typename Fn>
+  void ForEachHolder(size_t a, std::span<const CellElement> elements,
+                     Fn&& fn) const {
+    for (size_t c = 0; c < table_.num_chunks(); ++c) {
+      const ChunkPin pin = table_.PinChunk(c, columns_[a]);
+      const Chunk& chunk = table_.chunk(c);
+      const ColumnVector& column = chunk.column(attrs_[a]);
+      const size_t base = c * table_.chunk_capacity();
+      for (size_t k = 0; k < elements.size(); ++k) {
+        elements[k].ForEachMatch(column, 0, chunk.num_rows(), [&](size_t i) {
+          if (seq_[base + i] != kNotInS) fn(k, base + i);
+        });
+      }
+    }
+  }
+
+  /// Fills the cluster's positions unless they are complete. A member
+  /// value equal to the tuple's at its attribute (a holder of `t`, when
+  /// given) takes the tuple's position; the other distinct elements of an
+  /// attribute share one pass over its column.
+  void EnsurePositions(ClusterRows* cluster, const Tuple* t) {
+    const size_t k = cluster->rows.size();
+    if (cluster->positions.size() == k * m_) return;
+    cluster->positions.assign(k * m_, 0);
+    std::vector<CellElement> pending;
+    std::vector<size_t> slot(k);
+    for (size_t a = 0; a < m_; ++a) {
+      pending.clear();
+      for (size_t j = 0; j < k; ++j) {
+        const size_t r = cluster->rows[j];
+        if (t != nullptr && std::binary_search(t->holders[a].begin(),
+                                               t->holders[a].end(), r)) {
+          cluster->positions[j * m_ + a] = t->positions[a];
+          slot[j] = SIZE_MAX;
+          continue;
+        }
+        const CellElement e = ElementAt(a, r);
+        slot[j] = static_cast<size_t>(
+            std::find(pending.begin(), pending.end(), e) - pending.begin());
+        if (slot[j] == pending.size()) pending.push_back(e);
+      }
+      if (pending.empty()) continue;
+      std::vector<uint64_t> first(pending.size(), kNotInS);
+      ForEachHolder(a, pending, [&](size_t p, size_t r) {
+        first[p] = std::min(first[p], seq_[r]);
+      });
+      for (size_t j = 0; j < k; ++j) {
+        if (slot[j] != SIZE_MAX) {
+          cluster->positions[j * m_ + a] = m_ * first[slot[j]] + a;
+        }
+      }
+    }
+  }
+
+  /// Sizes the per-cluster counts for `n` clusters.
+  void GrowCounts(size_t n) {
+    if (matches_.size() >= n) return;
+    matches_.resize(n);
+    matched_attrs_.resize(n);
+    last_attr_.resize(n);
+  }
+
+  const Table& table_;
+  const std::vector<size_t>& attrs_;
+  const size_t m_;
+  std::vector<ColumnSet> columns_;  ///< one-column pin sets, by attribute
+  std::vector<uint64_t> seq_;       ///< by row position; kNotInS outside S
+  std::vector<uint32_t> cluster_of_;  ///< by row position, or kNoCluster
+  // Lower-bound inputs of the last MatchTuple, by cluster index.
+  std::vector<uint32_t> matches_;
+  std::vector<uint32_t> matched_attrs_;
+  std::vector<size_t> last_attr_;  ///< last attribute counted, plus one
+  std::vector<uint32_t> counted_;  ///< clusters with nonzero counts
+};
+
+/// Fresh-identifier state of one call: the candidates tried so far and the
+/// largest visible numeric identifier, taken from the membership map at
+/// the first numeric request, before any fresh identifier joined it.
+struct FreshIds {
+  size_t counter = 0;
+  std::optional<int64_t> max_int;
+  std::optional<double> max_double;
+};
+
 /// Fresh cluster identifier for an unmatched NULL-id insert: "m<N>" for
-/// string identifiers, max+1 for integer ones. Identifiers are user data,
-/// so every candidate is probed against the membership map (which already
-/// includes earlier fresh assignments) until one is unused — otherwise the
-/// new singleton would silently join an unrelated existing cluster.
-/// `max_id` caches the largest visible identifier, taken from `members`
-/// at the first integer request, before any fresh identifier joined it.
-Value FreshIdentifier(const Table& table, size_t id_col, size_t num_visible,
-                      const ClusterMembers& members, size_t* counter,
-                      std::optional<int64_t>* max_id) {
-  if (table.schema().column(id_col).type == DataType::kString) {
+/// string identifiers, the largest identifier + 1 for INT64, DATE and
+/// DOUBLE ones, and for BOOL the value no cluster holds. Identifiers are
+/// user data, so every candidate is probed against the membership map
+/// (which already includes earlier fresh assignments) until one is unused —
+/// otherwise the new singleton would silently join an unrelated existing
+/// cluster. Fails when no unused identifier exists: both BOOL values are
+/// taken, or the next numeric candidate is not representable above the
+/// largest identifier.
+Result<Value> FreshIdentifier(const Table& table, size_t id_col,
+                              size_t num_visible,
+                              const ClusterMembers& members, FreshIds* fresh) {
+  auto unused = [&](const Value& v) {
+    return members.find(v) == members.end();
+  };
+  auto exhausted = [&](const std::string& why) {
+    return Status::ResourceExhausted(
+        "no unused identifier for a new cluster of '" + table.name() +
+        "': " + why);
+  };
+  const DataType type = table.schema().column(id_col).type;
+  if (type == DataType::kString) {
     while (true) {
       Value cand =
-          Value::String("m" + std::to_string(num_visible + (*counter)++));
-      if (members.find(cand) == members.end()) return cand;
+          Value::String("m" + std::to_string(num_visible + fresh->counter++));
+      if (unused(cand)) return cand;
     }
   }
-  if (!max_id->has_value()) {
-    int64_t max = 0;
-    for (const auto& [id, cluster] : members) {
-      max = std::max(max, id.int_value());
+  if (type == DataType::kBool) {
+    for (bool b : {false, true}) {
+      if (unused(Value::Bool(b))) return Value::Bool(b);
     }
-    *max_id = max;
+    return exhausted("both BOOL values are taken");
+  }
+  if (type == DataType::kDouble) {
+    if (!fresh->max_double.has_value()) {
+      double max = 0.0;
+      for (const auto& [id, c] : members) {
+        max = std::max(max, id.double_value());
+      }
+      fresh->max_double = max;
+    }
+    const double max = *fresh->max_double;
+    while (true) {
+      const double cand = max + 1.0 + static_cast<double>(fresh->counter++);
+      if (!(cand > max)) {
+        return exhausted("no DOUBLE above " + Value::Double(max).ToString());
+      }
+      if (unused(Value::Double(cand))) return Value::Double(cand);
+    }
+  }
+  if (!fresh->max_int.has_value()) {
+    int64_t max = 0;
+    for (const auto& [id, c] : members) max = std::max(max, id.int_value());
+    fresh->max_int = max;
   }
   while (true) {
-    Value cand =
-        Value::Int(**max_id + 1 + static_cast<int64_t>((*counter)++));
-    if (members.find(cand) == members.end()) return cand;
+    Value cand = Value::Int(*fresh->max_int + 1 +
+                            static_cast<int64_t>(fresh->counter++));
+    if (unused(cand)) return cand;
   }
 }
 
@@ -196,6 +452,13 @@ Result<size_t> ReassignClusters(Table* table, const DirtyTableInfo& info,
   const StringDictionary* id_dict = table->dictionary(id_col);
   size_t num_visible = 0;
   ClusterMembers members;
+  std::vector<ClusterRows> clusters;
+  auto cluster = [&](Value id) -> ClusterRows& {
+    const auto [it, inserted] = members.try_emplace(
+        std::move(id), static_cast<uint32_t>(clusters.size()));
+    if (inserted) clusters.emplace_back();
+    return clusters[it->second];
+  };
   std::vector<size_t> null_rows;
   const ColumnSet id_cols = {static_cast<uint32_t>(id_col)};
   for (size_t c = 0; c < table->num_chunks(); ++c) {
@@ -213,15 +476,14 @@ Result<size_t> ReassignClusters(Table* table, const DirtyTableInfo& info,
       if (ids->is_null(i)) {
         null_rows.push_back(base + i);
       } else if (touched_null) {
-        members[ids->GetValue(i, id_dict)].rows.push_back(base + i);
+        cluster(ids->GetValue(i, id_dict)).rows.push_back(base + i);
       } else if (const int k = touched_keys.Find(*ids, i); k >= 0) {
-        members[touched[static_cast<size_t>(k)]].rows.push_back(base + i);
+        cluster(touched[static_cast<size_t>(k)]).rows.push_back(base + i);
       }
     }
   }
   const double total_weight = static_cast<double>(num_visible);
 
-  ValueSpace space;
   // Every in-place write is staged and applied only once the whole pass has
   // succeeded: a failure on the Nth touched cluster must not leave the
   // first N-1 already renormalized (the write aborts, but SetValue mutates
@@ -231,61 +493,61 @@ Result<size_t> ReassignClusters(Table* table, const DirtyTableInfo& info,
   // Match rows inserted without a cluster identifier against the existing
   // cluster representatives; join the nearest within the threshold, else
   // start a new singleton cluster under a fresh identifier. Values are
-  // interned once per call in the order a per-row rebuild would first meet
-  // them: the first NULL row, then every cluster's rows in map order, then
-  // each later NULL row in its turn. A cluster's representative and exact
-  // distance are built only when its lower bound cannot rule it out; the
-  // map is re-iterated live per row (a fresh singleton may rehash it), and
-  // the last cluster at the smallest distance wins.
+  // ordered by their first-meet positions, as a per-row rebuild of every
+  // representative interned them. A cluster's positions and exact distance
+  // are built only when its lower bound cannot rule it out; the map is
+  // re-iterated live per row (a fresh singleton may rehash it), and the
+  // last cluster at the smallest distance wins.
+  std::optional<FirstMeetPositions> first_meet;
   if (touched_null && !null_rows.empty()) {
+    first_meet.emplace(*table, attrs, members, clusters, null_rows);
     const size_t m = attrs.size();
-    RowCursor cursor(table);
-    size_t fresh_counter = 0;
-    std::optional<int64_t> max_id;
-    for (size_t n = 0; n < null_rows.size(); ++n) {
-      const size_t pos = null_rows[n];
-      std::vector<uint32_t> values;
-      InternRow(&cursor, pos, attrs, &space, &values);
-      if (n == 0) {
-        for (auto& [id, cluster] : members) {
-          cluster.values.reserve(cluster.rows.size() * m);
-          for (size_t r : cluster.rows) {
-            InternRow(&cursor, r, attrs, &space, &cluster.values);
-          }
-        }
-      }
-      const Dcf tuple = Dcf::ForTuple(values);
+    FreshIds fresh;
+    FirstMeetPositions::Tuple tuple;
+    for (size_t pos : null_rows) {
+      first_meet->MatchTuple(pos, &tuple);
       const Value* best_id = nullptr;
+      uint32_t best = 0;
       double best_dist = options.merge_threshold;
-      for (const auto& [id, cluster] : members) {
-        if (DistanceLowerBound(values, cluster) > best_dist + kPruneSlack) {
+      for (const auto& [id, c] : members) {
+        if (DistanceLowerBound(m, clusters[c].rows.size(),
+                               first_meet->matches(c),
+                               first_meet->unmatched(c)) >
+            best_dist + kPruneSlack) {
           continue;
         }
-        const Dcf rep = Representative(cluster, m);
-        // Passing the summed weights as the total makes the n/N prefactor 1,
-        // the same pure-information-loss distance the matcher thresholds.
-        const double d =
-            InformationLossDistance(tuple, rep, tuple.weight + rep.weight);
+        const double d = first_meet->Distance(tuple, &clusters[c]);
         if (d <= best_dist) {
           best_dist = d;
           best_id = &id;
+          best = c;
         }
       }
+      first_meet->ClearCounts();
       if (g_fault == IncrementalFault::kSkipMatch) {
         best_id = nullptr;  // injected: every NULL-id row founds a cluster
       }
-      Value assigned = best_id != nullptr
-                           ? *best_id
-                           : FreshIdentifier(*table, id_col, num_visible,
-                                             members, &fresh_counter, &max_id);
+      Value assigned;
+      if (best_id != nullptr) {
+        assigned = *best_id;
+      } else {
+        CONQUER_ASSIGN_OR_RETURN(
+            assigned,
+            FreshIdentifier(*table, id_col, num_visible, members, &fresh));
+        best = static_cast<uint32_t>(clusters.size());
+        cluster(assigned);
+      }
       staged.push_back({pos, id_col, assigned});
-      ClusterRows& joined = members[assigned];
-      joined.rows.push_back(pos);
-      joined.values.insert(joined.values.end(), values.begin(), values.end());
+      first_meet->Join(pos, tuple, best, &clusters[best]);
       if (touched_set.insert(assigned).second) touched.push_back(assigned);
     }
   }
 
+  // Renormalization: on the NULL path from the first-meet positions,
+  // otherwise interning the touched clusters, in touched order, into one
+  // space.
+  std::optional<ValueSpace> space;
+  if (!first_meet) space.emplace();
   size_t first = 0;
   if (g_fault == IncrementalFault::kSkipFirstCluster && !touched.empty()) {
     first = 1;  // injected off-by-one: first touched cluster left stale
@@ -294,8 +556,12 @@ Result<size_t> ReassignClusters(Table* table, const DirtyTableInfo& info,
   for (size_t i = first; i < touched.size(); ++i) {
     auto it = members.find(touched[i]);
     if (it == members.end()) continue;  // cluster fully deleted
-    for (const TupleProbability& t : InformationLossProbabilities(
-             *table, it->second.rows, attrs, total_weight, &space)) {
+    ClusterRows& rows = clusters[it->second];
+    for (const TupleProbability& t :
+         first_meet ? InformationLossProbabilities(
+                          rows.rows, first_meet->Indices(&rows), total_weight)
+                    : InformationLossProbabilities(*table, rows.rows, attrs,
+                                                   total_weight, &*space)) {
       staged.push_back({t.row, prob_col, Value::Double(t.probability)});
     }
     ++renormalized;

@@ -56,14 +56,21 @@ struct IncrementalOptions {
 /// without a cluster assignment) are first matched against every existing
 /// cluster representative; within `options.merge_threshold` they join the
 /// nearest cluster, otherwise they found a new singleton cluster with a
-/// fresh identifier. Either way the identifier cell is filled in and the
-/// affected cluster is renormalized. All identifier and probability writes
-/// are staged and applied once every cluster is done.
+/// fresh identifier (the largest identifier + 1 for INT64, DATE and DOUBLE
+/// columns, "m<N>" for STRING ones, the unused value for BOOL ones; when no
+/// unused identifier exists the call fails and the write aborts). Either
+/// way the identifier cell is filled in and the affected cluster is
+/// renormalized. All identifier and probability writes are staged and
+/// applied once every cluster is done.
 ///
 /// Cost: one walk over the identifier column of the visible rows, plus the
-/// touched clusters' rows. Only NULL-identifier matching reads every visible
-/// row's attributes: it interns them once per call, and builds exact
-/// distances only for clusters a lower bound cannot rule out.
+/// touched clusters' rows. NULL-identifier matching builds no value space:
+/// for each NULL-id row it makes one typed pass per attribute over the raw
+/// column, marking the rows that hold the row's value (the lower bound's
+/// inputs and the value's first-meet position, which orders values as a
+/// per-row rebuild interned them). Only a cluster the bound cannot rule out
+/// gets its exact distance, at one more pass per attribute for its other
+/// values.
 ///
 /// Returns the number of clusters renormalized.
 Result<size_t> ReassignClusters(Table* table, const DirtyTableInfo& info,

@@ -73,15 +73,19 @@ TEST(ValueSpaceTest, OwnedAndInternedStringsAreOneValue) {
   EXPECT_EQ(space.size(), 2u);
 }
 
-// Against a reference keyed on the spelling itself: two values get one
-// index exactly when their spellings agree, and a new spelling gets the
-// next index (first-intern order).
-TEST(ValueSpaceTest, MatchesToStringSpellingsInFirstInternOrder) {
+/// Values whose spellings collide, differ by sign or classify specially:
+/// dirty-TPC-H-like prices (six significant digits collapse neighbours),
+/// exact half-way points between two six-digit spellings and their
+/// neighbours, arbitrary bit patterns (NaNs of both signs with any payload,
+/// denormals), infinities, and the other types.
+std::vector<Value> SpellingCorpus() {
   std::vector<Value> values = {
       Value::Double(1e-5),     Value::Double(0.0001),
       Value::Double(999999.5), Value::Double(1000000.0),
       Value::Double(1e15),     Value::Double(-2.5e-300),
       Value::Double(5e-324),   Value::Double(std::nan("")),
+      Value::Double(-std::nan("")), Value::Double(-0.0),
+      Value::Double(0.0),
       Value::Double(-std::numeric_limits<double>::infinity()),
       Value::Double(std::numeric_limits<double>::infinity()),
       Value::Int(-42),         Value::Int(INT64_MIN),
@@ -100,6 +104,21 @@ TEST(ValueSpaceTest, MatchesToStringSpellingsInFirstInternOrder) {
     values.push_back(Value::Double(d));
     values.push_back(Value::Int(rng.Uniform(-50, 50)));
   }
+  for (int k = 0; k < 100; ++k) {
+    const double half = 100000.5 + 7.0 * k;
+    for (double d : {half, std::nextafter(half, 0.0),
+                     std::nextafter(half, 1e9), -half}) {
+      values.push_back(Value::Double(d));
+    }
+  }
+  return values;
+}
+
+// Against a reference keyed on the spelling itself: two values get one
+// index exactly when their spellings agree, and a new spelling gets the
+// next index (first-intern order).
+TEST(ValueSpaceTest, MatchesToStringSpellingsInFirstInternOrder) {
+  const std::vector<Value> values = SpellingCorpus();
   ValueSpace space;
   std::map<std::pair<size_t, std::string>, uint32_t> reference;
   for (size_t round = 0; round < 2; ++round) {
@@ -116,6 +135,51 @@ TEST(ValueSpaceTest, MatchesToStringSpellingsInFirstInternOrder) {
     }
   }
   EXPECT_EQ(space.size(), reference.size());
+}
+
+// CellElement reads ValueSpace's identity rule off raw cells. With the
+// corpus stored in one column per type (NULL cells and, in the STRING
+// column, the text 'NULL' beside them), a cell matches an element exactly
+// when ValueSpace gives the two cells one index.
+TEST(CellElementTest, AgreesWithValueSpaceOverTheSpellingCorpus) {
+  std::map<DataType, std::vector<Value>> by_type;
+  for (const Value& v : SpellingCorpus()) {
+    if (!v.is_null()) by_type[v.type()].push_back(v);
+  }
+  by_type[DataType::kString].push_back(Value::String("NULL"));
+  by_type[DataType::kString].push_back(Value::String("null"));
+  for (auto& [type, values] : by_type) {
+    SCOPED_TRACE(static_cast<int>(type));
+    values.insert(values.begin() + static_cast<ptrdiff_t>(values.size() / 2),
+                  Value::Null());
+    values.push_back(Value::Null());
+    StringDictionary dict;
+    const StringDictionary* column_dict =
+        type == DataType::kString ? &dict : nullptr;
+    ColumnVector column(type);
+    for (const Value& v : values) column.Append(v, &dict);
+    ValueSpace space;
+    std::vector<uint32_t> index;
+    for (size_t i = 0; i < column.size(); ++i) {
+      index.push_back(space.Intern(0, column.GetValue(i, column_dict)));
+    }
+    for (size_t i = 0; i < column.size(); ++i) {
+      const CellElement element(column, i, column_dict);
+      std::vector<size_t> got;
+      element.ForEachMatch(column, 0, column.size(),
+                           [&](size_t j) { got.push_back(j); });
+      std::vector<size_t> want;
+      for (size_t j = 0; j < column.size(); ++j) {
+        if (index[j] == index[i]) want.push_back(j);
+      }
+      ASSERT_EQ(got, want) << "cell " << i << ": " << values[i].ToString();
+      for (size_t j : {want.front(), want.back(), (i + 1) % column.size()}) {
+        ASSERT_EQ(element == CellElement(column, j, column_dict),
+                  index[j] == index[i])
+            << "cells " << i << " and " << j;
+      }
+    }
+  }
 }
 
 TEST(ValueSpaceTest, IndicesFollowFirstInternOrderAcrossAttributes) {

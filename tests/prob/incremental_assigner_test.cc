@@ -6,11 +6,15 @@
 // injected off-by-one fault the fuzzer's self-test relies on; later
 // sections pin that batch and incremental assignment are one computation
 // and that NULL-identifier matching leaves what a per-row rebuild of every
-// representative leaves, bit for bit.
+// representative leaves, bit for bit, under every identity rule of the
+// value space, under a memory budget and for every identifier type.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -25,6 +29,7 @@
 #include "prob/assigner.h"
 #include "prob/dcf.h"
 #include "prob/incremental.h"
+#include "storage/buffer_pool.h"
 #include "storage/table.h"
 #include "types/value.h"
 
@@ -495,21 +500,41 @@ TEST(BatchIncrementalEquivalenceTest, TpchDirtyTables) {
 // NULL-identifier matching against a reference: the loop as the engine ran it
 // before it pruned and cached, where every NULL-id row rebuilds every
 // cluster's representative from the table and interns all visible rows
-// again. Pruning by the lower bound and interning once per call must leave
-// the same identifiers and the same probability bits.
+// again into one ValueSpace. Pruning by the lower bound and ordering values
+// by first-meet positions instead of interning must leave the same
+// identifiers and the same probability bits.
 // ---------------------------------------------------------------------------
 
 using ReferenceMembers =
     std::unordered_map<Value, std::vector<size_t>, ValueHash>;
 
-Value ReferenceFreshIdentifier(const Table& table, size_t id_col,
-                               const std::vector<size_t>& visible,
-                               const ReferenceMembers& members,
-                               size_t* counter) {
-  if (table.schema().column(id_col).type == DataType::kString) {
+Result<Value> ReferenceFreshIdentifier(const Table& table, size_t id_col,
+                                       const std::vector<size_t>& visible,
+                                       const ReferenceMembers& members,
+                                       size_t* counter) {
+  const DataType type = table.schema().column(id_col).type;
+  if (type == DataType::kString) {
     while (true) {
       Value cand =
           Value::String("m" + std::to_string(visible.size() + (*counter)++));
+      if (members.find(cand) == members.end()) return cand;
+    }
+  }
+  if (type == DataType::kBool) {
+    for (bool b : {false, true}) {
+      if (members.find(Value::Bool(b)) == members.end()) return Value::Bool(b);
+    }
+    return Status::ResourceExhausted("both BOOL values are taken");
+  }
+  if (type == DataType::kDouble) {
+    double max_id = 0.0;
+    for (size_t pos : visible) {
+      Value v = table.ValueAt(pos, id_col);
+      if (!v.is_null()) max_id = std::max(max_id, v.double_value());
+    }
+    while (true) {
+      Value cand =
+          Value::Double(max_id + 1.0 + static_cast<double>((*counter)++));
       if (members.find(cand) == members.end()) return cand;
     }
   }
@@ -576,10 +601,14 @@ Result<size_t> ReferenceReassignClusters(Table* table,
           best_id = &id;
         }
       }
-      Value assigned = best_id != nullptr
-                           ? *best_id
-                           : ReferenceFreshIdentifier(*table, id_col, visible,
-                                                      members, &fresh_counter);
+      Value assigned;
+      if (best_id != nullptr) {
+        assigned = *best_id;
+      } else {
+        CONQUER_ASSIGN_OR_RETURN(
+            assigned, ReferenceFreshIdentifier(*table, id_col, visible,
+                                               members, &fresh_counter));
+      }
       staged.push_back({pos, id_col, assigned});
       members[assigned].push_back(pos);
       if (touched_set.insert(assigned).second) touched.push_back(assigned);
@@ -619,7 +648,8 @@ Row RandomRow(Rng* rng, const Value& id) {
 /// that collide at six digits, dates, NULLs), probabilities assigned by the
 /// batch pass.
 std::unique_ptr<Table> RandomClusteredTable(Rng* rng, DataType id_type,
-                                            size_t chunk_capacity) {
+                                            size_t chunk_capacity,
+                                            BufferPool* pool = nullptr) {
   auto table = std::make_unique<Table>(
       TableSchema("r", {{"id", id_type},
                         {"s", DataType::kString},
@@ -628,6 +658,7 @@ std::unique_ptr<Table> RandomClusteredTable(Rng* rng, DataType id_type,
                         {"d", DataType::kDate},
                         {"prob", DataType::kDouble}}),
       chunk_capacity);
+  table->AttachBufferPool(pool);
   const int64_t clusters = rng->Uniform(3, 40);
   for (int64_t c = 0; c < clusters; ++c) {
     const Value id = id_type == DataType::kString
@@ -640,6 +671,27 @@ std::unique_ptr<Table> RandomClusteredTable(Rng* rng, DataType id_type,
   }
   EXPECT_TRUE(AssignProbabilities(table.get(), kRandomInfo).ok());
   return table;
+}
+
+/// Every cell of the identifier (first) and probability (last) columns of
+/// `got` equals `want`'s, the probabilities bit for bit.
+void ExpectSameIdsAndProbabilities(const Table& got, const Table& want) {
+  const size_t prob = got.schema().num_columns() - 1;
+  ASSERT_EQ(got.num_rows(), want.num_rows());
+  for (size_t r = 0; r < got.num_rows(); ++r) {
+    const Value a = got.ValueAt(r, 0);
+    const Value b = want.ValueAt(r, 0);
+    ASSERT_EQ(a.type(), b.type()) << "row " << r;
+    ASSERT_TRUE(a.is_null() || a == b)
+        << "row " << r << ": " << a.ToString() << " vs " << b.ToString();
+    const Value pa = got.ValueAt(r, prob);
+    const Value pb = want.ValueAt(r, prob);
+    ASSERT_EQ(pa.is_null(), pb.is_null()) << "row " << r;
+    if (!pa.is_null()) {
+      ASSERT_TRUE(SameBits(pa.AsDouble(), pb.AsDouble()))
+          << "row " << r << ": " << pa.AsDouble() << " vs " << pb.AsDouble();
+    }
+  }
 }
 
 /// Inserts `rows` (identifier NULL) as one write into both tables, runs
@@ -661,25 +713,44 @@ void InsertAndCompare(Table* got, Table* want, const std::vector<Row>& rows) {
                                      want->committed_version());
   ASSERT_TRUE(n.ok() && m.ok());
   EXPECT_EQ(*n, *m);
-  ASSERT_EQ(got->num_rows(), want->num_rows());
-  for (size_t r = 0; r < got->num_rows(); ++r) {
-    const Value a = got->ValueAt(r, 0);
-    const Value b = want->ValueAt(r, 0);
-    ASSERT_EQ(a.type(), b.type()) << "row " << r;
-    ASSERT_TRUE(a.is_null() || a == b)
-        << "row " << r << ": " << a.ToString() << " vs " << b.ToString();
-    const Value pa = got->ValueAt(r, 5);
-    const Value pb = want->ValueAt(r, 5);
-    ASSERT_EQ(pa.is_null(), pb.is_null()) << "row " << r;
-    if (!pa.is_null()) {
-      ASSERT_TRUE(SameBits(pa.AsDouble(), pb.AsDouble()))
-          << "row " << r << ": " << pa.AsDouble() << " vs " << pb.AsDouble();
-    }
-  }
+  ExpectSameIdsAndProbabilities(*got, *want);
 }
 
 class NullIdMatchReferenceTest
     : public ::testing::TestWithParam<std::tuple<DataType, uint64_t>> {};
+
+/// Eight writes of one to three NULL-id rows into both tables, compared
+/// after each: copies of stored rows (which join their cluster or tie
+/// between identical ones), perturbed by `perturb` half of the time, or
+/// fresh rows from `fresh`.
+void RunNullIdWrites(Rng* rng, Table* got, Table* want,
+                     const std::function<void(Rng*, Row*)>& perturb,
+                     const std::function<Row(Rng*)>& fresh) {
+  for (int write = 0; write < 8; ++write) {
+    SCOPED_TRACE("write " + std::to_string(write));
+    std::vector<Row> rows;
+    const int64_t k = rng->Uniform(1, 3);
+    for (int64_t i = 0; i < k; ++i) {
+      if (rng->Chance(0.6)) {
+        Row copy = got->row(static_cast<size_t>(
+            rng->Uniform(0, static_cast<int64_t>(got->num_rows()) - 1)));
+        copy[0] = Value::Null();
+        if (rng->Chance(0.5)) perturb(rng, &copy);
+        rows.push_back(std::move(copy));
+      } else {
+        rows.push_back(fresh(rng));
+      }
+    }
+    InsertAndCompare(got, want, rows);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+void PerturbInteger(Rng* rng, Row* row) {
+  (*row)[2] = Value::Int(rng->Uniform(0, 4));
+}
+
+Row RandomNullIdRow(Rng* rng) { return RandomRow(rng, Value::Null()); }
 
 TEST_P(NullIdMatchReferenceTest, SameIdentifiersAndProbabilityBits) {
   const auto [id_type, seed] = GetParam();
@@ -688,26 +759,24 @@ TEST_P(NullIdMatchReferenceTest, SameIdentifiersAndProbabilityBits) {
   Rng twin = rng;
   auto got = RandomClusteredTable(&rng, id_type, capacity);
   auto want = RandomClusteredTable(&twin, id_type, capacity);
-  for (int write = 0; write < 8; ++write) {
-    SCOPED_TRACE("write " + std::to_string(write));
-    // One to three NULL-id rows: copies of stored rows (which join their
-    // cluster or tie between identical ones) or fresh random rows.
-    std::vector<Row> rows;
-    const int64_t k = rng.Uniform(1, 3);
-    for (int64_t i = 0; i < k; ++i) {
-      if (rng.Chance(0.6)) {
-        Row copy = got->row(static_cast<size_t>(
-            rng.Uniform(0, static_cast<int64_t>(got->num_rows()) - 1)));
-        copy[0] = Value::Null();
-        if (rng.Chance(0.5)) copy[2] = Value::Int(rng.Uniform(0, 4));
-        rows.push_back(std::move(copy));
-      } else {
-        rows.push_back(RandomRow(&rng, Value::Null()));
-      }
-    }
-    InsertAndCompare(got.get(), want.get(), rows);
-    if (HasFatalFailure()) return;
-  }
+  RunNullIdWrites(&rng, got.get(), want.get(), PerturbInteger,
+                  RandomNullIdRow);
+}
+
+// The same comparison on tables attached to a buffer pool whose budget is
+// below one chunk: every unpinned chunk is evicted, so a read outside a pin
+// trips the Debug residency assertions, or ASan's poisoning of the blocks a
+// pin did not fault.
+TEST_P(NullIdMatchReferenceTest, SameBitsUnderABudgetBelowOneChunk) {
+  const auto [id_type, seed] = GetParam();
+  BufferPool pool(1);
+  Rng rng(seed);
+  Rng twin = rng;
+  auto got = RandomClusteredTable(&rng, id_type, 7, &pool);
+  auto want = RandomClusteredTable(&twin, id_type, 7);
+  RunNullIdWrites(&rng, got.get(), want.get(), PerturbInteger,
+                  RandomNullIdRow);
+  EXPECT_GT(pool.stats().chunks_evicted, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -772,6 +841,332 @@ TEST(NullIdMatchReferenceTest, FirstRowFoundsTheClusterTheSecondJoins) {
     EXPECT_TRUE(fresh == got->ValueAt(first + 1, 0));
     EXPECT_EQ(got->ValueAt(first, 5).AsDouble(), 0.5);
   }
+}
+
+
+// ---------------------------------------------------------------------------
+// Every identity rule of V that NULL-identifier matching must reproduce
+// without a value space, against the reference's ValueSpace.
+// ---------------------------------------------------------------------------
+
+/// A value from a small pool per type, so clusters share values and every
+/// identity rule decides some match: the text 'NULL' beside NULL cells;
+/// doubles that share a six-digit spelling (999999.5, 1e6 and 1000004 are
+/// all "1e+06", across a decade; 123456.78 and 123457.2 are "123457"); -0
+/// beside 0; NaNs of both signs; both infinities; BOOL and DATE payloads.
+Value TrickyValue(Rng* rng, DataType type) {
+  if (rng->Chance(0.15)) return Value::Null();
+  switch (type) {
+    case DataType::kString: {
+      static const char* kTexts[] = {"NULL", "null", "ann", "bob"};
+      return Value::String(kTexts[rng->Uniform(0, 3)]);
+    }
+    case DataType::kDouble: {
+      const double inf = std::numeric_limits<double>::infinity();
+      const double nan = std::numeric_limits<double>::quiet_NaN();
+      const double kDoubles[] = {999999.5,  1e6,      1000004.0,
+                                 999999.4,  123456.78, 123457.2,
+                                 123456.4,  -0.0,     0.0,
+                                 nan,       -nan,     inf,
+                                 -inf};
+      return Value::Double(kDoubles[rng->Uniform(0, 12)]);
+    }
+    case DataType::kBool:
+      return Value::Bool(rng->Chance(0.5));
+    case DataType::kDate:
+      return Value::Date(9000 + rng->Uniform(0, 2));
+    default:
+      return Value::Int(rng->Uniform(0, 3));
+  }
+}
+
+/// Schema "r": the identifier, one attribute per type in `attrs`, prob.
+TableSchema TrickySchema(DataType id_type, const std::vector<DataType>& attrs) {
+  std::vector<ColumnDef> cols = {{"id", id_type}};
+  for (size_t a = 0; a < attrs.size(); ++a) {
+    cols.push_back({"a" + std::to_string(a), attrs[a]});
+  }
+  cols.push_back({"prob", DataType::kDouble});
+  return TableSchema("r", std::move(cols));
+}
+
+/// A row of TrickySchema: `base`'s attributes, each redrawn with
+/// probability `redraw`.
+Row TrickyRow(Rng* rng, const TableSchema& schema, const Value& id,
+              const Row& base, double redraw) {
+  Row row = {id};
+  for (size_t c = 1; c + 1 < schema.num_columns(); ++c) {
+    row.push_back(base.empty() || rng->Chance(redraw)
+                      ? TrickyValue(rng, schema.column(c).type)
+                      : base[c]);
+  }
+  row.push_back(Value::Double(0.0));
+  return row;
+}
+
+/// Clusters of one to five members drawn around a random base row.
+std::vector<Row> TrickyClusters(Rng* rng, const TableSchema& schema) {
+  std::vector<Row> rows;
+  const int64_t clusters = rng->Uniform(3, 30);
+  for (int64_t c = 0; c < clusters; ++c) {
+    const Value id = schema.column(0).type == DataType::kString
+                         ? Value::String("c" + std::to_string(c))
+                         : Value::Int(c * 3 + 1);
+    const Row base = TrickyRow(rng, schema, id, {}, 1.0);
+    const int64_t members = rng->Uniform(1, 5);
+    for (int64_t m = 0; m < members; ++m) {
+      rows.push_back(TrickyRow(rng, schema, id, base, 0.3));
+    }
+  }
+  return rows;
+}
+
+/// A table holding `rows`, probabilities assigned by the batch pass.
+std::unique_ptr<Table> TableOf(const TableSchema& schema,
+                               const std::vector<Row>& rows, size_t capacity) {
+  auto table = std::make_unique<Table>(schema, capacity);
+  for (const Row& row : rows) EXPECT_TRUE(table->Insert(row).ok());
+  EXPECT_TRUE(AssignProbabilities(table.get(), kRandomInfo).ok());
+  return table;
+}
+
+class NullIdIdentityRuleTest
+    : public ::testing::TestWithParam<std::tuple<DataType, uint64_t>> {};
+
+TEST_P(NullIdIdentityRuleTest, SameIdentifiersAndProbabilityBits) {
+  const auto [id_type, seed] = GetParam();
+  const TableSchema schema =
+      TrickySchema(id_type, {DataType::kString, DataType::kDouble,
+                             DataType::kDouble, DataType::kBool,
+                             DataType::kDate, DataType::kInt64});
+  Rng rng(seed);
+  const std::vector<Row> rows = TrickyClusters(&rng, schema);
+  const size_t capacity = seed % 2 == 0 ? 5 : Table::kDefaultChunkCapacity;
+  auto got = TableOf(schema, rows, capacity);
+  auto want = TableOf(schema, rows, capacity);
+  RunNullIdWrites(
+      &rng, got.get(), want.get(),
+      [&](Rng* r, Row* row) {
+        const size_t c = static_cast<size_t>(
+            r->Uniform(1, static_cast<int64_t>(schema.num_columns()) - 2));
+        (*row)[c] = TrickyValue(r, schema.column(c).type);
+      },
+      [&](Rng* r) { return TrickyRow(r, schema, Value::Null(), {}, 1.0); });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, NullIdIdentityRuleTest,
+    ::testing::Combine(::testing::Values(DataType::kString, DataType::kInt64),
+                       ::testing::Range<uint64_t>(1, 9)));
+
+// More attributes than a 64-bit per-row mask holds. Copies differ from
+// their source row mostly in the first 64 attributes, so a bound that
+// dropped the matches past the 64th would prune the cluster they join, and
+// positions that folded the attributes together would merge elements.
+TEST(NullIdIdentityRuleTest, MoreThanSixtyFourAttributes) {
+  std::vector<DataType> attrs;
+  for (int a = 0; a < 100; ++a) {
+    attrs.push_back(a % 2 == 0 ? DataType::kInt64 : DataType::kString);
+  }
+  const TableSchema schema = TrickySchema(DataType::kString, attrs);
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    const std::vector<Row> rows = TrickyClusters(&rng, schema);
+    auto got = TableOf(schema, rows, 16);
+    auto want = TableOf(schema, rows, 16);
+    RunNullIdWrites(
+        &rng, got.get(), want.get(),
+        [&](Rng* r, Row* row) {
+          for (size_t c = 1; c + 1 < schema.num_columns(); ++c) {
+            if (c <= 64 && r->Chance(0.3)) {
+              const int64_t novel = r->Uniform(100, 999);
+              (*row)[c] = schema.column(c).type == DataType::kInt64
+                              ? Value::Int(novel)
+                              : Value::String("n" + std::to_string(novel));
+            } else if (c > 64 && r->Chance(0.1)) {
+              (*row)[c] = TrickyValue(r, schema.column(c).type);
+            }
+          }
+        },
+        [&](Rng* r) { return TrickyRow(r, schema, Value::Null(), {}, 1.0); });
+    if (HasFatalFailure()) return;
+  }
+}
+
+// A multi-row INSERT whose second NULL row's elements first occur in the
+// first NULL row: copies of members of two clusters that share a new
+// value. S places the first NULL row before every cluster and the second
+// after them all, which neither row order nor placing the NULL rows
+// together does.
+TEST(NullIdIdentityRuleTest, SecondNullRowMeetsItsElementsInTheFirst) {
+  const TableSchema schema = TrickySchema(
+      DataType::kString, {DataType::kString, DataType::kDouble,
+                          DataType::kInt64, DataType::kDate,
+                          DataType::kString});
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    const std::vector<Row> rows = TrickyClusters(&rng, schema);
+    auto got = TableOf(schema, rows, 5);
+    auto want = TableOf(schema, rows, 5);
+    for (int write = 0; write < 4; ++write) {
+      const auto pick = [&] {
+        Row copy = rows[static_cast<size_t>(
+            rng.Uniform(0, static_cast<int64_t>(rows.size()) - 1))];
+        copy[0] = Value::Null();
+        copy[1] = Value::String("new" + std::to_string(write));
+        return copy;
+      };
+      InsertAndCompare(got.get(), want.get(), {pick(), pick()});
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+/// A database holding table r, maintained by ReassignClusters or, when
+/// `reference`, by ReferenceReassignClusters.
+std::unique_ptr<Database> MaintainedDatabase(const TableSchema& schema,
+                                             const std::vector<Row>& rows,
+                                             bool reference) {
+  auto db = std::make_unique<Database>();
+  EXPECT_TRUE(db->CreateTable(schema).ok());
+  EXPECT_TRUE(db->InsertMany("r", rows).ok());
+  EXPECT_TRUE(AssignProbabilities(*db->GetTable("r"), kRandomInfo).ok());
+  WriteMaintenanceHook hook;
+  hook.id_column = "id";
+  hook.after_write = [reference](Table* table,
+                                 const std::vector<Value>& touched,
+                                 uint64_t version) -> Status {
+    return (reference
+                ? ReferenceReassignClusters(table, kRandomInfo, touched,
+                                            version)
+                : ReassignClusters(table, kRandomInfo, touched, version))
+        .status();
+  };
+  db->SetWriteHook("r", std::move(hook));
+  return db;
+}
+
+/// Runs `sql` through ExecuteWrite on both databases and compares them.
+void WriteBothAndCompare(Database* got, Database* want,
+                         const std::string& sql) {
+  SCOPED_TRACE(sql);
+  auto a = got->ExecuteWrite(sql);
+  auto b = want->ExecuteWrite(sql);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  ExpectSameIdsAndProbabilities(**got->GetTable("r"), **want->GetTable("r"));
+}
+
+/// Clusters c0..c5 of three members each, told apart by a0 ('m0'..'m2');
+/// the other attributes come from the tricky pools.
+std::vector<Row> ThreeMemberClusters(Rng* rng, const TableSchema& schema) {
+  std::vector<Row> rows;
+  for (int c = 0; c < 6; ++c) {
+    const Value id = Value::String("c" + std::to_string(c));
+    const Row base = TrickyRow(rng, schema, id, {}, 1.0);
+    for (int m = 0; m < 3; ++m) {
+      Row row = TrickyRow(rng, schema, id, base, 0.3);
+      row[1] = Value::String("m" + std::to_string(m));
+      rows.push_back(std::move(row));
+    }
+  }
+  return rows;
+}
+
+// An UPDATE that sets an identifier to NULL: the row is matched again, and
+// its old cluster, renormalized in the same call, is ordered by S too.
+TEST(NullIdIdentityRuleTest, UpdateToNullRenormalizesTheOldCluster) {
+  const TableSchema schema = TrickySchema(
+      DataType::kString, {DataType::kString, DataType::kDouble,
+                          DataType::kBool, DataType::kDouble});
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    const std::vector<Row> rows = ThreeMemberClusters(&rng, schema);
+    auto got = MaintainedDatabase(schema, rows, false);
+    auto want = MaintainedDatabase(schema, rows, true);
+    for (const char* sql :
+         {"update r set id = null where id = 'c2' and a0 = 'm0'",
+          "update r set id = null where id = 'c4' and a0 <> 'm2'",
+          "update r set id = null, a0 = 'm2' where id = 'c1' and a0 = 'm1'",
+          // An outlier the old cluster's bound rules out: the cluster is
+          // renormalized from positions no tuple pass supplied.
+          "update r set id = null, a0 = 'zz', a1 = 4242.5, a2 = null, "
+          "a3 = -1.5 where id = 'c3' and a0 = 'm0'"}) {
+      WriteBothAndCompare(got.get(), want.get(), sql);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Fresh identifiers of every identifier type, through ExecuteWrite.
+// ---------------------------------------------------------------------------
+
+/// A maintained database whose table r (id of `id_type`, s, prob) holds
+/// `ids` with distinct names.
+std::unique_ptr<Database> FreshIdDatabase(DataType id_type,
+                                          const std::vector<Value>& ids,
+                                          DirtySchema* dirty) {
+  auto db = std::make_unique<Database>();
+  EXPECT_TRUE(db->CreateTable(TableSchema("r", {{"id", id_type},
+                                                {"s", DataType::kString},
+                                                {"prob", DataType::kDouble}}))
+                  .ok());
+  EXPECT_TRUE(dirty->AddTable({"r", "id", "prob", {}}).ok());
+  EXPECT_TRUE(InstallIncrementalMaintenance(db.get(), dirty).ok());
+  std::vector<Row> rows;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    rows.push_back({ids[i], Value::String(kWords[i % 6]), Value::Double(0.5)});
+  }
+  EXPECT_TRUE(db->InsertMany("r", std::move(rows)).ok());
+  return db;
+}
+
+TEST(FreshIdentifierTest, DoubleIdentifiersTakeTheLargestPlusOne) {
+  DirtySchema dirty;
+  auto db = FreshIdDatabase(
+      DataType::kDouble,
+      {Value::Double(1.5), Value::Double(1.5), Value::Double(-7.25)}, &dirty);
+  auto rs = db->ExecuteWrite("insert into r values (null, 'zzzzzz', null)");
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  const Table& t = **db->GetTable("r");
+  EXPECT_EQ(t.ValueAt(3, 0), Value::Double(2.5));
+  EXPECT_EQ(t.ValueAt(3, 2).AsDouble(), 1.0);
+  rs = db->ExecuteWrite(
+      "insert into r values (null, 'yyyyyy', null), (null, 'xxxxxx', null)");
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  EXPECT_EQ(t.ValueAt(4, 0), Value::Double(3.5));
+  EXPECT_EQ(t.ValueAt(5, 0), Value::Double(4.5));
+}
+
+TEST(FreshIdentifierTest, BoolIdentifiersTakeTheUnusedValueOrAbortTheWrite) {
+  DirtySchema dirty;
+  auto db = FreshIdDatabase(DataType::kBool,
+                            {Value::Bool(true), Value::Bool(true)}, &dirty);
+  auto rs = db->ExecuteWrite("insert into r values (null, 'zzzzzz', null)");
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  const Table& t = **db->GetTable("r");
+  EXPECT_EQ(t.ValueAt(2, 0), Value::Bool(false));
+  EXPECT_EQ(t.ValueAt(2, 2).AsDouble(), 1.0);
+  // Both values are taken now: the next outlier has no identifier, so the
+  // write fails and rolls back.
+  const uint64_t before = t.committed_version();
+  rs = db->ExecuteWrite("insert into r values (null, 'yyyyyy', null)");
+  EXPECT_EQ(rs.status().code(), StatusCode::kResourceExhausted)
+      << rs.status().ToString();
+  EXPECT_EQ(t.committed_version(), before);
+  EXPECT_EQ(t.VisibleRowPositions(t.committed_version()).size(), 3u);
+  auto count = db->Query("select count(*) from r");
+  ASSERT_TRUE(count.ok());
+  EXPECT_EQ(count->rows[0][0].int_value(), 3);
+  // A NULL-id row that joins an existing cluster still needs no identifier.
+  rs = db->ExecuteWrite("insert into r values (null, 'zzzzzz', null)");
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  EXPECT_EQ(t.ValueAt(t.VisibleRowPositions(t.committed_version()).back(), 0),
+            Value::Bool(false));
 }
 
 }  // namespace

@@ -348,13 +348,8 @@ Result<std::vector<double>> RecomputeClusterProbs(
   std::vector<double> dist(rows.size());
   RowCursor cursor(&table);
   for (size_t i = 0; i < rows.size(); ++i) {
-    cursor.Touch(rows[i]);
-    std::vector<uint32_t> indices;
-    for (size_t a = 0; a < attrs.size(); ++a) {
-      indices.push_back(space.Intern(a, cursor.ValueAt(rows[i], attrs[a])));
-    }
-    dist[i] = InformationLossDistance(Dcf::ForTuple(indices), rep,
-                                      total_weight);
+    dist[i] = InformationLossDistance(TupleDcf(&cursor, rows[i], attrs, &space),
+                                      rep, total_weight);
     s_sum += dist[i];
   }
   std::vector<double> probs(rows.size());

@@ -86,8 +86,9 @@ std::vector<TupleProbability> InformationLossProbabilities(
     const std::vector<size_t>& members, const std::vector<uint32_t>& indices,
     double total_weight);
 
-/// The same for members read from `table`: their values are interned into
-/// `space` member by member — singletons intern nothing — so a pass sharing
+/// The same for members read from `table`: their cells are interned into
+/// `space` member by member through InternRow (CellElement decides which
+/// cells are one element) — singletons intern nothing — so a pass sharing
 /// one space across clusters fixes the summation order of every later
 /// distance.
 std::vector<TupleProbability> InformationLossProbabilities(

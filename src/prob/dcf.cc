@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <functional>
+#include <cstring>
+#include <string_view>
 
 #include "storage/dictionary.h"
 
@@ -35,96 +36,18 @@ double AddWeightedKl(const std::vector<std::pair<uint32_t, double>>& xs,
   return js;
 }
 
+/// The "%.6g" spelling of `d`, Value::ToString's (to_chars with a
+/// precision spells as printf does), zero-padded into two words: the
+/// longest, "-1.23457e-308", takes 13 chars.
+std::array<uint64_t, 2> SpellDouble(double d) {
+  char text[16] = {};
+  std::to_chars(text, text + sizeof(text), d, std::chars_format::general, 6);
+  std::array<uint64_t, 2> words;
+  std::memcpy(words.data(), text, sizeof(text));
+  return words;
+}
+
 }  // namespace
-
-std::string_view SpellDouble(double d, char (&buf)[32]) {
-  // to_chars with a precision spells as printf("%.6g") does, which is
-  // Value::ToString's spelling.
-  const auto r =
-      std::to_chars(buf, buf + sizeof(buf), d, std::chars_format::general, 6);
-  return std::string_view(buf, static_cast<size_t>(r.ptr - buf));
-}
-
-uint64_t ValueSpace::RawHash(size_t attribute, Kind kind, uint64_t payload) {
-  return payload ^ ((static_cast<uint64_t>(attribute) << 2 |
-                     static_cast<uint64_t>(kind)) *
-                    0x9e3779b97f4a7c15ull);
-}
-
-ValueSpace::Probe ValueSpace::MakeProbe(size_t attribute, const Value& v,
-                                        char (&buf)[32]) {
-  Probe p{attribute, Kind::kText, 0, {}, nullptr, 0};
-  switch (v.type()) {
-    case DataType::kNull:
-      p.text = "NULL";
-      break;
-    case DataType::kString:
-      p.text = v.string_value();
-      p.interned = v.interned_ptr();
-      break;
-    case DataType::kDouble:
-      p.text = SpellDouble(v.double_value(), buf);
-      break;
-    case DataType::kInt64:
-      p.kind = Kind::kInt64;
-      p.payload = v.int_value();
-      break;
-    case DataType::kDate:
-      p.kind = Kind::kDate;
-      p.payload = v.date_value();
-      break;
-    case DataType::kBool:
-      p.kind = Kind::kBool;
-      p.payload = v.bool_value() ? 1 : 0;
-      break;
-  }
-  // An interned string carries std::hash of its text, the same hash the
-  // string_view of any other text key gets.
-  const uint64_t h =
-      p.kind != Kind::kText ? static_cast<uint64_t>(p.payload)
-      : p.interned != nullptr ? v.Hash()
-                              : std::hash<std::string_view>()(p.text);
-  p.hash = RawHash(attribute, p.kind, h);
-  return p;
-}
-
-uint64_t ValueSpace::KeyHash::operator()(const Key& k) const {
-  return RawHash(k.attribute, k.kind,
-                 k.kind != Kind::kText
-                     ? static_cast<uint64_t>(k.payload)
-                     : std::hash<std::string_view>()(k.text));
-}
-
-bool ValueSpace::KeyEq::operator()(const Key& stored, const Key& k) const {
-  return stored.attribute == k.attribute && stored.kind == k.kind &&
-         stored.payload == k.payload && stored.text == k.text;
-}
-
-bool ValueSpace::KeyEq::operator()(const Key& stored, const Probe& p) const {
-  if (stored.attribute != p.attribute || stored.kind != p.kind) return false;
-  if (p.kind != Kind::kText) return stored.payload == p.payload;
-  return (p.interned != nullptr && p.interned == stored.interned) ||
-         stored.text == p.text;
-}
-
-uint32_t ValueSpace::Intern(size_t attribute, const Value& v) {
-  char buf[32];
-  const Probe p = MakeProbe(attribute, v, buf);
-  const auto [index, inserted] =
-      index_.FindOrInsertHashedAs(p.hash, p, KeyEq(), [&p] {
-        return Key{p.attribute, p.kind, p.payload, std::string(p.text),
-                   p.interned};
-      });
-  if (inserted) index_.mutable_entries()[index].value = index;
-  return index;
-}
-
-int64_t ValueSpace::Find(size_t attribute, const Value& v) const {
-  char buf[32];
-  const Probe p = MakeProbe(attribute, v, buf);
-  const uint32_t* index = index_.FindHashedAs(p.hash, p, KeyEq());
-  return index == nullptr ? -1 : static_cast<int64_t>(*index);
-}
 
 CellElement::CellElement(const ColumnVector& col, size_t i,
                          const StringDictionary* dict)
@@ -137,22 +60,16 @@ CellElement::CellElement(const ColumnVector& col, size_t i,
         key_ = code == StringDictionary::kInvalidCode ? -1 : code;
       } else {
         key_ = col.code_data()[i];
-        null_ = *dict->StringAt(col.code_data()[i]) == "NULL";
+        null_ = std::string_view(*dict->StringAt(col.code_data()[i])) ==
+                "NULL";
       }
       break;
     }
-    case DataType::kDouble: {
+    case DataType::kDouble:
       if (null_) break;
       value_ = col.double_data()[i];
-      // Twice the rounding bound, so rounding in the prefilter's own
-      // arithmetic (denormals included) never drops a cell.
-      tolerance_ = 2e-5 * std::fabs(value_);
-      char buf[32];
-      const std::string_view text = SpellDouble(value_, buf);
-      spelling_size_ = static_cast<uint8_t>(text.size());
-      std::copy(text.begin(), text.end(), spelling_);
+      spelling_ = SpellDouble(value_);
       break;
-    }
     default:
       if (!null_) key_ = col.fixed_data()[i];
       break;
@@ -160,14 +77,20 @@ CellElement::CellElement(const ColumnVector& col, size_t i,
 }
 
 bool CellElement::SameSpelling(double x) const {
-  char buf[32];
-  return SpellDouble(x, buf) == spelling();
+  const std::array<uint64_t, 2> spelling = SpellDouble(x);
+  return spelling[0] == spelling_[0] && spelling[1] == spelling_[1];
 }
 
-bool CellElement::operator==(const CellElement& other) const {
-  if (null_ != other.null_ || key_ != other.key_) return false;
-  return type_ != DataType::kDouble || null_ ||
-         spelling() == other.spelling();
+uint64_t CellElement::Hash() const {
+  return (static_cast<uint64_t>(key_) ^ spelling_[0] ^
+          (null_ ? uint64_t{1} << 63 : 0)) +
+         spelling_[1] * 0x9e3779b97f4a7c15ull;
+}
+
+uint32_t ValueSpace::Intern(size_t attribute, const CellElement& element) {
+  const auto [rank, inserted] = index_.TryEmplace(Key{attribute, element});
+  if (inserted) *rank = static_cast<uint32_t>(index_.size() - 1);
+  return *rank;
 }
 
 SparseDist SparseDist::FromIndices(std::vector<uint32_t> indices) {
@@ -275,7 +198,8 @@ void InternRow(RowCursor* cursor, size_t row,
                std::vector<uint32_t>* out) {
   cursor->Touch(row);
   for (size_t a = 0; a < attr_columns.size(); ++a) {
-    out->push_back(space->Intern(a, cursor->ValueAt(row, attr_columns[a])));
+    const auto [column, i, dict] = cursor->CellAt(row, attr_columns[a]);
+    out->push_back(space->Intern(a, CellElement(column, i, dict)));
   }
 }
 

@@ -1,10 +1,9 @@
 #ifndef CONQUER_PROB_DCF_H_
 #define CONQUER_PROB_DCF_H_
 
+#include <array>
 #include <cmath>
 #include <cstdint>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/flat_hash.h"
@@ -13,115 +12,27 @@
 
 namespace conquer {
 
-/// \brief The attribute-qualified categorical value space V of a relation
-/// (paper Section 4.1.1).
+/// \brief One element of the attribute-qualified value space V (paper
+/// Section 4.1.1) read off a raw column cell: the one reader of V's
+/// identity rule.
 ///
-/// Two values of one attribute are one element of V exactly when their
-/// Value::ToString() spellings are equal; values of different attributes
-/// are always distinct, even when their spellings coincide (the paper's
-/// convention). What follows from the spelling rule:
-///   - DOUBLE values are spelled "%.6g": 123456.78 and 123457.2 (both
-///     "123457") are one value, while -0.0 ("-0") and 0.0 ("0") are two;
-///   - NULL is spelled "NULL", so it is the same value as the string 'NULL'
-///     in the same attribute;
-///   - an owned and an interned string with the same text are one value.
-///
-/// Indices are dense and assigned in first-intern order. SparseDist entries
-/// are sorted by index, so the order in which a pass interns its rows fixes
-/// the summation order, and thus the bits, of every later distance.
-///
-/// Interning builds no string per call: INT64, DATE and BOOL values are
-/// keyed by their payload (their spellings are one-to-one), strings by
-/// their text (an interned string reuses its dictionary hash, and a repeat
-/// of the same dictionary entry skips the text compare), DOUBLE values by
-/// their spelling formatted on the stack, and NULL as the text "NULL".
-/// Strings, doubles and NULL share one text key space, so any two of them
-/// that spell alike are one value. The payload keys keep apart only values
-/// of different types that spell alike (INT64 5 and STRING '5'); a table
-/// column holds one type besides NULL, so no pass over a table meets such
-/// a pair.
-///
-/// Interned strings are recognised by address, so a space must not outlive
-/// the dictionaries of the values interned into it (passes keep one space
-/// per call).
-///
-/// CellElement below is a second reader of this identity rule: it decides
-/// the same equality from raw column cells without interning, for
-/// NULL-identifier matching. The two must change together.
-class ValueSpace {
- public:
-  /// Interns (attribute, value) and returns its index in V.
-  uint32_t Intern(size_t attribute, const Value& v);
-
-  /// Index of (attribute, value), or -1 when never interned.
-  int64_t Find(size_t attribute, const Value& v) const;
-
-  size_t size() const { return index_.size(); }
-
- private:
-  enum class Kind : uint8_t { kText, kInt64, kDate, kBool };
-
-  /// A lookup key. `text` views the value's storage or a caller's buffer.
-  struct Probe {
-    size_t attribute;
-    Kind kind;
-    int64_t payload;  ///< INT64 / DATE / BOOL
-    std::string_view text;  ///< kText
-    const std::string* interned;  ///< dictionary storage of `text`, or null
-    uint64_t hash;  ///< raw hash of the whole key
-  };
-
-  /// The stored form of a Probe; owns its text.
-  struct Key {
-    size_t attribute = 0;
-    Kind kind = Kind::kText;
-    int64_t payload = 0;
-    std::string text;
-    /// Dictionary storage the text was first interned from (compared by
-    /// address only, never dereferenced), or null.
-    const std::string* interned = nullptr;
-  };
-
-  /// The probe for (attribute, v); a DOUBLE is spelled into `buf`.
-  static Probe MakeProbe(size_t attribute, const Value& v, char (&buf)[32]);
-  /// `payload` is the INT64/DATE/BOOL payload or the text's hash.
-  static uint64_t RawHash(size_t attribute, Kind kind, uint64_t payload);
-
-  struct KeyHash {
-    uint64_t operator()(const Key& k) const;
-  };
-  struct KeyEq {
-    bool operator()(const Key& stored, const Key& k) const;
-    bool operator()(const Key& stored, const Probe& p) const;
-  };
-
-  /// Keyed by Key; the mapped value is the element's index (its entry's
-  /// insertion rank).
-  FlatHashMap<Key, uint32_t, KeyHash, KeyEq> index_;
-};
-
-/// ValueSpace's spelling of a DOUBLE, "%.6g" (Value::ToString's), written
-/// into `buf`.
-std::string_view SpellDouble(double d, char (&buf)[32]);
-
-/// \brief One element of V read off a raw column cell, matched against
-/// other cells of the same table column by ValueSpace's identity rule
-/// without building a Value or interning anything.
-///
-/// A cell holds the element exactly when ValueSpace would give the two
-/// cells one index in one attribute:
-///   - STRING cells by dictionary code (one code per text); NULL is the
-///     text "NULL", so it matches the code of 'NULL' when the column has
-///     one;
+/// Two cells of one table column are one element exactly when their
+/// Value::ToString() spellings are equal, NULL spelling "NULL". A column
+/// holds one stored type besides NULL, so per type the rule reads:
+///   - STRING cells by dictionary code (one code per text); NULL matches
+///     the code of 'NULL' when the column has one;
 ///   - INT64, DATE and BOOL cells by payload; NULL matches only NULL;
-///   - DOUBLE cells by spelling (SpellDouble). A cell is formatted only
-///     when it lies within 2e-5 relative of a finite element's value,
-///     a superset of the spelling's rounding interval (two values that
-///     round to one six-digit decimal differ by at most 1e-5 of the
-///     larger), or when both are non-finite; NULL matches only NULL.
+///   - DOUBLE cells by their "%.6g" spelling: 123456.78 and 123457.2 (both
+///     "123457") are one element, -0.0 ("-0") and 0.0 ("0") two; NULL
+///     matches only NULL.
 ///
-/// NULL-identifier matching (prob/incremental.cc) marks an element's
-/// holders with it in one typed pass over a column.
+/// ForEachMatch formats a DOUBLE cell only when it lies within 2e-5
+/// relative of a finite element's value, a superset of the spelling's
+/// rounding interval (two values that round to one six-digit decimal
+/// differ by at most 1e-5 of the larger), or when both are non-finite.
+///
+/// Elements of different columns are not comparable; ValueSpace keeps
+/// them apart by attribute.
 class CellElement {
  public:
   /// The element at row `i` of `col`, a vector of a column whose
@@ -135,21 +46,27 @@ class CellElement {
                     Fn&& fn) const;
 
   /// The same element (both read from one column).
-  bool operator==(const CellElement& other) const;
+  bool operator==(const CellElement& other) const {
+    return null_ == other.null_ && key_ == other.key_ &&
+           spelling_[0] == other.spelling_[0] &&
+           spelling_[1] == other.spelling_[1];
+  }
+
+  /// A hash that agrees with ==.
+  uint64_t Hash() const;
 
  private:
   bool SameSpelling(double x) const;
-  std::string_view spelling() const { return {spelling_, spelling_size_}; }
 
   DataType type_;
   bool null_ = false;  ///< matches NULL cells
   /// STRING: the code of the element's text (-1 when the dictionary has
-  /// none); INT64, DATE, BOOL: the payload.
+  /// none); INT64, DATE, BOOL: the payload; DOUBLE: 0.
   int64_t key_ = 0;
-  double value_ = 0.0;      ///< DOUBLE value
-  double tolerance_ = 0.0;  ///< DOUBLE prefilter half-width
-  uint8_t spelling_size_ = 0;
-  char spelling_[32] = {};  ///< DOUBLE spelling
+  double value_ = 0.0;  ///< DOUBLE value
+  /// DOUBLE: the "%.6g" spelling, zero-padded (it takes at most 13 chars)
+  /// and read as two words; zero for other types.
+  std::array<uint64_t, 2> spelling_{};
 };
 
 template <typename Fn>
@@ -170,9 +87,12 @@ void CellElement::ForEachMatch(const ColumnVector& col, size_t begin,
       if (null_) break;
       const double* xs = col.double_data();
       const bool finite = std::isfinite(value_);
+      // Twice the rounding bound, so rounding in the prefilter's own
+      // arithmetic (denormals included) never drops a cell.
+      const double tolerance = 2e-5 * std::fabs(value_);
       for (size_t i = begin; i < end; ++i) {
         const double x = xs[i];
-        const bool near = finite ? std::fabs(x - value_) <= tolerance_
+        const bool near = finite ? std::fabs(x - value_) <= tolerance
                                  : !std::isfinite(x);
         if (nulls[i] == 0 && near && SameSpelling(x)) fn(i);
       }
@@ -191,6 +111,39 @@ void CellElement::ForEachMatch(const ColumnVector& col, size_t begin,
     if (nulls[i] != 0) fn(i);
   }
 }
+
+/// \brief The attribute-qualified categorical value space V of a relation
+/// (paper Section 4.1.1): a dense index per (attribute, CellElement), in
+/// first-intern order.
+///
+/// Elements of different attributes are always distinct, even when they
+/// spell alike (the paper's convention); within an attribute CellElement
+/// decides, so an attribute must read one column for the space's life.
+/// SparseDist entries are sorted by index, so the order in which a pass
+/// interns its cells fixes the summation order, and thus the bits, of
+/// every later distance.
+class ValueSpace {
+ public:
+  /// Interns (attribute, element) and returns its index in V.
+  uint32_t Intern(size_t attribute, const CellElement& element);
+
+  size_t size() const { return index_.size(); }
+
+ private:
+  struct Key {
+    size_t attribute;
+    CellElement element;
+    bool operator==(const Key&) const = default;
+  };
+  struct KeyHash {
+    uint64_t operator()(const Key& k) const {
+      return k.element.Hash() ^ (k.attribute * 0x9e3779b97f4a7c15ull);
+    }
+  };
+
+  /// The mapped value is the element's index (its entry's insertion rank).
+  FlatHashMap<Key, uint32_t, KeyHash> index_;
+};
 
 /// \brief A sparse probability distribution p(v | .) over a ValueSpace.
 ///
@@ -247,16 +200,16 @@ struct Dcf {
 /// `indices`, the same number per row, row-major.
 std::vector<Dcf> TupleDcfs(const std::vector<uint32_t>& indices, size_t rows);
 
-/// \brief Interns row `row`'s values of `attr_columns` into `space`, in
+/// \brief Interns row `row`'s cells of `attr_columns` into `space`, in
 /// attribute order, and appends their indices to `out`. Moves `cursor` to
-/// the row and reads through its pin.
+/// the row and reads the raw cells through its pin.
 void InternRow(RowCursor* cursor, size_t row,
                const std::vector<size_t>& attr_columns, ValueSpace* space,
                std::vector<uint32_t>* out);
 
 /// \brief The DCF of one table row over `attr_columns`: weight 1 and
 /// p(v|t) = 1/m for each of its m attribute values (paper Section 4.1.1).
-/// Interns the values as InternRow does.
+/// Interns the cells as InternRow does.
 Dcf TupleDcf(RowCursor* cursor, size_t row,
              const std::vector<size_t>& attr_columns, ValueSpace* space);
 

@@ -133,7 +133,7 @@ std::vector<uint32_t> DenseRanks(const std::vector<uint64_t>& positions) {
 /// (DenseRanks; 64-bit, so m*seq cannot wrap) leave the rebuild's bits.
 ///
 /// A position costs one typed pass over the attribute's raw column
-/// (CellElement, ValueSpace's identity rule) that marks the rows of S
+/// (CellElement, V's identity rule) that marks the rows of S
 /// holding the element; each pass pins one column of one chunk at a time.
 class FirstMeetPositions {
  public:

@@ -43,12 +43,12 @@ Result<MatchResult> MatchTuples(const Table& table,
                            ResolveColumns(table, options));
 
   MatchResult result;
-  result.cluster_of_row.resize(table.num_rows());
+  result.cluster_of_row.assign(table.num_rows(), MatchResult::kNoCluster);
   ValueSpace space;
   std::vector<Dcf> clusters;
 
   RowCursor cursor(&table);
-  for (size_t r = 0; r < table.num_rows(); ++r) {
+  for (size_t r : table.VisibleRowPositions(table.committed_version())) {
     Dcf tuple = TupleDcf(&cursor, r, cols, &space);
 
     // Nearest representative by (pure) Jensen-Shannon divergence: pass the
@@ -89,6 +89,7 @@ Result<MatchResult> AssignClusterIdentifiers(Table* table,
   CONQUER_ASSIGN_OR_RETURN(MatchResult result, MatchTuples(*table, effective));
   RowCursor cursor(table);
   for (size_t r = 0; r < table->num_rows(); ++r) {
+    if (result.cluster_of_row[r] == MatchResult::kNoCluster) continue;
     cursor.Touch(r);
     // SetValue re-interns the string through the column dictionary, so the
     // rewritten identifiers stay on the interned-compare fast path.

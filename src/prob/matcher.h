@@ -1,6 +1,7 @@
 #ifndef CONQUER_PROB_MATCHER_H_
 #define CONQUER_PROB_MATCHER_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -24,8 +25,13 @@ struct MatcherOptions {
   std::vector<std::string> exclude_columns;
 };
 
-/// \brief Result of matching: a cluster label per row, in row order.
+/// \brief Result of matching: a cluster label per row position, in row
+/// order.
 struct MatchResult {
+  /// The label of a row version that is not visible at the committed
+  /// version (a write deleted or superseded it).
+  static constexpr size_t kNoCluster = SIZE_MAX;
+
   std::vector<size_t> cluster_of_row;
   size_t num_clusters = 0;
 };
@@ -38,7 +44,8 @@ struct MatchResult {
 /// Cluster Features used in Section 4: each tuple is compared against the
 /// existing cluster representatives by Jensen-Shannon divergence and merged
 /// into the nearest one below `merge_threshold`, or opens a new cluster.
-/// One pass, O(rows x clusters); order-dependent like LIMBO phase 1.
+/// One pass over the rows visible at the table's committed version, in row
+/// order, O(rows x clusters); order-dependent like LIMBO phase 1.
 ///
 /// The framework is deliberately modular (paper Section 1): any other
 /// matcher can be substituted by writing cluster identifiers directly.
@@ -46,7 +53,7 @@ Result<MatchResult> MatchTuples(const Table& table,
                                 const MatcherOptions& options = {});
 
 /// \brief Runs MatchTuples and writes cluster identifiers
-/// `<prefix><cluster>` into the named column of the table.
+/// `<prefix><cluster>` into the named column of the table's visible rows.
 Result<MatchResult> AssignClusterIdentifiers(Table* table,
                                              std::string_view id_column,
                                              const MatcherOptions& options = {},

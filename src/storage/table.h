@@ -322,6 +322,20 @@ class RowCursor {
                           table_->dictionary(col));
   }
 
+  /// A raw cell, for readers that decode stored data themselves: the
+  /// pinned vector of column `col` holding `row`, the row's index in it and
+  /// the column's dictionary (null unless the column is STRING).
+  struct Cell {
+    const ColumnVector& column;
+    size_t index;
+    const StringDictionary* dict;
+  };
+  Cell CellAt(size_t row, size_t col) const {
+    assert(row / table_->chunk_capacity() == chunk_);
+    return {pin_->column(col), row % table_->chunk_capacity(),
+            table_->dictionary(col)};
+  }
+
   /// Materializes the row into `*out`, as Table::GetRowInto does.
   void GetRowInto(size_t row, Row* out) const {
     assert(row / table_->chunk_capacity() == chunk_);

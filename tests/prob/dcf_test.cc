@@ -19,80 +19,35 @@
 namespace conquer {
 namespace {
 
-TEST(ValueSpaceTest, AttributeQualification) {
-  // "identical values from different attributes are treated as distinct"
-  ValueSpace space;
-  uint32_t a = space.Intern(0, Value::String("Mary"));
-  uint32_t b = space.Intern(1, Value::String("Mary"));
-  uint32_t c = space.Intern(0, Value::String("Mary"));
-  EXPECT_NE(a, b);
-  EXPECT_EQ(a, c);
-  EXPECT_EQ(space.size(), 2u);
-}
-
-TEST(ValueSpaceTest, FindReturnsMinusOneForUnknown) {
-  ValueSpace space;
-  space.Intern(0, Value::String("x"));
-  EXPECT_EQ(space.Find(0, Value::String("x")), 0);
-  EXPECT_EQ(space.Find(0, Value::String("y")), -1);
-  EXPECT_EQ(space.Find(1, Value::String("x")), -1);
-}
-
-// The equivalence of V is (attribute, Value::ToString()). Value indices fix
-// the order of every distance's sum, so the cases below pin probability
-// bits: a change here changes the stored benchmark digests.
-TEST(ValueSpaceTest, DoublesAreOneValueWhenTheirSixDigitSpellingsAre) {
-  ValueSpace space;
-  const uint32_t a = space.Intern(0, Value::Double(123456.78));
-  EXPECT_EQ(space.Intern(0, Value::Double(123457.2)), a);  // both "123457"
-  EXPECT_NE(space.Intern(0, Value::Double(123456.4)), a);  // "123456"
-  EXPECT_NE(space.Intern(0, Value::Double(-0.0)),
-            space.Intern(0, Value::Double(0.0)));  // "-0" vs "0"
-  EXPECT_EQ(space.Find(0, Value::Double(123457.0)), static_cast<int64_t>(a));
-}
-
-TEST(ValueSpaceTest, NullIsTheTextNullInItsAttribute) {
-  ValueSpace space;
-  const uint32_t null = space.Intern(2, Value::Null());
-  EXPECT_EQ(space.Intern(2, Value::String("NULL")), null);
-  EXPECT_NE(space.Intern(3, Value::String("NULL")), null);
-  EXPECT_NE(space.Intern(2, Value::String("null")), null);
-}
-
-TEST(ValueSpaceTest, OwnedAndInternedStringsAreOneValue) {
-  StringDictionary dict;
-  const Value interned = dict.InternValue("Mary");
-  ASSERT_TRUE(interned.is_interned());
-  ValueSpace space;
-  const uint32_t a = space.Intern(0, interned);
-  EXPECT_EQ(space.Find(0, Value::String("Mary")), static_cast<int64_t>(a));
-  EXPECT_EQ(space.Intern(0, Value::String("Mary")), a);
-  const uint32_t b = space.Intern(1, Value::String("John"));
-  EXPECT_EQ(space.Intern(1, dict.InternValue("John")), b);
-  EXPECT_EQ(space.Find(1, dict.InternValue("John")), static_cast<int64_t>(b));
-  EXPECT_EQ(space.size(), 2u);
-}
-
 /// Values whose spellings collide, differ by sign or classify specially:
 /// dirty-TPC-H-like prices (six significant digits collapse neighbours),
 /// exact half-way points between two six-digit spellings and their
 /// neighbours, arbitrary bit patterns (NaNs of both signs with any payload,
-/// denormals), infinities, and the other types.
+/// denormals), infinities, and the other types. It holds the pool the
+/// NULL-identifier tests draw from too: 999999.4, 999999.5, 1e6 and
+/// 1000004 (the last three all "1e+06", across a decade), 123456.78 and
+/// 123457.2 (both "123457") beside 123456.4, -0 beside 0, NaN of both
+/// signs and both infinities.
 std::vector<Value> SpellingCorpus() {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
   std::vector<Value> values = {
-      Value::Double(1e-5),     Value::Double(0.0001),
-      Value::Double(999999.5), Value::Double(1000000.0),
-      Value::Double(1e15),     Value::Double(-2.5e-300),
-      Value::Double(5e-324),   Value::Double(std::nan("")),
-      Value::Double(-std::nan("")), Value::Double(-0.0),
-      Value::Double(0.0),
-      Value::Double(-std::numeric_limits<double>::infinity()),
-      Value::Double(std::numeric_limits<double>::infinity()),
-      Value::Int(-42),         Value::Int(INT64_MIN),
-      Value::Date(9131),       Value::Date(-719468),
-      Value::Bool(true),       Value::Bool(false),
-      Value::String(""),       Value::String("a somewhat longer text value"),
-      Value::Null()};
+      Value::Double(1e-5),      Value::Double(0.0001),
+      Value::Double(999999.4),  Value::Double(999999.5),
+      Value::Double(1000000.0), Value::Double(1000004.0),
+      Value::Double(123456.78), Value::Double(123457.2),
+      Value::Double(123456.4),  Value::Double(1e15),
+      Value::Double(-2.5e-300), Value::Double(5e-324),
+      Value::Double(nan),       Value::Double(-nan),
+      Value::Double(-0.0),      Value::Double(0.0),
+      Value::Double(-inf),      Value::Double(inf),
+      Value::Int(-42),          Value::Int(INT64_MIN),
+      Value::Int(0),            Value::Date(9131),
+      Value::Date(-719468),     Value::Date(9000),
+      Value::Bool(true),        Value::Bool(false),
+      Value::String(""),        Value::String("a somewhat longer text value"),
+      Value::String("NULL"),    Value::String("null"),
+      Value::String("ann"),     Value::String("bob")};
   Rng rng(11);
   for (int i = 0; i < 2000; ++i) {
     // Prices in the range dirty TPC-H orders use, where six significant
@@ -114,40 +69,20 @@ std::vector<Value> SpellingCorpus() {
   return values;
 }
 
-// Against a reference keyed on the spelling itself: two values get one
-// index exactly when their spellings agree, and a new spelling gets the
-// next index (first-intern order).
-TEST(ValueSpaceTest, MatchesToStringSpellingsInFirstInternOrder) {
-  const std::vector<Value> values = SpellingCorpus();
+// V's identity rule is its definition: two cells of one column are one
+// element exactly when their Value::ToString() spellings are equal, and
+// cells of different attributes never are. The corpus is stored in one
+// column per type, NULL cells among them (beside the text 'NULL' in the
+// STRING column). Over it, ForEachMatch, ==, Hash and the ValueSpace ranks
+// follow that equality, and the ranks follow the first intern of each
+// (attribute, spelling): every column is interned twice, its cells
+// alternating between two attributes.
+TEST(CellElementTest, FollowsToStringEqualityOverTheSpellingCorpus) {
+  std::map<DataType, std::vector<Value>> by_type;
+  for (const Value& v : SpellingCorpus()) by_type[v.type()].push_back(v);
   ValueSpace space;
   std::map<std::pair<size_t, std::string>, uint32_t> reference;
-  for (size_t round = 0; round < 2; ++round) {
-    for (size_t i = 0; i < values.size(); ++i) {
-      const size_t attribute = i % 3;
-      const auto key = std::make_pair(attribute, values[i].ToString());
-      auto it = reference.find(key);
-      const uint32_t expected =
-          it != reference.end() ? it->second
-                                : static_cast<uint32_t>(reference.size());
-      reference.emplace(key, expected);
-      ASSERT_EQ(space.Intern(attribute, values[i]), expected)
-          << "attribute " << attribute << " value " << key.second;
-    }
-  }
-  EXPECT_EQ(space.size(), reference.size());
-}
-
-// CellElement reads ValueSpace's identity rule off raw cells. With the
-// corpus stored in one column per type (NULL cells and, in the STRING
-// column, the text 'NULL' beside them), a cell matches an element exactly
-// when ValueSpace gives the two cells one index.
-TEST(CellElementTest, AgreesWithValueSpaceOverTheSpellingCorpus) {
-  std::map<DataType, std::vector<Value>> by_type;
-  for (const Value& v : SpellingCorpus()) {
-    if (!v.is_null()) by_type[v.type()].push_back(v);
-  }
-  by_type[DataType::kString].push_back(Value::String("NULL"));
-  by_type[DataType::kString].push_back(Value::String("null"));
+  size_t attribute = 0;
   for (auto& [type, values] : by_type) {
     SCOPED_TRACE(static_cast<int>(type));
     values.insert(values.begin() + static_cast<ptrdiff_t>(values.size() / 2),
@@ -158,10 +93,21 @@ TEST(CellElementTest, AgreesWithValueSpaceOverTheSpellingCorpus) {
         type == DataType::kString ? &dict : nullptr;
     ColumnVector column(type);
     for (const Value& v : values) column.Append(v, &dict);
-    ValueSpace space;
-    std::vector<uint32_t> index;
+    std::vector<std::string> spelling;
     for (size_t i = 0; i < column.size(); ++i) {
-      index.push_back(space.Intern(0, column.GetValue(i, column_dict)));
+      spelling.push_back(column.GetValue(i, column_dict).ToString());
+    }
+    for (size_t round = 0; round < 2; ++round) {
+      for (size_t i = 0; i < column.size(); ++i) {
+        const size_t a = attribute + i % 2;
+        const uint32_t want =
+            reference
+                .emplace(std::make_pair(a, spelling[i]),
+                         static_cast<uint32_t>(reference.size()))
+                .first->second;
+        ASSERT_EQ(space.Intern(a, CellElement(column, i, column_dict)), want)
+            << "attribute " << a << " cell " << i << ": " << spelling[i];
+      }
     }
     for (size_t i = 0; i < column.size(); ++i) {
       const CellElement element(column, i, column_dict);
@@ -170,28 +116,21 @@ TEST(CellElementTest, AgreesWithValueSpaceOverTheSpellingCorpus) {
                            [&](size_t j) { got.push_back(j); });
       std::vector<size_t> want;
       for (size_t j = 0; j < column.size(); ++j) {
-        if (index[j] == index[i]) want.push_back(j);
+        if (spelling[j] == spelling[i]) want.push_back(j);
       }
-      ASSERT_EQ(got, want) << "cell " << i << ": " << values[i].ToString();
+      ASSERT_EQ(got, want) << "cell " << i << ": " << spelling[i];
       for (size_t j : {want.front(), want.back(), (i + 1) % column.size()}) {
-        ASSERT_EQ(element == CellElement(column, j, column_dict),
-                  index[j] == index[i])
+        const CellElement other(column, j, column_dict);
+        ASSERT_EQ(element == other, spelling[j] == spelling[i])
             << "cells " << i << " and " << j;
+        if (element == other) {
+          ASSERT_EQ(element.Hash(), other.Hash());
+        }
       }
     }
+    attribute += 2;
   }
-}
-
-TEST(ValueSpaceTest, IndicesFollowFirstInternOrderAcrossAttributes) {
-  ValueSpace space;
-  EXPECT_EQ(space.Intern(1, Value::Int(7)), 0u);
-  EXPECT_EQ(space.Intern(0, Value::Int(7)), 1u);
-  EXPECT_EQ(space.Intern(2, Value::String("x")), 2u);
-  EXPECT_EQ(space.Intern(1, Value::Int(7)), 0u);
-  EXPECT_EQ(space.Intern(0, Value::Date(7)), 3u);
-  EXPECT_EQ(space.Intern(0, Value::Int(8)), 4u);
-  EXPECT_EQ(space.Intern(2, Value::String("x")), 2u);
-  EXPECT_EQ(space.size(), 5u);
+  EXPECT_EQ(space.size(), reference.size());
 }
 
 TEST(SparseDistTest, TupleDistributionIsUniformOverItsValues) {

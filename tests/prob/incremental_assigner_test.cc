@@ -500,10 +500,50 @@ TEST(BatchIncrementalEquivalenceTest, TpchDirtyTables) {
 // NULL-identifier matching against a reference: the loop as the engine ran it
 // before it pruned and cached, where every NULL-id row rebuilds every
 // cluster's representative from the table and interns all visible rows
-// again into one ValueSpace. Pruning by the lower bound and ordering values
+// again into one value space. Pruning by the lower bound and ordering values
 // by first-meet positions instead of interning must leave the same
 // identifiers and the same probability bits.
 // ---------------------------------------------------------------------------
+
+/// V by its definition, apart from the CellElement and ValueSpace code
+/// under test: (attribute, Value::ToString()) pairs ranked in first-intern
+/// order.
+class ReferenceSpace {
+ public:
+  /// Appends the indices of row `pos`'s values of `attrs`, interned in
+  /// attribute order.
+  void InternRow(const Table& table, size_t pos,
+                 const std::vector<size_t>& attrs,
+                 std::vector<uint32_t>* out) {
+    RowCursor cursor(&table);
+    cursor.Touch(pos);
+    for (size_t a = 0; a < attrs.size(); ++a) {
+      const std::string spelling = cursor.ValueAt(pos, attrs[a]).ToString();
+      out->push_back(
+          rank_.emplace(std::make_pair(a, spelling),
+                        static_cast<uint32_t>(rank_.size()))
+              .first->second);
+    }
+  }
+
+  Dcf TupleDcf(const Table& table, size_t pos,
+               const std::vector<size_t>& attrs) {
+    std::vector<uint32_t> indices;
+    InternRow(table, pos, attrs, &indices);
+    return Dcf::ForTuple(std::move(indices));
+  }
+
+  /// The representative of `rows`, each interned in turn.
+  Dcf Representative(const Table& table, const std::vector<size_t>& rows,
+                     const std::vector<size_t>& attrs) {
+    std::vector<Dcf> tuples;
+    for (size_t pos : rows) tuples.push_back(TupleDcf(table, pos, attrs));
+    return Dcf::MergeAll(tuples);
+  }
+
+ private:
+  std::map<std::pair<size_t, std::string>, uint32_t> rank_;
+};
 
 using ReferenceMembers =
     std::unordered_map<Value, std::vector<size_t>, ValueHash>;
@@ -582,18 +622,16 @@ Result<size_t> ReferenceReassignClusters(Table* table,
       members[std::move(id)].push_back(pos);
     }
   }
-  ValueSpace space;
+  ReferenceSpace space;
   std::vector<StagedWrite> staged;
   if (touched_null && !null_rows.empty()) {
     size_t fresh_counter = 0;
     for (size_t pos : null_rows) {
-      RowCursor cursor(table);
-      Dcf tuple = TupleDcf(&cursor, pos, attrs, &space);
+      Dcf tuple = space.TupleDcf(*table, pos, attrs);
       const Value* best_id = nullptr;
       double best_dist = merge_threshold;
       for (const auto& [id, rows] : members) {
-        CONQUER_ASSIGN_OR_RETURN(
-            Dcf rep, BuildClusterRepresentative(*table, rows, attrs, &space));
+        const Dcf rep = space.Representative(*table, rows, attrs);
         double d =
             InformationLossDistance(tuple, rep, tuple.weight + rep.weight);
         if (d <= best_dist) {
@@ -618,8 +656,14 @@ Result<size_t> ReferenceReassignClusters(Table* table,
   for (const Value& id : touched) {
     auto it = members.find(id);
     if (it == members.end()) continue;
-    for (const TupleProbability& t : InformationLossProbabilities(
-             *table, it->second, attrs, total_weight, &space)) {
+    std::vector<uint32_t> indices;  // a singleton interns nothing
+    if (it->second.size() > 1) {
+      for (size_t pos : it->second) {
+        space.InternRow(*table, pos, attrs, &indices);
+      }
+    }
+    for (const TupleProbability& t :
+         InformationLossProbabilities(it->second, indices, total_weight)) {
       staged.push_back({t.row, prob_col, Value::Double(t.probability)});
     }
     ++renormalized;
@@ -846,7 +890,8 @@ TEST(NullIdMatchReferenceTest, FirstRowFoundsTheClusterTheSecondJoins) {
 
 // ---------------------------------------------------------------------------
 // Every identity rule of V that NULL-identifier matching must reproduce
-// without a value space, against the reference's ValueSpace.
+// without a value space, against the reference's (attribute, ToString())
+// ranks.
 // ---------------------------------------------------------------------------
 
 /// A value from a small pool per type, so clusters share values and every

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
+#include "engine/database.h"
 #include "prob/assigner.h"
 
 namespace conquer {
@@ -131,6 +133,39 @@ TEST(MatcherTest, PipelineIntoProbabilityAssignment) {
   for (const auto& [id, m] : mass) EXPECT_NEAR(m, 1.0, 1e-9) << id;
   // In entity A, the majority representation (banking) outranks the outlier.
   EXPECT_GT((*details)[0].probability, (*details)[1].probability);
+}
+
+// Writes leave row versions behind. The matcher reads only the rows visible
+// at the committed version, as every probability pass does: a deleted row
+// and the old version of an updated one get no cluster and no identifier.
+TEST(MatcherTest, ReadsOnlyVisibleRowVersions) {
+  Database db;
+  ASSERT_TRUE(db.CreateTable(TableSchema("t", {{"id", DataType::kString},
+                                               {"name", DataType::kString},
+                                               {"city", DataType::kString}}))
+                  .ok());
+  ASSERT_TRUE(db.InsertMany("t", {{Value::Null(), Value::String("Mary"),
+                                   Value::String("Toronto")},
+                                  {Value::Null(), Value::String("John"),
+                                   Value::String("Ottawa")}})
+                  .ok());
+  ASSERT_TRUE(db.ExecuteWrite("delete from t where name = 'Mary'").ok());
+  ASSERT_TRUE(
+      db.ExecuteWrite("update t set city = 'Kingston' where name = 'John'")
+          .ok());
+  auto table = db.GetTable("t");
+  ASSERT_TRUE(table.ok());
+  ASSERT_EQ((*table)->num_rows(), 3u);  // Mary, John's old and new version
+
+  auto result = AssignClusterIdentifiers(*table, "id");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->num_clusters, 1u);
+  EXPECT_EQ(result->cluster_of_row,
+            (std::vector<size_t>{MatchResult::kNoCluster,
+                                 MatchResult::kNoCluster, 0}));
+  EXPECT_TRUE((*table)->ValueAt(0, 0).is_null());
+  EXPECT_TRUE((*table)->ValueAt(1, 0).is_null());
+  EXPECT_EQ((*table)->ValueAt(2, 0).ToString(), "m0");
 }
 
 TEST(MatcherTest, EmptyTableYieldsNoClusters) {

@@ -53,43 +53,46 @@ TEST_F(Figure6Test, Table1NormalizedMatrix) {
   EXPECT_EQ(rep->dist.entries().size(), 4u);
 }
 
-// Table 2: the representative of c1 = {t1, t2, t3}.
+// Table 2: the representative of c1 = {t1, t2, t3}. A value's index is
+// looked up by interning a cell that holds it, which must find it already
+// interned.
 TEST_F(Figure6Test, Table2ClusterRepresentatives) {
+  const std::vector<size_t> attrs = {1, 2, 3, 4};
+  // Probability of attribute `a`'s value in row `row` (0-based: t1 is row
+  // 0); attribute positions within the representative: 0=name,
+  // 1=mktsegmt, 2=nation, 3=address.
+  auto at = [&](const Dcf& rep, ValueSpace* space, size_t a, size_t row) {
+    RowCursor cursor(table_.get());
+    cursor.Touch(row);
+    const auto [column, i, dict] = cursor.CellAt(row, attrs[a]);
+    const size_t before = space->size();
+    const uint32_t index = space->Intern(a, CellElement(column, i, dict));
+    EXPECT_EQ(space->size(), before) << "attribute " << a << " row " << row;
+    return rep.dist.At(index);
+  };
+
   ValueSpace space;
-  auto rep1 = BuildClusterRepresentative(*table_, {0, 1, 2}, {1, 2, 3, 4},
-                                         &space);
+  auto rep1 = BuildClusterRepresentative(*table_, {0, 1, 2}, attrs, &space);
   ASSERT_TRUE(rep1.ok());
   EXPECT_NEAR(rep1->weight, 3.0, 1e-12);
-
-  auto at = [&](size_t attr, const char* value) {
-    int64_t idx = space.Find(attr, Value::String(value));
-    EXPECT_GE(idx, 0) << value;
-    return idx < 0 ? 0.0 : rep1->dist.At(static_cast<uint32_t>(idx));
-  };
-  // Attribute positions within the representative: 0=name, 1=mktsegmt,
-  // 2=nation, 3=address.
-  EXPECT_NEAR(at(0, "Mary"), 2.0 / 12, 1e-12);
-  EXPECT_NEAR(at(0, "Marion"), 1.0 / 12, 1e-12);
-  EXPECT_NEAR(at(1, "building"), 1.0 / 12, 1e-12);
-  EXPECT_NEAR(at(1, "banking"), 2.0 / 12, 1e-12);
-  EXPECT_NEAR(at(2, "USA"), 3.0 / 12, 1e-12);  // "remains the same" (paper)
-  EXPECT_NEAR(at(3, "Jones Ave"), 2.0 / 12, 1e-12);
-  EXPECT_NEAR(at(3, "Jones ave"), 1.0 / 12, 1e-12);
+  EXPECT_NEAR(at(*rep1, &space, 0, 0), 2.0 / 12, 1e-12);  // Mary
+  EXPECT_NEAR(at(*rep1, &space, 0, 2), 1.0 / 12, 1e-12);  // Marion
+  EXPECT_NEAR(at(*rep1, &space, 1, 0), 1.0 / 12, 1e-12);  // building
+  EXPECT_NEAR(at(*rep1, &space, 1, 1), 2.0 / 12, 1e-12);  // banking
+  // USA "remains the same" (paper).
+  EXPECT_NEAR(at(*rep1, &space, 2, 0), 3.0 / 12, 1e-12);
+  EXPECT_NEAR(at(*rep1, &space, 3, 0), 2.0 / 12, 1e-12);  // Jones Ave
+  EXPECT_NEAR(at(*rep1, &space, 3, 2), 1.0 / 12, 1e-12);  // Jones ave
   EXPECT_NEAR(rep1->dist.Mass(), 1.0, 1e-12);
 
   // rep2 reflects that both t4 and t5 contain "building" and "Arrow".
   ValueSpace space2;
-  auto rep2 =
-      BuildClusterRepresentative(*table_, {3, 4}, {1, 2, 3, 4}, &space2);
+  auto rep2 = BuildClusterRepresentative(*table_, {3, 4}, attrs, &space2);
   ASSERT_TRUE(rep2.ok());
-  auto at2 = [&](size_t attr, const char* value) {
-    int64_t idx = space2.Find(attr, Value::String(value));
-    return idx < 0 ? 0.0 : rep2->dist.At(static_cast<uint32_t>(idx));
-  };
-  EXPECT_NEAR(at2(1, "building"), 0.25, 1e-12);
-  EXPECT_NEAR(at2(3, "Arrow"), 0.25, 1e-12);
-  EXPECT_NEAR(at2(0, "John"), 0.125, 1e-12);
-  EXPECT_NEAR(at2(0, "John S."), 0.125, 1e-12);
+  EXPECT_NEAR(at(*rep2, &space2, 1, 3), 0.25, 1e-12);   // building
+  EXPECT_NEAR(at(*rep2, &space2, 3, 3), 0.25, 1e-12);   // Arrow
+  EXPECT_NEAR(at(*rep2, &space2, 0, 3), 0.125, 1e-12);  // John
+  EXPECT_NEAR(at(*rep2, &space2, 0, 4), 0.125, 1e-12);  // John S.
 }
 
 // Table 3: ordering and invariants of the assigned probabilities.
